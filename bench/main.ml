@@ -563,7 +563,11 @@ let scale_telemetry ~scale () =
       answers,
       rss_mb () )
   in
-  [ row (max 1_000 (scale / 10)); row scale ]
+  (* bound in order: list elements evaluate right to left, which would run
+     the big row first and leave its heap in the small row's rss_mb *)
+  let small = row (max 1_000 (scale / 10)) in
+  let big = row scale in
+  [ small; big ]
 
 (* Serve telemetry (E20): K concurrent clients replaying one identical
    update/query script against a single in-process [Serve.Server] over a

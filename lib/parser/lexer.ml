@@ -37,12 +37,14 @@ let is_ident_char = function
   | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '\'' -> true
   | _ -> false
 
-let tokenize input =
+(* A generator rather than a token list: the parser pulls one token at a
+   time, so a large file is never held as tokens (a list of them was the
+   peak of a load). *)
+let lexer input =
   let n = String.length input in
-  let tokens = ref [] in
   let line = ref 1 and col = ref 1 in
   let i = ref 0 in
-  let emit token = tokens := { token; line = !line; col = !col } :: !tokens in
+  let finished = ref false in
   let advance k =
     for j = !i to min (n - 1) (!i + k - 1) do
       if input.[j] = '\n' then begin
@@ -54,74 +56,75 @@ let tokenize input =
     i := !i + k
   in
   let error msg = raise (Lex_error (msg, !line, !col)) in
-  while !i < n do
-    let c = input.[!i] in
-    match c with
-    | ' ' | '\t' | '\r' | '\n' -> advance 1
-    | '%' | '#' ->
-        while !i < n && input.[!i] <> '\n' do
-          advance 1
-        done
-    | '(' -> emit LPAREN; advance 1
-    | ')' -> emit RPAREN; advance 1
-    | '[' -> emit LBRACKET; advance 1
-    | ']' -> emit RBRACKET; advance 1
-    | ',' -> emit COMMA; advance 1
-    | '.' -> emit DOT; advance 1
-    | ':' -> emit COLON; advance 1
-    | ';' -> emit SEMI; advance 1
-    | '|' -> emit PIPE; advance 1
-    | '&' -> emit AMP; advance 1
-    | '+' -> emit PLUS; advance 1
-    | '=' -> emit EQ; advance 1
-    | '~' -> emit BANG; advance 1
-    | '!' ->
-        if !i + 1 < n && input.[!i + 1] = '=' then begin emit NEQ; advance 2 end
-        else begin emit BANG; advance 1 end
-    | '<' ->
-        if !i + 1 < n && input.[!i + 1] = '=' then begin emit LEQ; advance 2 end
-        else if !i + 1 < n && input.[!i + 1] = '>' then begin emit NEQ; advance 2 end
-        else begin emit LT; advance 1 end
-    | '>' ->
-        if !i + 1 < n && input.[!i + 1] = '=' then begin emit GEQ; advance 2 end
-        else begin emit GT; advance 1 end
-    | '-' ->
-        if !i + 1 < n && input.[!i + 1] = '>' then begin emit ARROW; advance 2 end
-        else begin emit MINUS; advance 1 end
-    | '"' ->
-        let start = !i + 1 in
-        let j = ref start in
-        while !j < n && input.[!j] <> '"' do
-          incr j
-        done;
-        if !j >= n then error "unterminated string literal"
-        else begin
-          emit (STRING (String.sub input start (!j - start)));
-          advance (!j - !i + 1)
-        end
-    | '0' .. '9' ->
-        let start = !i in
-        let j = ref !i in
-        while !j < n && match input.[!j] with '0' .. '9' -> true | _ -> false do
-          incr j
-        done;
-        emit (INT (int_of_string (String.sub input start (!j - start))));
-        advance (!j - start)
-    | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
-        let start = !i in
-        let j = ref !i in
-        while !j < n && is_ident_char input.[!j] do
-          incr j
-        done;
-        let word = String.sub input start (!j - start) in
-        let token =
-          match word.[0] with
-          | 'A' .. 'Z' -> UIDENT word
-          | _ -> IDENT word
-        in
-        emit token;
-        advance (!j - start)
-    | c -> error (Printf.sprintf "unexpected character %C" c)
-  done;
-  emit EOF;
-  List.rev !tokens
+  let emit k token =
+    let t = { token; line = !line; col = !col } in
+    advance k;
+    t
+  in
+  let rec next () =
+    if !i >= n then
+      if !finished then { token = EOF; line = 0; col = 0 }
+      else begin
+        finished := true;
+        { token = EOF; line = !line; col = !col }
+      end
+    else
+      match input.[!i] with
+      | ' ' | '\t' | '\r' | '\n' ->
+          advance 1;
+          next ()
+      | '%' | '#' ->
+          while !i < n && input.[!i] <> '\n' do
+            advance 1
+          done;
+          next ()
+      | '(' -> emit 1 LPAREN
+      | ')' -> emit 1 RPAREN
+      | '[' -> emit 1 LBRACKET
+      | ']' -> emit 1 RBRACKET
+      | ',' -> emit 1 COMMA
+      | '.' -> emit 1 DOT
+      | ':' -> emit 1 COLON
+      | ';' -> emit 1 SEMI
+      | '|' -> emit 1 PIPE
+      | '&' -> emit 1 AMP
+      | '+' -> emit 1 PLUS
+      | '=' -> emit 1 EQ
+      | '~' -> emit 1 BANG
+      | '!' ->
+          if !i + 1 < n && input.[!i + 1] = '=' then emit 2 NEQ else emit 1 BANG
+      | '<' ->
+          if !i + 1 < n && input.[!i + 1] = '=' then emit 2 LEQ
+          else if !i + 1 < n && input.[!i + 1] = '>' then emit 2 NEQ
+          else emit 1 LT
+      | '>' ->
+          if !i + 1 < n && input.[!i + 1] = '=' then emit 2 GEQ else emit 1 GT
+      | '-' ->
+          if !i + 1 < n && input.[!i + 1] = '>' then emit 2 ARROW else emit 1 MINUS
+      | '"' ->
+          let start = !i + 1 in
+          let j = ref start in
+          while !j < n && input.[!j] <> '"' do
+            incr j
+          done;
+          if !j >= n then error "unterminated string literal"
+          else emit (!j - !i + 1) (STRING (String.sub input start (!j - start)))
+      | '0' .. '9' ->
+          let start = !i in
+          let j = ref !i in
+          while !j < n && match input.[!j] with '0' .. '9' -> true | _ -> false do
+            incr j
+          done;
+          emit (!j - start) (INT (int_of_string (String.sub input start (!j - start))))
+      | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
+          let start = !i in
+          let j = ref !i in
+          while !j < n && is_ident_char input.[!j] do
+            incr j
+          done;
+          let word = String.sub input start (!j - start) in
+          emit (!j - start)
+            (match word.[0] with 'A' .. 'Z' -> UIDENT word | _ -> IDENT word)
+      | c -> error (Printf.sprintf "unexpected character %C" c)
+  in
+  next

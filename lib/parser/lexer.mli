@@ -20,8 +20,11 @@ type located = { token : token; line : int; col : int }
 
 exception Lex_error of string * int * int
 
-val tokenize : string -> located list
-(** Comments run from [%] or [#] to end of line.
+val lexer : string -> unit -> located
+(** [lexer input] returns a function yielding the tokens of [input] one per
+    call, scanning only as far as the token it returns; after the last one
+    it yields [EOF] at the end position, then [EOF] at line 0 forever.
+    Comments run from [%] or [#] to end of line.
     @raise Lex_error on an unexpected character or unterminated string. *)
 
 val pp_token : token Fmt.t

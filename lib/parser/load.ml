@@ -50,43 +50,45 @@ let of_located_items ~where litems =
           | Surface.NotNull _ | Surface.Query _ -> Ok schema))
       (Ok Schema.empty) litems
   in
-  (* pass 2: build everything; update statements are collected in file
-     order, not folded into the instance (see [final_instance]) *)
-  let* instance, rev_ics, rev_queries, rev_updates =
+  (* pass 2: build everything; facts are collected for one bulk build of
+     the instance (per-fact [Instance.add] would leave large relations in
+     an unindexed overlay), update statements in file order, not folded
+     into the instance (see [final_instance]) *)
+  let* facts, rev_ics, rev_queries, rev_updates =
     List.fold_left
       (fun acc (line, item) ->
-        let* instance, ics, queries, updates = acc in
+        let* facts, ics, queries, updates = acc in
         locate line
           (match item with
-          | Surface.Relation _ -> Ok (instance, ics, queries, updates)
+          | Surface.Relation _ -> Ok (facts, ics, queries, updates)
           | Surface.Fact (name, values) ->
               Ok
-                ( Instance.add (Relational.Atom.make name values) instance,
+                ( Relational.Atom.make name values :: facts,
                   ics, queries, updates )
           | Surface.Insert (name, values) ->
               Ok
-                ( instance, ics, queries,
+                ( facts, ics, queries,
                   Delta.insert (Relational.Atom.make name values) :: updates )
           | Surface.Delete (name, values) ->
               Ok
-                ( instance, ics, queries,
+                ( facts, ics, queries,
                   Delta.delete (Relational.Atom.make name values) :: updates )
           | Surface.Constraint { name; ante; cons; phi } -> (
               match Ic.Constr.generic ?name ~ante ~cons ~phi () with
-              | ic -> Ok (instance, ic :: ics, queries, updates)
+              | ic -> Ok (facts, ic :: ics, queries, updates)
               | exception Invalid_argument msg -> Error msg)
           | Surface.NotNull (rel, pos) -> (
               match Schema.arity schema rel with
               | None -> Error (Printf.sprintf "not_null on unknown relation %s" rel)
               | Some arity -> (
                   match Ic.Constr.not_null ~pred:rel ~arity ~pos () with
-                  | ic -> Ok (instance, ic :: ics, queries, updates)
+                  | ic -> Ok (facts, ic :: ics, queries, updates)
                   | exception Invalid_argument msg -> Error msg))
           | Surface.Query (name, head, body) -> (
               match Query.Qsyntax.make ~name ~head body with
-              | q -> Ok (instance, ics, (line, name, q) :: queries, updates)
+              | q -> Ok (facts, ics, (line, name, q) :: queries, updates)
               | exception Invalid_argument msg -> Error msg)))
-      (Ok (Instance.empty, [], [], []))
+      (Ok ([], [], [], []))
       litems
   in
   (* validate query atoms against the schema *)
@@ -115,7 +117,7 @@ let of_located_items ~where litems =
   Ok
     {
       schema;
-      instance;
+      instance = Instance.of_atoms facts;
       ics = List.rev rev_ics;
       queries = List.rev_map (fun (_, name, q) -> (name, q)) rev_queries;
       updates = List.rev rev_updates;

@@ -1,14 +1,9 @@
 exception Parse_error of string * int * int
 
-type state = { mutable tokens : Lexer.located list }
+type state = { mutable current : Lexer.located; next : unit -> Lexer.located }
 
-let peek st =
-  match st.tokens with
-  | [] -> { Lexer.token = Lexer.EOF; line = 0; col = 0 }
-  | t :: _ -> t
-
-let advance st =
-  match st.tokens with [] -> () | _ :: rest -> st.tokens <- rest
+let peek st = st.current
+let advance st = st.current <- st.next ()
 
 let error st msg =
   let t = peek st in
@@ -383,7 +378,8 @@ let parse_query st =
   | _ -> error st "expected query name"
 
 let parse_located input =
-  let st = { tokens = Lexer.tokenize input } in
+  let next = Lexer.lexer input in
+  let st = { current = next (); next } in
   let rec items acc =
     let line = (peek st).Lexer.line in
     let located item = (line, item) in
@@ -415,6 +411,15 @@ let parse_located input =
           "expected an item (relation, fact, constraint, not_null, query, \
            insert, delete)"
   in
-  items []
+  (* The input is lexed as it is parsed.  A lexical error anywhere in the
+     file still takes precedence over a parse error before it: on any
+     failure the rest of the input is lexed, and a lexer exception there
+     is the one raised. *)
+  match items [] with
+  | parsed -> parsed
+  | exception e ->
+      let rec drain () = if (next ()).Lexer.token <> Lexer.EOF then drain () in
+      drain ();
+      raise e
 
 let parse input = List.map snd (parse_located input)

@@ -92,9 +92,6 @@ let factorized_outcome ?semantics ?(jobs = 1) ?states ?exhausted ~plan
     ~minimal ~standard (q : Qsyntax.t) =
   let core = plan.Repair.Decompose.core in
   let components = plan.Repair.Decompose.components in
-  let d = Instance.union core (List.fold_left Instance.union Instance.empty
-                                 (List.map (fun (c : Repair.Decompose.component) ->
-                                      c.Repair.Decompose.sub) components)) in
   let counts = List.map List.length minimal in
   let repair_count = Repair.Decompose.count_product counts in
   let eval r = Qeval.answers ?semantics r q in
@@ -102,11 +99,16 @@ let factorized_outcome ?semantics ?(jobs = 1) ?states ?exhausted ~plan
     if plan.Repair.Decompose.product_exact then
       List.of_seq (Repair.Decompose.product core minimal)
     else
-      (* model-theoretic engine: recombine the consistent
-         states and filter globally *)
+      (* model-theoretic engine: recombine the consistent states and
+         filter globally, against the instance the plan was made from *)
+      let d =
+        List.fold_left
+          (fun d (c : Repair.Decompose.component) ->
+            Instance.union d c.Repair.Decompose.sub)
+          core components
+      in
       Repair.Order.minimal_among ~d
-        (List.of_seq
-           (Repair.Decompose.product core (Option.get states)))
+        (List.of_seq (Repair.Decompose.product core (Option.get states)))
   in
   let shape = Qsafe.shape q in
   if
@@ -139,17 +141,14 @@ let factorized_outcome ?semantics ?(jobs = 1) ?states ?exhausted ~plan
         match shape with
         | Qsafe.Opaque -> assert false (* excluded above *)
         | Qsafe.Single ->
-            (* single-atom query: answers are additive
-               over components, so Inter_choices
-               (A ∪ Union_i B_i) = Union_i Inter_c
-               (A ∪ B_i,c) — per-component intersections
-               and unions suffice *)
+            (* single-atom query: answers are additive,
+               eval (core ∪ r) = eval core ∪ eval r, so
+               Inter_choices (A ∪ Union_i B_i) =
+               A ∪ Union_i Inter_c B_i,c with A the core's
+               answers — the core is evaluated once, each
+               repair alone *)
             let eval_component (_, reps) =
-              let sets =
-                List.map
-                  (fun r -> eval (Instance.union core r))
-                  reps
-              in
+              let sets = List.map eval reps in
               ( List.fold_left Tuple.Set.inter
                   (List.hd sets) (List.tl sets),
                 List.fold_left Tuple.Set.union
@@ -169,15 +168,16 @@ let factorized_outcome ?semantics ?(jobs = 1) ?states ?exhausted ~plan
                     Parallel.Pool.map pool eval_component
                       relevant)
             in
+            let base = eval core in
             {
               consistent =
                 List.fold_left
                   (fun acc (i, _) -> Tuple.Set.union acc i)
-                  Tuple.Set.empty per_component;
+                  base per_component;
               possible =
                 List.fold_left
                   (fun acc (_, u) -> Tuple.Set.union acc u)
-                  Tuple.Set.empty per_component;
+                  base per_component;
               standard;
               repair_count;
               exhausted;

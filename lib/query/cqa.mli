@@ -120,7 +120,10 @@ val factorized_outcome :
     is re-filtered globally).  This is the exact answer algebra of
     [consistent_answers ~decompose:true] after its per-component solves;
     the session engine calls it on cached solves, which is what makes
-    session answers byte-identical to a cold run. *)
+    session answers byte-identical to a cold run.  A single-atom query is
+    evaluated once over [plan.core] and once per repair over the repair
+    alone (answers are additive), so the core's size is paid once, not
+    once per repair. *)
 
 val certain :
   ?method_:method_ ->

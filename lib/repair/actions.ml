@@ -23,7 +23,11 @@ let nnc_positions_of ics =
 let insertions ~universe ~nnc_positions theta atom =
   let pred = Ic.Patom.pred atom in
   let terms = Ic.Patom.terms atom in
-  let non_null_universe = List.filter (fun v -> not (Value.is_null v)) universe in
+  (* copied out of the universe only if some existential position is
+     NOT NULL-constrained — otherwise every choice is [null] *)
+  let non_null_universe =
+    lazy (List.filter (fun v -> not (Value.is_null v)) universe)
+  in
   (* Collect the distinct existential variables together with whether any of
      their positions is NOT NULL-constrained. *)
   let existentials =
@@ -50,7 +54,9 @@ let insertions ~universe ~nnc_positions theta atom =
   let rec assignments theta = function
     | [] -> [ theta ]
     | (x, constrained) :: rest ->
-        let choices = if constrained then non_null_universe else [ Value.null ] in
+        let choices =
+          if constrained then Lazy.force non_null_universe else [ Value.null ]
+        in
         List.concat_map
           (fun v ->
             match Semantics.Assign.bind theta x v with

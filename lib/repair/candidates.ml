@@ -27,14 +27,31 @@ let constants_of_ic acc = function
 let constants_of_ics ics =
   Vset.elements (List.fold_left constants_of_ic Vset.empty ics)
 
+(* [adom(D)] is memoized, sorted and deduplicated, so the few constants of
+   the constraints and [null] merge into it in one linear pass.  When it
+   already holds all of them (no constraint constant, a null present) the
+   memoized list itself is the universe. *)
 let universe d ics =
-  let s =
-    List.fold_left
-      (fun s v -> Vset.add v s)
-      (Vset.of_list (Relational.Instance.active_domain d))
-      (constants_of_ics ics)
+  let adom = Relational.Instance.active_domain d in
+  let extra = List.sort_uniq Value.compare (Value.null :: constants_of_ics ics) in
+  let rec covers xs ys =
+    match (xs, ys) with
+    | _, [] -> true
+    | [], _ :: _ -> false
+    | x :: xs', y :: ys' ->
+        let c = Value.compare x y in
+        if c < 0 then covers xs' ys else c = 0 && covers xs' ys'
   in
-  Vset.elements (Vset.add Value.null s)
+  let rec merge acc xs ys =
+    match (xs, ys) with
+    | rest, [] | [], rest -> List.rev_append acc rest
+    | x :: xs', y :: ys' ->
+        let c = Value.compare x y in
+        if c < 0 then merge (x :: acc) xs' ys
+        else if c > 0 then merge (y :: acc) xs ys'
+        else merge (x :: acc) xs' ys'
+  in
+  if covers adom extra then adom else merge [] adom extra
 
 let universe_non_null d ics =
   List.filter (fun v -> not (Value.is_null v)) (universe d ics)

@@ -79,23 +79,31 @@ let cons_witnesses d_ext g theta =
       |> List.map (fun theta' -> Ic.Patom.ground (Assign.lookup_exn theta') c))
     g.Ic.Constr.cons
 
-let iter_pvs d_ext ics ~f =
+(* Potential violations of [g] whose antecedent match extends one of the
+   [seeds] (partial assignments), in join order. *)
+let iter_seeded_pvs d_ext g escape seeds ~f =
   List.iter
-    (function
-      | Ic.Constr.NotNull _ -> ()
-      | Ic.Constr.Generic g ->
-          let escape = null_escape g in
-          Assign.iter_join_with_witness d_ext Assign.empty g.Ic.Constr.ante
-            ~f:(fun theta witness ->
-              if not (escape theta || phi_holds g theta) then f g theta witness))
-    ics
+    (fun seed ->
+      Assign.iter_join_with_witness d_ext seed g.Ic.Constr.ante
+        ~f:(fun theta witness ->
+          if not (escape theta || phi_holds g theta) then f theta witness))
+    seeds
+
+(* The bindings under which the ground atom [a] matches one of [patoms]. *)
+let seeds_of a patoms =
+  List.filter_map
+    (fun p ->
+      if String.equal (Ic.Patom.pred p) (Atom.pred a) then
+        Assign.match_tuple Assign.empty (Ic.Patom.terms p) (Atom.args a)
+      else None)
+    patoms
 
 (* ------------------------------------------------------------------ *)
 (* The conflict-component plan.
 
    Seeds are the actual violations of [d]: their matched tuples and every
    ground insertion candidate of their fixes form one class.  The closure
-   then repeatedly scans the potential violations of [d_ext]:
+   then fires potential violations over [d_ext] until none is left:
 
    - a pv with a consequent witness in the untouched core can never fire
      (the witness is never deleted) — it is skipped;
@@ -107,101 +115,142 @@ let iter_pvs d_ext ics ~f =
      T(a); deleting Q(a) for one constraint can orphan a core P(a) under
      P(x) -> Q(x)).
 
-   After the active set stabilizes, a second fixpoint collects {e support}
+   Firing is monotone in the active set, and a pv's status can only change
+   when one of its atoms — antecedent or consequent witness — becomes
+   active, so the closure is a worklist of newly active atoms: a popped
+   atom seeds every antecedent join where it matches an antecedent atom
+   (the pvs it may make live) and where it matches a consequent atom, with
+   the bindings restricted to the antecedent variables (the pvs whose core
+   witness it stops being, or whose class it joins as a new witness).
+   Fired pvs are recorded, so a witness appearing after its pv fired only
+   joins that pv's class.  Every seeded join is bounded by index probes
+   around the popped atom: the closure costs the conflicts, not the
+   instance.
+
+   After the active set stabilizes, a second worklist collects {e support}
    atoms: a pv whose antecedent is entirely active-or-support but which is
    permanently satisfied by a core witness needs that witness present in
    the component's search instance, or the per-component search would see
    a spurious violation.  Support atoms are inert — no live pv mentions
-   them, so no repair action ever touches them. *)
+   them, so no repair action ever touches them.  That fixpoint is monotone
+   too; a pv's antecedent can only become region-covered when one of its
+   atoms enters the region, so the worklist starts from every active atom
+   and continues from every new support atom. *)
 
 let plan ?budget d ics =
   (* Planning carries no decision/state counter, so the budget contributes
-     its wall-clock deadline, probed once per fixpoint round. *)
+     its wall-clock deadline, probed once per worklist step. *)
   let tick () =
     match budget with Some b -> Budget.check_deadline b | None -> ()
   in
   let universe = Candidates.universe d ics in
   let nnc_positions = Actions.nnc_positions_of ics in
+  let generics =
+    List.filter_map
+      (function Ic.Constr.Generic g -> Some g | Ic.Constr.NotNull _ -> None)
+      ics
+    |> List.mapi (fun i g -> (i, g, null_escape g, Ic.Constr.universal_vars g))
+  in
+  let inserts g theta =
+    List.concat_map
+      (Actions.insertions ~universe ~nnc_positions theta)
+      g.Ic.Constr.cons
+  in
   let uf = uf_create () in
   let active = ref Atom.Set.empty in
   let d_ext = ref d in
+  let pending = Queue.create () in
   let activate nodes =
-    let fresh =
-      List.filter (fun a -> not (Atom.Set.mem a !active)) nodes
-    in
     List.iter
       (fun a ->
-        active := Atom.Set.add a !active;
-        if not (Instance.mem a !d_ext) then d_ext := Instance.add a !d_ext)
-      fresh;
-    uf_merge_all uf nodes;
-    fresh <> []
+        if not (Atom.Set.mem a !active) then begin
+          active := Atom.Set.add a !active;
+          if not (Instance.mem a !d_ext) then d_ext := Instance.add a !d_ext;
+          Queue.add a pending
+        end)
+      nodes;
+    uf_merge_all uf nodes
   in
   (* Seeds: the actual violations of d. *)
   List.iter
     (fun ic ->
       List.iter
         (fun (v : Nullsat.violation) ->
-          let inserts =
+          let fixes =
             match v.Nullsat.ic with
             | Ic.Constr.NotNull _ -> []
-            | Ic.Constr.Generic g ->
-                List.concat_map
-                  (Actions.insertions ~universe ~nnc_positions v.Nullsat.theta)
-                  g.Ic.Constr.cons
+            | Ic.Constr.Generic g -> inserts g v.Nullsat.theta
           in
-          ignore (activate (v.Nullsat.matched @ inserts)))
+          activate (v.Nullsat.matched @ fixes))
         (Nullsat.violations d ic))
     ics;
-  (* Closure of the active set under cascades. *)
-  let changed = ref (not (Atom.Set.is_empty !active)) in
-  while !changed do
-    tick ();
-    changed := false;
-    let snapshot = !d_ext in
-    iter_pvs snapshot ics ~f:(fun g theta witness ->
-        let witnesses = cons_witnesses snapshot g theta in
-        let is_core a = Instance.mem a d && not (Atom.Set.mem a !active) in
-        if not (List.exists is_core witnesses) then begin
-          let live =
-            List.exists (fun a -> Atom.Set.mem a !active) witness
-            || witnesses <> []
-          in
-          if live then begin
-            let inserts =
-              List.concat_map
-                (Actions.insertions ~universe ~nnc_positions theta)
-                g.Ic.Constr.cons
-            in
-            if activate (witness @ witnesses @ inserts) then changed := true
-          end
-        end)
-  done;
-  (* Support: core witnesses keeping otherwise-matchable pvs satisfied. *)
-  let support = ref Instance.empty in
-  let support_changed = ref true in
-  while !support_changed do
-    tick ();
-    support_changed := false;
-    iter_pvs !d_ext ics ~f:(fun g theta witness ->
-        let matchable =
-          List.for_all
-            (fun a -> Atom.Set.mem a !active || Instance.mem a !support)
-            witness
-        in
-        if matchable then
+  (* Closure of the active set under cascades.  A pv of a constraint
+     without consequent atoms (a denial, an FD) has no witness: it is only
+     reached from a popped antecedent atom, so it fires, and its class is
+     its antecedent.  Other fired pvs are recorded by (constraint index,
+     antecedent match) with a member of their class. *)
+  let fired : (int * Atom.t list, Atom.t) Hashtbl.t = Hashtbl.create 64 in
+  let is_core a = Instance.mem a d && not (Atom.Set.mem a !active) in
+  let fire popped i g theta witness =
+    if g.Ic.Constr.cons = [] then activate witness
+    else
+      match Hashtbl.find_opt fired (i, witness) with
+      | Some rep -> uf_union uf popped rep
+      | None ->
           let witnesses = cons_witnesses !d_ext g theta in
-          let core_witness =
-            List.find_opt
-              (fun a -> Instance.mem a d && not (Atom.Set.mem a !active))
-              witnesses
-          in
-          match core_witness with
-          | Some w when not (Instance.mem w !support) ->
-              support := Instance.add w !support;
-              support_changed := true
-          | _ -> ())
+          if
+            (not (List.exists is_core witnesses))
+            && (List.exists (fun a -> Atom.Set.mem a !active) witness
+               || witnesses <> [])
+          then begin
+            let nodes = witness @ witnesses @ inserts g theta in
+            Hashtbl.add fired (i, witness) (List.hd nodes);
+            activate nodes
+          end
+  in
+  while not (Queue.is_empty pending) do
+    tick ();
+    let a = Queue.pop pending in
+    let snapshot = !d_ext in
+    List.iter
+      (fun (i, g, escape, universal) ->
+        let seeds =
+          seeds_of a g.Ic.Constr.ante
+          @ List.map
+              (fun s -> Assign.restrict s universal)
+              (seeds_of a g.Ic.Constr.cons)
+        in
+        iter_seeded_pvs snapshot g escape seeds ~f:(fire a i g))
+      generics
   done;
+  let active = !active and d_ext = !d_ext in
+  (* Support: core witnesses keeping otherwise-matchable pvs satisfied
+     (only constraints with consequent atoms have witnesses). *)
+  let witnessed = List.filter (fun (_, g, _, _) -> g.Ic.Constr.cons <> []) generics in
+  let support = ref Instance.empty in
+  let in_region a = Atom.Set.mem a active || Instance.mem a !support in
+  Atom.Set.iter (fun a -> Queue.add a pending) active;
+  while not (Queue.is_empty pending) do
+    tick ();
+    let a = Queue.pop pending in
+    List.iter
+      (fun (_, g, escape, _) ->
+        iter_seeded_pvs d_ext g escape (seeds_of a g.Ic.Constr.ante)
+          ~f:(fun theta witness ->
+            if List.for_all in_region witness then
+              let core_witness =
+                List.find_opt
+                  (fun w -> Instance.mem w d && not (Atom.Set.mem w active))
+                  (cons_witnesses d_ext g theta)
+              in
+              match core_witness with
+              | Some w when not (Instance.mem w !support) ->
+                  support := Instance.add w !support;
+                  Queue.add w pending
+              | _ -> ()))
+      witnessed
+  done;
+  let support = !support in
   (* Extract components in a deterministic order. *)
   let classes : (Atom.t, Atom.Set.t) Hashtbl.t = Hashtbl.create 16 in
   Atom.Set.iter
@@ -211,7 +260,7 @@ let plan ?budget d ics =
         Option.value ~default:Atom.Set.empty (Hashtbl.find_opt classes r)
       in
       Hashtbl.replace classes r (Atom.Set.add a prev))
-    !active;
+    active;
   let components =
     Hashtbl.fold (fun _ atoms acc -> atoms :: acc) classes []
     |> List.sort (fun a b -> Atom.compare (Atom.Set.min_elt a) (Atom.Set.min_elt b))
@@ -234,11 +283,14 @@ let plan ?budget d ics =
                Atom.Set.fold
                  (fun a acc -> if Instance.mem a d then Instance.add a acc else acc)
                  atoms Instance.empty;
-             support = !support;
+             support;
              ics;
            })
   in
-  let core = Instance.filter (fun a -> not (Atom.Set.mem a !active)) d in
+  (* The core is [d] under a deletion overlay of the active atoms: it
+     shares [d]'s segments and costs O(conflict), where filtering would
+     re-intern every tuple. *)
+  let core = Atom.Set.fold Instance.remove active d in
   (* Product exactness: per-component minimality implies global minimality
      unless a null-carrying atom of one component could cover (condition
      (b) of <=_D) an atom of another — only then can a cross product of

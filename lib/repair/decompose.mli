@@ -55,8 +55,14 @@ type plan = {
 }
 
 val plan : ?budget:Budget.ctl -> Relational.Instance.t -> Ic.Constr.t list -> plan
-(** [budget] contributes its wall-clock deadline to the closure fixpoints
-    (planning has no decision/state counter of its own).
+(** One check of [D] finds the violations; the closure and support
+    fixpoints are then worklists of newly active and newly supported atoms,
+    each step a join seeded on one atom, so planning costs the check plus
+    work proportional to the conflicts.  The core is [D] under a deletion
+    overlay of the component atoms, sharing [D]'s storage.
+
+    [budget] contributes its wall-clock deadline, polled once per worklist
+    step (planning has no decision/state counter of its own).
     @raise Budget.Exhausted on deadline; engine APIs convert it to
     [Error]. *)
 

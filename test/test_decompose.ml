@@ -273,6 +273,133 @@ let diff_cqa_test =
                  Qsyntax.Not (Qsyntax.Atom (atom "Q" [ v "x" ])) ));
         ])
 
+(* ------------------------------------------------------------------ *)
+(* The worklist planner against the round-based oracle (Plan_oracle):
+   whole plans, field by field — same components in the same order with
+   the same atoms/sub/support/ics, an equal core, the same universe, NNC
+   positions and product exactness. *)
+
+let plan_mismatch (a : Decompose.plan) (b : Decompose.plan) =
+  let same_component (x : Decompose.component) (y : Decompose.component) =
+    Atom.Set.equal x.Decompose.atoms y.Decompose.atoms
+    && Instance.equal x.Decompose.sub y.Decompose.sub
+    && Instance.equal x.Decompose.support y.Decompose.support
+    && List.equal (fun p q -> Constr.compare p q = 0) x.Decompose.ics y.Decompose.ics
+  in
+  if not (Instance.equal a.Decompose.core b.Decompose.core) then Some "core"
+  else if not (List.equal same_component a.Decompose.components b.Decompose.components)
+  then Some "components"
+  else if not (List.equal Value.equal a.Decompose.universe b.Decompose.universe) then
+    Some "universe"
+  else if a.Decompose.nnc_positions <> b.Decompose.nnc_positions then Some "nnc_positions"
+  else if a.Decompose.product_exact <> b.Decompose.product_exact then Some "product_exact"
+  else None
+
+(* the worklist plan, once it matches the oracle's *)
+let check_against_oracle name d ics =
+  let plan = Decompose.plan d ics in
+  match plan_mismatch plan (Plan_oracle.plan d ics) with
+  | None -> plan
+  | Some field -> Alcotest.failf "%s: plan differs from the oracle in %s" name field
+
+let test_oracle_generated () =
+  let cases = ref 0 and with_components = ref 0 in
+  List.iter
+    (fun (family, gen) ->
+      for seed = 1 to 1500 do
+        let w = gen ~seed () in
+        let plan =
+          check_against_oracle (Printf.sprintf "%s seed %d" family seed) w.Gen.d w.Gen.ics
+        in
+        incr cases;
+        if plan.Decompose.components <> [] then incr with_components
+      done)
+    [
+      ("random_case", fun ~seed () -> Gen.random_case ~seed ());
+      ("route_case", fun ~seed () -> Gen.route_case ~seed ());
+    ];
+  (* the sweep must exercise the closure, not only consistent instances *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d cases have conflicts" !with_components !cases)
+    true
+    (!with_components * 2 >= !cases)
+
+let test_oracle_workloads () =
+  List.iter
+    (fun (w : Gen.t) -> ignore (check_against_oracle w.Gen.label w.Gen.d w.Gen.ics))
+    [
+      Gen.clusters_workload ~padding:3 ~k:5 ();
+      Gen.clusters_workload ~weight:3 ~k:4 ();
+      Gen.scale_workload ~tuples:2_000 ();
+      Gen.chain_workload ~n:40 ~broken:6 ();
+      Gen.bilateral_loop ~n:12 ();
+    ]
+
+(* every .cqa file under scenarios/, at its final instance *)
+let test_oracle_scenarios () =
+  let rec files dir =
+    Sys.readdir dir |> Array.to_list |> List.sort String.compare
+    |> List.concat_map (fun f ->
+           let path = Filename.concat dir f in
+           if Sys.is_directory path then files path
+           else if Filename.check_suffix f ".cqa" then [ path ]
+           else [])
+  in
+  let paths = files "../scenarios" in
+  Alcotest.(check bool) "scenario files found" true (List.length paths >= 20);
+  List.iter
+    (fun path ->
+      match Lang.Load.of_file path with
+      | Ok l -> ignore (check_against_oracle path (Lang.Load.final_instance l) l.Lang.Load.ics)
+      | Error e -> Alcotest.failf "%s: %s" path e)
+    paths
+
+(* ------------------------------------------------------------------ *)
+(* Allocation guard: on a large instance with few conflicts, planning and
+   the factorized answer algebra allocate one check and one query
+   evaluation respectively, plus work proportional to the conflicts. *)
+
+let allocated f =
+  let minor0, promoted0, major0 = Gc.counters () in
+  let r = f () in
+  let minor1, promoted1, major1 = Gc.counters () in
+  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+
+let test_allocation_guard () =
+  let w = Gen.scale_workload ~tuples:20_000 () in
+  let d = w.Gen.d and ics = w.Gen.ics in
+  let q =
+    Qsyntax.make ~head:[ "x" ] (Qsyntax.Exists ([ "y" ], Qsyntax.Atom (atom "S" [ v "x"; v "y" ])))
+  in
+  (* one untimed pass each builds the lazy indexes and memos every later
+     request shares *)
+  ignore (Semantics.Nullsat.check d ics);
+  let plan = Decompose.plan d ics in
+  let standard = Query.Qeval.answers d q in
+  let minimal =
+    match Core.Engine.solve_components plan with
+    | Ok r -> r.Core.Engine.solved
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check bool) "conflicts present" true (List.length minimal >= 2);
+  let _, check_words = allocated (fun () -> Semantics.Nullsat.check d ics) in
+  let _, plan_words = allocated (fun () -> Decompose.plan d ics) in
+  Alcotest.(check bool)
+    (Printf.sprintf "plan %.0f words <= 1.2 x check %.0f words" plan_words check_words)
+    true
+    (plan_words <= 1.2 *. check_words);
+  let _, eval_words = allocated (fun () -> Query.Qeval.answers d q) in
+  let outcome, recombine_words =
+    allocated (fun () -> Query.Cqa.factorized_outcome ~plan ~minimal ~standard q)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "factorized_outcome %.0f words <= 1.5 x qeval %.0f words"
+       recombine_words eval_words)
+    true
+    (recombine_words <= 1.5 *. eval_words);
+  Alcotest.(check int) "repair count" (Decompose.count_product (List.map List.length minimal))
+    outcome.Query.Cqa.repair_count
+
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -297,4 +424,11 @@ let () =
           Alcotest.test_case "cqa" `Quick test_cqa_decomposed;
         ] );
       ("qcheck", qcheck [ diff_repairs_test; diff_cqa_test ]);
+      ( "oracle",
+        [
+          Alcotest.test_case "generated cases" `Quick test_oracle_generated;
+          Alcotest.test_case "workloads" `Quick test_oracle_workloads;
+          Alcotest.test_case "scenario files" `Quick test_oracle_scenarios;
+        ] );
+      ("allocation", [ Alcotest.test_case "plan and recombine guard" `Quick test_allocation_guard ]);
     ]

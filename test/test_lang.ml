@@ -116,7 +116,15 @@ let test_errors_simple () =
   Alcotest.(check bool) "unknown query relation" true
     (Result.is_error (Load.of_string "query q(X): P(X)."));
   Alcotest.(check bool) "unterminated string" true
-    (Result.is_error (Load.of_string "P(\"abc)."))
+    (Result.is_error (Load.of_string "P(\"abc)."));
+  (* the input is lexed as it is parsed, but a lexical error still wins
+     over a parse error earlier in the file *)
+  Alcotest.(check (result reject string)) "lexical error after a parse error"
+    (Error "3:3: lexical error: unexpected character '$'")
+    (Result.map (fun _ -> ()) (Load.of_string "P(1,.\nQ(2).\nR($).\n"));
+  Alcotest.(check (result reject string)) "parse error alone"
+    (Error "1:5: parse error: expected a constant (found '.')")
+    (Result.map (fun _ -> ()) (Load.of_string "P(1,.\nQ(2).\n"))
 
 let test_roundtrip_paper_scenarios () =
   (* the surface file reproducing Example 19 parses into the same repairs *)
