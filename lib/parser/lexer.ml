@@ -115,7 +115,10 @@ let lexer input =
           while !j < n && match input.[!j] with '0' .. '9' -> true | _ -> false do
             incr j
           done;
-          emit (!j - start) (INT (int_of_string (String.sub input start (!j - start))))
+          let digits = String.sub input start (!j - start) in
+          (match int_of_string_opt digits with
+          | Some v -> emit (!j - start) (INT v)
+          | None -> error (Printf.sprintf "integer literal %s out of range" digits))
       | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
           let start = !i in
           let j = ref !i in

@@ -458,12 +458,30 @@ let certain ?method_ ?semantics ?budget ?max_effort ?decompose ?jobs d ics q =
          ?jobs d ics
          { q with Qsyntax.head = [] })
 
+(* An answer set in the syntax of [Tuple.pp] lists, "{(a, b), (c, null)}",
+   written to the formatter as one string: the set holds no break hint and
+   opens no box, so one token prints exactly the bytes the per-value tokens
+   did, wherever the outcome is nested. *)
+let answer_set_string s =
+  let buf = Buffer.create 64 in
+  Buffer.add_char buf '{';
+  let first = ref true in
+  Tuple.Set.iter
+    (fun t ->
+      if !first then first := false else Buffer.add_string buf ", ";
+      Buffer.add_char buf '(';
+      Array.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_string buf ", ";
+          Buffer.add_string buf (Relational.Value.to_string v))
+        t;
+      Buffer.add_char buf ')')
+    s;
+  Buffer.add_char buf '}';
+  Buffer.contents buf
+
 let pp_outcome ppf o =
-  let pp_set ppf s =
-    Fmt.pf ppf "{%a}"
-      Fmt.(list ~sep:(any ", ") Tuple.pp)
-      (Tuple.Set.elements s)
-  in
+  let pp_set ppf s = Format.pp_print_string ppf (answer_set_string s) in
   Fmt.pf ppf "@[<v>consistent: %a@,possible:   %a@,standard:   %a@,repairs:    %d%a@]"
     pp_set o.consistent pp_set o.possible pp_set o.standard o.repair_count
     Fmt.(option (fun ppf e -> pf ppf "@,partial:    %a" Budget.pp_exhausted e))

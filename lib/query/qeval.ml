@@ -33,12 +33,14 @@ let domain d body =
        (Vset.of_list (Instance.active_domain d))
        (Vset.of_list (query_constants body)))
 
-let eval_builtin semantics theta b =
-  let lookup x = Assign.lookup_exn theta x in
+let eval_builtin_with semantics lookup b =
   match semantics with
   | NullAsConstant -> Ic.Builtin.eval lookup b
   | SqlLike | NullAware -> (
       match Ic.Builtin.eval3 lookup b with Some v -> v | None -> false)
+
+let eval_builtin semantics theta b =
+  eval_builtin_with semantics (Assign.lookup_exn theta) b
 
 (* Variables occurring at least twice in the body's atoms, or at all in a
    comparison — the query analogue of Definition 2's relevant variables. *)
@@ -61,43 +63,39 @@ let join_vars formula =
   go formula;
   Hashtbl.fold (fun x n acc -> if n >= 2 then x :: acc else acc) tbl []
 
-let holds ?(semantics = NullAsConstant) d theta formula =
+(* The formula is compiled once into a test of assignments binding
+   exactly [bound]: which variables are bound at an atom is then known
+   statically ([bound] and the enclosing quantifiers), so each atom is
+   compiled once, at its first test, however many assignments
+   {!answers_enum} tries. *)
+let prepare ?(semantics = NullAsConstant) d ~bound formula =
+  let module J = Assign.Join in
   let dom = lazy (domain d formula) in
   let joins = lazy (join_vars formula) in
-  let atom_holds theta a =
-    match semantics with
-    | NullAsConstant | SqlLike -> Assign.exists_match d theta a
-    | NullAware ->
-        (* a match may not bind a join variable to null *)
-        Assign.atom_matches d theta a
-        |> List.exists (fun theta' ->
-               List.for_all
-                 (fun t ->
-                   match t with
-                   | Ic.Term.Const _ -> true
-                   | Ic.Term.Var x ->
-                       (not (List.mem x (Lazy.force joins)))
-                       ||
-                       (match Assign.find theta' x with
-                       | Some v -> not (Value.is_null v)
-                       | None -> true))
-                 (Ic.Patom.terms a))
+  let exception Found in
+  let atom_holds bound a =
+    let compiled =
+      lazy
+        (let vars = Ic.Patom.vars a in
+         let j = J.compile d ~bound:(List.filter (fun x -> List.mem x bound) vars) [ a ] in
+         let nulls =
+           match semantics with
+           | NullAsConstant | SqlLike -> [||]
+           | NullAware ->
+               (* a match may not bind a join variable to null *)
+               J.slots_of j (List.filter (fun x -> List.mem x (Lazy.force joins)) vars)
+         in
+         (j, fun () -> if not (J.any_null j nulls) then raise_notrace Found))
+    in
+    fun theta ->
+      let j, found = Lazy.force compiled in
+      match J.iter j theta found with
+      | () -> false
+      | exception Found -> true
   in
-  let rec go theta = function
-    | Qsyntax.Atom a -> atom_holds theta a
-    | Qsyntax.Builtin b -> eval_builtin semantics theta b
-    | Qsyntax.IsNull t -> (
-        match Assign.value_of_term theta t with
-        | Some v -> Value.is_null v
-        | None -> invalid_arg "Qeval: unbound variable under IsNull")
-    | Qsyntax.And (f, g) -> go theta f && go theta g
-    | Qsyntax.Or (f, g) -> go theta f || go theta g
-    | Qsyntax.Not f -> not (go theta f)
-    | Qsyntax.Exists (xs, f) -> exists_assign theta xs f
-    | Qsyntax.Forall (xs, f) -> not (exists_assign_not theta xs f)
-  and exists_assign theta xs f =
+  let rec exists_assign theta xs f =
     match xs with
-    | [] -> go theta f
+    | [] -> f theta
     | x :: rest ->
         List.exists
           (fun v ->
@@ -105,18 +103,35 @@ let holds ?(semantics = NullAsConstant) d theta formula =
             | Some theta' -> exists_assign theta' rest f
             | None -> false)
           (Lazy.force dom)
-  and exists_assign_not theta xs f =
-    match xs with
-    | [] -> not (go theta f)
-    | x :: rest ->
-        List.exists
-          (fun v ->
-            match Assign.bind theta x v with
-            | Some theta' -> exists_assign_not theta' rest f
-            | None -> false)
-          (Lazy.force dom)
   in
-  go theta formula
+  let rec build bound = function
+    | Qsyntax.Atom a -> atom_holds bound a
+    | Qsyntax.Builtin b -> fun theta -> eval_builtin semantics theta b
+    | Qsyntax.IsNull t -> (
+        fun theta ->
+          match Assign.value_of_term theta t with
+          | Some v -> Value.is_null v
+          | None -> invalid_arg "Qeval: unbound variable under IsNull")
+    | Qsyntax.And (f, g) ->
+        let f = build bound f and g = build bound g in
+        fun theta -> f theta && g theta
+    | Qsyntax.Or (f, g) ->
+        let f = build bound f and g = build bound g in
+        fun theta -> f theta || g theta
+    | Qsyntax.Not f ->
+        let f = build bound f in
+        fun theta -> not (f theta)
+    | Qsyntax.Exists (xs, f) ->
+        let f = build (xs @ bound) f in
+        fun theta -> exists_assign theta xs f
+    | Qsyntax.Forall (xs, f) ->
+        let f = build (xs @ bound) f in
+        fun theta -> not (exists_assign theta xs (fun theta -> not (f theta)))
+  in
+  build bound formula
+
+let holds ?semantics d theta formula =
+  prepare ?semantics d ~bound:(List.map fst (Assign.bindings theta)) formula theta
 
 (* all free variables of the body are enumerated (non-head free variables
    are implicitly existentially quantified); the answer projects to the
@@ -124,9 +139,10 @@ let holds ?(semantics = NullAsConstant) d theta formula =
 let answers_enum ?semantics d (q : Qsyntax.t) =
   let dom = domain d q.Qsyntax.body in
   let free = Qsyntax.free_vars q.Qsyntax.body in
+  let holds = prepare ?semantics d ~bound:free q.Qsyntax.body in
   let rec enumerate theta = function
     | [] ->
-        if holds ?semantics d theta q.Qsyntax.body then
+        if holds theta then
           [ Relational.Tuple.make (List.map (Assign.lookup_exn theta) q.Qsyntax.head) ]
         else []
     | x :: rest ->
@@ -150,8 +166,14 @@ let answers_enum ?semantics d (q : Qsyntax.t) =
    body conjoins them), so it is produced by the join, and join bindings
    draw from tuple values, hence from the domain.  Repeated variable names
    under nested quantifiers collapse to equality in both evaluators
-   ([Assign.bind] refuses conflicting rebinds). *)
+   ([Assign.bind] refuses conflicting rebinds).
+
+   The join is compiled once ({!Assign.Join}): [IsNull] reads codes, the
+   built-ins decode only their own variables, and each kept match decodes
+   its head values into a tuple; one sort makes the tuples the answer
+   set. *)
 let answers_join semantics d (q : Qsyntax.t) =
+  let module J = Assign.Join in
   let atoms = Qsyntax.atoms q.Qsyntax.body in
   let builtins = ref [] and isnulls = ref [] in
   let rec collect = function
@@ -166,24 +188,36 @@ let answers_join semantics d (q : Qsyntax.t) =
         invalid_arg "Qeval.answers_join: not factorizable"
   in
   collect q.Qsyntax.body;
+  let j = J.compile d ~bound:[] atoms in
+  let lookup = J.lookup j in
+  let builtin_holds b = eval_builtin_with semantics lookup b in
+  let is_null = function
+    | Ic.Term.Const v -> Value.is_null v
+    | Ic.Term.Var x ->
+        let s = J.slot j x in
+        if s < 0 then invalid_arg "Qeval: unbound variable under IsNull"
+        else J.code j s = Relational.Symtab.null_id
+  in
   let builtins = !builtins and isnulls = !isnulls in
-  let acc = ref Relational.Tuple.Set.empty in
-  Assign.iter_join_with_witness d Assign.empty atoms ~f:(fun theta _ ->
-      if
-        List.for_all (fun b -> eval_builtin semantics theta b) builtins
-        && List.for_all
-             (fun t ->
-               match Assign.value_of_term theta t with
-               | Some v -> Value.is_null v
-               | None -> invalid_arg "Qeval: unbound variable under IsNull")
-             isnulls
-      then
-        acc :=
-          Relational.Tuple.Set.add
-            (Relational.Tuple.make
-               (List.map (Assign.lookup_exn theta) q.Qsyntax.head))
-            !acc);
-  !acc
+  let head = Array.of_list q.Qsyntax.head in
+  let head_slots = Array.map (J.slot j) head in
+  let decode i =
+    let s = head_slots.(i) in
+    if s >= 0 then J.value j s else lookup head.(i)
+  in
+  let kept () = List.for_all builtin_holds builtins && List.for_all is_null isnulls in
+  if head = [||] then
+    (* a boolean query: the first kept match decides *)
+    let exception Found in
+    match J.iter j Assign.empty (fun () -> if kept () then raise_notrace Found) with
+    | () -> Relational.Tuple.Set.empty
+    | exception Found -> Relational.Tuple.Set.singleton [||]
+  else begin
+    let acc = ref [] in
+    J.iter j Assign.empty (fun () ->
+        if kept () then acc := Array.init (Array.length head) decode :: !acc);
+    Relational.Tuple.Set.of_list !acc
+  end
 
 let answers ?semantics d (q : Qsyntax.t) =
   match semantics with

@@ -54,7 +54,8 @@ val answers :
     linear-ish in the matching tuples instead of [|adom|^k] — which is what
     makes consistent answers over millions of tuples feasible; the
     active-domain enumeration remains for the general fragment and is the
-    property-tested reference. *)
+    property-tested reference; it compiles the body once, and each of its
+    atoms once, however many assignments it tries. *)
 
 val boolean :
   ?semantics:semantics -> Relational.Instance.t -> Qsyntax.t -> bool

@@ -2,6 +2,16 @@ module Smap = Map.Make (String)
 module Iset = Set.Make (Int)
 module Vset = Set.Make (Value)
 
+(* Index tables keyed by codes (or row hashes): dense non-negative ints
+   that need no further hashing, compared without the polymorphic
+   primitives of the generic [Hashtbl]. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (k : int) = k land max_int
+end)
+
 (* ------------------------------------------------------------------ *)
 (* The historical representation: a functional map of tuple sets.  It is
    the qcheck oracle the columnar implementation below is differentially
@@ -132,15 +142,28 @@ type seg = {
   nrows : int;
   cols : int array array; (* [arity] columns of [nrows] codes *)
   seg_nulls : int; (* null occurrences across all rows *)
-  row_index : (int, int list) Hashtbl.t option Atomic.t;
+  row_index : int list Itbl.t option Atomic.t;
       (* row hash -> ascending row ids *)
-  attr_index : (int, int list) Hashtbl.t option Atomic.t array;
+  attr_index : int list Itbl.t option Atomic.t array;
       (* per column: code -> ascending row ids *)
   seg_codes : Iset.t option Atomic.t; (* distinct codes in the segment *)
   lock : Mutex.t; (* serializes lazy index construction across domains *)
 }
 
-type rel = { seg : seg; del : Iset.t; ndel : int; extra : Tuple.Set.t; nextra : int }
+(* The overlay tuples of a relation with their codes, ascending: interned
+   once per overlay set, on the first join that reads the relation. *)
+type overlay = { xtuples : Tuple.t array; xcodes : int array array }
+
+type rel = {
+  seg : seg;
+  del : Iset.t;
+  ndel : int;
+  extra : Tuple.Set.t;
+  nextra : int;
+  xenc : overlay option Atomic.t;
+      (* [extra] encoded; shared by every relation built on the same
+         [extra], fresh whenever [extra] changes *)
+}
 
 type t = {
   rels : rel Smap.t;
@@ -209,24 +232,31 @@ let force_index cell seg build =
 
 let force_row_index seg =
   force_index seg.row_index seg (fun () ->
-      let tbl = Hashtbl.create ((2 * seg.nrows) + 1) in
+      let tbl = Itbl.create ((2 * seg.nrows) + 1) in
       for i = seg.nrows - 1 downto 0 do
         let h = row_hash seg i in
-        Hashtbl.replace tbl h
-          (i :: Option.value ~default:[] (Hashtbl.find_opt tbl h))
+        Itbl.replace tbl h
+          (i :: Option.value ~default:[] (Itbl.find_opt tbl h))
       done;
       tbl)
 
-let force_attr_index seg pos =
+let build_attr_index seg pos =
   force_index seg.attr_index.(pos) seg (fun () ->
-      let tbl = Hashtbl.create ((2 * seg.nrows) + 1) in
+      let tbl = Itbl.create ((2 * seg.nrows) + 1) in
       let col = seg.cols.(pos) in
       for i = seg.nrows - 1 downto 0 do
         let c = col.(i) in
-        Hashtbl.replace tbl c
-          (i :: Option.value ~default:[] (Hashtbl.find_opt tbl c))
+        Itbl.replace tbl c
+          (i :: Option.value ~default:[] (Itbl.find_opt tbl c))
       done;
       tbl)
+
+(* A built index is read without allocating the closure that would build
+   it: joins probe once per match. *)
+let force_attr_index seg pos =
+  match Atomic.get seg.attr_index.(pos) with
+  | Some tbl -> tbl
+  | None -> build_attr_index seg pos
 
 let seg_codes seg =
   force_index seg.seg_codes seg (fun () ->
@@ -244,7 +274,7 @@ let seg_find_codes seg codes =
     | [] -> None
     | i :: rest -> if row_equals_codes seg i codes then Some i else search rest
   in
-  search (Option.value ~default:[] (Hashtbl.find_opt tbl (codes_hash codes)))
+  search (Option.value ~default:[] (Itbl.find_opt tbl (codes_hash codes)))
 
 (* Row id of the tuple in the segment, interning nothing: a tuple holding
    a never-seen constant cannot be a segment row. *)
@@ -286,8 +316,13 @@ let build_seg ~arity (rows : Tuple.t array) =
     lock = Mutex.create ();
   }
 
-let overlay_rel ts =
-  { seg = empty_seg; del = Iset.empty; ndel = 0; extra = ts; nextra = Tuple.Set.cardinal ts }
+let mk_rel seg del ndel extra nextra =
+  { seg; del; ndel; extra; nextra; xenc = Atomic.make None }
+
+(* Same overlay, new deletions: the encoded overlay carries over. *)
+let with_del r del ndel = { r with del; ndel }
+
+let overlay_rel ts = mk_rel empty_seg Iset.empty 0 ts (Tuple.Set.cardinal ts)
 
 (* Build a relation from sorted, deduplicated tuples.  Mixed arities (legal
    under set semantics, if exotic) keep the most common arity columnar and
@@ -318,13 +353,8 @@ let rel_of_sorted_array (rows : Tuple.t array) =
           List.filter (fun t -> Array.length t <> arity) (Array.to_list rows) )
     in
     Some
-      {
-        seg = build_seg ~arity seg_rows;
-        del = Iset.empty;
-        ndel = 0;
-        extra = Tuple.Set.of_list rest;
-        nextra = List.length rest;
-      }
+      (mk_rel (build_seg ~arity seg_rows) Iset.empty 0 (Tuple.Set.of_list rest)
+         (List.length rest))
   end
 
 let sort_dedup (arr : Tuple.t array) =
@@ -405,20 +435,18 @@ let rel_add r t =
   if Tuple.Set.mem t r.extra then r
   else
     match seg_find r.seg t with
-    | Some i when Iset.mem i r.del ->
-        { r with del = Iset.remove i r.del; ndel = r.ndel - 1 }
+    | Some i when Iset.mem i r.del -> with_del r (Iset.remove i r.del) (r.ndel - 1)
     | Some _ -> r
     | None ->
-        let r = { r with extra = Tuple.Set.add t r.extra; nextra = r.nextra + 1 } in
+        let r = mk_rel r.seg r.del r.ndel (Tuple.Set.add t r.extra) (r.nextra + 1) in
         if r.nextra > compact_threshold r.seg then compact_rel r else r
 
 let rel_remove r t =
   if Tuple.Set.mem t r.extra then
-    { r with extra = Tuple.Set.remove t r.extra; nextra = r.nextra - 1 }
+    mk_rel r.seg r.del r.ndel (Tuple.Set.remove t r.extra) (r.nextra - 1)
   else
     match seg_find r.seg t with
-    | Some i when not (Iset.mem i r.del) ->
-        { r with del = Iset.add i r.del; ndel = r.ndel + 1 }
+    | Some i when not (Iset.mem i r.del) -> with_del r (Iset.add i r.del) (r.ndel + 1)
     | _ -> r
 
 let add a d =
@@ -529,14 +557,7 @@ let rel_union ra rb =
   else if ra.seg == rb.seg then
     let del = Iset.inter ra.del rb.del in
     let extra = Tuple.Set.union ra.extra rb.extra in
-    Some
-      {
-        seg = ra.seg;
-        del;
-        ndel = Iset.cardinal del;
-        extra;
-        nextra = Tuple.Set.cardinal extra;
-      }
+    Some (mk_rel ra.seg del (Iset.cardinal del) extra (Tuple.Set.cardinal extra))
   else if ra.seg.nrows = 0 && rb.seg.nrows = 0 then
     Some (overlay_rel (Tuple.Set.union ra.extra rb.extra))
   else
@@ -570,15 +591,7 @@ let rel_inter ra rb =
   else if ra.seg == rb.seg then
     let del = Iset.union ra.del rb.del in
     let extra = Tuple.Set.inter ra.extra rb.extra in
-    let r =
-      {
-        seg = ra.seg;
-        del;
-        ndel = Iset.cardinal del;
-        extra;
-        nextra = Tuple.Set.cardinal extra;
-      }
-    in
+    let r = mk_rel ra.seg del (Iset.cardinal del) extra (Tuple.Set.cardinal extra) in
     if rel_is_empty r then None else Some r
   else if ra.seg.nrows = 0 && rb.seg.nrows = 0 then
     let s = Tuple.Set.inter ra.extra rb.extra in
@@ -792,14 +805,6 @@ let rel_cardinal d p =
 let iter_rel d p f =
   match Smap.find_opt p d.rels with None -> () | Some r -> rel_iter f r
 
-let fold_rel d p f acc =
-  match Smap.find_opt p d.rels with None -> acc | Some r -> rel_fold f r acc
-
-let exists_rel d p f =
-  match Smap.find_opt p d.rels with
-  | None -> false
-  | Some r -> Seq.exists f (rel_to_seq r)
-
 let iter_matching d p ~pos v f =
   match Smap.find_opt p d.rels with
   | None -> ()
@@ -812,27 +817,124 @@ let iter_matching d p ~pos v f =
              let idx = force_attr_index seg pos in
              List.iter
                (fun i -> if not (Iset.mem i r.del) then f (seg_row seg i))
-               (Option.value ~default:[] (Hashtbl.find_opt idx code)));
+               (Option.value ~default:[] (Itbl.find_opt idx code)));
       Tuple.Set.iter
         (fun t -> if Array.length t > pos && Value.equal t.(pos) v then f t)
         r.extra
 
-let exists_matching d p ~pos v f =
+(* ------------------------------------------------------------------ *)
+(* Code-level access: the compiled joins of [Semantics.Assign] read rows
+   as codes and only decode the ones they keep.  A row handle below
+   [nrows] is a segment row id; [nrows + k] is the [k]-th overlay tuple.
+   Enumeration orders are those of [iter_rel] and [iter_matching]. *)
+
+type rows = { vseg : seg; vdel : Iset.t; vsize : int; vx : overlay }
+
+let empty_overlay = { xtuples = [||]; xcodes = [||] }
+let empty_rows = { vseg = empty_seg; vdel = Iset.empty; vsize = 0; vx = empty_overlay }
+
+let overlay_codes r =
+  if r.nextra = 0 then empty_overlay
+  else
+    match Atomic.get r.xenc with
+    | Some o -> o
+    | None ->
+        let xtuples = Array.of_seq (Tuple.Set.to_seq r.extra) in
+        let o = { xtuples; xcodes = Array.map Symtab.intern_all xtuples } in
+        if Atomic.compare_and_set r.xenc None (Some o) then o
+        else Option.value ~default:o (Atomic.get r.xenc)
+
+let rows d p =
   match Smap.find_opt p d.rels with
-  | None -> false
+  | None -> empty_rows
   | Some r ->
-      let seg = r.seg in
-      (seg.nrows > 0 && pos < seg.arity
-      && (match Symtab.find v with
-         | None -> false
-         | Some code ->
-             let idx = force_attr_index seg pos in
-             List.exists
-               (fun i -> (not (Iset.mem i r.del)) && f (seg_row seg i))
-               (Option.value ~default:[] (Hashtbl.find_opt idx code))))
-      || Tuple.Set.exists
-           (fun t -> Array.length t > pos && Value.equal t.(pos) v && f t)
-           r.extra
+      { vseg = r.seg; vdel = r.del; vsize = rel_cardinal_of r; vx = overlay_codes r }
+
+let rows_cardinal v = v.vsize
+
+let row_arity v h =
+  if h < v.vseg.nrows then v.vseg.arity else Array.length v.vx.xcodes.(h - v.vseg.nrows)
+
+let row_code v h j =
+  if h < v.vseg.nrows then v.vseg.cols.(j).(h) else v.vx.xcodes.(h - v.vseg.nrows).(j)
+
+let row_tuple v h =
+  if h < v.vseg.nrows then seg_row v.vseg h else v.vx.xtuples.(h - v.vseg.nrows)
+
+(* [Tuple.compare t row_i], decoding the row one column at a time. *)
+let rec compare_row_from (t : Tuple.t) seg i j =
+  if j >= seg.arity then 0
+  else
+    let c = Value.compare t.(j) (Symtab.value seg.cols.(j).(i)) in
+    if c <> 0 then c else compare_row_from t seg i (j + 1)
+
+let compare_tuple_row (t : Tuple.t) seg i =
+  let n = Array.length t in
+  if n <> seg.arity then Int.compare n seg.arity else compare_row_from t seg i 0
+
+let iter_rows v f =
+  let seg = v.vseg and xt = v.vx.xtuples in
+  let n = seg.nrows and nx = Array.length xt in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    if not (Iset.mem i v.vdel) then begin
+      while !k < nx && compare_tuple_row xt.(!k) seg i < 0 do
+        f (n + !k);
+        incr k
+      done;
+      f i
+    end
+  done;
+  for k = !k to nx - 1 do
+    f (n + k)
+  done
+
+(* The scans below are top-level recursions, not local closures: the
+   consequent probes of a check run them once per antecedent match. *)
+let rec exists_seg_from v p i =
+  i < v.vseg.nrows
+  && (((not (Iset.mem i v.vdel)) && p i) || exists_seg_from v p (i + 1))
+
+let rec exists_over_from v p k =
+  k < Array.length v.vx.xcodes && (p (v.vseg.nrows + k) || exists_over_from v p (k + 1))
+
+let exists_rows v p = exists_seg_from v p 0 || exists_over_from v p 0
+
+let postings v pos code =
+  let seg = v.vseg in
+  if seg.nrows = 0 || pos >= seg.arity || code < 0 then []
+  else
+    match Itbl.find (force_attr_index seg pos) code with
+    | ids -> ids
+    | exception Not_found -> []
+
+let rec iter_live del f = function
+  | [] -> ()
+  | i :: rest ->
+      if not (Iset.mem i del) then f i;
+      iter_live del f rest
+
+let rec exists_live del p = function
+  | [] -> false
+  | i :: rest -> ((not (Iset.mem i del)) && p i) || exists_live del p rest
+
+let overlay_has v k pos code =
+  let c = v.vx.xcodes.(k) in
+  Array.length c > pos && c.(pos) = code
+
+let iter_rows_with_code v ~pos code f =
+  iter_live v.vdel f (postings v pos code);
+  for k = 0 to Array.length v.vx.xcodes - 1 do
+    if overlay_has v k pos code then f (v.vseg.nrows + k)
+  done
+
+let rec exists_over_code v pos code p k =
+  k < Array.length v.vx.xcodes
+  && ((overlay_has v k pos code && p (v.vseg.nrows + k))
+     || exists_over_code v pos code p (k + 1))
+
+let exists_rows_with_code v ~pos code p =
+  exists_live v.vdel p (postings v pos code) || exists_over_code v pos code p 0
 
 (* ------------------------------------------------------------------ *)
 

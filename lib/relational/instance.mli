@@ -7,7 +7,8 @@
     {!Symtab} and each relation is stored as an immutable sorted segment of
     per-attribute int columns with lazily built hash indexes, plus a
     persistent overlay of additions and deletions so that [add]/[remove]
-    stay functional and cheap.  The observable behaviour — set semantics,
+    stay functional and cheap.  Joins read the codes directly (see
+    {!section-code}).  The observable behaviour — set semantics,
     iteration order, the [compare]/[equal] total order, [pp] output — is
     byte-identical to the historical tuple-set representation, which is
     kept as {!module:Naive} and differentially tested against this one. *)
@@ -36,7 +37,7 @@ val preds : t -> string list
 val tuples : t -> string -> Tuple.Set.t
 (** Tuples of one relation (empty set if none).  On columnar relations this
     materializes a set — iteration-heavy callers should prefer
-    {!iter_rel}/{!fold_rel}/{!iter_matching}. *)
+    {!iter_rel}/{!iter_matching} or the code-level {!rows}. *)
 
 val fold : (Atom.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Atom.t -> unit) -> t -> unit
@@ -67,21 +68,19 @@ val null_count : t -> int
 (** Number of null occurrences across all tuples.  Cached like
     {!active_domain}. *)
 
-(** {2 Index probes}
+(** {2 Relation scans and probes}
 
-    Opt-in fast paths for the join machinery ({!Semantics.Assign}) and the
-    violation checkers.  Positions are 0-based.  Per-relation enumeration
-    yields tuples in [Tuple.compare] order; {!iter_matching} and
-    {!exists_matching} yield surviving segment rows (ascending, via the
-    lazily built per-attribute hash index) followed by overlay tuples
-    (ascending). *)
+    Value-level access to one relation, for callers outside the joins (the
+    NNC check reads the null posting this way).  Positions are 0-based.
+    {!iter_rel} yields tuples in [Tuple.compare] order; {!iter_matching}
+    yields surviving segment rows (ascending, via the lazily built
+    per-attribute hash index) followed by overlay tuples (ascending).
+    Joins read relations through the code-level access below. *)
 
 val rel_cardinal : t -> string -> int
 (** Number of tuples of one relation, O(1). *)
 
 val iter_rel : t -> string -> (Tuple.t -> unit) -> unit
-val fold_rel : t -> string -> (Tuple.t -> 'a -> 'a) -> 'a -> 'a
-val exists_rel : t -> string -> (Tuple.t -> bool) -> bool
 
 val iter_matching : t -> string -> pos:int -> Value.t -> (Tuple.t -> unit) -> unit
 (** [iter_matching d p ~pos v f] applies [f] to every tuple of relation [p]
@@ -89,9 +88,47 @@ val iter_matching : t -> string -> pos:int -> Value.t -> (Tuple.t -> unit) -> un
     [Value.null]), probing the per-attribute hash index instead of
     scanning. *)
 
-val exists_matching : t -> string -> pos:int -> Value.t -> (Tuple.t -> bool) -> bool
-(** Short-circuiting [iter_matching]: does some matching tuple satisfy the
-    predicate? *)
+(** {2:code Code-level access}
+
+    What the compiled joins of {!Semantics.Assign} read: one relation's
+    live tuples as {!Symtab} codes, addressed by an [int] row handle, so
+    that matching a row compares machine integers and allocates nothing.
+    Segment rows are read straight from their columns; overlay tuples
+    ([add]s not yet compacted) are interned once per overlay, the first
+    time a view of the relation is taken, and share that encoding with
+    every instance built on the same overlay.  Only the rows a join keeps
+    are decoded ({!row_tuple}).  {!iter_rows} enumerates in the order of
+    {!iter_rel} and {!iter_rows_with_code} in the order of
+    {!iter_matching}; the [exists] variants stop at the first hit and
+    promise no order. *)
+
+type rows
+(** A view of one relation of one instance.  Taking it may intern the
+    relation's overlay constants; a handle is meaningful only for the view
+    it came from. *)
+
+val rows : t -> string -> rows
+(** The view of a relation (empty when the instance has none of its
+    tuples). *)
+
+val rows_cardinal : rows -> int
+val row_arity : rows -> int -> int
+val row_code : rows -> int -> int -> int
+(** [row_code v h j] is the code at 0-based position [j] of row [h]. *)
+
+val row_tuple : rows -> int -> Tuple.t
+(** Decode a row (overlay tuples are returned as stored). *)
+
+val iter_rows : rows -> (int -> unit) -> unit
+val exists_rows : rows -> (int -> bool) -> bool
+
+val iter_rows_with_code : rows -> pos:int -> int -> (int -> unit) -> unit
+(** Rows whose position [pos] holds the code, through the per-attribute
+    index: surviving segment rows ascending, then overlay tuples
+    ascending.  A negative code (a constant never interned) matches
+    nothing. *)
+
+val exists_rows_with_code : rows -> pos:int -> int -> (int -> bool) -> bool
 
 val pp : t Fmt.t
 (** One atom per line, sorted — stable output for tests and goldens. *)

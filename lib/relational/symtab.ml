@@ -28,25 +28,32 @@ let locked f =
   Mutex.lock mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f
 
-let find v = locked (fun () -> Vtbl.find_opt table v)
+(* Without [locked]'s closure: joins look up their seeds' codes per seed. *)
+let find v =
+  Mutex.lock mutex;
+  let code = Vtbl.find_opt table v in
+  Mutex.unlock mutex;
+  code
 
-let intern v =
-  locked (fun () ->
-      match Vtbl.find_opt table v with
-      | Some i -> i
-      | None ->
-          let n = Atomic.get count in
-          let arr = Atomic.get values in
-          let arr =
-            if n >= Array.length arr then begin
-              let bigger = Array.make (2 * Array.length arr) Value.Null in
-              Array.blit arr 0 bigger 0 n;
-              bigger
-            end
-            else arr
-          in
-          arr.(n) <- v;
-          Atomic.set values arr;
-          Vtbl.replace table v n;
-          Atomic.incr count;
-          n)
+let intern_unlocked v =
+  match Vtbl.find_opt table v with
+  | Some i -> i
+  | None ->
+      let n = Atomic.get count in
+      let arr = Atomic.get values in
+      let arr =
+        if n >= Array.length arr then begin
+          let bigger = Array.make (2 * Array.length arr) Value.Null in
+          Array.blit arr 0 bigger 0 n;
+          bigger
+        end
+        else arr
+      in
+      arr.(n) <- v;
+      Atomic.set values arr;
+      Vtbl.replace table v n;
+      Atomic.incr count;
+      n
+
+let intern v = locked (fun () -> intern_unlocked v)
+let intern_all vs = locked (fun () -> Array.map intern_unlocked vs)

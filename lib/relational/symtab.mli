@@ -18,6 +18,9 @@ val null_id : int
 val intern : Value.t -> int
 (** The code of the value, allocating a fresh one on first sight. *)
 
+val intern_all : Value.t array -> int array
+(** {!intern} on every value, under one acquisition of the lock. *)
+
 val find : Value.t -> int option
 (** The code of the value if it has ever been interned, without allocating
     one — membership probes use this so that looking up a tuple built from

@@ -56,37 +56,70 @@ let uf_merge_all uf = function
    check is what makes the analysis state-independent: a witness present in
    [d] may be deleted mid-search, an absent one may be inserted. *)
 
-let phi_holds g theta =
-  let lookup x = Assign.lookup_exn theta x in
-  List.exists (Ic.Builtin.eval lookup) g.Ic.Constr.phi
+(* Compiled joins, kept for one instance at a time under a key naming
+   what they join: the worklists run the joins of the same constraints,
+   seeded on the same variables, from every atom they pop, and the instance
+   they join over changes only when an activation inserts a candidate.
+   The planner keeps antecedent and consequent joins in two caches: the
+   callback of an antecedent join runs consequent joins, never a join of
+   its own cache, which a compiled join would not survive. *)
+type joins = {
+  mutable over : Instance.t;
+  cache : (int * int * string list, Assign.Join.t * int array) Hashtbl.t;
+}
 
-let null_escape g =
-  let relevant = Ic.Relevant.relevant_universal_vars g in
-  fun theta ->
-    List.exists
-      (fun x ->
-        match Assign.find theta x with
-        | Some v -> Value.is_null v
-        | None -> false)
-      relevant
+let joins d = { over = d; cache = Hashtbl.create 16 }
 
-(* Ground consequent atoms of [g] present in [d_ext] under [theta]
-   (existential positions match any value). *)
-let cons_witnesses d_ext g theta =
-  List.concat_map
-    (fun c ->
-      Assign.atom_matches d_ext theta c
-      |> List.map (fun theta' -> Ic.Patom.ground (Assign.lookup_exn theta') c))
-    g.Ic.Constr.cons
+let compiled joins d key compile =
+  if joins.over != d then begin
+    Hashtbl.reset joins.cache;
+    joins.over <- d
+  end;
+  match Hashtbl.find_opt joins.cache key with
+  | Some c -> c
+  | None ->
+      let c = compile () in
+      Hashtbl.add joins.cache key c;
+      c
 
-(* Potential violations of [g] whose antecedent match extends one of the
-   [seeds] (partial assignments), in join order. *)
-let iter_seeded_pvs d_ext g escape seeds ~f =
+(* Ground consequent atoms of the [i]th constraint [g] present in [d_ext]
+   under the antecedent match [theta] (existential positions match any
+   value), each consequent atom's matches last first. *)
+let cons_witnesses joins d_ext i g theta =
+  let module J = Assign.Join in
+  List.concat
+    (List.mapi
+       (fun k c ->
+         let j, _ =
+           compiled joins d_ext (i, k, []) (fun () ->
+               (J.compile d_ext ~bound:(Ic.Constr.universal_vars g) [ c ], [||]))
+         in
+         let acc = ref [] in
+         J.iter j theta (fun () -> acc := Ic.Patom.ground (J.lookup j) c :: !acc);
+         !acc)
+       g.Ic.Constr.cons)
+
+(* Potential violations of the [i]th constraint [g] whose antecedent match
+   extends one of the [seeds] (partial assignments), in join order.  The
+   null escape reads codes, [phi] decodes its own variables, and the
+   binding and witness are built for the pvs only. *)
+let iter_seeded_pvs joins d_ext i g seeds ~f =
+  let module J = Assign.Join in
   List.iter
     (fun seed ->
-      Assign.iter_join_with_witness d_ext seed g.Ic.Constr.ante
-        ~f:(fun theta witness ->
-          if not (escape theta || phi_holds g theta) then f theta witness))
+      let bound = List.map fst (Assign.bindings seed) in
+      let j, relevant =
+        compiled joins d_ext (i, -1, bound) (fun () ->
+            let j = J.compile d_ext ~bound g.Ic.Constr.ante in
+            (j, J.slots_of j (Ic.Relevant.relevant_universal_vars g)))
+      in
+      let phi = g.Ic.Constr.phi in
+      J.iter j seed (fun () ->
+          if
+            not
+              (J.any_null j relevant
+              || (phi <> [] && List.exists (Ic.Builtin.eval (J.lookup j)) phi))
+          then f (J.assignment j) (J.witness j)))
     seeds
 
 (* The bindings under which the ground atom [a] matches one of [patoms]. *)
@@ -149,7 +182,7 @@ let plan ?budget d ics =
     List.filter_map
       (function Ic.Constr.Generic g -> Some g | Ic.Constr.NotNull _ -> None)
       ics
-    |> List.mapi (fun i g -> (i, g, null_escape g, Ic.Constr.universal_vars g))
+    |> List.mapi (fun i g -> (i, g, Ic.Constr.universal_vars g))
   in
   let inserts g theta =
     List.concat_map
@@ -190,6 +223,7 @@ let plan ?budget d ics =
      its antecedent.  Other fired pvs are recorded by (constraint index,
      antecedent match) with a member of their class. *)
   let fired : (int * Atom.t list, Atom.t) Hashtbl.t = Hashtbl.create 64 in
+  let ante_joins = joins d and cons_joins = joins d in
   let is_core a = Instance.mem a d && not (Atom.Set.mem a !active) in
   let fire popped i g theta witness =
     if g.Ic.Constr.cons = [] then activate witness
@@ -197,7 +231,7 @@ let plan ?budget d ics =
       match Hashtbl.find_opt fired (i, witness) with
       | Some rep -> uf_union uf popped rep
       | None ->
-          let witnesses = cons_witnesses !d_ext g theta in
+          let witnesses = cons_witnesses cons_joins !d_ext i g theta in
           if
             (not (List.exists is_core witnesses))
             && (List.exists (fun a -> Atom.Set.mem a !active) witness
@@ -213,20 +247,20 @@ let plan ?budget d ics =
     let a = Queue.pop pending in
     let snapshot = !d_ext in
     List.iter
-      (fun (i, g, escape, universal) ->
+      (fun (i, g, universal) ->
         let seeds =
           seeds_of a g.Ic.Constr.ante
           @ List.map
               (fun s -> Assign.restrict s universal)
               (seeds_of a g.Ic.Constr.cons)
         in
-        iter_seeded_pvs snapshot g escape seeds ~f:(fire a i g))
+        iter_seeded_pvs ante_joins snapshot i g seeds ~f:(fire a i g))
       generics
   done;
   let active = !active and d_ext = !d_ext in
   (* Support: core witnesses keeping otherwise-matchable pvs satisfied
      (only constraints with consequent atoms have witnesses). *)
-  let witnessed = List.filter (fun (_, g, _, _) -> g.Ic.Constr.cons <> []) generics in
+  let witnessed = List.filter (fun (_, g, _) -> g.Ic.Constr.cons <> []) generics in
   let support = ref Instance.empty in
   let in_region a = Atom.Set.mem a active || Instance.mem a !support in
   Atom.Set.iter (fun a -> Queue.add a pending) active;
@@ -234,14 +268,14 @@ let plan ?budget d ics =
     tick ();
     let a = Queue.pop pending in
     List.iter
-      (fun (_, g, escape, _) ->
-        iter_seeded_pvs d_ext g escape (seeds_of a g.Ic.Constr.ante)
+      (fun (i, g, _) ->
+        iter_seeded_pvs ante_joins d_ext i g (seeds_of a g.Ic.Constr.ante)
           ~f:(fun theta witness ->
             if List.for_all in_region witness then
               let core_witness =
                 List.find_opt
                   (fun w -> Instance.mem w d && not (Atom.Set.mem w active))
-                  (cons_witnesses d_ext g theta)
+                  (cons_witnesses cons_joins d_ext i g theta)
               in
               match core_witness with
               | Some w when not (Instance.mem w !support) ->

@@ -1,5 +1,7 @@
 module Smap = Map.Make (String)
 module Value = Relational.Value
+module Instance = Relational.Instance
+module Symtab = Relational.Symtab
 
 type t = Value.t Smap.t
 
@@ -11,10 +13,7 @@ let bind a x v =
   | None -> Some (Smap.add x v a)
   | Some w -> if Value.equal v w then Some a else None
 
-let lookup_exn a x =
-  match Smap.find_opt x a with
-  | Some v -> v
-  | None -> raise Not_found
+let lookup_exn a x = Smap.find x a
 
 let bindings a = Smap.bindings a
 let of_list l = List.fold_left (fun a (x, v) -> Smap.add x v a) empty l
@@ -47,73 +46,174 @@ let match_tuple a terms tuple =
     in
     go a 0 terms
 
-(* first position of the atom whose term is ground under theta, with its
-   value, if any — the position the relation's per-attribute hash index is
-   probed on *)
-let bound_position theta atom =
-  let rec go i = function
-    | [] -> None
-    | t :: rest -> (
-        match value_of_term theta t with
-        | Some value -> Some (i, value)
-        | None -> go (i + 1) rest)
-  in
-  go 0 (Ic.Patom.terms atom)
+(* ------------------------------------------------------------------ *)
+(* Compiled joins.
 
-let atom_matches d a atom =
-  let acc = ref [] in
-  let try_tuple t =
-    match match_tuple a (Ic.Patom.terms atom) t with
-    | Some a' -> acc := a' :: !acc
-    | None -> ()
-  in
-  (match bound_position a atom with
-  | Some (pos, value) ->
-      Relational.Instance.iter_matching d (Ic.Patom.pred atom) ~pos value
-        try_tuple
-  | None -> Relational.Instance.iter_rel d (Ic.Patom.pred atom) try_tuple);
-  !acc
+   A conjunction is compiled once per call into a fixed sequence of steps
+   over interned codes.  Every variable gets a slot of an int array: the
+   seed's variables first, then the others in the order the join binds
+   them.  Each step matches one atom against one relation view
+   ({!Instance.rows}), position by position: a constant's code or an
+   already bound slot must equal the row's code, an unbound variable binds
+   its slot.  Rows are never decoded during the search; bindings and
+   witness atoms are built only for the matches a caller keeps.
 
-(* Greedy join ordering: at each step match the not-yet-matched atom with
-   the most bound positions (constants and already-bound variables), which
-   is the most selective; ties go to the smaller relation.  Witnesses are
-   reported in the original antecedent order regardless.
+   The step order is greedy: at each step the not-yet-matched atom with
+   the most bound positions (constants and variables bound before it),
+   ties to the smaller relation, then to the earlier atom.  Which
+   variables are bound before a step depends only on the atoms matched so
+   far, never on the values, so the whole order is known before the first
+   row is read.  A step with a bound position
+   probes the per-attribute index on the first such position; otherwise it
+   scans.  Probes and scans enumerate rows in the order of
+   {!Instance.iter_matching} and {!Instance.iter_rel}, so the matches come
+   out in the order a Value-level join over those functions produces
+   (test/join_oracle.ml). *)
 
-   When the selected atom has a bound position, the relation is probed
-   through the instance's persistent per-attribute hash index
-   ({!Relational.Instance.iter_matching}) — built once per segment and
-   shared across every join, constraint and session request over that
-   instance — which turns FD-style self-joins from quadratic scans into
-   hash lookups without any per-call index construction. *)
-let iter_join_with_witness d a atoms ~f =
-  let arr = Array.of_list atoms in
-  let n = Array.length arr in
-  let bound_score theta atom =
-    List.fold_left
-      (fun score t ->
+type assign = t
+
+(* A constant never interned occurs in no instance; its code [-1] matches
+   no row. *)
+let code_of v = match Symtab.find v with Some c -> c | None -> -1
+
+type op =
+  | Code of int  (** the row holds this code here *)
+  | Same of int  (** the row holds the slot's code here *)
+  | Bind of int  (** the row's code here binds the slot *)
+
+let rec apply view h ops slots j n =
+  j >= n
+  ||
+  let c = Instance.row_code view h j in
+  match ops.(j) with
+  | Code k -> c = k && apply view h ops slots (j + 1) n
+  | Same s -> c = slots.(s) && apply view h ops slots (j + 1) n
+  | Bind s ->
+      slots.(s) <- c;
+      apply view h ops slots (j + 1) n
+
+let row_matches view ops slots h =
+  let n = Array.length ops in
+  Instance.row_arity view h = n && apply view h ops slots 0 n
+
+(* The ops of one atom given the variables bound before it ([slot_of]
+   answers [-1] for the others, [fresh] allocates a slot), and the first
+   position known before reading a row. *)
+let compile_atom ~slot_of ~fresh atom =
+  let local = ref [] in
+  let probe = ref (-1) in
+  let ops =
+    List.mapi
+      (fun i t ->
         match t with
-        | Ic.Term.Const _ -> score + 1
-        | Ic.Term.Var x -> if Option.is_some (find theta x) then score + 1 else score)
-      0 (Ic.Patom.terms atom)
+        | Ic.Term.Const v ->
+            if !probe < 0 then probe := i;
+            Code (code_of v)
+        | Ic.Term.Var x -> (
+            match List.assoc_opt x !local with
+            | Some s -> Same s
+            | None ->
+                let s = slot_of x in
+                if s >= 0 then begin
+                  if !probe < 0 then probe := i;
+                  Same s
+                end
+                else begin
+                  let s = fresh x in
+                  local := (x, s) :: !local;
+                  Bind s
+                end))
+      (Ic.Patom.terms atom)
   in
-  let witness = Array.make (max n 1) None in
-  let used = Array.make n false in
-  let rec go theta count =
-    if count = n then begin
-      let ws =
-        Array.to_list witness |> List.filteri (fun i _ -> i < n)
-        |> List.map Option.get
-      in
-      f theta ws
+  (Array.of_list ops, !probe)
+
+let scan_or_probe view ops probe slots visit =
+  if probe < 0 then fun () -> Instance.iter_rows view visit
+  else
+    match ops.(probe) with
+    | Code c -> fun () -> Instance.iter_rows_with_code view ~pos:probe c visit
+    | Same s -> fun () -> Instance.iter_rows_with_code view ~pos:probe slots.(s) visit
+    | Bind _ -> assert false
+
+(* no seed value is physically this one *)
+let unseeded = Value.str "unseeded"
+
+module Join = struct
+  type t = {
+    names : string array;  (* slot -> variable *)
+    nseeded : int;  (* slots below this come from the seed *)
+    slots : int array;
+    seeded_values : Value.t array;  (* the values the seeded slots encode *)
+    preds : string array;  (* per atom, in conjunction order *)
+    views : Instance.rows array;
+    handles : int array;  (* per atom, the matched row *)
+    first_key : int;  (* the seeded slot the first step probes on, or -1 *)
+    mutable stale : bool;  (* other seeded slots not yet encoded *)
+    mutable seed : assign;
+    mutable on_match : unit -> unit;
+    mutable run : unit -> unit;
+  }
+
+  (* A seed value is encoded once for as long as successive seeds hold it
+     (physically): enumerations vary one variable at a time.  A code of
+     [-1] stays valid, since the views were taken before the lookup. *)
+  let encode j s =
+    let v = lookup_exn j.seed j.names.(s) in
+    if v != j.seeded_values.(s) then begin
+      j.seeded_values.(s) <- v;
+      j.slots.(s) <- code_of v
     end
-    else begin
-      let best = ref (-1) in
-      let best_key = ref (-1, 0) in
+
+  let encode_rest j =
+    for s = 0 to j.nseeded - 1 do
+      if s <> j.first_key then encode j s
+    done;
+    j.stale <- false
+
+  let compile d ~bound atoms =
+    let arr = Array.of_list atoms in
+    let n = Array.length arr in
+    (* views first: they intern the overlays, so constants encoded after
+       them find every code the relations hold *)
+    let views = Array.map (fun a -> Instance.rows d (Ic.Patom.pred a)) arr in
+    let names = ref [] and count = ref 0 in
+    let fresh x =
+      names := x :: !names;
+      incr count;
+      !count - 1
+    in
+    let slot_of x =
+      let rec go i = function
+        | [] -> -1
+        | y :: rest -> if String.equal x y then i else go (i - 1) rest
+      in
+      go (!count - 1) !names
+    in
+    let occurs x =
+      Array.exists
+        (fun a ->
+          List.exists
+            (function Ic.Term.Var y -> String.equal x y | Ic.Term.Const _ -> false)
+            (Ic.Patom.terms a))
+        arr
+    in
+    List.iter (fun x -> if occurs x && slot_of x < 0 then ignore (fresh x)) bound;
+    let nseeded = !count in
+    let used = Array.make n false in
+    let score a =
+      List.fold_left
+        (fun k t ->
+          match t with
+          | Ic.Term.Const _ -> k + 1
+          | Ic.Term.Var x -> if slot_of x >= 0 then k + 1 else k)
+        0 (Ic.Patom.terms a)
+    in
+    let steps = ref [] in
+    for _ = 1 to n do
+      let best = ref (-1) and best_key = ref (-1, 0) in
       for i = 0 to n - 1 do
         if not used.(i) then begin
-          let score = bound_score theta arr.(i) in
-          let size = Relational.Instance.rel_cardinal d (Ic.Patom.pred arr.(i)) in
-          let key = (score, -size) in
+          let key = (score arr.(i), -Instance.rows_cardinal views.(i)) in
           if !best = -1 || key > !best_key then begin
             best := i;
             best_key := key
@@ -121,26 +221,157 @@ let iter_join_with_witness d a atoms ~f =
         end
       done;
       let i = !best in
-      let atom = arr.(i) in
       used.(i) <- true;
-      let try_tuple t =
-        match match_tuple theta (Ic.Patom.terms atom) t with
-        | None -> ()
-        | Some theta' ->
-            witness.(i) <- Some (Relational.Atom.of_tuple (Ic.Patom.pred atom) t);
-            go theta' (count + 1)
-      in
-      (match bound_position theta atom with
-      | Some (pos, value) ->
-          Relational.Instance.iter_matching d (Ic.Patom.pred atom) ~pos value
-            try_tuple
-      | None ->
-          Relational.Instance.iter_rel d (Ic.Patom.pred atom) try_tuple);
-      used.(i) <- false;
-      witness.(i) <- None
-    end
-  in
-  go a 0
+      let ops, probe = compile_atom ~slot_of ~fresh arr.(i) in
+      steps := (i, ops, probe) :: !steps
+    done;
+    let steps = List.rev !steps in
+    let first_key =
+      match steps with
+      | (_, ops, probe) :: _ when probe >= 0 -> (
+          match ops.(probe) with Same s when s < nseeded -> s | Same _ | Code _ | Bind _ -> -1)
+      | _ -> -1
+    in
+    let j =
+      {
+        names = Array.of_list (List.rev !names);
+        nseeded;
+        slots = Array.make !count 0;
+        seeded_values = Array.make nseeded unseeded;
+        preds = Array.map Ic.Patom.pred arr;
+        views;
+        handles = Array.make n 0;
+        first_key;
+        stale = false;
+        seed = empty;
+        on_match = ignore;
+        run = ignore;
+      }
+    in
+    let rec chain first = function
+      | [] -> fun () -> j.on_match ()
+      | (i, ops, probe) :: rest ->
+          let next = chain false rest and view = views.(i) in
+          let visit h =
+            if row_matches view ops j.slots h then begin
+              j.handles.(i) <- h;
+              next ()
+            end
+          in
+          let visit =
+            if first && nseeded > 0 then fun h ->
+              if j.stale then encode_rest j;
+              visit h
+            else visit
+          in
+          scan_or_probe view ops probe j.slots visit
+    in
+    j.run <- chain true steps;
+    j
+
+  (* Only the first step's probe key is encoded before the first row: a
+     probe that finds nothing (most tests of an enumeration) looks up no
+     other seed value. *)
+  let iter j seed f =
+    j.seed <- seed;
+    j.on_match <- f;
+    if j.first_key >= 0 then encode j j.first_key;
+    j.stale <- true;
+    j.run ()
+
+  let rec slot_from names x i =
+    if i >= Array.length names then -1
+    else if String.equal names.(i) x then i
+    else slot_from names x (i + 1)
+
+  let slot j x = slot_from j.names x 0
+
+  let code j s = j.slots.(s)
+
+  let value j s =
+    if s < j.nseeded then lookup_exn j.seed j.names.(s) else Symtab.value j.slots.(s)
+
+  let lookup j x =
+    let s = slot j x in
+    if s >= 0 then value j s else lookup_exn j.seed x
+
+  let rec any_null j slots i =
+    i < Array.length slots
+    && (j.slots.(slots.(i)) = Symtab.null_id || any_null j slots (i + 1))
+
+  let any_null j slots = any_null j slots 0
+
+  let slots_of j xs =
+    Array.of_list (List.filter (fun s -> s >= 0) (List.map (slot j) xs))
+
+  (* bindings added in slot order, i.e. in join order, position by
+     position: the sequence of insertions a Value-level join makes, so
+     the map has the same shape *)
+  let assignment j =
+    let a = ref j.seed in
+    for s = j.nseeded to Array.length j.slots - 1 do
+      a := Smap.add j.names.(s) (Symtab.value j.slots.(s)) !a
+    done;
+    !a
+
+  let witness j =
+    List.init (Array.length j.preds) (fun i ->
+        Relational.Atom.of_tuple j.preds.(i)
+          (Instance.row_tuple j.views.(i) j.handles.(i)))
+
+  (* Existence of a row matching [atom] under the current match: the
+     atom's own slots start with copies of the join's slots it reads
+     ([imports]); its other variables bind as consistent wildcards. *)
+  let probe j d atom =
+    let view = Instance.rows d (Ic.Patom.pred atom) in
+    let imports = ref [] and count = ref 0 in
+    let fresh x =
+      imports := (x, -1) :: !imports;
+      incr count;
+      !count - 1
+    in
+    (* variables of the join become imported slots on first sight *)
+    let slot_of x =
+      let outer = slot j x in
+      if outer < 0 then -1
+      else begin
+        imports := (x, outer) :: !imports;
+        incr count;
+        !count - 1
+      end
+    in
+    let ops, probe = compile_atom ~slot_of ~fresh atom in
+    let copies =
+      List.rev !imports |> List.mapi (fun l (_, outer) -> (l, outer))
+      |> List.filter (fun (_, outer) -> outer >= 0) |> Array.of_list
+    in
+    let local = Array.make !count 0 in
+    let test h = row_matches view ops local h in
+    let import () =
+      for k = 0 to Array.length copies - 1 do
+        let l, outer = copies.(k) in
+        local.(l) <- j.slots.(outer)
+      done
+    in
+    if probe < 0 then fun () ->
+      import ();
+      Instance.exists_rows view test
+    else
+      match ops.(probe) with
+      | Code c -> fun () ->
+          import ();
+          Instance.exists_rows_with_code view ~pos:probe c test
+      | Same s -> fun () ->
+          import ();
+          Instance.exists_rows_with_code view ~pos:probe local.(s) test
+      | Bind _ -> assert false
+end
+
+let vars_of a = List.map fst (bindings a)
+
+let iter_join_with_witness d a atoms ~f =
+  let j = Join.compile d ~bound:(vars_of a) atoms in
+  Join.iter j a (fun () -> f (Join.assignment j) (Join.witness j))
 
 let join_with_witness d a atoms =
   let results = ref [] in
@@ -148,34 +379,29 @@ let join_with_witness d a atoms =
       results := (theta, ws) :: !results);
   List.rev !results
 
-let join d a atoms = List.map fst (join_with_witness d a atoms)
+let join d a atoms =
+  let j = Join.compile d ~bound:(vars_of a) atoms in
+  let results = ref [] in
+  Join.iter j a (fun () -> results := Join.assignment j :: !results);
+  List.rev !results
 
-let exists_match d a atom =
-  let terms = Ic.Patom.terms atom in
-  let matches t = Option.is_some (match_tuple a terms t) in
-  match bound_position a atom with
-  | Some (pos, value) ->
-      Relational.Instance.exists_matching d (Ic.Patom.pred atom) ~pos value
-        matches
-  | None -> Relational.Instance.exists_rel d (Ic.Patom.pred atom) matches
+let atom_matches d a atom = List.rev (join d a [ atom ])
 
+exception Found
+
+let exists_in j a =
+  match Join.iter j a (fun () -> raise_notrace Found) with
+  | () -> false
+  | exception Found -> true
+
+let exists_match d a atom = exists_in (Join.compile d ~bound:(vars_of a) [ atom ]) a
+
+(* Compiled once, for the atom's variables in [bound]; an assignment that
+   binds a different set of them takes the per-call path. *)
 let prepared_exists d ~bound atom =
-  let terms = Ic.Patom.terms atom in
-  let probe =
-    let rec go i = function
-      | [] -> None
-      | Ic.Term.Const _ :: _ -> Some i
-      | Ic.Term.Var x :: rest -> if List.mem x bound then Some i else go (i + 1) rest
-    in
-    go 0 terms
-  in
-  match probe with
-  | None -> fun theta -> exists_match d theta atom
-  | Some pos -> (
-      let term = List.nth terms pos in
-      fun theta ->
-        match value_of_term theta term with
-        | None -> exists_match d theta atom
-        | Some value ->
-            Relational.Instance.exists_matching d (Ic.Patom.pred atom) ~pos value
-              (fun t -> Option.is_some (match_tuple theta terms t)))
+  let vars = Ic.Patom.vars atom in
+  let seeded = List.filter (fun x -> List.mem x bound) vars in
+  let j = Join.compile d ~bound:seeded [ atom ] in
+  fun a ->
+    if List.for_all (fun x -> Smap.mem x a = List.mem x seeded) vars then exists_in j a
+    else exists_match d a atom

@@ -1,8 +1,9 @@
 let generic_violations d g ic =
   let matches = Assign.join_with_witness d Assign.empty g.Ic.Constr.ante in
+  let consequent_holds = Nullsat.consequent_holds d g in
   List.filter_map
     (fun (theta, witness) ->
-      if Nullsat.consequent_holds d g theta then None
+      if consequent_holds theta then None
       else Some { Nullsat.ic; theta; matched = witness })
     matches
 

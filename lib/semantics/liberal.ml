@@ -1,11 +1,12 @@
 let generic_violations d g ic =
   let matches = Assign.join_with_witness d Assign.empty g.Ic.Constr.ante in
+  let consequent_holds = Nullsat.consequent_holds d g in
   List.filter_map
     (fun (theta, witness) ->
       let some_null_tuple =
         List.exists (fun a -> Relational.Atom.has_null a) witness
       in
-      if some_null_tuple || Nullsat.consequent_holds d g theta then None
+      if some_null_tuple || consequent_holds theta then None
       else Some { Nullsat.ic; theta; matched = witness })
     matches
 

@@ -16,43 +16,43 @@ let phi_holds g theta =
   let lookup x = Assign.lookup_exn theta x in
   List.exists (Ic.Builtin.eval lookup) g.Ic.Constr.phi
 
-let consequent_holds d g theta =
-  List.exists (fun atom -> Assign.exists_match d theta atom) g.Ic.Constr.cons
-  || phi_holds g theta
+(* Compiled once on partial application: the consequent atoms become
+   existence tests prepared for the universal variables. *)
+let consequent_holds d g =
+  let bound = Ic.Constr.universal_vars g in
+  let probes = List.map (Assign.prepared_exists d ~bound) g.Ic.Constr.cons in
+  fun theta -> List.exists (fun p -> p theta) probes || phi_holds g theta
 
 (* Generic constraint: a total antecedent match violates unless a relevant
    universal variable is bound to null (the IsNull disjuncts of formula (4))
-   or the consequent holds.  Consequent existence tests are prepared once
-   per call so that repeated checks probe a hash index instead of scanning
-   the relation (Assign.prepared_exists).  The antecedent join is consumed
-   as it is produced, so callers that only want the first witness
+   or the consequent holds.  The antecedent runs as one compiled join from
+   [seed] (empty for a full check); the null escape reads codes, each
+   consequent atom is a compiled probe reading the join's slots, and only
+   [phi]'s variables are decoded.  A violation's binding and witness atoms
+   are built when it is reported, never for a satisfied match.  The join is
+   consumed as it is produced, so callers that only want the first witness
    (consistency checks, admission checks) abort after one match instead of
    materializing every violation. *)
-let iter_generic_violations d g ic ~f =
-  let relevant = Ic.Relevant.relevant_universal_vars g in
-  let universal = Ic.Constr.universal_vars g in
-  let checkers =
-    List.map (Assign.prepared_exists d ~bound:universal) g.Ic.Constr.cons
-  in
-  let fast_consequent theta =
-    List.exists (fun check -> check theta) checkers || phi_holds g theta
-  in
-  Assign.iter_join_with_witness d Assign.empty g.Ic.Constr.ante
-    ~f:(fun theta witness ->
-      let null_escape =
-        List.exists
-          (fun x ->
-            match Assign.find theta x with
-            | Some v -> Value.is_null v
-            | None -> false)
-          relevant
-      in
-      if not (null_escape || fast_consequent theta) then
-        f { ic; theta; matched = witness })
+let iter_violations ?(seed = Assign.empty) d g ic ~f =
+  let module J = Assign.Join in
+  let bound = List.map fst (Assign.bindings seed) in
+  let j = J.compile d ~bound g.Ic.Constr.ante in
+  let relevant = J.slots_of j (Ic.Relevant.relevant_universal_vars g) in
+  let probes = List.map (J.probe j d) g.Ic.Constr.cons in
+  let lookup = J.lookup j in
+  let phi_true b = Ic.Builtin.eval lookup b in
+  let phi = g.Ic.Constr.phi in
+  J.iter j seed (fun () ->
+      if
+        not
+          (J.any_null j relevant
+          || List.exists (fun p -> p ()) probes
+          || List.exists phi_true phi)
+      then f { ic; theta = J.assignment j; matched = J.witness j })
 
 let generic_violations d g ic =
   let acc = ref [] in
-  iter_generic_violations d g ic ~f:(fun v -> acc := v :: !acc);
+  iter_violations d g ic ~f:(fun v -> acc := v :: !acc);
   List.rev !acc
 
 (* NNC offenders are exactly the posting list of [null] at the constrained
@@ -81,7 +81,7 @@ let first_violation_of d ic =
   | Ic.Constr.Generic g ->
       let exception Witness of violation in
       (try
-         iter_generic_violations d g ic ~f:(fun v -> raise (Witness v));
+         iter_violations d g ic ~f:(fun v -> raise (Witness v));
          None
        with Witness v -> Some v)
   | Ic.Constr.NotNull n ->
@@ -117,6 +117,8 @@ let satisfies_literal d ic =
       let cons_p = List.map (Ic.Relevant.project_atom ic) g.Ic.Constr.cons in
       let relevant = Ic.Relevant.relevant_universal_vars g in
       let matches = Assign.join da Assign.empty ante_p in
+      let bound = List.concat_map Ic.Patom.vars ante_p in
+      let cons_p = List.map (Assign.prepared_exists da ~bound) cons_p in
       List.for_all
         (fun theta ->
           let null_escape =
@@ -128,7 +130,7 @@ let satisfies_literal d ic =
               relevant
           in
           null_escape
-          || List.exists (fun atom -> Assign.exists_match da theta atom) cons_p
+          || List.exists (fun p -> p theta) cons_p
           || phi_holds g theta)
         matches
 
@@ -150,41 +152,21 @@ let canonical_violations vs = List.sort_uniq compare_violation vs
    computed by {e seeding} the antecedent join instead of enumerating every
    violation and filtering: for each antecedent position whose predicate
    matches, unify the atom against it, and run the join from the resulting
-   partial assignment — the index probes of [Assign] then restrict every
-   other antecedent atom to the seed's bindings.  The same match can be
-   reached from several seed positions, so callers deduplicate
+   partial assignment — the join's index probes then restrict every other
+   antecedent atom to the seed's bindings.  The same match can be reached
+   from several seed positions, so callers deduplicate
    ({!canonical_violations}). *)
 let iter_seeded_violations d g ic atom ~f =
   let pred = Relational.Atom.pred atom in
   let args = Relational.Atom.args atom in
-  let relevant = Ic.Relevant.relevant_universal_vars g in
-  let universal = Ic.Constr.universal_vars g in
-  let checkers =
-    List.map (Assign.prepared_exists d ~bound:universal) g.Ic.Constr.cons
-  in
-  let fast_consequent theta =
-    List.exists (fun check -> check theta) checkers || phi_holds g theta
-  in
-  let null_escape theta =
-    List.exists
-      (fun x ->
-        match Assign.find theta x with
-        | Some v -> Value.is_null v
-        | None -> false)
-      relevant
-  in
   List.iter
     (fun ante_atom ->
       if String.equal (Ic.Patom.pred ante_atom) pred then
         match Assign.match_tuple Assign.empty (Ic.Patom.terms ante_atom) args with
         | None -> ()
         | Some seed ->
-            Assign.iter_join_with_witness d seed g.Ic.Constr.ante
-              ~f:(fun theta witness ->
-                if
-                  List.exists (Relational.Atom.equal atom) witness
-                  && not (null_escape theta || fast_consequent theta)
-                then f { ic; theta; matched = witness }))
+            iter_violations ~seed d g ic ~f:(fun v ->
+                if List.exists (Relational.Atom.equal atom) v.matched then f v))
     g.Ic.Constr.ante
 
 (* One seeded pass per relevant constraint, instead of materializing every
@@ -297,6 +279,7 @@ let check_delta ~before ~inserted ~deleted d ics =
           if cons_touched then begin
             incr rescanned;
             let ante_preds = Ic.Constr.ante_preds ic in
+            let consequent_holds = consequent_holds d g in
             let kept =
               List.filter
                 (fun v ->
@@ -306,7 +289,7 @@ let check_delta ~before ~inserted ~deleted d ics =
                            (fun a ->
                              List.exists (Relational.Atom.equal a) v.matched)
                            deleted))
-                  && not (consequent_holds d g v.theta))
+                  && not (consequent_holds v.theta))
                 before
             in
             let from_inserts =
@@ -333,20 +316,8 @@ let check_delta ~before ~inserted ~deleted d ics =
                       | None -> ()
                       | Some theta0 ->
                           let seed = Assign.restrict theta0 universal in
-                          let relevant = Ic.Relevant.relevant_universal_vars g in
-                          Assign.iter_join_with_witness d seed g.Ic.Constr.ante
-                            ~f:(fun theta witness ->
-                              let null_escape =
-                                List.exists
-                                  (fun x ->
-                                    match Assign.find theta x with
-                                    | Some v -> Value.is_null v
-                                    | None -> false)
-                                  relevant
-                              in
-                              if not (null_escape || consequent_holds d g theta)
-                              then
-                                orphans := { ic; theta; matched = witness } :: !orphans))
+                          iter_violations ~seed d g ic ~f:(fun v ->
+                              orphans := v :: !orphans))
                   g.Ic.Constr.cons)
               deleted;
             kept @ from_inserts @ !orphans

@@ -86,7 +86,10 @@ val consequent_holds :
 (** Does the consequent of the (generic) constraint hold under a total
     antecedent assignment — some consequent atom has a matching tuple
     (existential variables as consistent wildcards) or some [phi] disjunct
-    evaluates to true?  Exposed for the repair engine. *)
+    evaluates to true?  The consequent atoms are compiled on partial
+    application ([let holds = consequent_holds d g in ...]), once for
+    every assignment tested, and the partial application is used from
+    one domain at a time.  Exposed for the repair engine. *)
 
 (** {2 Admission checking}
 

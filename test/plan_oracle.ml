@@ -69,7 +69,7 @@ let null_escape g =
 let cons_witnesses d_ext g theta =
   List.concat_map
     (fun c ->
-      Assign.atom_matches d_ext theta c
+      Join_oracle.atom_matches d_ext theta c
       |> List.map (fun theta' -> Ic.Patom.ground (Assign.lookup_exn theta') c))
     g.Ic.Constr.cons
 
@@ -79,7 +79,7 @@ let iter_pvs d_ext ics ~f =
       | Ic.Constr.NotNull _ -> ()
       | Ic.Constr.Generic g ->
           let escape = null_escape g in
-          Assign.iter_join_with_witness d_ext Assign.empty g.Ic.Constr.ante
+          Join_oracle.iter_join_with_witness d_ext Assign.empty g.Ic.Constr.ante
             ~f:(fun theta witness ->
               if not (escape theta || phi_holds g theta) then f g theta witness))
     ics

@@ -122,6 +122,9 @@ let test_errors_simple () =
   Alcotest.(check (result reject string)) "lexical error after a parse error"
     (Error "3:3: lexical error: unexpected character '$'")
     (Result.map (fun _ -> ()) (Load.of_string "P(1,.\nQ(2).\nR($).\n"));
+  Alcotest.(check (result reject string)) "integer literal past max_int"
+    (Error "2:3: lexical error: integer literal 99999999999999999999 out of range")
+    (Result.map (fun _ -> ()) (Load.of_string "P(1).\nR(99999999999999999999).\n"));
   Alcotest.(check (result reject string)) "parse error alone"
     (Error "1:5: parse error: expected a constant (found '.')")
     (Result.map (fun _ -> ()) (Load.of_string "P(1,.\nQ(2).\n"))

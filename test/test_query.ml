@@ -465,6 +465,78 @@ let prop_nullaware_agrees_nullfree =
       let c = Qeval.answers ~semantics:Qeval.NullAware d pquery in
       Tuple.Set.equal a b && Tuple.Set.equal a c)
 
+(* Join-driven evaluation of factorizable bodies against the active-domain
+   enumeration, rebuilt here on [Qeval.holds]: random conjunctions over P/T
+   with shared variables, constants (one absent from every instance), a
+   comparison and an IsNull; heads from none (a boolean query) to every
+   free variable. *)
+let factorizable_gen =
+  QCheck.Gen.(
+    let var = oneofl [ "x"; "y"; "z" ] in
+    let term =
+      frequency
+        [ (5, map v var); (1, map Term.const (oneofl [ vs "a"; vs "d"; vn ])) ]
+    in
+    let patom =
+      let* p, arity = oneofl [ ("P", 2); ("T", 1) ] in
+      map (atom p) (list_size (return arity) term)
+    in
+    let* atoms = list_size (int_range 1 3) patom in
+    let vars = List.sort_uniq String.compare (List.concat_map Patom.vars atoms) in
+    let* extras =
+      if vars = [] then return []
+      else
+        let* x = oneofl vars in
+        let* y = oneofl vars in
+        oneofl
+          [
+            [];
+            [ Q.Builtin (Builtin.eq (v x) (v y)) ];
+            [ Q.Builtin (Builtin.neq (v x) (Term.str "a")) ];
+            [ Q.IsNull (v x) ];
+          ]
+    in
+    let* head = shuffle_l vars in
+    let* n = int_range 0 (List.length head) in
+    let head = List.filteri (fun i _ -> i < n) head in
+    let body =
+      List.fold_left
+        (fun f g -> Q.And (f, g))
+        (Q.Atom (List.hd atoms))
+        (List.map (fun a -> Q.Atom a) (List.tl atoms) @ extras)
+    in
+    let hidden = List.filter (fun x -> not (List.mem x head)) vars in
+    return (Q.make ~head (if hidden = [] then body else Q.Exists (hidden, body))))
+
+let enum_answers semantics d (q : Q.t) =
+  let dom =
+    List.sort_uniq Value.compare
+      (Instance.active_domain d @ [ vs "a"; vs "d"; vn ])
+  in
+  let rec go theta = function
+    | [] ->
+        if Qeval.holds ~semantics d theta q.Q.body then
+          [ Tuple.make (List.map (Semantics.Assign.lookup_exn theta) q.Q.head) ]
+        else []
+    | x :: rest ->
+        List.concat_map
+          (fun c -> go (Option.get (Semantics.Assign.bind theta x c)) rest)
+          dom
+  in
+  Tuple.Set.of_list (go Semantics.Assign.empty q.Q.head)
+
+let prop_join_answers_match_enum =
+  QCheck.Test.make ~name:"factorizable answers = domain enumeration" ~count:400
+    (QCheck.make
+       ~print:(fun (d, q) -> Fmt.str "%a@ %a" Instance.pp_inline d Q.pp q)
+       QCheck.Gen.(pair inst_gen factorizable_gen))
+    (fun (d, q) ->
+      Qsafe.factorizable q.Q.body
+      && List.for_all
+           (fun semantics ->
+             Tuple.Set.equal (Qeval.answers ~semantics d q) (enum_answers semantics d q))
+           [ Qeval.NullAsConstant; Qeval.SqlLike ])
+
 let prop_consistent_subset_possible =
   QCheck.Test.make ~name:"consistent ⊆ possible ⊆ union with standard" ~count:60
     (QCheck.make ~print:(Fmt.str "%a" Instance.pp_inline) inst_gen)
@@ -497,6 +569,69 @@ let prop_consistent_on_consistent_db =
       match Cqa.consistent_answers ~method_:Cqa.ModelTheoretic d scenario pquery with
       | Error _ -> false
       | Ok o -> Tuple.Set.equal o.Cqa.consistent o.Cqa.standard)
+
+(* ------------------------------------------------------------------ *)
+(* Rendering: the one-string-per-set [Cqa.pp_outcome] against the renderer
+   it replaced, which printed every parenthesis, separator and value as a
+   formatter token of its own.  The bytes must agree at the default margin
+   and nested in enclosing boxes at small margins. *)
+
+let token_pp_outcome ppf (o : Cqa.outcome) =
+  let pp_set ppf s =
+    Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any ", ") Tuple.pp) (Tuple.Set.elements s)
+  in
+  Fmt.pf ppf "@[<v>consistent: %a@,possible:   %a@,standard:   %a@,repairs:    %d%a@]"
+    pp_set o.Cqa.consistent pp_set o.Cqa.possible pp_set o.Cqa.standard
+    o.Cqa.repair_count
+    Fmt.(option (fun ppf e -> pf ppf "@,partial:    %a" Budget.pp_exhausted e))
+    o.Cqa.exhausted
+
+let outcome_gen =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [
+        (1, return vn);
+        (2, map vi (int_range (-20) 20000));
+        (2, map vs (string_size ~gen:(char_range 'a' 'e') (int_range 1 6)));
+        (1, map vs (oneofl [ "a b"; "x, y"; "(p)"; "{q}"; "é" ]));
+      ]
+  in
+  let set = map Tuple.Set.of_list (list_size (int_range 0 25) (map Tuple.make (list_size (int_range 0 3) value))) in
+  let exhausted =
+    opt
+      (oneof
+         [
+           map (fun n -> Budget.Decisions n) small_nat;
+           map (fun n -> Budget.States n) small_nat;
+           map (fun n -> Budget.Deadline n) small_nat;
+         ])
+  in
+  map
+    (fun ((consistent, possible, standard), (repair_count, exhausted)) ->
+      { Cqa.consistent; possible; standard; repair_count; exhausted })
+    (pair (triple set set set) (pair small_nat exhausted))
+
+let render ~margin ~nest pp o =
+  let buf = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer buf in
+  Format.pp_set_margin ppf margin;
+  (match nest with
+  | 0 -> Format.fprintf ppf "%a@." pp o
+  | 1 -> Format.fprintf ppf "@[<hov 2>outcome:@ %a@ done@]@." pp o
+  | _ -> Format.fprintf ppf "@[<v 4>cqa q1@,%a@,@[<h>end@ of@ reply@]@]@." pp o);
+  Buffer.contents buf
+
+let prop_render_matches_tokens =
+  QCheck.Test.make ~name:"pp_outcome = per-token renderer" ~count:500
+    (QCheck.make ~print:(Fmt.str "%a" token_pp_outcome) outcome_gen)
+    (fun o ->
+      List.for_all
+        (fun (margin, nest) ->
+          String.equal
+            (render ~margin ~nest Cqa.pp_outcome o)
+            (render ~margin ~nest token_pp_outcome o))
+        [ (78, 0); (20, 0); (78, 1); (60, 1); (40, 1); (20, 1); (8, 1); (78, 2); (20, 2) ])
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
@@ -546,8 +681,10 @@ let () =
         qcheck
           [
             prop_nullaware_agrees_nullfree;
+            prop_join_answers_match_enum;
             prop_consistent_subset_possible;
             prop_methods_agree;
             prop_consistent_on_consistent_db;
+            prop_render_matches_tokens;
           ] );
     ]

@@ -420,9 +420,16 @@ let prop_iter_matching =
               let scanned = ref [] in
               Instance.iter_rel d p (fun t ->
                   if Value.equal t.(pos) v then scanned := t :: !scanned);
+              (* the code-level probe yields the same rows in the same order *)
+              let view = Instance.rows d p in
+              let code = Option.value ~default:(-1) (Relational.Symtab.find v) in
+              let coded = ref [] in
+              Instance.iter_rows_with_code view ~pos code (fun h ->
+                  coded := Instance.row_tuple view h :: !coded);
               List.sort Tuple.compare !probed
               = List.sort Tuple.compare !scanned
-              && Instance.exists_matching d p ~pos v (fun _ -> true)
+              && List.equal Tuple.equal !coded !probed
+              && Instance.exists_rows_with_code view ~pos code (fun _ -> true)
                  = (!scanned <> []))
             (List.init arity (fun i -> i)))
         [ ("P", 2); ("Q", 1); ("R", 3) ])

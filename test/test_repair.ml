@@ -473,6 +473,59 @@ let prop_order_transitive =
     (fun (d, a, b, c) ->
       if Order.leq ~d a b && Order.leq ~d b c then Order.leq ~d a c else true)
 
+(* [Order.minimal_among] computes each candidate's delta once and tests
+   Definition 6 on atom sets; the pairwise filter over the instance-level
+   [leq] it replaced is the oracle, on the consistent states the search
+   reaches for random and routed cases. *)
+let pairwise_leq ~d d' d'' =
+  let delta' = Order.delta d d' and delta'' = Order.delta d d'' in
+  Instance.fold
+    (fun a ok ->
+      ok
+      &&
+      if not (Atom.has_null a) then Instance.mem a delta''
+      else
+        Instance.mem a delta''
+        || Instance.fold
+             (fun b found ->
+               found
+               || (Order.matches_non_null_positions a b && not (Instance.mem b delta')))
+             delta'' false)
+    delta' true
+
+let pairwise_minimal ~d candidates =
+  let lt x y = pairwise_leq ~d x y && not (pairwise_leq ~d y x) in
+  let uniq = List.sort_uniq Instance.compare candidates in
+  List.filter (fun x -> not (List.exists (fun y -> lt y x) uniq)) uniq
+
+let prop_minimal_among_pairwise =
+  QCheck.Test.make ~name:"minimal_among = pairwise <=_D filter" ~count:300
+    (QCheck.make QCheck.Gen.(int_range 1 100_000))
+    (fun seed ->
+      let w =
+        if seed mod 2 = 0 then Workload.Gen.route_case ~seed ()
+        else Workload.Gen.random_case ~seed ()
+      in
+      let d = w.Workload.Gen.d and ics = w.Workload.Gen.ics in
+      match Enumerate.search ~max_states:5_000 d ics with
+      | states ->
+          List.equal Instance.equal (Order.minimal_among ~d states)
+            (pairwise_minimal ~d states)
+      | exception Enumerate.Budget_exceeded _ -> QCheck.assume_fail ())
+
+(* ... and on arbitrary candidate lists, whose null-carrying deltas cover
+   each other through condition (b) far more often than repairs do *)
+let prop_minimal_among_random =
+  QCheck.Test.make ~name:"minimal_among = pairwise <=_D filter, random candidates"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (d, cs) ->
+         Fmt.str "%a@.%a" Instance.pp_inline d Fmt.(list ~sep:cut Instance.pp_inline) cs)
+       QCheck.Gen.(pair inst_gen (list_size (int_range 1 8) inst_gen)))
+    (fun (d, candidates) ->
+      List.equal Instance.equal (Order.minimal_among ~d candidates)
+        (pairwise_minimal ~d candidates))
+
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -528,5 +581,7 @@ let () =
             prop_repairs_minimal;
             prop_consistent_fixpoint;
             prop_order_transitive;
+            prop_minimal_among_pairwise;
+            prop_minimal_among_random;
           ] );
     ]

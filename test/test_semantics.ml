@@ -410,12 +410,180 @@ let prop_prepared_exists_agrees =
       let prepared = Semantics.Assign.prepared_exists d ~bound:[ "x" ] patom in
       List.for_all
         (fun theta ->
-          prepared theta = Semantics.Assign.exists_match d theta patom)
+          let expected = Join_oracle.exists_match d theta patom in
+          prepared theta = expected && Semantics.Assign.exists_match d theta patom = expected)
         [
           Semantics.Assign.of_list [ ("x", v1) ];
           Semantics.Assign.of_list [ ("x", v1); ("y", v2) ];
           Semantics.Assign.empty;
         ])
+
+(* ------------------------------------------------------------------ *)
+(* The compiled join against the Value-level oracle (join_oracle.ml).
+
+   Instances are bulk-built and then edited, so relations mix live and
+   deleted segment rows with overlay tuples; one relation stays under
+   [seg_min] (pure overlay) and one sometimes holds tuples of two arities.
+   Conjunctions use repeated variables, self-joins, nulls and constants the
+   instance lacks, from random seed assignments; the whole (binding,
+   witness) sequence must agree in order. *)
+
+let absent = [ vi 99; vs "zz" ]
+
+let join_value_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, return vn);
+        (3, map vi (int_range 0 5));
+        (2, map (fun c -> vs (String.make 1 c)) (char_range 'a' 'c'));
+      ])
+
+(* bulk atoms, then edits: add a fresh atom, remove a bulk atom, remove a
+   fresh atom, re-add a bulk atom *)
+let edited_instance_gen ~bulk ~fresh =
+  QCheck.Gen.(
+    bulk >>= fun atoms ->
+    list_size (int_range 0 20) (triple (int_range 0 3) nat fresh) >>= fun edits ->
+    let arr = Array.of_list atoms in
+    let pick k = arr.(k mod Array.length arr) in
+    let d =
+      List.fold_left
+        (fun d (kind, k, a) ->
+          match kind with
+          | 0 -> Instance.add a d
+          | 1 when arr <> [||] -> Instance.remove (pick k) d
+          | 2 -> Instance.remove a d
+          | _ when arr <> [||] -> Instance.add (pick k) d
+          | _ -> d)
+        (Instance.of_atoms atoms) edits
+    in
+    return d)
+
+let join_instance_gen =
+  let open QCheck.Gen in
+  let tuple n = list_size (return n) join_value_gen in
+  let p = map (Relational.Atom.make "P") (frequency [ (9, tuple 2); (1, tuple 3) ]) in
+  let q = map (Relational.Atom.make "Q") (tuple 2) in
+  let r = map (Relational.Atom.make "R") (tuple 1) in
+  let bulk =
+    map
+      (fun ((ps, qs), rs) -> ps @ qs @ rs)
+      (pair
+         (pair (list_size (int_range 0 40) p) (list_size (int_range 0 6) q))
+         (list_size (int_range 0 12) r))
+  in
+  edited_instance_gen ~bulk ~fresh:(oneof [ p; q; r ])
+
+let join_case_gen =
+  let open QCheck.Gen in
+  let term =
+    frequency
+      [
+        (4, map v (oneofl [ "x"; "y"; "z" ]));
+        (1, map Term.const (oneof [ join_value_gen; oneofl absent ]));
+      ]
+  in
+  let patom =
+    oneofl [ ("P", 2); ("P", 2); ("P", 3); ("Q", 2); ("R", 1) ] >>= fun (p, n) ->
+    map (atom p) (list_size (return n) term)
+  in
+  let seed =
+    map
+      (fun bs -> Semantics.Assign.of_list (List.sort_uniq (fun (a, _) (b, _) -> compare a b) bs))
+      (list_size (int_range 0 3)
+         (pair (oneofl [ "x"; "y"; "z"; "w" ]) (oneof [ join_value_gen; oneofl absent ])))
+  in
+  triple join_instance_gen (list_size (int_range 1 3) patom) seed
+
+let print_join_case (d, atoms, seed) =
+  Fmt.str "%a@.atoms %a@.seed %a" Instance.pp_inline d
+    Fmt.(list ~sep:(any ", ") Patom.pp)
+    atoms Semantics.Assign.pp seed
+
+let same_matches l1 l2 =
+  List.equal
+    (fun (t1, w1) (t2, w2) ->
+      Semantics.Assign.equal t1 t2 && List.equal Relational.Atom.equal w1 w2)
+    l1 l2
+
+let prop_join_matches_oracle =
+  QCheck.Test.make ~name:"compiled join = Value-level oracle" ~count:1500
+    (QCheck.make ~print:print_join_case join_case_gen)
+    (fun (d, atoms, seed) ->
+      let first = List.hd atoms in
+      same_matches
+        (Semantics.Assign.join_with_witness d seed atoms)
+        (Join_oracle.join_with_witness d seed atoms)
+      && List.equal Semantics.Assign.equal
+           (Semantics.Assign.atom_matches d seed first)
+           (Join_oracle.atom_matches d seed first)
+      && Semantics.Assign.exists_match d seed first = Join_oracle.exists_match d seed first)
+
+(* Nullsat.check on the compiled join against the oracle's check, over the
+   constraint menus of the route/random generators plus constraints with
+   constants, self-joins and existentials. *)
+let check_case_gen =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [
+        (1, return vn);
+        (4, map (fun c -> vs (String.make 1 c)) (char_range 'a' 'f'));
+        (1, map vi (int_range 1 3));
+      ]
+  in
+  let fact p n = map (Relational.Atom.make p) (list_size (return n) value) in
+  let any_fact = oneof [ fact "P" 1; fact "Q" 1; fact "R" 2; fact "S" 1 ] in
+  let bulk =
+    map List.concat
+      (flatten_l
+         [
+           list_size (int_range 0 6) (fact "P" 1);
+           list_size (int_range 0 6) (fact "Q" 1);
+           list_size (int_range 0 40) (fact "R" 2);
+           list_size (int_range 0 10) (fact "S" 1);
+         ])
+  in
+  let extra =
+    [
+      Constr.generic ~name:"r_const" ~ante:[ atom "R" [ v "x"; Term.const (vs "a") ] ]
+        ~cons:[ atom "S" [ v "x" ] ] ();
+      Constr.generic ~name:"r_absent" ~ante:[ atom "R" [ v "x"; Term.const (vs "zz") ] ]
+        ~cons:[ atom "S" [ v "x" ] ] ();
+      Constr.generic ~name:"r_loop" ~ante:[ atom "R" [ v "x"; v "x" ] ]
+        ~cons:[ atom "P" [ v "x" ] ] ();
+      Constr.generic ~name:"r_chain"
+        ~ante:[ atom "R" [ v "x"; v "y" ]; atom "R" [ v "y"; v "z" ] ]
+        ~cons:[ atom "R" [ v "x"; v "w" ]; atom "Q" [ v "z" ] ]
+        ();
+      Constr.generic ~name:"r_cmp" ~ante:[ atom "R" [ v "x"; v "y" ]; atom "S" [ v "y" ] ]
+        ~phi:[ Builtin.neq (Term.var "x") (Term.var "y") ] ();
+    ]
+  in
+  triple (edited_instance_gen ~bulk ~fresh:any_fact) (int_range 1 100_000) (int_range 0 31)
+  >|= fun (d, seed, mask) ->
+  let menu =
+    if seed mod 2 = 0 then (Workload.Gen.route_case ~seed ()).Workload.Gen.ics
+    else (Workload.Gen.random_case ~seed ()).Workload.Gen.ics
+  in
+  (d, menu @ List.filteri (fun i _ -> mask land (1 lsl i) <> 0) extra)
+
+let same_violations l1 l2 =
+  List.equal
+    (fun (a : Nullsat.violation) (b : Nullsat.violation) ->
+      Constr.equal a.ic b.ic
+      && Semantics.Assign.equal a.theta b.theta
+      && List.equal Relational.Atom.equal a.matched b.matched)
+    l1 l2
+
+let prop_check_matches_oracle =
+  QCheck.Test.make ~name:"Nullsat.check = check on the oracle join" ~count:1000
+    (QCheck.make
+       ~print:(fun (d, ics) ->
+         Fmt.str "%a@.%a" Instance.pp_inline d Fmt.(list ~sep:cut Constr.pp) ics)
+       check_case_gen)
+    (fun (d, ics) -> same_violations (Nullsat.check d ics) (Join_oracle.check d ics))
 
 (* ------------------------------------------------------------------ *)
 (* Report *)
@@ -564,6 +732,8 @@ let () =
         qcheck
           [
             prop_prepared_exists_agrees;
+            prop_join_matches_oracle;
+            prop_check_matches_oracle;
             prop_direct_equals_literal;
             prop_null_free_classic_agrees;
             prop_liberal_weakest;
