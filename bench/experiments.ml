@@ -404,13 +404,14 @@ let e10 () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* E11: ablation — repairing independent IC components separately
+(* E11: ablation — repairing independent conflict components separately
    (the "local repairs" construction of the paper's future-work item (c)) *)
 
 let e11 () =
   (* k independent copies of a tiny FK scenario, one orphan each: the
      repair set is the 2^k product either way; decomposition replaces one
-     big ground program by k small ones *)
+     big ground program by k small ones, one per conflict component of
+     Repair.Decompose *)
   let scenario k =
     let atoms =
       List.concat
@@ -437,18 +438,18 @@ let e11 () =
       (fun k ->
         let d, ics = scenario k in
         let mono, t_mono = Table.time (fun () -> engine_repairs d ics) in
-        let dec, t_dec =
+        let reps_dec, t_dec =
           Table.time (fun () ->
-              match Core.Decompose.repairs d ics with
+              match Engine.repairs ~decompose:true d ics with
               | Ok r -> r
               | Error m -> failwith m)
         in
-        let reps_dec, stats = dec in
+        let components = (Repair.Decompose.plan d ics).Repair.Decompose.components in
         [
           string_of_int k;
           string_of_int (List.length mono.Engine.repairs);
           string_of_int (List.length reps_dec);
-          string_of_int stats.Core.Decompose.component_count;
+          string_of_int (List.length components);
           Table.ms t_mono;
           Table.ms t_dec;
           Printf.sprintf "%.1fx" (if t_dec > 0.0 then t_mono /. t_dec else 0.0);
@@ -604,10 +605,10 @@ let e14 () =
 (* ------------------------------------------------------------------ *)
 (* E15: tuple-level conflict-component decomposition (Repair.Decompose).
    Unlike E11's predicate-disjoint clusters, every cluster here shares the
-   same predicates and constraints, so the IC-level decomposition of
-   Core.Decompose cannot split them — only the conflict graph over ground
-   tuples can.  The monolithic search explores the product of the
-   per-cluster state spaces; the decomposed one their sum. *)
+   same predicates and constraints, so no split by shared predicate could
+   separate them — only the conflict graph over ground tuples can.  The
+   monolithic search explores the product of the per-cluster state spaces;
+   the decomposed one their sum. *)
 
 let e15 () =
   let rows =

@@ -111,11 +111,13 @@ let jobs_flag =
     value
     & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:"Solve conflict components on N worker domains (requires \
-              --decompose to have any effect).  1 (the default) is fully \
-              sequential; 0 autodetects the machine's recommended domain \
-              count.  The recombination is deterministic, so the output is \
-              identical for every N.")
+        ~doc:"Solve conflict components on N worker domains: 'cqa' under \
+              --method auto (the default), or with --decompose and \
+              --method program or enumerate; 'repairs' with --decompose; \
+              'session' on every request that solves components.  1 (the \
+              default) is fully sequential; 0 autodetects the machine's \
+              recommended domain count.  The merge is deterministic, so the \
+              output is identical for every N.")
 
 let method_conv =
   Arg.enum

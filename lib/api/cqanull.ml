@@ -24,7 +24,7 @@ module Asp = Asp
 (** The answer-set-programming substrate: grounder, solver, HCF, export. *)
 
 module Core = Core
-(** Repair programs [Pi(D, IC)], the engine, decomposition, null-flow. *)
+(** Repair programs [Pi(D, IC)], the engine, null-flow. *)
 
 module Query = Query
 (** Safe first-order queries, evaluation over nulls, CQA. *)

@@ -106,8 +106,8 @@ type stats = {
       (** VSIDS decisions that re-tried a saved true polarity
           ({!note_phase_saved}) *)
   routed : int Atomic.t array;
-      (** components classified per routing {!tier} (read through
-          {!routed}); all zero outside the [Auto] method *)
+      (** components kept in the outcome per routing {!tier} (read
+          through {!routed}); all zero outside the [Auto] method *)
   mutable degradations : (string * string) list;
       (** routed-degradation notes, in reverse emission order (read through
           {!degradations}); written by coordinator-side fallback steps only *)
@@ -135,7 +135,8 @@ val pp_stats : stats Fmt.t
     elapsed_ms=…]. *)
 
 val routed : stats -> tier -> int
-(** Components dispatched to [tier] by the routing layer. *)
+(** Components dispatched to [tier] by the routing layer and kept in the
+    outcome. *)
 
 val routed_total : stats -> int
 (** Components dispatched across all tiers ([0] outside [Auto]). *)
@@ -232,20 +233,22 @@ val guard : (unit -> ('a, string) result) -> ('a, string) result
 
 val note_component : ctl -> unit
 (** Count one decomposed component solved to completion {e and kept in
-    the outcome}.  Called by the deterministic merge step (never by a
-    worker), so the counter is identical across [--jobs] settings.  Never
-    raises. *)
+    the outcome}.  Called by the deterministic merge
+    ({!Repair.Decompose.solve}, never by a worker), so the counter is
+    identical across [--jobs] settings.  Never raises. *)
 
 val note_worker_component : ctl -> unit
 (** Attribute one completed component solve to the calling domain's
-    per-worker slot (no-op without {!set_workers}).  Called by the solve
-    itself — under exhaustion a worker may complete a component the merge
-    later degrades, so the per-worker slots attribute {e work done} while
-    [components_solved] counts {e results kept}.  Never raises. *)
+    per-worker slot (no-op without {!set_workers}).  Called by the merge's
+    task on the domain that ran the solve — under exhaustion a worker may
+    complete a component the merge later degrades, so the per-worker
+    slots attribute {e work done} while [components_solved] counts
+    {e results kept}.  Never raises. *)
 
 val note_route : ctl -> tier -> unit
-(** Count one component dispatched to [tier].  Called by the routing
-    layer's classification step (coordinator only).  Never raises. *)
+(** Count one component dispatched to [tier].  Called after the merge for
+    each component the outcome keeps (coordinator only), so the counts
+    match [components_solved].  Never raises. *)
 
 val note_degraded : ctl -> stage:string -> string -> unit
 (** Record a routed-degradation note: [stage] names the engine step that

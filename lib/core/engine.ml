@@ -11,7 +11,7 @@ type report = {
 }
 
 (* Ground and solve one repair program.  Raises the budget exceptions of
-   the grounder/solver; [run] and [solve_components] below are the
+   the grounder/solver; [run] and [solve_component] below are the
    conversion boundaries — no exception escapes a public Engine API. *)
 let run_exn ?budget ?(shift = true) ?(solver = `Counter) ?search ?max_decisions
     d ics (pg : Proggen.t) =
@@ -60,80 +60,32 @@ let run ?variant ?optimize ?shift ?solver ?search ?budget ?max_decisions d ics
 
 type components_result = {
   solved : Relational.Instance.t list list;
-  completed : int;
   exhausted : Budget.exhausted option;
 }
 
-let solve_components ?variant ?optimize ?budget ?search ?max_decisions
-    ?(jobs = 1) (plan : Repair.Decompose.plan) =
-  let component_base (c : Repair.Decompose.component) =
-    Relational.Instance.union c.Repair.Decompose.sub c.Repair.Decompose.support
-  in
-  (* One component ground-and-solved, with every expected failure boxed
-     into a value — on a worker domain nothing may escape the task. *)
-  let solve_one (c : Repair.Decompose.component) =
-    let base = component_base c in
-    match
-      Result.bind
-        (Proggen.repair_program ?variant ?optimize base c.Repair.Decompose.ics)
-        (fun pg ->
-          Ok
-            (run_exn ?budget ?search ?max_decisions base
-               c.Repair.Decompose.ics pg))
-    with
-    | Ok report ->
-        (match budget with
-        | Some b -> Budget.note_worker_component b
-        | None -> ());
-        `Repairs report.repairs
-    | Error msg -> `Err msg
-    | exception Asp.Solver.Budget_exceeded bn -> `Exhausted (Budget.Decisions bn)
-    | exception Budget.Exhausted ex -> `Exhausted ex
-  in
-  (* Mirrors Repair.Enumerate.decomposed: results are scanned in plan order
-     (the prefix rule), so the merge is deterministic regardless of which
-     worker solved what.  On exhaustion the solved prefix keeps its repairs
-     and the remaining components degrade to their unrepaired base slice,
-     marked [exhausted]; a program-generation error still fails the whole
-     run, exactly like the sequential traversal. *)
-  let merge results =
-    let rec scan acc n = function
-      | [] -> Ok { solved = List.rev acc; completed = n; exhausted = None }
-      | (`Repairs reps, _) :: rest ->
-          (match budget with Some b -> Budget.note_component b | None -> ());
-          scan (reps :: acc) (n + 1) rest
-      | (`Err msg, _) :: _ -> Error msg
-      | (`Exhausted ex, _) :: _ as remaining ->
-          let filler =
-            List.map (fun (_, c) -> [ component_base c ]) remaining
-          in
-          Ok
-            {
-              solved = List.rev_append acc filler;
-              completed = n;
-              exhausted = Some ex;
-            }
-    in
-    scan [] 0 (List.combine results plan.Repair.Decompose.components)
-  in
-  let components = plan.Repair.Decompose.components in
-  if jobs <= 1 || List.length components <= 1 then
-    (* sequential path: stop solving at the first failure so no budget is
-       spent past the trip point — the historical behavior *)
-    let rec seq acc = function
-      | [] -> merge (List.rev acc)
-      | c :: rest -> (
-          match solve_one c with
-          | `Repairs _ as r -> seq (r :: acc) rest
-          | (`Err _ | `Exhausted _) as r ->
-              merge (List.rev_append acc (r :: List.map (fun _ -> r) rest)))
-    in
-    seq [] components
-  else
-    merge
-      (Parallel.Pool.with_pool ~jobs
-         ~init:(fun w -> Budget.set_worker_slot (w + 1))
-         (fun pool -> Parallel.Pool.map pool solve_one components))
+let solve_component ?variant ?optimize ?budget ?search ?max_decisions
+    (c : Repair.Decompose.component) =
+  let base = Repair.Decompose.base c in
+  let ics = c.Repair.Decompose.ics in
+  match
+    Result.map
+      (run_exn ?budget ?search ?max_decisions base ics)
+      (Proggen.repair_program ?variant ?optimize base ics)
+  with
+  | Ok report -> Repair.Decompose.Solved report.repairs
+  | Error msg -> Repair.Decompose.Failed msg
+  | exception Asp.Solver.Budget_exceeded n ->
+      Repair.Decompose.Tripped (Budget.Decisions n)
+  | exception Budget.Exhausted e -> Repair.Decompose.Tripped e
+
+let solve_components ?variant ?optimize ?budget ?search ?max_decisions ?jobs
+    (plan : Repair.Decompose.plan) =
+  Result.map
+    (fun (solved, _, exhausted) -> { solved; exhausted })
+    (Repair.Decompose.solve ?budget ?jobs
+       ~filler:(fun c -> [ Repair.Decompose.base c ])
+       (solve_component ?variant ?optimize ?budget ?search ?max_decisions)
+       plan.Repair.Decompose.components)
 
 let repairs ?variant ?optimize ?budget ?search ?max_decisions
     ?(decompose = false) ?jobs d ics =

@@ -43,12 +43,25 @@ val run :
     (decision limit and wall-clock deadline); exhaustion of either it or
     [max_decisions] yields [Error], never an exception. *)
 
+val solve_component :
+  ?variant:Proggen.variant ->
+  ?optimize:bool ->
+  ?budget:Budget.ctl ->
+  ?search:Asp.Solver.search ->
+  ?max_decisions:int ->
+  Repair.Decompose.component ->
+  Relational.Instance.t list Repair.Decompose.solved
+(** Generate, ground and solve one component's repair program
+    ([Repair.Decompose.base] against the component's constraints): its
+    minimal repairs, the budget trip, or a program-generation [Failed].
+    It counts no component: {!Repair.Decompose.solve} does, for the results
+    it keeps. *)
+
 type components_result = {
   solved : Relational.Instance.t list list;
       (** per-component repair lists, in plan order; after an exhaustion the
           unsolved suffix degrades to the component's unrepaired base slice
           ([sub ∪ support]) as sole entry *)
-  completed : int;  (** components fully solved before any exhaustion *)
   exhausted : Budget.exhausted option;
 }
 
@@ -61,17 +74,11 @@ val solve_components :
   ?jobs:int ->
   Repair.Decompose.plan ->
   (components_result, string) result
-(** Generate, ground and solve one repair program per conflict component of
-    the plan ([sub ∪ support] against the component's constraints) —
-    {!Repair.Enumerate.decomposed}'s counterpart for this engine, and the
-    building block of decomposed CQA ({!Query.Cqa}).  Budget trips
-    mid-traversal keep the solved prefix and set [exhausted] (graceful
-    degradation); program-generation failures are genuine [Error]s.
-
-    [jobs > 1] grounds and solves the per-component programs concurrently
-    on a {!Parallel.Pool}; the merge scans results in plan order (the
-    prefix rule of {!Repair.Enumerate.decomposed}), so without a tripped
-    limit the result is bit-identical to [jobs = 1]. *)
+(** {!solve_component} on every conflict component of the plan, merged by
+    {!Repair.Decompose.solve}'s prefix rule: budget trips keep the solved
+    prefix and set [exhausted]; program-generation failures are genuine
+    [Error]s.  [jobs > 1] solves on a {!Parallel.Pool}, bit-identical to
+    [jobs = 1] whenever no limit trips. *)
 
 val repairs :
   ?variant:Proggen.variant ->

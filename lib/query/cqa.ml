@@ -1,13 +1,8 @@
 module Tuple = Relational.Tuple
 module Instance = Relational.Instance
+module Decompose = Repair.Decompose
 
 type method_ = ModelTheoretic | LogicProgram | CautiousProgram | Auto
-
-(* The two repair-materializing engines as their own type: the dispatch on
-   [CautiousProgram] happens exactly once, in [consistent_answers], so the
-   repair-materializing helpers below cannot be reached with it — the
-   former [assert false] arms are unrepresentable. *)
-type materializer = Enumerator | ProgramEngine
 
 type outcome = {
   consistent : Tuple.Set.t;
@@ -17,15 +12,25 @@ type outcome = {
   exhausted : Budget.exhausted option;
 }
 
-let repairs_of mat ?budget max_effort d ics =
-  match mat with
-  | Enumerator -> (
-      match Repair.Enumerate.repairs ?budget ?max_states:max_effort d ics with
-      | reps -> Ok reps
-      | exception Repair.Enumerate.Budget_exceeded n ->
-          Error (Budget.message (Budget.States n))
-      | exception Budget.Exhausted e -> Error (Budget.message e))
-  | ProgramEngine -> Core.Engine.repairs ?budget ?max_decisions:max_effort d ics
+type solved = {
+  minimal : Instance.t list;
+  states : Instance.t list option;
+  tier : Budget.tier option;
+}
+
+type solve_key = Whole | Component of Decompose.component
+
+let cannot_decompose =
+  "the cautious-program method cannot decompose: it materializes no \
+   per-component repairs to recombine; use the model-theoretic or \
+   logic-program engine with ~decompose, or drop ~decompose"
+
+let enumerated_repairs ?budget ?max_effort d ics =
+  match Repair.Enumerate.repairs ?budget ?max_states:max_effort d ics with
+  | reps -> Ok reps
+  | exception Repair.Enumerate.Budget_exceeded n ->
+      Error (Budget.message (Budget.States n))
+  | exception Budget.Exhausted e -> Error (Budget.message e)
 
 let outcome_of_answer_sets ?exhausted standard repair_count answer_sets =
   let consistent =
@@ -48,77 +53,47 @@ let outcome_of_repairs ?semantics ~standard q repairs =
    variable in a database atom): answers are then insensitive to atoms of
    predicates the query does not mention. *)
 
-let component_preds (c : Repair.Decompose.component) =
+let component_preds (c : Decompose.component) =
   Relational.Atom.Set.fold
     (fun a acc ->
       let p = Relational.Atom.pred a in
       if List.mem p acc then acc else p :: acc)
-    c.Repair.Decompose.atoms []
+    c.Decompose.atoms []
 
-(* Per-component repair lists (locally <=_D-minimal), plus the consistent
-   states needed for the inexact-product fallback when the model-theoretic
-   engine is in use.  Exhaustion mid-run keeps the solved prefix (the
-   unsolved components degrade to their base slice) with the marker. *)
-let solve_components mat ?budget ?(jobs = 1) max_effort d ics
-    (plan : Repair.Decompose.plan) =
-  match mat with
-  | Enumerator ->
-      let r =
-        Repair.Enumerate.decomposed ?budget ?max_states:max_effort ~jobs d ics
-      in
-      (* the degraded filler components of a partial outcome are the ones
-         with zero explored states (a real search explores >= 1) *)
-      let completed =
-        List.length (List.filter (fun n -> n > 0) r.Repair.Enumerate.explored)
-      in
-      Ok
-        ( r.Repair.Enumerate.minimal,
-          Some r.Repair.Enumerate.states,
-          completed,
-          r.Repair.Enumerate.exhausted )
-  | ProgramEngine ->
-      Result.map
-        (fun (r : Core.Engine.components_result) ->
-          (r.Core.Engine.solved, None, r.Core.Engine.completed,
-           r.Core.Engine.exhausted))
-        (Core.Engine.solve_components ?budget ?max_decisions:max_effort ~jobs
-           plan)
+(* Every repair of the plan's instance: the cross product of the
+   per-component minimal repairs over the core or, when cross-component
+   covering is possible, the product of the consistent states (only the
+   model-theoretic search yields them) filtered globally against the
+   instance the plan was made from. *)
+let full_repairs ~plan ~minimal states =
+  let core = plan.Decompose.core in
+  if plan.Decompose.product_exact then
+    List.of_seq (Decompose.product core minimal)
+  else
+    let d =
+      List.fold_left
+        (fun d (c : Decompose.component) -> Instance.union d c.Decompose.sub)
+        core plan.Decompose.components
+    in
+    Repair.Order.minimal_among ~d
+      (List.of_seq (Decompose.product core (Option.get states)))
 
-(* The factorized answer combination over already-solved components: the
-   common tail of decomposed CQA here and of the session engine's cached
-   path ({!Session}) — sharing it is what makes session answers
-   byte-identical to a cold decomposed run by construction. *)
 let factorized_outcome ?semantics ?(jobs = 1) ?states ?exhausted ~plan
     ~minimal ~standard (q : Qsyntax.t) =
-  let core = plan.Repair.Decompose.core in
-  let components = plan.Repair.Decompose.components in
+  let core = plan.Decompose.core in
+  let components = plan.Decompose.components in
   let counts = List.map List.length minimal in
-  let repair_count = Repair.Decompose.count_product counts in
+  let repair_count = Decompose.count_product counts in
   let eval r = Qeval.answers ?semantics r q in
-  let full_repairs () =
-    if plan.Repair.Decompose.product_exact then
-      List.of_seq (Repair.Decompose.product core minimal)
-    else
-      (* model-theoretic engine: recombine the consistent states and
-         filter globally, against the instance the plan was made from *)
-      let d =
-        List.fold_left
-          (fun d (c : Repair.Decompose.component) ->
-            Instance.union d c.Repair.Decompose.sub)
-          core components
-      in
-      Repair.Order.minimal_among ~d
-        (List.of_seq (Repair.Decompose.product core (Option.get states)))
-  in
   let shape = Qsafe.shape q in
   if
-    (not plan.Repair.Decompose.product_exact)
+    (not plan.Decompose.product_exact)
     || shape = Qsafe.Opaque
     || List.exists (fun l -> l = []) minimal
   then
     (* evaluate over the recombined repair list; still
        profits from the per-component search *)
-    let reps = full_repairs () in
+    let reps = full_repairs ~plan ~minimal states in
     outcome_of_answer_sets ?exhausted standard
       (List.length reps) (List.map eval reps)
   else
@@ -189,7 +164,7 @@ let factorized_outcome ?semantics ?(jobs = 1) ?states ?exhausted ~plan
                predicate *)
             let sets =
               Seq.map eval
-                (Repair.Decompose.product core
+                (Decompose.product core
                    (List.map snd relevant))
             in
             let consistent, possible =
@@ -206,248 +181,193 @@ let factorized_outcome ?semantics ?(jobs = 1) ?states ?exhausted ~plan
             { consistent; possible; standard; repair_count;
               exhausted })
 
-let decomposed_outcome mat ?budget ?semantics ?(jobs = 1) max_effort d ics
-    (q : Qsyntax.t) =
-  let standard = Qeval.answers ?semantics d q in
-  match Repair.Decompose.plan ?budget d ics with
-  | exception Budget.Exhausted e -> Error (Budget.message e)
-  | plan -> (
-      match plan.Repair.Decompose.components with
-      | [] ->
-          (* consistent instance: the only repair is D itself *)
-          Ok
-            {
-              consistent = standard;
-              possible = standard;
-              standard;
-              repair_count = 1;
-              exhausted = None;
-            }
-      | _
-        when (not plan.Repair.Decompose.product_exact) && mat = ProgramEngine
-        ->
-          (* the logic-program engine only yields per-component minimal
-             repairs, which cannot be recombined exactly here — stay
-             monolithic, and say so in the stats instead of degrading
-             invisibly *)
-          (match budget with
-          | Some b ->
-              Budget.note_degraded b ~stage:"decompose"
-                "inexact component product (cross-component null covering): \
-                 logic-program engine computed monolithic repairs instead"
-          | None -> ());
-          Result.map
-            (outcome_of_repairs ?semantics ~standard q)
-            (repairs_of mat ?budget max_effort d ics)
-      | _ ->
-          Result.bind (solve_components mat ?budget ~jobs max_effort d ics plan)
-            (fun (minimal, states, completed, exhausted) ->
-              match exhausted with
-              | Some e when completed = 0 ->
-                  (* nothing was solved: there is no partial work to
-                     return *)
-                  Error (Budget.message e)
-              | _ ->
-                  Ok
-                    (factorized_outcome ?semantics ~jobs ?states ?exhausted
-                       ~plan ~minimal ~standard q)))
-
 (* ------------------------------------------------------------------ *)
-(* Routed CQA: the [Auto] method.
+(* The one decomposed pipeline: a computed plan, one solver per
+   component, the prefix-rule merge of Repair.Decompose, and the
+   recombination. *)
 
-   Every conflict component is classified by {!Route.Tier} and solved on
-   the cheapest sound engine: the repair-less direct computation
-   ({!Route.Direct}), the repair program (statically-HCF components run it
-   shifted — {!Core.Engine} consults {!Asp.Shift} internally), or the
-   model-theoretic enumeration as last resort.  The merge follows the
-   decomposed engines' prefix rule, so partial outcomes under exhaustion
-   have the same shape as a cold decomposed run. *)
+(* One component on the strategy the method and the plan call for.  An
+   exact [Auto] plan routes the component to its tier ({!Route.Tier}): the
+   repair-less direct computation, the repair program (statically-HCF
+   components run it shifted — {!Core.Engine} consults {!Asp.Shift}
+   internally), or enumeration.  An inexact plan needs the consistent
+   states for the global filter, which only the model-theoretic search
+   yields, so [Auto] enumerates there, like [ModelTheoretic] always does.
+   Every enumeration is tagged [Enumerated], so the entries a session
+   caches under one key agree on their tier whichever method solved
+   them. *)
+let solve_component ?budget ?max_effort method_ (plan : Decompose.plan) c =
+  let enumerate () =
+    Decompose.map_solved
+      (fun (minimal, states, _) ->
+        { minimal; states = Some states; tier = Some Budget.Enumerated })
+      (Repair.Enumerate.solve_component ?budget ?max_states:max_effort plan c)
+  in
+  let program tier =
+    Decompose.map_solved
+      (fun minimal -> { minimal; states = None; tier })
+      (Core.Engine.solve_component ?budget ?max_decisions:max_effort c)
+  in
+  match method_ with
+  | Auto when plan.Decompose.product_exact -> (
+      let v = Route.Tier.component c in
+      match v.Route.Tier.tier with
+      | Budget.Direct -> (
+          match
+            Route.Direct.minimal_repairs ?budget (Option.get v.Route.Tier.direct)
+          with
+          | minimal ->
+              Decompose.Solved
+                { minimal; states = None; tier = Some Budget.Direct }
+          | exception Budget.Exhausted e -> Decompose.Tripped e)
+      | (Budget.Shifted | Budget.Disjunctive) as tier -> program (Some tier)
+      | Budget.Enumerated -> enumerate ())
+  | Auto | ModelTheoretic -> enumerate ()
+  | LogicProgram -> program None
+  | CautiousProgram -> Decompose.Failed cannot_decompose
 
-type routed_solved =
-  | Rsolved of Instance.t list
-  | Rtrip of Budget.exhausted
-  | Rerr of string
+let no_memo _ solve = solve ()
 
-let routed_solve ?budget ?(jobs = 1) max_effort (plan : Repair.Decompose.plan)
-    =
-  let verdicts = Route.Tier.plan plan in
+(* The logic-program engine yields only minimal repairs, which do not
+   recombine exactly on an inexact plan: it solves the whole instance
+   instead, and says so in the stats instead of degrading invisibly. *)
+let whole_repairs ?budget ?max_effort ~memo d ics =
   (match budget with
   | Some b ->
-      List.iter
-        (fun (v : Route.Tier.verdict) -> Budget.note_route b v.Route.Tier.tier)
-        verdicts
+      Budget.note_degraded b ~stage:"decompose"
+        "inexact component product (cross-component null covering): \
+         logic-program engine computed monolithic repairs instead"
   | None -> ());
-  let solve_one ((c : Repair.Decompose.component), (v : Route.Tier.verdict)) =
-    let base = Instance.union c.Repair.Decompose.sub c.Repair.Decompose.support in
-    match v.Route.Tier.tier with
-    | Budget.Direct -> (
-        let a = Option.get v.Route.Tier.direct in
-        match Route.Direct.minimal_repairs ?budget a with
-        | reps ->
-            (match budget with
-            | Some b -> Budget.note_worker_component b
-            | None -> ());
-            Rsolved reps
-        | exception Budget.Exhausted e -> Rtrip e)
-    | Budget.Shifted | Budget.Disjunctive -> (
-        match
-          Core.Engine.solve_components ?budget ?max_decisions:max_effort
-            { plan with Repair.Decompose.components = [ c ] }
-        with
-        | Error msg -> Rerr msg
-        | Ok { Core.Engine.exhausted = Some e; _ } -> Rtrip e
-        | Ok { Core.Engine.solved = [ reps ]; _ } -> Rsolved reps
-        | Ok _ -> assert false)
-    | Budget.Enumerated -> (
-        match
-          Repair.Enumerate.search ?budget ?max_states:max_effort
-            ~universe:plan.Repair.Decompose.universe
-            ~nnc_positions:plan.Repair.Decompose.nnc_positions base
-            c.Repair.Decompose.ics
-        with
-        | states ->
-            (match budget with
-            | Some b -> Budget.note_worker_component b
-            | None -> ());
-            Rsolved (Repair.Order.minimal_among ~d:base states)
-        | exception Repair.Enumerate.Budget_exceeded n ->
-            Rtrip (Budget.States n)
-        | exception Budget.Exhausted e -> Rtrip e)
-  in
-  let tasks = List.combine plan.Repair.Decompose.components verdicts in
-  let results =
-    if jobs <= 1 || List.length tasks <= 1 then
-      (* sequential: stop at the first trip so no budget is spent past it *)
-      let rec seq acc stopped = function
-        | [] -> List.rev acc
-        | task :: rest ->
-            if stopped then seq (`Unsolved :: acc) stopped rest
-            else
-              let r = solve_one task in
-              let stopped =
-                match r with Rsolved _ -> stopped | _ -> true
-              in
-              seq (`Run r :: acc) stopped rest
-      in
-      seq [] false tasks
-    else
-      Parallel.Pool.with_pool ~jobs
-        ~init:(fun w -> Budget.set_worker_slot (w + 1))
-        (fun pool ->
-          Parallel.Pool.map pool (fun task -> `Run (solve_one task)) tasks)
-  in
-  (* prefix-rule merge, in plan order: everything from the first trip on
-     degrades to its unrepaired base slice *)
-  let rec scan minimal completed = function
-    | [] -> Ok (List.rev minimal, completed, None)
-    | (`Run (Rsolved reps), (_, v)) :: rest ->
-        (* the program tiers run through Core.Engine, which notes kept
-           components itself *)
-        (match (budget, v.Route.Tier.tier) with
-        | Some b, (Budget.Direct | Budget.Enumerated) ->
-            Budget.note_component b
-        | _ -> ());
-        scan (reps :: minimal) (completed + 1) rest
-    | (`Run (Rerr m), _) :: _ -> Error m
-    | ((`Run (Rtrip _) | `Unsolved), _) :: _ as remaining ->
-        let ex =
-          match remaining with
-          | (`Run (Rtrip ex), _) :: _ -> ex
-          | _ -> assert false
-        in
-        let degraded =
-          List.map
-            (fun (_, (c, _)) ->
-              [ Instance.union c.Repair.Decompose.sub c.Repair.Decompose.support ])
-            remaining
-        in
-        Ok (List.rev_append minimal degraded, completed, Some ex)
-  in
-  scan [] 0 (List.combine results tasks)
+  match
+    memo Whole (fun () ->
+        match Core.Engine.repairs ?budget ?max_decisions:max_effort d ics with
+        | Ok minimal -> Decompose.Solved { minimal; states = None; tier = None }
+        | Error msg -> Decompose.Failed msg)
+  with
+  | Decompose.Solved e -> Ok e.minimal
+  | Decompose.Failed msg -> Error msg
+  | Decompose.Tripped e -> Error (Budget.message e)
 
-let routed_outcome ?budget ?semantics ?(jobs = 1) max_effort d ics
-    (q : Qsyntax.t) =
-  let standard = Qeval.answers ?semantics d q in
-  match Repair.Decompose.plan ?budget d ics with
-  | exception Budget.Exhausted e -> Error (Budget.message e)
-  | plan -> (
-      match plan.Repair.Decompose.components with
-      | [] ->
-          Ok
-            {
-              consistent = standard;
-              possible = standard;
-              standard;
-              repair_count = 1;
-              exhausted = None;
-            }
-      | components when not plan.Repair.Decompose.product_exact ->
-          (* cross-component null covering: per-component minimal repairs
-             do not recombine exactly, so no per-tier dispatch is sound —
-             route the whole plan to the decomposed enumeration, which
-             re-filters the recombined states globally *)
-          (match budget with
-          | Some b ->
-              Budget.note_degraded b ~stage:"route"
-                "inexact component product (cross-component null covering): \
-                 whole plan routed to decomposed enumeration";
-              List.iter
-                (fun _ -> Budget.note_route b Budget.Enumerated)
-                components
-          | None -> ());
-          decomposed_outcome Enumerator ?budget ?semantics ~jobs max_effort d
-            ics q
-      | _ ->
-          Result.bind (routed_solve ?budget ~jobs max_effort plan)
-            (fun (minimal, completed, exhausted) ->
-              match exhausted with
-              | Some e when completed = 0 -> Error (Budget.message e)
-              | _ ->
-                  Ok
-                    (factorized_outcome ?semantics ~jobs ?exhausted ~plan
-                       ~minimal ~standard q)))
+(* Every component through [memo] and the prefix-rule merge.  The kept
+   results' tiers are counted here, once, so a cached solve counts exactly
+   like a fresh one. *)
+let solve_plan ?budget ?max_effort ?jobs ~memo method_ (plan : Decompose.plan)
+    =
+  (match (budget, method_, plan.Decompose.product_exact) with
+  | Some b, Auto, false ->
+      Budget.note_degraded b ~stage:"route"
+        "inexact component product (cross-component null covering): whole \
+         plan routed to decomposed enumeration"
+  | _ -> ());
+  let filler c =
+    let base = Decompose.base c in
+    { minimal = [ base ]; states = Some [ base ]; tier = None }
+  in
+  let solve c =
+    memo (Component c) (fun () ->
+        solve_component ?budget ?max_effort method_ plan c)
+  in
+  Result.map
+    (fun ((results, kept, _) as merged) ->
+      (match budget with
+      | Some b when method_ = Auto ->
+          List.iteri
+            (fun i e ->
+              if i < kept then Option.iter (Budget.note_route b) e.tier)
+            results
+      | _ -> ());
+      merged)
+    (Decompose.solve ?budget ?jobs ~filler solve plan.Decompose.components)
+
+(* The consistent states the global filter of an inexact plan needs; the
+   strategy enumerates there, so every result carries them. *)
+let states_of (plan : Decompose.plan) results =
+  if plan.Decompose.product_exact then None
+  else Some (List.map (fun e -> Option.get e.states) results)
+
+let outcome_of_plan ?semantics ?budget ?max_effort ?(jobs = 1)
+    ?(memo = no_memo) ~method_ ~standard ~plan d ics q =
+  match plan.Decompose.components with
+  | [] ->
+      (* consistent instance: the only repair is D itself *)
+      Ok
+        {
+          consistent = standard;
+          possible = standard;
+          standard;
+          repair_count = 1;
+          exhausted = None;
+        }
+  | _ when (not plan.Decompose.product_exact) && method_ = LogicProgram ->
+      Result.map
+        (outcome_of_repairs ?semantics ~standard q)
+        (whole_repairs ?budget ?max_effort ~memo d ics)
+  | _ ->
+      Result.bind (solve_plan ?budget ?max_effort ~jobs ~memo method_ plan)
+        (fun (results, kept, exhausted) ->
+          match exhausted with
+          | Some e when kept = 0 ->
+              (* nothing was solved: there is no partial work to return *)
+              Error (Budget.message e)
+          | _ ->
+              Ok
+                (factorized_outcome ?semantics ~jobs
+                   ?states:(states_of plan results) ?exhausted ~plan
+                   ~minimal:(List.map (fun e -> e.minimal) results)
+                   ~standard q))
+
+let repairs_of_plan ?budget ?max_effort ?(jobs = 1) ?(memo = no_memo)
+    ~method_ ~plan d ics =
+  match plan.Decompose.components with
+  | [] -> Ok [ d ]
+  | _ when (not plan.Decompose.product_exact) && method_ = LogicProgram ->
+      whole_repairs ?budget ?max_effort ~memo d ics
+  | _ ->
+      Result.bind (solve_plan ?budget ?max_effort ~jobs ~memo method_ plan)
+        (fun (results, _, exhausted) ->
+          match exhausted with
+          | Some e ->
+              (* the full repair set cannot degrade gracefully *)
+              Error (Budget.message e)
+          | None ->
+              Ok
+                (full_repairs ~plan
+                   ~minimal:(List.map (fun e -> e.minimal) results)
+                   (states_of plan results)))
 
 let consistent_answers ?(method_ = LogicProgram) ?semantics ?budget ?max_effort
     ?(decompose = false) ?jobs d ics q =
+  let standard () = Qeval.answers ?semantics d q in
   match method_ with
-  | Auto ->
-      (* routing always decomposes (per-component verdicts); ~decompose
-         is implied *)
-      ignore decompose;
-      routed_outcome ?budget ?semantics ?jobs max_effort d ics q
+  | CautiousProgram when decompose -> Error cannot_decompose
   | CautiousProgram ->
-      if decompose then
-        Error
-          "the cautious-program method cannot decompose: it materializes no \
-           per-component repairs to recombine; use the model-theoretic or \
-           logic-program engine with ~decompose, or drop ~decompose"
-      else
-        Result.map
-          (fun (o : Progcqa.outcome) ->
-            {
-              consistent = o.Progcqa.consistent;
-              possible = o.Progcqa.possible;
-              standard = Qeval.answers ?semantics d q;
-              repair_count = o.Progcqa.stable_models;
-              exhausted = None;
-            })
-          (Progcqa.consistent_answers ?budget ?max_decisions:max_effort d ics q)
-  | ModelTheoretic | LogicProgram ->
-      let mat =
-        if method_ = ModelTheoretic then Enumerator else ProgramEngine
-      in
-      if decompose then
-        decomposed_outcome mat ?budget ?semantics ?jobs max_effort d ics q
-      else
-        Result.map
-          (fun repairs ->
-            let answer_sets =
-              List.map (fun r -> Qeval.answers ?semantics r q) repairs
-            in
-            outcome_of_answer_sets
-              (Qeval.answers ?semantics d q)
-              (List.length repairs) answer_sets)
-          (repairs_of mat ?budget max_effort d ics)
+      Result.map
+        (fun (o : Progcqa.outcome) ->
+          {
+            consistent = o.Progcqa.consistent;
+            possible = o.Progcqa.possible;
+            standard = standard ();
+            repair_count = o.Progcqa.stable_models;
+            exhausted = None;
+          })
+        (Progcqa.consistent_answers ?budget ?max_decisions:max_effort d ics q)
+  | ModelTheoretic when not decompose ->
+      Result.map
+        (fun reps -> outcome_of_repairs ?semantics ~standard:(standard ()) q reps)
+        (enumerated_repairs ?budget ?max_effort d ics)
+  | LogicProgram when not decompose ->
+      Result.map
+        (fun reps -> outcome_of_repairs ?semantics ~standard:(standard ()) q reps)
+        (Core.Engine.repairs ?budget ?max_decisions:max_effort d ics)
+  | ModelTheoretic | LogicProgram | Auto -> (
+      (* routing always decomposes (per-component verdicts): ~decompose is
+         implied for Auto *)
+      let standard = standard () in
+      match Decompose.plan ?budget d ics with
+      | exception Budget.Exhausted e -> Error (Budget.message e)
+      | plan ->
+          outcome_of_plan ?semantics ?budget ?max_effort ?jobs ~method_
+            ~standard ~plan d ics q)
 
 let certain ?method_ ?semantics ?budget ?max_effort ?decompose ?jobs d ics q =
   if not (Qsyntax.is_boolean q) then Error "certain: query has head variables"

@@ -31,10 +31,10 @@ type method_ =
           Corollary 1) where Definition 9 applies, and model-theoretic
           enumeration as last resort.  Always decomposes ([~decompose] is
           implied); answers are identical to the other materializing
-          methods.  Per-tier dispatch counters land in the budget's
-          {!Budget.stats} ([routed]), degradations (e.g. an inexact
-          component product forcing whole-plan enumeration) in its
-          [degradations] notes. *)
+          methods.  The tiers of the components the outcome keeps land in
+          the budget's {!Budget.stats} ([routed]), degradations (e.g. an
+          inexact component product forcing whole-plan enumeration) in
+          its [degradations] notes. *)
 
 type outcome = {
   consistent : Relational.Tuple.Set.t;  (** answers in every repair *)
@@ -86,9 +86,10 @@ val consistent_answers :
     [jobs] (default [1]) solves the conflict components — and, on the
     factorized single-atom path, evaluates their answer sets — on that
     many {!Parallel.Pool} worker domains.  Only decomposed runs
-    parallelize; the recombination is a deterministic ordered merge, so
-    the outcome is identical across [jobs] settings (see
-    {!Repair.Enumerate.decomposed} for the contract under exhaustion). *)
+    ([Auto], or [~decompose:true]) parallelize; the merge is
+    deterministic, so the outcome is identical across [jobs] settings
+    (see {!Repair.Decompose.solve} for the contract under exhaustion).
+    Decomposed runs are {!outcome_of_plan} over a fresh plan. *)
 
 val outcome_of_repairs :
   ?semantics:Qeval.semantics ->
@@ -98,8 +99,7 @@ val outcome_of_repairs :
   outcome
 (** Evaluate the query in every repair of a materialized list and fold the
     answer sets: [consistent] is their intersection, [possible] their
-    union.  The monolithic tail of both materializing methods, exposed for
-    the session engine's whole-instance fallback. *)
+    union.  The monolithic tail of both materializing methods. *)
 
 val factorized_outcome :
   ?semantics:Qeval.semantics ->
@@ -115,15 +115,93 @@ val factorized_outcome :
     [minimal] lists each component's minimal repairs in [plan] order
     (non-empty — a budget-tripped component contributes its unrepaired
     base slice, with [exhausted] set).  [states] must carry the full
-    consistent state lists when [plan.product_exact] is [false] and the
-    repairs came from the model-theoretic search (the recombined product
-    is re-filtered globally).  This is the exact answer algebra of
-    [consistent_answers ~decompose:true] after its per-component solves;
-    the session engine calls it on cached solves, which is what makes
-    session answers byte-identical to a cold run.  A single-atom query is
-    evaluated once over [plan.core] and once per repair over the repair
-    alone (answers are additive), so the core's size is paid once, not
-    once per repair. *)
+    consistent state lists when [plan.product_exact] is [false] (the
+    recombined product is re-filtered globally).  This is the last step of
+    {!outcome_of_plan}.  A single-atom query is evaluated once over
+    [plan.core] and once per repair over the repair alone (answers are
+    additive), so the core's size is paid once, not once per repair. *)
+
+(** {1 The decomposed pipeline}
+
+    [consistent_answers] (for [Auto], or a materializing method with
+    [~decompose:true]) and the session engine ({!Session}) both answer
+    through {!outcome_of_plan}: one solver per component, whose strategy
+    follows from the method and the plan, merged by
+    {!Repair.Decompose.solve}'s prefix rule.  A session passes its cache as
+    [memo]; that is the only difference between a session request and a
+    cold one. *)
+
+type solved = {
+  minimal : Relational.Instance.t list;
+      (** the locally [<=_D]-minimal repairs, relative to the component's
+          {!Repair.Decompose.base} *)
+  states : Relational.Instance.t list option;
+      (** every consistent state, when the component was enumerated *)
+  tier : Budget.tier option;
+      (** the tier that solved it: [Enumerated] for every enumeration, the
+          routed tier for [Auto]'s other tiers, [None] for the logic-program
+          method *)
+}
+(** One component solved. *)
+
+type solve_key =
+  | Whole  (** the monolithic repair program of the whole instance *)
+  | Component of Repair.Decompose.component
+(** What a solve step computes. *)
+
+val outcome_of_plan :
+  ?semantics:Qeval.semantics ->
+  ?budget:Budget.ctl ->
+  ?max_effort:int ->
+  ?jobs:int ->
+  ?memo:
+    (solve_key ->
+    (unit -> solved Repair.Decompose.solved) ->
+    solved Repair.Decompose.solved) ->
+  method_:method_ ->
+  standard:Relational.Tuple.Set.t ->
+  plan:Repair.Decompose.plan ->
+  Relational.Instance.t ->
+  Ic.Constr.t list ->
+  Qsyntax.t ->
+  (outcome, string) result
+(** A CQA request over [plan], the plan of [D] (the instance) and [IC]:
+
+    - a consistent [D] answers [standard] with one repair;
+    - [LogicProgram] on an inexact plan ([product_exact = false]) runs the
+      monolithic repair program, since stable models yield only minimal
+      repairs, with a [decompose] degradation note in the budget's stats;
+    - otherwise every component is solved and the results merged by
+      {!Repair.Decompose.solve}: an exact [Auto] plan routes each component
+      ({!Route.Tier}), an inexact [Auto] plan (with a [route] degradation
+      note) and [ModelTheoretic] enumerate, [LogicProgram] runs each
+      component's repair program.  A budget trip before any component was
+      solved is an [Error]; after, the outcome is partial ([exhausted]).
+      [factorized_outcome] recombines.
+
+    [memo key solve] runs every solve step (default: [solve ()]); a session
+    probes and fills its cache there.  It may run on a pool worker.
+    [budget] counts each kept component once ([components_solved]) and, for
+    [Auto], its tier ([routed]).  [CautiousProgram] materializes no
+    repairs: each of its components [Failed]. *)
+
+val repairs_of_plan :
+  ?budget:Budget.ctl ->
+  ?max_effort:int ->
+  ?jobs:int ->
+  ?memo:
+    (solve_key ->
+    (unit -> solved Repair.Decompose.solved) ->
+    solved Repair.Decompose.solved) ->
+  method_:method_ ->
+  plan:Repair.Decompose.plan ->
+  Relational.Instance.t ->
+  Ic.Constr.t list ->
+  (Relational.Instance.t list, string) result
+(** [Rep(D, IC)] over [plan], by the steps of {!outcome_of_plan}, the
+    component repairs recombined by cross product over the core (or, on an
+    inexact plan, the consistent states filtered globally).  The full set
+    cannot degrade: any budget trip is an [Error]. *)
 
 val certain :
   ?method_:method_ ->

@@ -522,3 +522,55 @@ let product base choices =
   go base choices
 
 let count_product counts = List.fold_left (fun n c -> n * c) 1 counts
+
+(* ------------------------------------------------------------------ *)
+(* Solving the components: the prefix rule *)
+
+let base c = Instance.union c.sub c.support
+
+type 'a solved = Solved of 'a | Tripped of Budget.exhausted | Failed of string
+
+let map_solved f = function
+  | Solved x -> Solved (f x)
+  | Tripped e -> Tripped e
+  | Failed m -> Failed m
+
+let solve ?budget ?(jobs = 1) ~filler f components =
+  let task c =
+    let r = f c in
+    (match (r, budget) with
+    | Solved _, Some b -> Budget.note_worker_component b
+    | _ -> ());
+    r
+  in
+  let results =
+    if jobs <= 1 || List.length components <= 1 then
+      let rec seq acc = function
+        | [] -> List.rev acc
+        | c :: rest -> (
+            match task c with
+            | Solved _ as r -> seq (r :: acc) rest
+            | r -> List.rev (r :: acc))
+      in
+      seq [] components
+    else
+      Parallel.Pool.with_pool ~jobs
+        ~init:(fun w -> Budget.set_worker_slot (w + 1))
+        (fun pool -> Parallel.Pool.map pool task components)
+  in
+  (* The scan runs in component order, exactly like the sequential
+     traversal, so which worker tripped first never shows.  The sequential
+     results end at their first trip or failure, so they never run out
+     before the components do. *)
+  let rec scan kept n components results =
+    match (components, results) with
+    | [], _ -> Ok (List.rev kept, n, None)
+    | _ :: cs, Solved x :: rs ->
+        (match budget with Some b -> Budget.note_component b | None -> ());
+        scan (x :: kept) (n + 1) cs rs
+    | _, Failed m :: _ -> Error m
+    | cs, Tripped e :: _ ->
+        Ok (List.rev_append kept (List.map filler cs), n, Some e)
+    | _ :: _, [] -> assert false
+  in
+  scan [] 0 components results

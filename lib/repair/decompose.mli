@@ -110,3 +110,44 @@ val product :
 
 val count_product : int list -> int
 (** Product of per-component repair counts (the factored [repair_count]). *)
+
+(** {1 Solving the components} *)
+
+val base : component -> Relational.Instance.t
+(** [sub ∪ support]: the instance a component's search starts from, and
+    the unrepaired stand-in of a component a budget trip left unsolved. *)
+
+type 'a solved =
+  | Solved of 'a
+  | Tripped of Budget.exhausted  (** a budget limit was hit mid-solve *)
+  | Failed of string
+      (** a genuine error, e.g. a repair program that cannot be generated *)
+
+val map_solved : ('a -> 'b) -> 'a solved -> 'b solved
+
+val solve :
+  ?budget:Budget.ctl ->
+  ?jobs:int ->
+  filler:(component -> 'a) ->
+  (component -> 'a solved) ->
+  component list ->
+  ('a list * int * Budget.exhausted option, string) result
+(** [solve ~filler f components] solves every component with [f] and
+    merges the results by the {e prefix rule}: scanned in order, the
+    solved results before the first trip are kept, and from the first trip
+    on every component — solved or not — is replaced by [filler c], the
+    trip's marker returned beside them (a partial answer, the work already
+    done preserved).  A failure before the first trip fails the whole run.
+    [Ok (results, kept, exhausted)] lists one result per component, in
+    order, with [kept] the length of the solved prefix.
+
+    With [jobs] (default [1]) at most 1, or a single component, the
+    components are solved in order and solving stops at the first trip or
+    failure, so no budget is spent past it.  Otherwise one
+    {!Parallel.Pool.map} solves them all on [jobs] worker domains, and the
+    same in-order scan makes the result identical to the sequential one
+    whenever no limit trips; when a shared limit trips, which component
+    trips first can differ.  [budget] counts each kept result once, here
+    in the merge ({!Budget.note_component}), and attributes every solved
+    result to the domain that produced it
+    ({!Budget.note_worker_component}); [f] counts neither. *)

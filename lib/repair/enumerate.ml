@@ -89,89 +89,44 @@ type decomposed = {
   exhausted : Budget.exhausted option;
 }
 
-let decomposed ?budget ?max_states ?(jobs = 1) d ics =
+let solve_component ?budget ?max_states (plan : Decompose.plan)
+    (c : Decompose.component) =
+  let base = Decompose.base c in
+  let explored = ref 0 in
+  match
+    search ?budget ?max_states ~universe:plan.Decompose.universe
+      ~nnc_positions:plan.Decompose.nnc_positions ~explored base
+      c.Decompose.ics
+  with
+  | states ->
+      (* Minimality is component-local: the symmetric differences of two
+         recombined repairs split by component, so filtering each
+         component's states against its own base replaces the cross
+         product's quadratic filter by per-component ones. *)
+      Decompose.Solved (Order.minimal_among ~d:base states, states, !explored)
+  | exception Budget_exceeded n -> Decompose.Tripped (Budget.States n)
+  | exception Budget.Exhausted e -> Decompose.Tripped e
+
+let decomposed ?budget ?max_states ?jobs d ics =
   let plan = Decompose.plan ?budget d ics in
-  let component_base (c : Decompose.component) =
-    Instance.union c.Decompose.sub c.Decompose.support
+  let filler c =
+    let base = Decompose.base c in
+    ([ base ], [ base ], 0)
   in
-  (* One component's search, with the expected exceptions boxed into a
-     result — on a worker domain nothing may escape the task. *)
-  let solve_one (c : Decompose.component) =
-    let base = component_base c in
-    let counter = ref 0 in
-    match
-      search ?budget ?max_states ~universe:plan.Decompose.universe
-        ~nnc_positions:plan.Decompose.nnc_positions ~explored:counter base
-        c.Decompose.ics
-    with
-    | states ->
-        (match budget with
-        | Some b -> Budget.note_worker_component b
-        | None -> ());
-        (* Minimality is component-local: the symmetric differences of
-           two recombined repairs split by component, so filtering each
-           component's states against its own base replaces the cross
-           product's quadratic filter by per-component ones. *)
-        Ok (Order.minimal_among ~d:base states, states, !counter)
-    | exception Budget_exceeded n -> Error (Budget.States n)
-    | exception Budget.Exhausted e -> Error e
-  in
-  (* On exhaustion the longest fully-solved prefix (in plan order) is kept
-     and the remaining components degrade to their unrepaired base slice —
-     graceful degradation instead of discarding the work, with the
-     [exhausted] marker making the partiality explicit.  The prefix rule is
-     what makes the parallel path deterministic: the merge scans results in
-     plan order, exactly like the sequential traversal, so which worker
-     failed first never shows. *)
-  let merge results components =
-    let rec scan acc = function
-      | [] -> (List.rev acc, None)
-      | (Ok r, _) :: rest ->
-          (match budget with Some b -> Budget.note_component b | None -> ());
-          scan (r :: acc) rest
-      | (Error e, _) :: _ as remaining ->
-          let filler =
-            List.map
-              (fun (_, c) ->
-                let base = component_base c in
-                ([ base ], [ base ], 0))
-              remaining
-          in
-          (List.rev_append acc filler, Some e)
-    in
-    scan [] (List.combine results components)
-  in
-  let components = plan.Decompose.components in
-  let solved, exhausted =
-    if jobs <= 1 || List.length components <= 1 then
-      (* sequential path: solve in plan order, stop at the first trip (the
-         remaining components are never searched — no budget is spent past
-         the exhaustion point, exactly the historical behavior) *)
-      let rec seq acc = function
-        | [] -> merge (List.rev acc) components
-        | c :: rest -> (
-            match solve_one c with
-            | Ok _ as r -> seq (r :: acc) rest
-            | Error _ as r ->
-                merge (List.rev_append acc (r :: List.map (fun _ -> r) rest))
-                  components)
-      in
-      seq [] components
-    else
-      let results =
-        Parallel.Pool.with_pool ~jobs
-          ~init:(fun w -> Budget.set_worker_slot (w + 1))
-          (fun pool -> Parallel.Pool.map pool solve_one components)
-      in
-      merge results components
-  in
-  {
-    plan;
-    minimal = List.map (fun (m, _, _) -> m) solved;
-    states = List.map (fun (_, s, _) -> s) solved;
-    explored = List.map (fun (_, _, e) -> e) solved;
-    exhausted;
-  }
+  match
+    Decompose.solve ?budget ?jobs ~filler
+      (solve_component ?budget ?max_states plan)
+      plan.Decompose.components
+  with
+  | Error _ -> assert false (* the search trips, it never fails *)
+  | Ok (solved, _, exhausted) ->
+      {
+        plan;
+        minimal = List.map (fun (m, _, _) -> m) solved;
+        states = List.map (fun (_, s, _) -> s) solved;
+        explored = List.map (fun (_, _, e) -> e) solved;
+        exhausted;
+      }
 
 let repairs ?budget ?max_states ?(decompose = false) ?(jobs = 1) d ics =
   if not decompose then

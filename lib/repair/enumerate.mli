@@ -94,6 +94,19 @@ val consistent_states :
 (** [search] under its historical name (exposed for the <=_D property
     tests). *)
 
+val solve_component :
+  ?budget:Budget.ctl ->
+  ?max_states:int ->
+  Decompose.plan ->
+  Decompose.component ->
+  (Relational.Instance.t list * Relational.Instance.t list * int)
+  Decompose.solved
+(** One component's search from its {!Decompose.base}, over the plan's
+    universe and NNC positions: its locally [<=_D]-minimal repairs, all its
+    consistent states and the number of states explored, or the budget
+    trip ([max_states] applies to this one search).  It counts no
+    component: {!Decompose.solve} does, for the results it keeps. *)
+
 type decomposed = {
   plan : Decompose.plan;
   minimal : Relational.Instance.t list list;
@@ -117,19 +130,12 @@ val decomposed :
   Relational.Instance.t ->
   Ic.Constr.t list ->
   decomposed
-(** Plan and solve every conflict component, without recombining — the
-    building block for decomposed CQA ({!Query.Cqa}) and for the
-    benchmark's decomposition counters.  Never raises on exhaustion:
-    budget trips (state limit, decision limit, deadline — including the
-    legacy [max_states] bound) are reported through the [exhausted]
-    marker with the solved prefix intact.
-
-    [jobs > 1] solves the components concurrently on a {!Parallel.Pool}.
-    Determinism contract: without a tripped limit the result is
-    bit-identical to [jobs = 1] (independent searches, ordered merge).
-    On exhaustion the merge applies the sequential {e prefix rule} —
-    results are scanned in plan order and everything from the first
-    failed component on degrades, even components another worker had
-    already solved — so the partial shape matches the sequential
-    engine's; which exact component trips first can differ when a shared
-    limit is hit mid-run by concurrent consumers. *)
+(** Plan and run {!solve_component} on every conflict component through
+    {!Decompose.solve}, without recombining — the building block of
+    [repairs ~decompose:true] and of the benchmark's decomposition
+    counters.  Never raises on exhaustion during the solves: budget trips
+    (state limit, decision limit, deadline — including the legacy
+    [max_states] bound) are reported through the [exhausted] marker with
+    the solved prefix intact, by {!Decompose.solve}'s prefix rule, which
+    also makes [jobs > 1] (solving on a {!Parallel.Pool}) bit-identical to
+    [jobs = 1] whenever no limit trips. *)

@@ -1,4 +1,3 @@
-module Instance = Relational.Instance
 module Decompose = Repair.Decompose
 
 type verdict = {
@@ -8,7 +7,7 @@ type verdict = {
 }
 
 let component (c : Decompose.component) =
-  let base = Instance.union c.Decompose.sub c.Decompose.support in
+  let base = Decompose.base c in
   match Direct.analyze ~base c.Decompose.ics with
   | Ok a ->
       {

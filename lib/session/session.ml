@@ -2,26 +2,14 @@ module Lru = Lru
 module Instance = Relational.Instance
 module Nullsat = Semantics.Nullsat
 module Decompose = Repair.Decompose
+module Cqa = Query.Cqa
 
 type engine = Enumerate | Program | Auto
 
-(* A cached component solve.  [minimal] are the locally <=_D-minimal
-   repairs; [states] carries the full consistent state list for
-   [Enumerate] (needed by the inexact-product recombination) and is [None]
-   for [Program].  [tier] is the routing verdict for [Auto] entries — a
-   cache hit re-counts the tier without re-classifying the component. *)
-type entry = {
-  minimal : Instance.t list;
-  states : Instance.t list option;
-  tier : Budget.tier option;
-}
-
-(* The concrete per-component strategy.  [Auto] downgrades to the
-   enumerate engine when the component product is inexact: per-component
-   minimal repairs do not recombine exactly there, so the request needs
-   the full consistent state lists for global filtering, which only the
-   model-theoretic search yields. *)
-type strategy = Senum | Sprog | Sroute
+let method_of = function
+  | Enumerate -> Cqa.ModelTheoretic
+  | Program -> Cqa.LogicProgram
+  | Auto -> Cqa.Auto
 
 (* ------------------------------------------------------------------ *)
 (* The component cache, shareable across sessions.  Entries are tagged
@@ -35,7 +23,7 @@ type strategy = Senum | Sprog | Sroute
 
 module Cache = struct
   type nonrec t = {
-    lru : (string, entry * int) Lru.t;
+    lru : (string, Cqa.solved * int) Lru.t;
     cross_hits : int Atomic.t;
     sessions : int Atomic.t;  (* sessions ever attached *)
   }
@@ -121,7 +109,7 @@ type t = {
   ics : Ic.Constr.t list;
   sid : int;  (* owner tag for cache entries *)
   cache : Cache.t;  (* private by default, shared under a server *)
-  routed : int array;  (* components per Budget.tier, [Auto] only *)
+  routed : int Atomic.t array;  (* components per Budget.tier, [Auto] only *)
   mutable d : Instance.t;
   mutable violations : Nullsat.violation list;  (* canonical order *)
   mutable plan : Decompose.plan option;  (* None = must re-plan *)
@@ -134,9 +122,10 @@ type t = {
   mutable ics_rescanned : int;
   (* per-session probe counters: with a shared cache the LRU's totals mix
      every session's traffic, but this session's stats line must keep
-     describing this session *)
-  mutable s_hits : int;
-  mutable s_misses : int;
+     describing this session; atomic, because the probes run on the pool
+     workers under [jobs > 1] *)
+  s_hits : int Atomic.t;
+  s_misses : int Atomic.t;
 }
 
 let create ?(engine = Program) ?(jobs = 1) ?max_effort ?(capacity = 256)
@@ -152,7 +141,7 @@ let create ?(engine = Program) ?(jobs = 1) ?max_effort ?(capacity = 256)
     ics;
     sid = Atomic.fetch_and_add next_sid 1;
     cache;
-    routed = Array.make 4 0;
+    routed = Array.init 4 (fun _ -> Atomic.make 0);
     d;
     violations =
       (match violations with
@@ -166,20 +155,10 @@ let create ?(engine = Program) ?(jobs = 1) ?max_effort ?(capacity = 256)
     ics_reused = 0;
     ics_fast = 0;
     ics_rescanned = 0;
-    s_hits = 0;
-    s_misses = 0;
+    s_hits = Atomic.make 0;
+    s_misses = Atomic.make 0;
   }
 
-let cache_find t key =
-  match Cache.find t.cache ~sid:t.sid key with
-  | Some e ->
-      t.s_hits <- t.s_hits + 1;
-      Some e
-  | None ->
-      t.s_misses <- t.s_misses + 1;
-      None
-
-let cache_add t key e = Cache.add t.cache ~sid:t.sid key e
 let cache t = t.cache
 
 let instance t = t.d
@@ -246,12 +225,6 @@ let with_plan ?budget t f =
 let effort_tag t =
   match t.max_effort with None -> "-" | Some n -> string_of_int n
 
-let strategy t (plan : Decompose.plan) =
-  match t.engine with
-  | Enumerate -> Senum
-  | Program -> Sprog
-  | Auto -> if plan.Decompose.product_exact then Sroute else Senum
-
 let tier_slot = function
   | Budget.Direct -> 0
   | Budget.Shifted -> 1
@@ -263,20 +236,21 @@ let tier_slot = function
    including the plan-global universe and NNC positions for the enumerate
    strategy, whose insertion candidates range over them; the program
    engine regenerates its candidates from the slice, so its entries
-   survive universe drift.  [Auto] on an inexact plan IS the enumerate
-   strategy, so it shares the [enum:] entries; its routed solves carry
-   the universe too — the Enumerated tier searches over it. *)
+   survive universe drift.  [Auto] on an inexact plan enumerates
+   ({!Query.Cqa.outcome_of_plan}), so it shares the [enum:] entries; its
+   routed solves carry the universe too — the Enumerated tier searches
+   over it. *)
 let component_key t (plan : Decompose.plan) c =
-  match strategy t plan with
-  | Senum ->
-      Printf.sprintf "enum:%s:%s" (effort_tag t)
-        (Decompose.fingerprint ~universe:plan.Decompose.universe
-           ~nnc_positions:plan.Decompose.nnc_positions c)
-  | Sprog -> Printf.sprintf "prog:%s:%s" (effort_tag t) (Decompose.fingerprint c)
-  | Sroute ->
-      Printf.sprintf "auto:%s:%s" (effort_tag t)
-        (Decompose.fingerprint ~universe:plan.Decompose.universe
-           ~nnc_positions:plan.Decompose.nnc_positions c)
+  let with_universe () =
+    Decompose.fingerprint ~universe:plan.Decompose.universe
+      ~nnc_positions:plan.Decompose.nnc_positions c
+  in
+  match (t.engine, plan.Decompose.product_exact) with
+  | Enumerate, _ | Auto, false ->
+      Printf.sprintf "enum:%s:%s" (effort_tag t) (with_universe ())
+  | Program, _ ->
+      Printf.sprintf "prog:%s:%s" (effort_tag t) (Decompose.fingerprint c)
+  | Auto, true -> Printf.sprintf "auto:%s:%s" (effort_tag t) (with_universe ())
 
 (* Whole-instance key for the monolithic program-engine fallback
    (inexact product): digest of the instance and the constraint list. *)
@@ -291,280 +265,51 @@ let mono_key t =
   Printf.sprintf "mono:%s:%s" (effort_tag t)
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
-let component_base (c : Decompose.component) =
-  Instance.union c.Decompose.sub c.Decompose.support
-
-(* One component solved from scratch — the exact code paths of the cold
-   engines ({!Repair.Enumerate.decomposed} / {!Core.Engine.solve_components}
-   on a single-component plan), so a cached entry is indistinguishable
-   from a cold solve. *)
-type solved = Entry of entry | Exhausted of Budget.exhausted | Err of string
-
-let solve_component ?budget t (plan : Decompose.plan) (c : Decompose.component)
-    =
-  let base = component_base c in
-  let enumerate ~tier () =
-    let counter = ref 0 in
-    match
-      Repair.Enumerate.search ?budget ?max_states:t.max_effort
-        ~universe:plan.Decompose.universe
-        ~nnc_positions:plan.Decompose.nnc_positions ~explored:counter base
-        c.Decompose.ics
-    with
-    | states ->
-        (match budget with
-        | Some b -> Budget.note_worker_component b
-        | None -> ());
-        Entry
-          {
-            minimal = Repair.Order.minimal_among ~d:base states;
-            states = Some states;
-            tier;
-          }
-    | exception Repair.Enumerate.Budget_exceeded n ->
-        Exhausted (Budget.States n)
-    | exception Budget.Exhausted e -> Exhausted e
+(* The session's solve step: probe the cache, and on a miss solve and
+   insert — past a budget trip too (the work is done; only this request's
+   answer may not use it).  The routed counters count every component
+   served, hit or solved. *)
+let memo t plan key solve =
+  let key =
+    match key with
+    | Cqa.Whole -> mono_key t
+    | Cqa.Component c -> component_key t plan c
   in
-  let program ~tier () =
-    match
-      Core.Engine.solve_components ?budget ?max_decisions:t.max_effort
-        { plan with Decompose.components = [ c ] }
-    with
-    | Error msg -> Err msg
-    | Ok { Core.Engine.exhausted = Some e; _ } -> Exhausted e
-    | Ok { Core.Engine.solved = [ reps ]; _ } ->
-        Entry { minimal = reps; states = None; tier }
-    | Ok _ -> assert false
+  let served (e : Cqa.solved) =
+    (match (t.engine, e.Cqa.tier) with
+    | Auto, Some tier -> Atomic.incr t.routed.(tier_slot tier)
+    | _ -> ());
+    Decompose.Solved e
   in
-  match strategy t plan with
-  | Senum -> enumerate ~tier:None ()
-  | Sprog -> program ~tier:None ()
-  | Sroute -> (
-      let v = Route.Tier.component c in
-      match v.Route.Tier.tier with
-      | Budget.Direct -> (
-          match
-            Route.Direct.minimal_repairs ?budget
-              (Option.get v.Route.Tier.direct)
-          with
-          | reps ->
-              (match budget with
-              | Some b -> Budget.note_worker_component b
-              | None -> ());
-              Entry
-                { minimal = reps; states = None; tier = Some Budget.Direct }
-          | exception Budget.Exhausted e -> Exhausted e)
-      | (Budget.Shifted | Budget.Disjunctive) as tr ->
-          program ~tier:(Some tr) ()
-      | Budget.Enumerated -> enumerate ~tier:(Some Budget.Enumerated) ())
-
-(* Solve every component of the plan through the cache.  Misses run on the
-   pool when [jobs > 1]; the merge scans in plan order and applies the
-   cold engines' prefix rule — everything from the first budget trip on
-   degrades to its unrepaired base slice, cache hits included, so the
-   partial shape matches a cold run's.  Successful solves are cached even
-   past the trip point (the work is done; only this request's answer may
-   not use it). *)
-let solve_all ?budget t (plan : Decompose.plan) =
-  let probed =
-    List.map
-      (fun c ->
-        let key = component_key t plan c in
-        (c, key, cache_find t key))
-      plan.Decompose.components
-  in
-  let misses = List.filter (fun (_, _, v) -> Option.is_none v) probed in
-  let results =
-    if t.jobs <= 1 || List.length misses <= 1 then
-      (* sequential: solve misses in plan order, stop at the first trip so
-         no budget is spent past it (the cold sequential behavior) *)
-      let rec seq acc stopped = function
-        | [] -> List.rev acc
-        | (c, key, cached) :: rest -> (
-            match cached with
-            | Some e -> seq ((key, c, `Hit e) :: acc) stopped rest
-            | None ->
-                if stopped then seq ((key, c, `Unsolved) :: acc) stopped rest
-                else (
-                  match solve_component ?budget t plan c with
-                  | Entry e -> seq ((key, c, `Solved e) :: acc) stopped rest
-                  | Exhausted ex -> seq ((key, c, `Trip ex) :: acc) true rest
-                  | Err m -> seq ((key, c, `Err m) :: acc) true rest))
-      in
-      seq [] false probed
-    else
-      let miss_results =
-        Parallel.Pool.with_pool ~jobs:t.jobs
-          ~init:(fun w -> Budget.set_worker_slot (w + 1))
-          (fun pool ->
-            Parallel.Pool.map pool
-              (fun (c, _, _) -> solve_component ?budget t plan c)
-              misses)
-      in
-      (* reassemble in plan order: hits keep their entry, misses consume
-         the pool results in order *)
-      let rec assemble acc probed miss_results =
-        match probed with
-        | [] -> List.rev acc
-        | (c, key, Some e) :: rest ->
-            assemble ((key, c, `Hit e) :: acc) rest miss_results
-        | (c, key, None) :: rest -> (
-            match miss_results with
-            | r :: mrest ->
-                let tag =
-                  match r with
-                  | Entry e -> `Solved e
-                  | Exhausted ex -> `Trip ex
-                  | Err m -> `Err m
-                in
-                assemble ((key, c, tag) :: acc) rest mrest
-            | [] -> assert false)
-      in
-      assemble [] probed miss_results
-  in
-  let filler c =
-    let base = component_base c in
-    {
-      minimal = [ base ];
-      states = (if strategy t plan = Senum then Some [ base ] else None);
-      tier = None;
-    }
-  in
-  (* tier accounting happens here on the coordinator, for hits (stored
-     verdict — no re-classification) and kept solves alike, so the routed
-     counters are deterministic across [jobs] settings *)
-  let count_tier (e : entry) =
-    match e.tier with
-    | Some tr ->
-        t.routed.(tier_slot tr) <- t.routed.(tier_slot tr) + 1;
-        (match budget with Some b -> Budget.note_route b tr | None -> ())
-    | None -> ()
-  in
-  let rec scan entries completed = function
-    | [] -> Ok (List.rev entries, completed, None)
-    | (_, _, `Hit e) :: rest ->
-        count_tier e;
-        scan (e :: entries) (completed + 1) rest
-    | (key, _, `Solved e) :: rest ->
-        cache_add t key e;
-        count_tier e;
-        (* the program paths note kept components inside Core.Engine *)
-        (match (budget, strategy t plan, e.tier) with
-        | Some b, Senum, _ -> Budget.note_component b
-        | Some b, Sroute, Some (Budget.Direct | Budget.Enumerated) ->
-            Budget.note_component b
-        | _ -> ());
-        scan (e :: entries) (completed + 1) rest
-    | (_, _, `Err m) :: _ -> Error m
-    | (_, _, (`Trip ex)) :: _ as remaining ->
-        let degraded =
-          List.map
-            (fun (key, c, r) ->
-              (match r with `Solved e -> cache_add t key e | _ -> ());
-              filler c)
-            remaining
-        in
-        Ok (List.rev_append entries degraded, completed, Some ex)
-    | (_, _, `Unsolved) :: _ ->
-        (* only reachable after a trip, which the [`Trip] arm consumed *)
-        assert false
-  in
-  scan [] 0 results
+  match Cache.find t.cache ~sid:t.sid key with
+  | Some e ->
+      Atomic.incr t.s_hits;
+      served e
+  | None -> (
+      Atomic.incr t.s_misses;
+      match solve () with
+      | Decompose.Solved e ->
+          Cache.add t.cache ~sid:t.sid key e;
+          served e
+      | r -> r)
 
 (* ------------------------------------------------------------------ *)
-(* Requests *)
-
-let monolithic_repairs ?budget t =
-  let key = mono_key t in
-  match cache_find t key with
-  | Some e -> Ok e.minimal
-  | None ->
-      Result.map
-        (fun reps ->
-          cache_add t key { minimal = reps; states = None; tier = None };
-          reps)
-        (Core.Engine.repairs ?budget ?max_decisions:t.max_effort t.d t.ics)
-
-(* [Auto] on an inexact plan solved by enumeration: record the downgrade
-   instead of degrading invisibly. *)
-let note_auto_downgrade ?budget t (plan : Decompose.plan) =
-  match (budget, t.engine, plan.Decompose.product_exact) with
-  | Some b, Auto, false ->
-      Budget.note_degraded b ~stage:"session"
-        "inexact component product (cross-component null covering): auto \
-         engine solved components by enumeration"
-  | _ -> ()
+(* Requests: the cold pipeline over the session's plan, with the cache as
+   its solve step *)
 
 let repairs ?budget t =
   t.requests <- t.requests + 1;
   with_plan ?budget t (fun plan ->
-      match plan.Decompose.components with
-      | [] -> Ok [ t.d ]
-      | _ when (not plan.Decompose.product_exact) && strategy t plan = Sprog
-        ->
-          monolithic_repairs ?budget t
-      | _ ->
-          note_auto_downgrade ?budget t plan;
-          Result.bind (solve_all ?budget t plan)
-            (fun (entries, _completed, exhausted) ->
-              match exhausted with
-              | Some e ->
-                  (* like the cold engines, the full repair set cannot
-                     degrade gracefully *)
-                  Error (Budget.message e)
-              | None ->
-                  let minimal = List.map (fun e -> e.minimal) entries in
-                  if plan.Decompose.product_exact then
-                    Ok
-                      (List.of_seq
-                         (Decompose.product plan.Decompose.core minimal))
-                  else
-                    (* Enumerate with a possible cross-component covering:
-                       recombine the states and filter globally *)
-                    let states =
-                      List.map (fun e -> Option.get e.states) entries
-                    in
-                    Ok
-                      (Repair.Order.minimal_among ~d:t.d
-                         (List.of_seq
-                            (Decompose.product plan.Decompose.core states)))))
+      Cqa.repairs_of_plan ?budget ?max_effort:t.max_effort ~jobs:t.jobs
+        ~memo:(memo t plan) ~method_:(method_of t.engine) ~plan t.d t.ics)
 
 let cqa ?budget ?semantics t q =
   t.requests <- t.requests + 1;
   let standard = Query.Qeval.answers ?semantics t.d q in
   with_plan ?budget t (fun plan ->
-      match plan.Decompose.components with
-      | [] ->
-          Ok
-            {
-              Query.Cqa.consistent = standard;
-              possible = standard;
-              standard;
-              repair_count = 1;
-              exhausted = None;
-            }
-      | _ when (not plan.Decompose.product_exact) && strategy t plan = Sprog
-        ->
-          Result.map
-            (Query.Cqa.outcome_of_repairs ?semantics ~standard q)
-            (monolithic_repairs ?budget t)
-      | _ ->
-          note_auto_downgrade ?budget t plan;
-          Result.bind (solve_all ?budget t plan)
-            (fun (entries, completed, exhausted) ->
-              match exhausted with
-              | Some e when completed = 0 -> Error (Budget.message e)
-              | _ ->
-                  let minimal = List.map (fun e -> e.minimal) entries in
-                  let states =
-                    match strategy t plan with
-                    | Senum ->
-                        Some (List.map (fun e -> Option.get e.states) entries)
-                    | Sprog | Sroute -> None
-                  in
-                  Ok
-                    (Query.Cqa.factorized_outcome ?semantics ~jobs:t.jobs
-                       ?states ?exhausted ~plan ~minimal ~standard q)))
+      Cqa.outcome_of_plan ?semantics ?budget ?max_effort:t.max_effort
+        ~jobs:t.jobs ~memo:(memo t plan) ~method_:(method_of t.engine)
+        ~standard ~plan t.d t.ics q)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry *)
@@ -578,11 +323,11 @@ let stats t =
     ics_reused = t.ics_reused;
     ics_fast = t.ics_fast;
     ics_rescanned = t.ics_rescanned;
-    cache_hits = t.s_hits;
-    cache_misses = t.s_misses;
+    cache_hits = Atomic.get t.s_hits;
+    cache_misses = Atomic.get t.s_misses;
     cache_evictions = (Cache.stats t.cache).Cache.evictions;
     cache_entries = (Cache.stats t.cache).Cache.entries;
-    routed = Array.copy t.routed;
+    routed = Array.map Atomic.get t.routed;
   }
 
 let hit_rate (s : stats) =

@@ -16,13 +16,17 @@
     [cqa] return byte-identical results to a cold one-shot run
     ([Repair.Enumerate.repairs ~decompose:true] /
     [Core.Engine.repairs ~decompose:true] /
-    [Query.Cqa.consistent_answers ~decompose:true]) on the final instance.
-    This holds by construction — the plan is either provably the cold plan
-    (refresh) or freshly computed, the cache key covers every input of a
-    component solve, the solve code paths are shared with the cold
-    engines, and the answer algebra is {!Query.Cqa.factorized_outcome}
-    itself — and is enforced by the qcheck differential in
-    [test_session.ml]. *)
+    [Query.Cqa.consistent_answers ~decompose:true]) on the final instance,
+    and under a budget a fresh session's request is byte-identical to the
+    cold run under the same limits, partial outcomes and [Error] messages
+    included.  This holds by construction — the plan is either provably
+    the cold plan (refresh) or freshly computed, the cache key covers
+    every input of a component solve, and a request runs the cold
+    pipeline itself ({!Query.Cqa.outcome_of_plan} /
+    {!Query.Cqa.repairs_of_plan}) with the cache probe and insert as its
+    solve step, so the merge, the fallbacks, the degradation notes and
+    the budget counters are the cold run's — and is enforced by the
+    qcheck differentials in [test_session.ml]. *)
 
 module Lru = Lru
 (** Re-exported so library consumers (the facade exposes only this module)
@@ -37,9 +41,8 @@ type engine =
           enumeration as last resort.  The routing verdict is stored in
           the cache entry, so a cache hit re-counts its tier without
           re-classifying the component.  On an inexact component product
-          the whole plan downgrades to the enumerate strategy (sharing its
-          cache entries), with a degradation note in the request budget's
-          stats. *)
+          every component is enumerated, as in the cold [Auto] method,
+          sharing the enumerate engine's cache entries. *)
 
 type t
 
@@ -89,8 +92,9 @@ type stats = {
   cache_entries : int;   (** current residency *)
   routed : int array;
       (** components served per routing tier (indexed direct, shifted,
-          disjunctive, enumerate), across hits and solves; all zero
-          outside the [Auto] engine *)
+          disjunctive, enumerate), across hits and solves — also those a
+          budget trip then leaves out of the outcome; all zero outside
+          the [Auto] engine *)
 }
 
 val create :
@@ -134,11 +138,12 @@ val apply : t -> Delta.t -> unit
     toward [deltas]. *)
 
 val repairs : ?budget:Budget.ctl -> t -> (Relational.Instance.t list, string) result
-(** The full repair set of the current instance, identical to the cold
-    decomposed engines'.  [budget] is this request's budget (one per
-    request); like the cold engines, the full set cannot degrade — a
-    budget trip is an [Error].  Cached component solves cost nothing
-    against it. *)
+(** The full repair set of the current instance
+    ({!Query.Cqa.repairs_of_plan} with the cache as the solve step),
+    identical to the cold decomposed engines'.  [budget] is this
+    request's budget (one per request); like the cold engines, the full
+    set cannot degrade — a budget trip is an [Error].  Cached component
+    solves cost nothing against it. *)
 
 val cqa :
   ?budget:Budget.ctl ->
@@ -146,11 +151,13 @@ val cqa :
   t ->
   Query.Qsyntax.t ->
   (Query.Cqa.outcome, string) result
-(** Consistent answers on the current instance, identical to
+(** Consistent answers on the current instance:
+    {!Query.Cqa.outcome_of_plan} over the session's plan, with the cache
+    as the solve step — so identical to
     [Query.Cqa.consistent_answers ~decompose:true ~method_] with the
-    session's engine — including the partial-outcome behavior on budget
-    exhaustion and every fallback (consistent instance, inexact product
-    with the program engine). *)
+    session's engine, including the partial outcome on budget exhaustion,
+    every fallback (consistent instance, inexact product with the program
+    engine) and the [budget]'s counters and degradation notes. *)
 
 val stats : t -> stats
 val hit_rate : stats -> float

@@ -172,9 +172,9 @@ let bilateral_loop ?(seed = 42) ~n () =
   }
 
 let clusters_workload ?(padding = 0) ?(weight = 1) ~k () =
-  (* k independent conflict clusters over SHARED predicates, so the
-     IC-level (predicate-overlap) decomposition cannot split them but the
-     tuple-level conflict graph can: cluster i is a bare S(a_i) violating
+  (* k independent conflict clusters over SHARED predicates, so no split
+     by shared predicate can separate them but the tuple-level conflict
+     graph can: cluster i is a bare S(a_i) violating
      S(x) -> exists y. R(x,y); repairing by insertion fires
      R(x,y) -> T(x) in cascade.  Each cluster has exactly two repairs
      (delete S(a_i), or insert R(a_i, null) and T(a_i)), so Rep(D, IC) has

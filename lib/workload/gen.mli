@@ -57,9 +57,9 @@ val bilateral_loop : ?seed:int -> n:int -> unit -> t
 val clusters_workload : ?padding:int -> ?weight:int -> k:int -> unit -> t
 (** [k] independent conflict clusters over {e shared} predicates
     ([S(a_i)] violating [S(x) -> exists y. R(x,y)], whose insertion repair
-    cascades into [R(x,y) -> T(x)]): the IC-level decomposition of
-    {!Core.Decompose} cannot split them, the tuple-level conflict graph of
-    {!Repair.Decompose} extracts [k] constant-size components.
+    cascades into [R(x,y) -> T(x)]): no split by shared predicate can
+    separate them, the tuple-level conflict graph of {!Repair.Decompose}
+    extracts [k] constant-size components.
     [Rep(D, IC)] has [2^k] repairs.  [padding] adds fully supported
     [S/R/T] triples that stay in the untouched core (bench table E15).
 

@@ -174,6 +174,56 @@ let test_partial_outcome () =
   | exception e ->
       Alcotest.failf "exception escaped: %s" (Printexc.to_string e)
 
+(* The same for a routed request, cold and in a fresh session: one
+   accounting serves both.  A component counts as solved, and its tier as
+   routed, only when the outcome keeps it. *)
+let test_partial_outcome_auto () =
+  let plan = Repair.Decompose.plan clusters.Gen.d clusters.Gen.ics in
+  let first = List.hd plan.Repair.Decompose.components in
+  Alcotest.(check string) "the first component runs the program" "shifted"
+    (Budget.tier_name (Route.Tier.component first).Route.Tier.tier);
+  let first_cost =
+    let stats = Budget.new_stats () in
+    let budget = Budget.start ~stats Budget.unlimited in
+    ignore
+      (Core.Engine.solve_components ~budget
+         { plan with Repair.Decompose.components = [ first ] });
+    Atomic.get stats.Budget.decisions
+  in
+  let request run =
+    let stats = Budget.new_stats () in
+    let budget =
+      Budget.start ~stats (Budget.make ~max_decisions:first_cost ())
+    in
+    let outcome =
+      match run budget with
+      | Ok o ->
+          Alcotest.(check bool) "tripped at the shared limit" true
+            (o.Cqa.exhausted = Some (Budget.Decisions first_cost));
+          Fmt.str "%a" Cqa.pp_outcome o
+      | Error msg -> Alcotest.failf "expected a partial outcome, got: %s" msg
+    in
+    ( outcome,
+      Fmt.str "solved=%d routed: %a%a"
+        (Atomic.get stats.Budget.components_solved)
+        Budget.pp_routed stats Budget.pp_degradations stats )
+  in
+  let cold_outcome, cold_stats =
+    request (fun budget ->
+        Cqa.consistent_answers ~method_:Cqa.Auto ~budget clusters.Gen.d
+          clusters.Gen.ics q_s)
+  in
+  Alcotest.(check string) "kept component and its tier only"
+    "solved=1 routed: direct=0 shifted=1 disjunctive=0 enumerate=0" cold_stats;
+  let session_outcome, session_stats =
+    request (fun budget ->
+        Session.cqa ~budget
+          (Session.create ~engine:Session.Auto clusters.Gen.d clusters.Gen.ics)
+          q_s)
+  in
+  Alcotest.(check string) "session outcome = cold" cold_outcome session_outcome;
+  Alcotest.(check string) "session accounting = cold" cold_stats session_stats
+
 (* ------------------------------------------------------------------ *)
 (* qcheck: over random workloads, an exhausted budget never escapes as an
    exception from any method, with or without decomposition. *)
@@ -231,6 +281,8 @@ let () =
           Alcotest.test_case "cautious decompose rejected" `Quick
             test_cautious_decompose_rejected;
           Alcotest.test_case "partial outcome" `Quick test_partial_outcome;
+          Alcotest.test_case "partial routed outcome" `Quick
+            test_partial_outcome_auto;
         ] );
       ("qcheck", [ QCheck_alcotest.to_alcotest qcheck_no_escape ]);
     ]

@@ -328,44 +328,62 @@ let test_example23_stable_models () =
         expected got
 
 (* ------------------------------------------------------------------ *)
-(* Decomposition into independent components (Decompose) *)
+(* Decomposition into independent conflict components (Repair.Decompose) *)
+
+(* Decomposed = monolithic, for the enumerator and the program engine *)
+let check_decomposed name d ics =
+  let mono = Enumerate.repairs d ics in
+  let reps = Enumerate.repairs ~decompose:true d ics in
+  check_repair_set name mono reps;
+  (match Engine.repairs ~decompose:true d ics with
+  | Ok prog -> check_repair_set (name ^ ", program engine") mono prog
+  | Error m -> Alcotest.failf "%s: program engine: %s" name m);
+  reps
 
 let test_decompose_components () =
-  let ics = [ ex15_ric ] @ ex16_ics in
-  let comps = Core.Decompose.components ics in
+  (* ex15 and ex16 are over disjoint schemas: their conflicts fall into
+     two components, whose constraints cover both schemas *)
+  let d = Instance.union ex15_d ex16_d in
+  let comps = (Repair.Decompose.plan d ([ ex15_ric ] @ ex16_ics)).Repair.Decompose.components in
   Alcotest.(check int) "two components" 2 (List.length comps);
-  let all_preds = List.concat_map snd comps |> List.sort_uniq compare in
+  let all_preds =
+    List.concat_map
+      (fun c -> List.concat_map Constr.preds c.Repair.Decompose.ics)
+      comps
+    |> List.sort_uniq compare
+  in
   Alcotest.(check (list string)) "predicates covered"
     [ "Course"; "P"; "Q"; "Student" ] all_preds
 
 let test_decompose_product () =
-  (* ex15 and ex16 are over disjoint schemas: the union instance has the
-     product of their repairs (2 x 2), plus an untouched spectator *)
-  let d =
-    Instance.union ex15_d
-      (Instance.union ex16_d (Instance.of_list [ ("Spectator", [ vs "s" ]) ]))
-  in
+  (* the union instance has the product of ex15's and ex16's repairs
+     (2 x 2), plus an untouched spectator *)
+  let spectator = Atom.make "Spectator" [ vs "s" ] in
+  let d = Instance.add spectator (Instance.union ex15_d ex16_d) in
   let ics = [ ex15_ric ] @ ex16_ics in
-  match Core.Decompose.repairs d ics with
-  | Error m -> Alcotest.failf "decompose: %s" m
-  | Ok (reps, stats) ->
-      Alcotest.(check int) "component count" 2 stats.Core.Decompose.component_count;
-      Alcotest.(check (list int)) "2 repairs each" [ 2; 2 ]
-        (List.sort compare stats.Core.Decompose.repairs_per_component);
-      Alcotest.(check int) "product of repairs" 4 (List.length reps);
-      check_repair_set "matches the monolithic engine" (Enumerate.repairs d ics) reps;
-      List.iter
-        (fun r ->
-          Alcotest.(check bool) "spectator preserved" true
-            (Instance.mem (Atom.make "Spectator" [ vs "s" ]) r))
-        reps
+  let dec = Enumerate.decomposed d ics in
+  Alcotest.(check int) "component count" 2
+    (List.length dec.Enumerate.plan.Repair.Decompose.components);
+  Alcotest.(check (list int)) "2 repairs each" [ 2; 2 ]
+    (List.sort compare (List.map List.length dec.Enumerate.minimal));
+  let reps = check_decomposed "matches the monolithic engine" d ics in
+  Alcotest.(check int) "product of repairs" 4 (List.length reps);
+  List.iter
+    (fun r -> Alcotest.(check bool) "spectator preserved" true (Instance.mem spectator r))
+    reps
 
 let test_decompose_single_component () =
-  match Core.Decompose.repairs ex19_d ex19_ics with
-  | Error m -> Alcotest.failf "decompose: %s" m
-  | Ok (reps, stats) ->
-      Alcotest.(check int) "one component" 1 stats.Core.Decompose.component_count;
-      check_repair_set "same repairs" (Enumerate.repairs ex19_d ex19_ics) reps
+  let component_count d =
+    List.length (Repair.Decompose.plan d ex19_ics).Repair.Decompose.components
+  in
+  (* Example 19 without its dangling S(e, f): the key conflict on R(a, _)
+     and the reference S(null, a) it could orphan form one component *)
+  let d = Instance.remove (Atom.make "S" [ vs "e"; vs "f" ]) ex19_d in
+  Alcotest.(check int) "one component" 1 (component_count d);
+  ignore (check_decomposed "same repairs" d ex19_ics);
+  (* the dangling reference is a second, independent conflict *)
+  Alcotest.(check int) "Example 19: two components" 2 (component_count ex19_d);
+  ignore (check_decomposed "Example 19: same repairs" ex19_d ex19_ics)
 
 let prop_decompose_agrees =
   let value_gen =
@@ -390,15 +408,13 @@ let prop_decompose_agrees =
   QCheck.Test.make ~name:"decomposed repairs = monolithic repairs" ~count:60
     (QCheck.make ~print:(Fmt.str "%a" Instance.pp_inline) inst_gen)
     (fun d ->
-      match Core.Decompose.repairs ~engine:`Enumerate d two_groups with
-      | Error _ -> false
-      | Ok (reps, stats) ->
-          stats.Core.Decompose.component_count = 2
-          &&
-          let sort = List.sort Instance.compare in
-          List.equal Instance.equal
-            (sort (Enumerate.repairs d two_groups))
-            (sort reps))
+      let sort = List.sort Instance.compare in
+      let mono = sort (Enumerate.repairs d two_groups) in
+      List.equal Instance.equal mono (sort (Enumerate.repairs ~decompose:true d two_groups))
+      &&
+      match Engine.repairs ~decompose:true d two_groups with
+      | Ok prog -> List.equal Instance.equal mono (sort prog)
+      | Error _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Null-propagation analysis (extended-paper item (b)) *)

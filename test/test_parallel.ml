@@ -122,7 +122,7 @@ let prop_cqa_jobs_differential =
           | Ok a, Ok b -> outcome_equal a b
           | Error a, Error b -> a = b
           | _ -> false)
-        [ Cqa.ModelTheoretic; Cqa.LogicProgram ])
+        [ Cqa.ModelTheoretic; Cqa.LogicProgram; Cqa.Auto ])
 
 (* ------------------------------------------------------------------ *)
 (* exhaustion under parallelism *)
@@ -191,6 +191,56 @@ let test_worker_attribution () =
   Alcotest.(check int) "merge-side counter agrees" 4
     (Atomic.get stats.Budget.components_solved)
 
+let test_components_solved_kept_only () =
+  (* four clusters over clusters_workload's three constraints, with FD
+     weights 6, 2, 2 and 2: all four route to the disjunctive tier and the
+     heavy one comes first in plan order.  Under a per-component decision
+     limit it trips while the light ones finish on the other workers; the
+     prefix rule keeps none of them, so the request is an Error and no
+     component counts as solved, at any jobs setting. *)
+  let ics = (Gen.clusters_workload ~weight:2 ~k:1 ()).Gen.ics in
+  let sym p i = Relational.Value.str (Printf.sprintf "%s%d" p i) in
+  let d =
+    Instance.of_list
+      (List.concat
+         (List.mapi
+            (fun i weight ->
+              ("S", [ sym "a" i ])
+              :: ("T", [ sym "a" i ])
+              :: List.init weight (fun j -> ("R", [ sym "a" i; sym "c" j ])))
+            [ 6; 2; 2; 2 ]))
+  in
+  let plan = Repair.Decompose.plan d ics in
+  Alcotest.(check (list string))
+    "four disjunctive components"
+    [ "disjunctive"; "disjunctive"; "disjunctive"; "disjunctive" ]
+    (List.map
+       (fun (v : Route.Tier.verdict) -> Budget.tier_name v.Route.Tier.tier)
+       (Route.Tier.plan plan));
+  Alcotest.(check int) "the heavy cluster first" 6
+    (Instance.rel_cardinal
+       (List.hd plan.Repair.Decompose.components).Repair.Decompose.sub "R");
+  List.iter
+    (fun max_effort ->
+      let run jobs =
+        let stats = Budget.new_stats () in
+        let budget = Budget.start ~stats Budget.unlimited in
+        match
+          Cqa.consistent_answers ~method_:Cqa.Auto ~budget ~max_effort ~jobs d
+            ics q_s
+        with
+        | Ok _ -> Alcotest.failf "max_effort %d: expected an Error" max_effort
+        | Error _ -> Atomic.get stats.Budget.components_solved
+      in
+      let seq = run 1 and par = run 4 in
+      Alcotest.(check int)
+        (Printf.sprintf "max_effort %d: jobs=4 = jobs=1" max_effort)
+        seq par;
+      Alcotest.(check int)
+        (Printf.sprintf "max_effort %d: nothing kept" max_effort)
+        0 seq)
+    [ 20; 40 ]
+
 let prop_no_escape_parallel =
   QCheck.Test.make
     ~name:"tiny budgets with jobs=4 yield Ok/Error, never an exception"
@@ -210,7 +260,7 @@ let prop_no_escape_parallel =
           | Ok _ | Error _ -> true
           | exception e ->
               QCheck.Test.fail_reportf "escaped: %s" (Printexc.to_string e))
-        [ Cqa.ModelTheoretic; Cqa.LogicProgram ])
+        [ Cqa.ModelTheoretic; Cqa.LogicProgram; Cqa.Auto ])
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
@@ -240,6 +290,8 @@ let () =
           Alcotest.test_case "per-search limit matches sequential" `Quick
             test_per_search_limit_matches_sequential;
           Alcotest.test_case "worker attribution" `Quick test_worker_attribution;
+          Alcotest.test_case "components solved counts kept only" `Quick
+            test_components_solved_kept_only;
         ] );
       ( "qcheck",
         qcheck

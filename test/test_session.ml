@@ -413,6 +413,62 @@ let diff_session_auto_cqa =
     (run_differential Session.Auto ~check_cqa:true)
 
 (* ------------------------------------------------------------------ *)
+(* Session differential under a budget: a fresh session's request renders
+   byte-identically to the cold decomposed run under the same limits,
+   partial outcomes and Error messages included — once as a shared
+   budget, once as the per-component [max_effort] *)
+
+let render = function
+  | Ok o -> Fmt.str "%a" Query.Cqa.pp_outcome o
+  | Error msg -> "error: " ^ msg
+
+let budgeted_differential seed =
+  List.for_all
+    (fun (w : Gen.t) ->
+      List.for_all
+        (fun engine ->
+          let method_ = method_of engine in
+          List.for_all
+            (fun limit ->
+              List.for_all
+                (fun q ->
+                  let budget () =
+                    Budget.start
+                      (Budget.make ~max_states:limit ~max_decisions:limit ())
+                  in
+                  let session ?max_effort () =
+                    Session.create ~engine ?max_effort w.Gen.d w.Gen.ics
+                  in
+                  let compare what cold session =
+                    String.equal cold session
+                    || QCheck.Test.fail_reportf
+                         "%s, limit %d, %s: session@.%s@.cold@.%s" w.Gen.label
+                         limit what session cold
+                  in
+                  compare "shared budget"
+                    (render
+                       (Query.Cqa.consistent_answers ~method_ ~decompose:true
+                          ~budget:(budget ()) w.Gen.d w.Gen.ics q))
+                    (render (Session.cqa ~budget:(budget ()) (session ()) q))
+                  && compare "max_effort"
+                       (render
+                          (Query.Cqa.consistent_answers ~method_
+                             ~decompose:true ~max_effort:limit w.Gen.d w.Gen.ics
+                             q))
+                       (render (Session.cqa (session ~max_effort:limit ()) q)))
+                queries)
+            [ 0; 1; 2; 3; 5; 8; 20; 100 ])
+        [ Session.Enumerate; Session.Program; Session.Auto ])
+    [ Gen.random_case ~seed (); Gen.route_case ~seed () ]
+
+let diff_session_budget =
+  QCheck.Test.make
+    ~name:"session cqa = cold decomposed cqa under budgets (150 cases)"
+    ~count:150
+    QCheck.(int_bound 1_000_000)
+    budgeted_differential
+
+(* ------------------------------------------------------------------ *)
 (* Cache behavior on the clusters workload *)
 
 let test_cache_reuse () =
@@ -535,5 +591,6 @@ let () =
             diff_session_prog_cqa;
             diff_session_auto_repairs;
             diff_session_auto_cqa;
+            diff_session_budget;
           ] );
     ]
