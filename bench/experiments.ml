@@ -131,17 +131,26 @@ let e3 () =
 (* E4: HCF vs non-HCF solving (Theorem 5, Corollary 1) *)
 
 let e4 () =
-  let run ?(shift = true) ?solver d ics =
-    match Engine.run ~shift ?solver d ics with
+  let run ~shift d ics =
+    match Engine.run ~shift d ics with
     | Ok r -> r
     | Error msg -> failwith msg
+  in
+  (* the sweep-based reference search on the same unshifted program *)
+  let reference_stats d ics =
+    match Core.Proggen.repair_program d ics with
+    | Error msg -> failwith msg
+    | Ok pg ->
+        let stats = Asp.Solver.new_stats () in
+        ignore
+          (Asp.Solver.stable_models_naive ~stats
+             (Asp.Grounder.ground pg.Core.Proggen.program));
+        stats
   in
   let row label d ics =
     let (shifted, t_shift) = Table.time (fun () -> run ~shift:true d ics) in
     let (disjunctive, t_disj) = Table.time (fun () -> run ~shift:false d ics) in
-    (* before/after of the occurrence-index rewrite: same search on the
-       disjunctive program through the sweep-based reference engine *)
-    let naive = run ~shift:false ~solver:`Naive d ics in
+    let naive = reference_stats d ics in
     [
       label;
       string_of_int shifted.Engine.ground_rules;
@@ -153,7 +162,7 @@ let e4 () =
       string_of_int shifted.Engine.solver.Asp.Solver.minimality_checks;
       string_of_int disjunctive.Engine.solver.Asp.Solver.minimality_checks;
       string_of_int disjunctive.Engine.solver.Asp.Solver.rules_touched;
-      string_of_int naive.Engine.solver.Asp.Solver.rules_touched;
+      string_of_int naive.Asp.Solver.rules_touched;
       Table.ms t_shift;
       Table.ms t_disj;
     ]
@@ -173,12 +182,13 @@ let e4 () =
   Table.print
     ~title:
       "E4: HCF (denials, Corollary 1) vs non-HCF (bilateral loop) — shifted \
-       normal solving avoids disjunctive minimality checks; touched(ctr/nv) \
-       is rule visits of the counter engine vs the sweep-based reference"
+       normal solving avoids disjunctive minimality checks; \
+       touched(cdcl/nv) is rule visits of the CDCL search vs the \
+       sweep-based reference"
     ~header:
       [
         "workload"; "grules"; "hcf"; "thm5"; "reps"; "dec(sh)"; "dec(disj)";
-        "minchk(sh)"; "minchk(disj)"; "touched(ctr)"; "touched(nv)";
+        "minchk(sh)"; "minchk(disj)"; "touched(cdcl)"; "touched(nv)";
         "ms(sh)"; "ms(disj)";
       ]
     rows
@@ -735,19 +745,18 @@ let e18 () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* E21: decision counts of the learning engine vs the chronological
-   counter engine on a hard non-HCF family.  The "combination lock"
+(* E21: decision counts of the learning search vs the chronological
+   sweep-based reference on a hard non-HCF family.  The "combination lock"
    program interleaves an enumeration block (k free choice pairs, first
-   in rule order, so the chronological engine branches on them first)
+   in rule order, so the chronological search branches on them first)
    with a head-cycle pair (x v y. x :- y. y :- x. — the program fails
    Theorem 5's HCF condition outright) and a lock block: m choice pairs
    under 2^m - 1 denials that exclude every combination except one.
    Unit propagation cannot open the lock until m - 1 of its pairs are
-   decided, so the chronological engine re-searches the lock inside
-   every one of the 2^k enumeration branches; the CDCL engine refutes
-   it once — its learned nogoods survive backtracking — and pays ~2^k
-   + 2^m decisions in total.  Both engines must return the same 2^k
-   stable models. *)
+   decided, so the chronological search re-searches the lock inside
+   every one of the 2^k enumeration branches; CDCL refutes it once — its
+   learned nogoods survive backtracking — and pays ~2^k + 2^m decisions
+   in total.  Both searches must return the same 2^k stable models. *)
 
 let lock_program ~k ~m =
   let g = Asp.Ground.create () in
@@ -799,13 +808,9 @@ let lock_measurements () =
   List.map
     (fun (k, m, hard) ->
       let g = lock_program ~k ~m in
-      let run search =
-        let stats = Asp.Solver.new_stats () in
-        let models = Asp.Solver.stable_models ~search ~stats g in
-        (models, stats)
-      in
-      let models_c, sc = run `Cdcl in
-      let models_d, sd = run `Dpll in
+      let sc = Asp.Solver.new_stats () and sd = Asp.Solver.new_stats () in
+      let models_c = Asp.Solver.stable_models ~stats:sc g in
+      let models_d = Asp.Solver.stable_models_naive ~stats:sd g in
       ( Printf.sprintf "E21.lock.k%dm%d" k m,
         k, m, Asp.Ground.atom_count g,
         List.length models_c,
@@ -840,9 +845,10 @@ let e21 () =
   in
   Table.print
     ~title:
-      "E21: CDCL vs chronological DPLL on the non-HCF combination-lock \
-       family — learned nogoods amortize the lock refutation across the \
-       2^k enumeration branches the counter engine re-searches"
+      "E21: CDCL vs chronological DPLL (the sweep-based reference) on the \
+       non-HCF combination-lock family — learned nogoods amortize the lock \
+       refutation across the 2^k enumeration branches the chronological \
+       search re-searches"
     ~header:
       [ "workload"; "atoms"; "models"; "dec(cdcl)"; "dec(dpll)"; "ratio";
         "conflicts"; "learned"; "restarts"; "backjump"; "hard"; "agree" ]

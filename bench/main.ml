@@ -105,13 +105,11 @@ let run_micro ~quota () =
   flush stdout;
   rows
 
-(* Solver-engine telemetry on example 19's ground program: the learning
-   engine, the chronological counter engine and the sweep-based reference,
-   shifted and disjunctive — the decision/propagation counts behind the E4
-   micro-benchmarks, recorded in the baseline so propagation regressions
-   are visible without re-deriving them from wall-clock noise.  The
-   "counter" rows pin [`Dpll] so their numbers stay comparable across
-   baselines now that [`Cdcl] is the default. *)
+(* Solver telemetry on example 19's ground program: the CDCL search and
+   the sweep-based reference, shifted and disjunctive — the
+   decision/propagation counts behind the E4 micro-benchmarks, recorded in
+   the baseline so propagation regressions are visible without re-deriving
+   them from wall-clock noise. *)
 let solver_telemetry () =
   let ex19 = Workload.Paperdb.example19 in
   let pg19 =
@@ -127,26 +125,18 @@ let solver_telemetry () =
     (name, engine, List.length models, stats)
   in
   [
-    row "E4.solve.shifted" "counter"
-      (fun ~stats g -> Asp.Solver.stable_models ~search:`Dpll ~stats g)
-      shifted19;
     row "E4.solve.shifted" "cdcl"
-      (fun ~stats g -> Asp.Solver.stable_models ~search:`Cdcl ~stats g)
-      shifted19;
+      (fun ~stats g -> Asp.Solver.stable_models ~stats g) shifted19;
     row "E4.solve.shifted" "naive"
       (fun ~stats g -> Asp.Solver.stable_models_naive ~stats g) shifted19;
-    row "E4.solve.disjunctive" "counter"
-      (fun ~stats g -> Asp.Solver.stable_models ~search:`Dpll ~stats g)
-      ground19;
     row "E4.solve.disjunctive" "cdcl"
-      (fun ~stats g -> Asp.Solver.stable_models ~search:`Cdcl ~stats g)
-      ground19;
+      (fun ~stats g -> Asp.Solver.stable_models ~stats g) ground19;
     row "E4.solve.disjunctive" "naive"
       (fun ~stats g -> Asp.Solver.stable_models_naive ~stats g) ground19;
   ]
 
-(* CDCL telemetry (E21): the learning engine vs the chronological counter
-   engine on the non-HCF combination-lock sweep of
+(* CDCL telemetry (E21): the learning search vs the chronological
+   sweep-based reference on the non-HCF combination-lock sweep of
    {!Experiments.lock_program}.  Rows flagged hard carry the headline
    claim — CDCL reaches the same models with at most half the decisions —
    as checked data under --check-json, not prose. *)
@@ -1004,6 +994,7 @@ let check_json path =
     (fun row ->
       ignore (str_field row "name");
       (match str_field row "engine" with
+      (* "counter": the chronological DPLL of the checked-in baselines *)
       | "counter" | "naive" -> ()
       | "cdcl" when v >= 9 -> ()
       | e -> fail (Printf.sprintf "unknown engine %S" e));
@@ -1324,11 +1315,13 @@ let check_json path =
        serve);
   (* /9 adds the CDCL decision-count sweep (E21).  Exclusive to /9 in both
      directions, like the earlier sections.  Every row must report the two
-     engines reaching identical model sets ([identical], checked data) with
+     searches reaching identical model sets ([identical], checked data) with
      positive decision counts; the sweep must carry at least one hard row,
-     and on every hard row the learning engine must reach the same models
-     with at most half the decisions of the chronological counter engine —
-     the headline claim of the CDCL rewrite as a checked fact, not prose. *)
+     and on every hard row the learning search must reach the same models
+     with at most half the decisions of the chronological one (the
+     [dpll_decisions] key, now counted by the sweep-based reference
+     search) — the headline claim of the CDCL rewrite as a checked fact,
+     not prose. *)
   (if v < 9 then begin
      if Table.member "cdcl" doc <> None then
        fail "section \"cdcl\" requires schema cqanull-bench/9"

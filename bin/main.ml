@@ -128,16 +128,6 @@ let method_conv =
       ("cautious", `Cautious);
     ]
 
-let search_flag =
-  Arg.(
-    value
-    & opt (Arg.enum [ ("cdcl", `Cdcl); ("dpll", `Dpll) ]) `Cdcl
-    & info [ "search" ] ~docv:"MODE"
-        ~doc:"Stable-model search mode: 'cdcl' (the default) learns clauses \
-              from conflicts with watched-literal propagation and restarts; \
-              'dpll' is the chronological counter-propagation baseline.  \
-              Only the program-based engines consult it.")
-
 let print_repairs d repairs =
   List.iteri
     (fun i r ->
@@ -148,7 +138,7 @@ let print_repairs d repairs =
   Fmt.pr "%d repair(s)@." (List.length repairs)
 
 let repairs_cmd =
-  let run file engine repd save decompose jobs timeout_ms want_stats search =
+  let run file engine repd save decompose jobs timeout_ms want_stats =
     let jobs = Parallel.Config.resolve jobs in
     let l = load_or_die file in
     let d = Lang.Load.final_instance l and ics = l.Lang.Load.ics in
@@ -172,7 +162,7 @@ let repairs_cmd =
             | exception Budget.Exhausted e -> Error (Budget.message e))
         | `Program -> (
             match
-              Core.Engine.repairs ?budget ~decompose ~jobs ~search d ics
+              Core.Engine.repairs ?budget ~decompose ~jobs d ics
             with
             | Ok _ as ok -> ok
             | Error msg when timeout_ms = None ->
@@ -222,10 +212,9 @@ let repairs_cmd =
   Cmd.v
     (Cmd.info "repairs" ~doc:"Enumerate the repairs of the database.")
     Term.(
-      const (fun f e r s dc j t st se ->
-          Stdlib.exit (run f e r s dc j t st se))
+      const (fun f e r s dc j t st -> Stdlib.exit (run f e r s dc j t st))
       $ file_arg $ engine_flag $ repd_flag $ save_flag $ decompose_flag
-      $ jobs_flag $ timeout_flag $ stats_flag $ search_flag)
+      $ jobs_flag $ timeout_flag $ stats_flag)
 
 (* ------------------------------------------------------------------ *)
 (* cqa *)
@@ -651,7 +640,7 @@ let export_cmd =
 (* solve: run the internal ASP solver on a DLV/clingo-syntax file *)
 
 let solve_cmd =
-  let run file limit mode search want_stats =
+  let run file limit mode want_stats =
     match Asp.Aspparse.parse_file file with
     | exception Asp.Aspparse.Parse_error (msg, line) ->
         Fmt.epr "parse error at line %d: %s@." line msg;
@@ -671,11 +660,8 @@ let solve_cmd =
             let stats = Asp.Solver.new_stats () in
             let report () =
               if want_stats then begin
-                Fmt.pr "search: %s@."
-                  (match search with `Cdcl -> "cdcl" | `Dpll -> "dpll");
                 Fmt.pr "stats: %a@." Asp.Solver.pp_stats stats;
-                if search = `Cdcl then
-                  Fmt.pr "cdcl: %a@." Asp.Solver.pp_search_stats stats
+                Fmt.pr "cdcl: %a@." Asp.Solver.pp_search_stats stats
               end
             in
             let pp_atoms atoms =
@@ -686,7 +672,7 @@ let solve_cmd =
             match mode with
             | `Models ->
                 let models =
-                  Asp.Solver.stable_models_atoms ?limit ~search ~stats solvable
+                  Asp.Solver.stable_models_atoms ?limit ~stats solvable
                 in
                 List.iter pp_atoms models;
                 Fmt.pr "%d stable model(s)@." (List.length models);
@@ -695,18 +681,29 @@ let solve_cmd =
             | `Cautious ->
                 pp_atoms
                   (List.map (Asp.Ground.atom_of solvable)
-                     (Asp.Solver.cautious ~search ~stats solvable));
+                     (Asp.Solver.cautious ~stats solvable));
                 report ();
                 0
             | `Brave ->
                 pp_atoms
                   (List.map (Asp.Ground.atom_of solvable)
-                     (Asp.Solver.brave ~search ~stats solvable));
+                     (Asp.Solver.brave ~stats solvable));
                 report ();
                 0))
   in
+  let positive_int =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 -> Ok n
+      | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
   let limit_flag =
-    Arg.(value & opt (some int) None & info [ "n"; "limit" ] ~docv:"N" ~doc:"Stop after N models.")
+    Arg.(
+      value
+      & opt (some positive_int) None
+      & info [ "n"; "limit" ] ~docv:"N" ~doc:"Stop after N models (N >= 1).")
   in
   let mode_flag =
     Arg.(
@@ -721,16 +718,15 @@ let solve_cmd =
     Arg.(
       value & flag
       & info [ "stats" ]
-          ~doc:"Print the search mode and the solver counters (decisions, \
-                propagations, candidates, and under cdcl the \
-                conflict/learning counters).")
+          ~doc:"Print the solver counters: decisions, propagations, \
+                candidates, and the conflict/learning counters.")
   in
   Cmd.v
     (Cmd.info "solve"
        ~doc:"Run the internal stable-model solver on a DLV/clingo-syntax program.")
     Term.(
-      const (fun f l m s st -> Stdlib.exit (run f l m s st))
-      $ file_arg $ limit_flag $ mode_flag $ search_flag $ solve_stats_flag)
+      const (fun f l m st -> Stdlib.exit (run f l m st))
+      $ file_arg $ limit_flag $ mode_flag $ solve_stats_flag)
 
 (* ------------------------------------------------------------------ *)
 (* conform: the scenario corpus and expected-verdict suite *)
@@ -831,9 +827,8 @@ let conform_cmd =
     (Cmd.info "conform"
        ~doc:"Run the conformance suite: paper examples, SQL-null algebra \
              equivalences and generated scenario families, answered through \
-             every engine tier (auto, program, enumerate, program-dpll, \
-             session, serve) with byte-identical outcomes and pinned \
-             verdicts.")
+             every engine tier (auto, program, enumerate, session, serve) \
+             with byte-identical outcomes and pinned verdicts.")
     Term.(
       const (fun f v l w -> Stdlib.exit (run f v l w))
       $ family_flag $ verbose_flag $ list_flag $ write_flag)

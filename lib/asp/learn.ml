@@ -1,5 +1,5 @@
 (* First-UIP conflict analysis, VSIDS branching activities and the Luby
-   restart sequence for the CDCL search mode of Solver.
+   restart sequence for the CDCL search of Solver.
 
    [analyze] resolves the conflict clause backwards along the trail,
    expanding the reason clause of each current-level literal until exactly

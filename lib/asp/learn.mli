@@ -1,6 +1,6 @@
 (** First-UIP conflict analysis, VSIDS branching activities and the Luby
-    restart sequence — the learning half of the CDCL search mode of
-    {!Solver} (the propagation half is {!Watch}). *)
+    restart sequence — the learning half of the CDCL search of {!Solver}
+    (the propagation half is {!Watch}). *)
 
 type t
 (** Analysis state over a fixed atom universe: per-atom activities and the

@@ -30,8 +30,6 @@ let pp_search_stats ppf s =
   Fmt.pf ppf "conflicts=%d learned=%d restarts=%d backjump_len=%d phase_saved=%d"
     s.conflicts s.learned s.restarts s.backjump_len s.phase_saved
 
-type search = [ `Cdcl | `Dpll ]
-
 (* Assignment values *)
 let unk = 0
 let tru = 1
@@ -98,7 +96,7 @@ let normal_reduct_stable ~n reduct_rules in_m m_size =
    body atom outside M is vacuously satisfied by any M' ⊆ M, and head atoms
    outside M are false in any such M'.
 
-   The sub-search runs the same counter machinery as the main solver:
+   The sub-search is a chronological DPLL over occurrence counters:
    per-clause (#true-head, #unassigned-head, #false-pos, #unassigned-pos)
    counters, occurrence lists over the local atom indexes, a worklist of
    clauses to re-examine, and a satisfied-clause count so the "all clauses
@@ -290,293 +288,33 @@ let is_stable_in ~n rules ?stats m =
 
 let is_stable_model g m = is_stable_in ~n:(Ground.atom_count g) (Ground.rules g) m
 
-(* ------------------------------------------------------------------ *)
-(* Enumeration of stable models: counter-based propagation engine.
-
-   Per rule, six occurrence counters track the current assignment:
-   #true-head, #unassigned-head, #false-pos, #unassigned-pos, #true-neg,
-   #unassigned-neg.  A rule is classically satisfied iff
-   true-head + false-pos + true-neg > 0, and unit iff unsatisfied with
-   exactly one unassigned occurrence.  Assigning an atom updates only the
-   counters of the rules in its occurrence lists (Ground.index) and pushes
-   those rules on a worklist; backtracking reverses the same per-occurrence
-   updates off the trail, so restore costs what the assignment cost.
-
-   Support propagation keeps, per atom, a live-supporter count: the number
-   of head occurrences of the atom in rules whose body is not yet
-   classically false.  Bodies die (and revive on backtrack) at the
-   0 <-> >0 transitions of #false-pos + #true-neg; a true atom whose count
-   hits 0 is a conflict, and at 1 the single remaining supporter's body is
-   forced, exactly like the sweep-based reference solver. *)
-
-let stable_models_dpll ?budget ?limit ?(max_decisions = 10_000_000)
-    ?(support_propagation = true) ?stats g =
-  let stats = match stats with Some s -> s | None -> new_stats () in
-  let { Ground.idx_rules = rules; head_occ; pos_occ; neg_occ } = Ground.index g in
-  let nr = Array.length rules in
-  let n = Ground.atom_count g in
-  let value = Array.make n unk in
-  let head_true = Array.make nr 0 in
-  let head_unk = Array.make nr 0 in
-  let pos_false = Array.make nr 0 in
-  let pos_unk = Array.make nr 0 in
-  let neg_true = Array.make nr 0 in
-  let neg_unk = Array.make nr 0 in
-  let body_dead = Array.make nr false in
-  let live_supp = Array.make n 0 in
-  Array.iteri
-    (fun ri (r : Ground.grule) ->
-      head_unk.(ri) <- Array.length r.Ground.ghead;
-      pos_unk.(ri) <- Array.length r.Ground.gpos;
-      neg_unk.(ri) <- Array.length r.Ground.gneg)
-    rules;
-  for a = 0 to n - 1 do
-    live_supp.(a) <- Array.length head_occ.(a)
-  done;
-  let satisfied ri =
-    head_true.(ri) > 0 || pos_false.(ri) > 0 || neg_true.(ri) > 0
-  in
-  let rule_q = Queue.create () in
-  let rule_inq = Array.make nr false in
-  let supp_q = Queue.create () in
-  let supp_inq = Array.make n false in
-  let push_rule ri =
-    if (not rule_inq.(ri)) && not (satisfied ri) then begin
-      rule_inq.(ri) <- true;
-      Queue.add ri rule_q;
-      stats.queue_pushes <- stats.queue_pushes + 1
-    end
-  in
-  let push_supp a =
-    if support_propagation && not supp_inq.(a) then begin
-      supp_inq.(a) <- true;
-      Queue.add a supp_q;
-      stats.queue_pushes <- stats.queue_pushes + 1
-    end
-  in
-  let clear_queues () =
-    Queue.iter (fun ri -> rule_inq.(ri) <- false) rule_q;
-    Queue.clear rule_q;
-    Queue.iter (fun a -> supp_inq.(a) <- false) supp_q;
-    Queue.clear supp_q
-  in
-  (* body liveness transitions, forward (kill) and on undo (revive) *)
-  let sync_dead ri =
-    let dead = pos_false.(ri) > 0 || neg_true.(ri) > 0 in
-    if dead <> body_dead.(ri) then begin
-      body_dead.(ri) <- dead;
-      let delta = if dead then -1 else 1 in
-      Array.iter
-        (fun h ->
-          live_supp.(h) <- live_supp.(h) + delta;
-          if dead && value.(h) = tru then push_supp h)
-        rules.(ri).Ground.ghead
-    end
-  in
-  let trail = ref [] in
-  let assign a v =
-    value.(a) <- v;
-    trail := a :: !trail;
-    stats.propagations <- stats.propagations + 1;
-    Array.iter
-      (fun ri ->
-        head_unk.(ri) <- head_unk.(ri) - 1;
-        if v = tru then head_true.(ri) <- head_true.(ri) + 1;
-        push_rule ri)
-      head_occ.(a);
-    Array.iter
-      (fun ri ->
-        pos_unk.(ri) <- pos_unk.(ri) - 1;
-        if v = fls then begin
-          pos_false.(ri) <- pos_false.(ri) + 1;
-          sync_dead ri
-        end;
-        push_rule ri)
-      pos_occ.(a);
-    Array.iter
-      (fun ri ->
-        neg_unk.(ri) <- neg_unk.(ri) - 1;
-        if v = tru then begin
-          neg_true.(ri) <- neg_true.(ri) + 1;
-          sync_dead ri
-        end;
-        push_rule ri)
-      neg_occ.(a);
-    if v = tru then push_supp a
-  in
-  let unassign a =
-    let v = value.(a) in
-    value.(a) <- unk;
-    Array.iter
-      (fun ri ->
-        head_unk.(ri) <- head_unk.(ri) + 1;
-        if v = tru then head_true.(ri) <- head_true.(ri) - 1)
-      head_occ.(a);
-    Array.iter
-      (fun ri ->
-        pos_unk.(ri) <- pos_unk.(ri) + 1;
-        if v = fls then begin
-          pos_false.(ri) <- pos_false.(ri) - 1;
-          sync_dead ri
-        end)
-      pos_occ.(a);
-    Array.iter
-      (fun ri ->
-        neg_unk.(ri) <- neg_unk.(ri) + 1;
-        if v = tru then begin
-          neg_true.(ri) <- neg_true.(ri) - 1;
-          sync_dead ri
-        end)
-      neg_occ.(a)
-  in
-  let undo_to mark =
-    let rec go () =
-      if !trail != mark then
-        match !trail with
-        | [] -> ()
-        | a :: rest ->
-            trail := rest;
-            unassign a;
-            go ()
-    in
-    go ()
-  in
-  let exception Conflict in
-  let exception Done in
-  let models = ref [] in
-  let count = ref 0 in
-  let process_rule ri =
-    rule_inq.(ri) <- false;
-    stats.rules_touched <- stats.rules_touched + 1;
-    if not (satisfied ri) then
-      match head_unk.(ri) + pos_unk.(ri) + neg_unk.(ri) with
-      | 0 -> raise Conflict
-      | 1 ->
-          let r = rules.(ri) in
-          if head_unk.(ri) > 0 then
-            Array.iter (fun h -> if value.(h) = unk then assign h tru) r.Ground.ghead
-          else if pos_unk.(ri) > 0 then
-            Array.iter (fun p -> if value.(p) = unk then assign p fls) r.Ground.gpos
-          else
-            Array.iter (fun x -> if value.(x) = unk then assign x tru) r.Ground.gneg
-      | _ -> ()
-  in
-  let process_supp a =
-    supp_inq.(a) <- false;
-    if value.(a) = tru then
-      match live_supp.(a) with
-      | 0 -> raise Conflict
-      | 1 ->
-          let occ = head_occ.(a) in
-          stats.rules_touched <- stats.rules_touched + Array.length occ;
-          let found = ref (-1) in
-          Array.iter (fun ri -> if !found = -1 && not body_dead.(ri) then found := ri) occ;
-          if !found >= 0 then begin
-            let r = rules.(!found) in
-            Array.iter (fun p -> if value.(p) = unk then assign p tru) r.Ground.gpos;
-            Array.iter (fun x -> if value.(x) = unk then assign x fls) r.Ground.gneg
-          end
-      | _ -> ()
-  in
-  let propagate () =
-    while not (Queue.is_empty rule_q && Queue.is_empty supp_q) do
-      if not (Queue.is_empty rule_q) then process_rule (Queue.pop rule_q)
-      else process_supp (Queue.pop supp_q)
-    done
-  in
-  let pick_branch () =
-    let res = ref None in
-    (try
-       for ri = 0 to nr - 1 do
-         if not (satisfied ri) then begin
-           let r = rules.(ri) in
-           Array.iter
-             (fun h -> if !res = None && value.(h) = unk then res := Some h)
-             r.Ground.ghead;
-           Array.iter
-             (fun p -> if !res = None && value.(p) = unk then res := Some p)
-             r.Ground.gpos;
-           Array.iter
-             (fun x -> if !res = None && value.(x) = unk then res := Some x)
-             r.Ground.gneg;
-           if !res <> None then raise Exit
-         end
-       done
-     with Exit -> ());
-    !res
-  in
-  let record_candidate () =
-    stats.candidates <- stats.candidates + 1;
-    let m = ref [] in
-    for i = n - 1 downto 0 do
-      if value.(i) = tru then m := i :: !m
-    done;
-    let m = !m in
-    if is_stable_in ~n rules ~stats m then begin
-      models := m :: !models;
-      incr count;
-      match limit with Some l when !count >= l -> raise Done | _ -> ()
-    end
-  in
-  let rec search () =
-    let mark = !trail in
-    (try
-       propagate ();
-       match pick_branch () with
-       | None -> record_candidate ()
-       | Some i ->
-           stats.decisions <- stats.decisions + 1;
-           if stats.decisions > max_decisions then
-             raise (Budget_exceeded max_decisions);
-           (match budget with Some b -> Budget.tick_decision b | None -> ());
-           let mark2 = !trail in
-           assign i fls;
-           search ();
-           undo_to mark2;
-           assign i tru;
-           search ();
-           undo_to mark2
-     with Conflict -> clear_queues ());
-    undo_to mark
-  in
-  (try
-     (* seed the worklist with every rule (facts become units, an empty
-        constraint conflicts immediately) and fix atoms occurring in no
-        head to false — they are unsupported in every stable model *)
-     for ri = 0 to nr - 1 do
-       push_rule ri
-     done;
-     for a = 0 to n - 1 do
-       if Array.length head_occ.(a) = 0 then assign a fls
-     done;
-     search ()
-   with Done -> ());
-  (* deterministic order: sort models *)
-  List.sort (List.compare Int.compare) !models
+(* [~limit:0] (or less) asks for no model.  Both searches compare the model
+   count with the limit only after recording a model, so they answer it
+   here, without searching. *)
+let no_model_wanted = function Some l -> l <= 0 | None -> false
 
 (* ------------------------------------------------------------------ *)
-(* Conflict-driven clause learning engine.
+(* Enumeration of stable models: conflict-driven clause learning.
 
-   The search runs over the same classical clause view of the rules (some
-   head true, some positive body atom false, or some negative body atom
-   true), but propagation is two-watched-literal (Watch), conflicts are
-   analyzed to a first-UIP learned nogood (Learn) with non-chronological
-   backjumping, branching follows VSIDS activities with false-first
-   polarity, and Luby-scheduled restarts reset the trail without losing
-   learned clauses.
+   The search runs over the classical clause view of the rules (some head
+   true, some positive body atom false, or some negative body atom true).
+   Propagation is two-watched-literal (Watch), conflicts are analyzed to a
+   first-UIP learned nogood (Learn) with non-chronological backjumping,
+   branching follows VSIDS activities with false-first polarity, and
+   Luby-scheduled restarts reset the trail without losing learned clauses.
 
-   Support propagation is kept from the counter engine — per rule a
-   body-death count, per atom a live-supporter count — but its inferences
-   are materialized as clauses so conflict analysis can resolve over them:
+   Support propagation keeps two kinds of counters — per rule a body-death
+   count, per atom a live-supporter count — and materializes its
+   inferences as clauses so conflict analysis can resolve over them:
    when a true atom [a] is down to one live supporter, each forced body
    literal [l] gets the reason clause [l | ~a | w1 | ... | wk] where the
    [wi] re-assert a currently-true body-falsifying witness of each other
    supporter; at zero live supporters the same clause without [l] is the
    conflict.  These clauses (like the supportedness inference itself) are
    sound for stable models though not classical consequences, so the
-   engine's learned nogoods may prune classical models that could never be
-   stable — every candidate still passes [is_stable_in], and the
-   differential suite pins the model sets to the other engines.
+   learned nogoods may prune classical models that could never be stable —
+   every candidate still passes [is_stable_in], and the differential suite
+   pins the model sets to the sweep-based reference below.
 
    Enumeration is blocking-clause-free: a total assignment that survives
    propagation is a candidate; its full complement clause is analyzed like
@@ -585,11 +323,11 @@ let stable_models_dpll ?budget ?limit ?(max_decisions = 10_000_000)
    the search.  Restarts are safe because those resolvents persist.
 
    Decisions made after every original clause is already satisfied merely
-   complete the assignment with false (the counter engine completes such
+   complete the assignment with false (the reference search completes such
    candidates for free), so they are not counted against [max_decisions]
    or the budget. *)
 
-let stable_models_cdcl ?budget ?limit ?(max_decisions = 10_000_000)
+let stable_models ?budget ?limit ?(max_decisions = 10_000_000)
     ?(support_propagation = true) ?stats g =
   let stats = match stats with Some s -> s | None -> new_stats () in
   let { Ground.idx_rules = rules; head_occ; pos_occ; neg_occ } = Ground.index g in
@@ -872,6 +610,7 @@ let stable_models_cdcl ?budget ?limit ?(max_decisions = 10_000_000)
   let threshold = ref (restart_base * Learn.luby 1) in
   let conflicts_since = ref 0 in
   (try
+     if no_model_wanted limit then raise Done;
      build ();
      sat_cnt := Array.make (max !n_orig 1) 0;
      (* level-0 seeds: atoms in no rule head are unsupported in every
@@ -942,23 +681,18 @@ let stable_models_cdcl ?budget ?limit ?(max_decisions = 10_000_000)
   | Empty_clause -> ());
   List.sort (List.compare Int.compare) !models
 
-let stable_models ?budget ?limit ?max_decisions ?support_propagation
-    ?(search = `Cdcl) ?stats g =
-  (match search with
-  | `Dpll -> stable_models_dpll
-  | `Cdcl -> stable_models_cdcl)
-    ?budget ?limit ?max_decisions ?support_propagation ?stats g
-
 (* ------------------------------------------------------------------ *)
 (* Sweep-based reference solver.
 
-   The pre-index implementation, kept verbatim as a differential-testing
-   oracle (the qcheck property in test_asp.ml asserts model-set equality
-   against it) and as the baseline of the E4/E12 before/after numbers.
-   Unit propagation re-scans the whole rule array to fixpoint after every
-   assignment; support propagation re-filters every true atom's supporter
-   list.  [rules_touched] counts those per-rule visits, which is what the
-   occurrence-list engine above is measured against. *)
+   A chronological DPLL with no learning and no occurrence index, kept as
+   the single differential-testing oracle of the search above (test_cdcl
+   and test_asp assert model-set equality against it) and as the
+   chronological baseline of the E4 and E21 bench tables.  It branches on
+   the first unassigned atom of the first unsatisfied rule and tries false
+   before true.  Unit propagation re-scans the whole rule array to
+   fixpoint after every assignment; support propagation re-filters every
+   true atom's supporter list.  [rules_touched] counts those per-rule
+   visits. *)
 
 let stable_models_naive ?budget ?limit ?(max_decisions = 10_000_000)
     ?(support_propagation = true) ?stats g =
@@ -1127,19 +861,19 @@ let stable_models_naive ?budget ?limit ?(max_decisions = 10_000_000)
      with Conflict -> ());
     undo_to mark
   in
-  (try search () with Done -> ());
+  (try if not (no_model_wanted limit) then search () with Done -> ());
   (* deterministic order: sort models *)
   List.sort (List.compare Int.compare) !models
 
-let stable_models_atoms ?budget ?limit ?max_decisions ?search ?stats g =
-  stable_models ?budget ?limit ?max_decisions ?search ?stats g
+let stable_models_atoms ?budget ?limit ?max_decisions ?stats g =
+  stable_models ?budget ?limit ?max_decisions ?stats g
   |> List.map (fun m -> Ground.model_atoms g m)
 
 (* Cautious/brave consequences over the already-sorted model list, by set
    intersection/union instead of the quadratic List.mem filters. *)
 
-let cautious ?budget ?max_decisions ?search ?stats g =
-  match stable_models ?budget ?max_decisions ?search ?stats g with
+let cautious ?budget ?max_decisions ?stats g =
+  match stable_models ?budget ?max_decisions ?stats g with
   | [] -> []
   | m :: rest ->
       Iset.elements
@@ -1147,8 +881,8 @@ let cautious ?budget ?max_decisions ?search ?stats g =
            (fun acc model -> Iset.inter acc (Iset.of_list model))
            (Iset.of_list m) rest)
 
-let brave ?budget ?max_decisions ?search ?stats g =
+let brave ?budget ?max_decisions ?stats g =
   Iset.elements
     (List.fold_left
        (fun acc model -> Iset.union acc (Iset.of_list model))
-       Iset.empty (stable_models ?budget ?max_decisions ?search ?stats g))
+       Iset.empty (stable_models ?budget ?max_decisions ?stats g))

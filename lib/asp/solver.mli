@@ -1,18 +1,12 @@
 (** Stable-model enumeration for ground disjunctive programs
     (Gelfond-Lifschitz semantics [18]).
 
-    Two search engines share the entry point, selected by [?search]:
-
-    - [`Cdcl] (the default): conflict-driven clause learning over the
-      classical clause view — two-watched-literal propagation ({!Watch}),
-      first-UIP learned nogoods with non-chronological backjumping
-      ({!Learn}), VSIDS branching and Luby restarts.  Support propagation
-      is materialized as clauses so its inferences participate in conflict
-      analysis; models are enumerated by analyzing each found model's
-      complement clause like a conflict, so restarts never repeat models.
-    - [`Dpll]: the counter-based chronological engine described below —
-      kept as the propagation-only differential oracle and for the bench
-      tables' before/after comparisons.
+    {!stable_models} is the one search: conflict-driven clause learning
+    over the classical clause view of the rules — two-watched-literal
+    propagation ({!Watch}), first-UIP learned nogoods with
+    non-chronological backjumping ({!Learn}), VSIDS branching and Luby
+    restarts.  {!stable_models_naive} is the sweep-based reference
+    search, a chronological DPLL that the tests compare it against.
 
     Both enumerate every total model of the program, completing each
     all-rules-satisfied partial assignment with false (sound: an unassigned
@@ -28,16 +22,15 @@
       of the reduct properly contained in [M] (this sub-problem is the
       coNP-hard part of the Pi^p_2-completeness of the semantics [16]).
 
-    Propagation is {e counter-based}: the occurrence index of the ground
-    program ({!Ground.index}) maps each atom to the rules mentioning it,
-    every rule keeps occurrence counters over the current assignment
-    (#true-head, #unassigned-head, #false-pos, ...), and each assignment
-    updates only the counters of the rules in the assigned atom's
-    occurrence lists, feeding a worklist of rules to re-examine.
-    Backtracking replays the same per-occurrence updates in reverse off the
-    trail.  Support propagation keeps a live-supporter count per atom
-    instead of re-filtering supporter lists.  See DESIGN.md, "Solver
-    architecture", for the counter invariants.
+    Support propagation is {e counter-based}: every rule keeps a count of
+    the body literals the assignment falsifies, every atom a count of its
+    live supporters (head occurrences in rules whose body is not yet
+    classically false), and both are updated from the occurrence index of
+    the ground program ({!Ground.index}) as literals are assigned and
+    undone.  A true atom with no live supporter is a conflict; with one,
+    that supporter's body is forced.  Each such inference is materialized
+    as a clause, so conflict analysis resolves over it.  See DESIGN.md,
+    "Solver architecture".
 
     Atoms that occur in no rule head are fixed to false up front — they are
     unsupported in every stable model. *)
@@ -50,15 +43,14 @@ type stats = {
   mutable candidates : int;      (** total models reaching the stability check *)
   mutable minimality_checks : int;  (** disjunctive minimality sub-searches *)
   mutable queue_pushes : int;
-      (** worklist insertions (rules and support-check atoms); always 0 for
-          the sweep-based {!stable_models_naive} *)
+      (** support-check worklist insertions; always 0 for the sweep-based
+          {!stable_models_naive} *)
   mutable rules_touched : int;
-      (** rules examined by unit/support propagation: queue pops plus
-          supporter-list scans for the counter engine, one per rule per
-          sweep (plus supporter-list lengths) for the naive engine — the
-          before/after metric of the occurrence-index rewrite *)
+      (** rules examined by support propagation: supporter-list scans for
+          {!stable_models}, one per rule per sweep (plus supporter-list
+          lengths) for {!stable_models_naive} *)
   mutable conflicts : int;
-      (** falsified clauses hit by the CDCL engine (0 under [`Dpll]) *)
+      (** falsified clauses hit by the search (0 for the reference) *)
   mutable learned : int;  (** nogoods added by conflict analysis *)
   mutable restarts : int;  (** Luby restarts taken *)
   mutable backjump_len : int;
@@ -71,24 +63,20 @@ type stats = {
           engine's default false *)
 }
 
-type search = [ `Cdcl | `Dpll ]
-(** Search engine selector — see the module preamble. *)
-
 val stable_models :
   ?budget:Budget.ctl -> ?limit:int -> ?max_decisions:int ->
-  ?support_propagation:bool -> ?search:search -> ?stats:stats -> Ground.t ->
-  int list list
+  ?support_propagation:bool -> ?stats:stats -> Ground.t -> int list list
 (** All stable models as sorted lists of atom ids; [limit] caps how many are
-    returned, [max_decisions] (default [10_000_000]) bounds the search.
-    [budget] is the run-global budget: every decision also ticks it (and
-    under [`Cdcl] every conflict checks the deadline), so a shared decision
-    limit and the wall-clock deadline are enforced across the stages of an
-    engine run (the per-call [max_decisions] bound remains local to this
-    search).  [search] (default [`Cdcl]) selects the engine; both return
-    the same model list.  [support_propagation] (default true) enables the
-    supportedness propagation described above; disabling it is only useful
-    for the ablation bench (table E12) — the result is identical, the
-    search exponentially wider.
+    returned ([limit <= 0] returns [[]] without searching),
+    [max_decisions] (default [10_000_000]) bounds the search.  [budget] is
+    the run-global budget: every decision also ticks it and every conflict
+    checks the deadline, so a shared decision limit and the wall-clock
+    deadline are enforced across the stages of an engine run (the per-call
+    [max_decisions] bound remains local to this search).
+    [support_propagation] (default true) enables the supportedness
+    propagation described above; disabling it is only useful for the
+    ablation bench (table E12) — the result is identical, the search
+    exponentially wider.
     @raise Budget_exceeded when the local bound is hit.
     @raise Budget.Exhausted when [budget] trips; public engine APIs catch
     both and return [Error] — see {!Budget}. *)
@@ -96,15 +84,16 @@ val stable_models :
 val stable_models_naive :
   ?budget:Budget.ctl -> ?limit:int -> ?max_decisions:int ->
   ?support_propagation:bool -> ?stats:stats -> Ground.t -> int list list
-(** The sweep-based reference implementation (full rule-array re-scan per
-    propagation pass, supporter-list re-filtering per true atom).  Same
-    arguments, same result as {!stable_models} — kept as the differential
-    oracle for the property tests and the baseline of the E4 before/after
-    numbers.  Not used on any production path. *)
+(** The sweep-based reference search: chronological DPLL with a full
+    rule-array re-scan per propagation pass and supporter-list
+    re-filtering per true atom.  Same arguments, same result as
+    {!stable_models} — kept as the differential oracle of the tests and
+    the chronological baseline of the E4 and E21 bench tables.  Not used
+    on any production path. *)
 
 val stable_models_atoms :
-  ?budget:Budget.ctl -> ?limit:int -> ?max_decisions:int -> ?search:search ->
-  ?stats:stats -> Ground.t -> Ground.gatom list list
+  ?budget:Budget.ctl -> ?limit:int -> ?max_decisions:int -> ?stats:stats ->
+  Ground.t -> Ground.gatom list list
 (** {!stable_models} with atoms resolved, each model sorted. *)
 
 val is_stable_model : Ground.t -> int list -> bool
@@ -117,11 +106,11 @@ val pp_stats : stats Fmt.t
 val pp_search_stats : stats Fmt.t
 (** The CDCL counters:
     [conflicts=… learned=… restarts=… backjump_len=… phase_saved=…]
-    (all zero after a [`Dpll] run). *)
+    (all zero after a {!stable_models_naive} run). *)
 
 val cautious :
-  ?budget:Budget.ctl -> ?max_decisions:int -> ?search:search ->
-  ?stats:stats -> Ground.t -> int list
+  ?budget:Budget.ctl -> ?max_decisions:int -> ?stats:stats -> Ground.t ->
+  int list
 (** Atoms true in every stable model, ascending (empty if there is no
     stable model — by convention of cautious reasoning over an inconsistent
     program every atom is a consequence, but the repair setting guarantees
@@ -129,6 +118,6 @@ val cautious :
     of an empty family as the empty list and let callers decide). *)
 
 val brave :
-  ?budget:Budget.ctl -> ?max_decisions:int -> ?search:search ->
-  ?stats:stats -> Ground.t -> int list
+  ?budget:Budget.ctl -> ?max_decisions:int -> ?stats:stats -> Ground.t ->
+  int list
 (** Atoms true in at least one stable model, ascending. *)

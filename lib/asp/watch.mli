@@ -1,5 +1,5 @@
 (** Two-watched-literal clause database with a level-tagged trail — the
-    propagation core of the CDCL search mode of {!Solver}.
+    propagation core of the CDCL search of {!Solver}.
 
     Literals are ints: atom [a] is [2a] positive, [2a + 1] negative;
     complementation is [lxor 1].  The database owns the assignment (value,
@@ -8,11 +8,11 @@
     propagation and model enumeration on top, {!Learn} the 1UIP conflict
     analysis.
 
-    Unlike the counter engine, assigning an atom costs O(1) here and only
-    {!propagate} walks clauses — and only the clauses watching a literal
-    that actually became false.  Clauses added mid-search (learned nogoods,
-    materialized support reasons) are watched on their asserting literal
-    and one currently-false literal; after deep backjumps their unit
+    Unlike per-rule occurrence counters, assigning an atom costs O(1) here
+    and only {!propagate} walks clauses — and only the clauses watching a
+    literal that actually became false.  Clauses added mid-search (learned
+    nogoods, materialized support reasons) are watched on their asserting
+    literal and one currently-false literal; after deep backjumps their unit
     detection can weaken until re-touched, which the CDCL driver
     compensates with its support re-scan — full falsifications are always
     caught, so no spurious model can slip through. *)

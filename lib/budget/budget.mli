@@ -97,7 +97,7 @@ type stats = {
           written by {!finish} (and on exhaustion), [0] while running *)
   conflicts : int Atomic.t;
       (** falsified clauses hit by the CDCL solver ({!tick_conflict});
-          all five CDCL counters stay 0 under the [`Dpll] search mode *)
+          all five CDCL counters stay 0 when no stable-model search ran *)
   learned : int Atomic.t;   (** nogoods added by conflict analysis *)
   restarts : int Atomic.t;  (** Luby restarts taken *)
   backjump_len : int Atomic.t;
@@ -193,8 +193,8 @@ val tick_conflict : ctl -> unit
 (** Count one CDCL conflict and check the deadline — conflicts are the
     natural deadline granularity of the learning search, whose decisions
     can be thousands of conflicts apart under heavy propagation.  No count
-    limit: the decision limit stays the only search-size bound, so [`Dpll]
-    and [`Cdcl] runs exhaust comparably.  @raise Exhausted on deadline. *)
+    limit: the decision limit stays the only bound on the size of the
+    stable-model search.  @raise Exhausted on deadline. *)
 
 val note_learned : ctl -> unit
 (** Count one learned nogood.  Never raises. *)
@@ -217,7 +217,7 @@ val pp_search : stats Fmt.t
 (** The CDCL line:
     [conflicts=… learned=… restarts=… backjump_len=… phase_saved=…].
     Printed by the CLI only when {!search_total} is non-zero, so [--stats]
-    output is unchanged under [`Dpll]. *)
+    output is unchanged for runs that never solve a repair program. *)
 
 val remaining_ms : ctl -> int option
 (** Milliseconds until the deadline, never negative; [None] without one.

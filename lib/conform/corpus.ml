@@ -185,8 +185,8 @@ let cyclic_ric ~name ~complete ~dangling () =
    - [Rep_d(D, IC)] discards the constant fills in favour of deletion:
      2^unaudited repairs, and unassigned employees are not even possible.
 
-   The program tiers implement the null-padded program of Definition 9,
-   which is sound only under the Assumption, so the runner skips them for
+   The program tier implements the null-padded program of Definition 9,
+   which is sound only under the Assumption, so the runner skips it for
    this family (see {!Runner.tiers_for}). *)
 
 let nnc_ric ~name ~staff ~unassigned ~unaudited () =

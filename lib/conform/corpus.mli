@@ -31,8 +31,8 @@ val nnc_ric :
     recovers the arbitrary-constant insertion repairs
     ([(|dom| + 1)^unassigned * 2^unaudited] of them) while the
     deletion-preferring [Rep_d(D, IC)] keeps only [2^unaudited].  Both
-    cardinalities are pinned; the program tiers (sound only for
-    non-conflicting sets) are skipped by the runner. *)
+    cardinalities are pinned; the program tier (sound only for
+    non-conflicting sets) is skipped by the runner. *)
 
 val session_stream :
   name:string ->

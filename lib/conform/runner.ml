@@ -8,61 +8,43 @@ module Instance = Relational.Instance
    - [Program] and [Enumerate] are the monolithic materializing engines
      (stable models of Pi(D, IC) under CDCL, and the model-theoretic
      state search);
-   - [ProgramDpll] re-runs the program engine under the chronological
-     DPLL search and folds the repairs through
-     {!Query.Cqa.outcome_of_repairs} — the CDCL/DPLL differential at the
-     outcome level (with the CLI's enumeration fallback where the repair
-     program is not applicable);
    - [SessionTier] replays the scenario's update stream through the
      incremental session engine;
    - [ServeTier] replays it through the serving line protocol
      ({!Serve.Protocol}), request text and all.
 
-   All six must render byte-identical outcomes. *)
-type tier = Auto | Program | Enumerate | ProgramDpll | SessionTier | ServeTier
+   All five must render byte-identical outcomes. *)
+type tier = Auto | Program | Enumerate | SessionTier | ServeTier
 
-let all_tiers = [ Auto; Program; Enumerate; ProgramDpll; SessionTier; ServeTier ]
+let all_tiers = [ Auto; Program; Enumerate; SessionTier; ServeTier ]
 
 let tier_name = function
   | Auto -> "auto"
   | Program -> "program"
   | Enumerate -> "enumerate"
-  | ProgramDpll -> "program-dpll"
   | SessionTier -> "session"
   | ServeTier -> "serve"
 
 (* The protocol's cqa command answers under the default query semantics,
    so the serve tier only applies to NullAsConstant cases.  The program
-   tiers implement the null-padded repair program of Definition 9, sound
+   tier implements the null-padded repair program of Definition 9, sound
    only for non-conflicting constraint sets (the Assumption of Section 4);
    on conflicting sets (Example 20) [Rep(D, IC)] additionally contains
    arbitrary-constant insertion repairs the program cannot produce, so
-   those tiers are skipped and the case pins [Rep_d] instead. *)
+   the program tier is skipped and the case pins [Rep_d] instead. *)
 let tiers_for ~ics (c : Case.t) =
   let conflicting = Result.is_error (Ic.Builder.non_conflicting ics) in
   List.filter
     (fun t ->
       (match t with
       | ServeTier -> c.Case.semantics = Query.Qeval.NullAsConstant
-      | Program | ProgramDpll -> not conflicting
+      | Program -> not conflicting
       | Auto | Enumerate | SessionTier -> true))
     all_tiers
 
 let method_outcome ~method_ ~semantics d ics q =
   Result.map Case.render_outcome
     (Query.Cqa.consistent_answers ~method_ ~semantics d ics q)
-
-let dpll_outcome ~semantics d ics q =
-  let repairs =
-    match Core.Engine.repairs ~search:`Dpll d ics with
-    | Ok reps -> reps
-    | Error _ -> Repair.Enumerate.repairs d ics
-  in
-  Ok
-    (Case.render_outcome
-       (Query.Cqa.outcome_of_repairs ~semantics
-          ~standard:(Query.Qeval.answers ~semantics d q)
-          q repairs))
 
 let session_outcome ~semantics (l : Lang.Load.loaded) q =
   let s = Session.create ~engine:Session.Auto l.Lang.Load.instance l.Lang.Load.ics in
@@ -156,7 +138,6 @@ let run_tier (c : Case.t) (l : Lang.Load.loaded) q tier =
       | ok -> ok)
   | Enumerate ->
       method_outcome ~method_:Query.Cqa.ModelTheoretic ~semantics d l.Lang.Load.ics q
-  | ProgramDpll -> dpll_outcome ~semantics d l.Lang.Load.ics q
   | SessionTier -> session_outcome ~semantics l q
   | ServeTier -> serve_outcome l c.Case.query
 

@@ -2,15 +2,15 @@
     tier and cross-check the rendered outcomes byte for byte, then check
     the case's pinned expectations against the reference (auto) outcome. *)
 
-type tier = Auto | Program | Enumerate | ProgramDpll | SessionTier | ServeTier
+type tier = Auto | Program | Enumerate | SessionTier | ServeTier
 
 val all_tiers : tier list
 val tier_name : tier -> string
 
 val tiers_for : ics:Ic.Constr.t list -> Case.t -> tier list
-(** All six tiers, except that (a) the serve tier is skipped for cases
+(** All five tiers, except that (a) the serve tier is skipped for cases
     pinned to a non-default query semantics (the line protocol answers
-    under the default), and (b) the program tiers are skipped when [ics]
+    under the default), and (b) the program tier is skipped when [ics]
     fails {!Ic.Builder.non_conflicting} — the null-padded repair program
     of Definition 9 is sound only under the Assumption of Section 4, and
     on conflicting sets (Example 20) it legitimately disagrees with

@@ -13,21 +13,14 @@ type report = {
 (* Ground and solve one repair program.  Raises the budget exceptions of
    the grounder/solver; [run] and [solve_component] below are the
    conversion boundaries — no exception escapes a public Engine API. *)
-let run_exn ?budget ?(shift = true) ?(solver = `Counter) ?search ?max_decisions
-    d ics (pg : Proggen.t) =
+let run_exn ?budget ?(shift = true) ?max_decisions d ics (pg : Proggen.t) =
   let ground = Asp.Grounder.ground ?budget pg.Proggen.program in
   let hcf = Asp.Hcf.is_hcf ground in
   let shifted = shift && hcf in
   let solvable = if shifted then Asp.Shift.ground ground else ground in
   let stats = Asp.Solver.new_stats () in
-  let solve =
-    match solver with
-    | `Counter -> Asp.Solver.stable_models ?search
-    | `Naive -> Asp.Solver.stable_models_naive
-  in
   let models =
-    solve ?budget ?max_decisions ~stats solvable
-    |> List.map (Asp.Ground.model_atoms solvable)
+    Asp.Solver.stable_models_atoms ?budget ?max_decisions ~stats solvable
   in
   let extracted = Extract.databases_of_models pg.Proggen.names models in
   (* For RIC-acyclic IC the stable models are exactly the repairs
@@ -49,10 +42,9 @@ let run_exn ?budget ?(shift = true) ?(solver = `Counter) ?search ?max_decisions
     solver = stats;
   }
 
-let run ?variant ?optimize ?shift ?solver ?search ?budget ?max_decisions d ics
-    =
+let run ?variant ?optimize ?shift ?budget ?max_decisions d ics =
   Result.bind (Proggen.repair_program ?variant ?optimize d ics) (fun pg ->
-      match run_exn ?budget ?shift ?solver ?search ?max_decisions d ics pg with
+      match run_exn ?budget ?shift ?max_decisions d ics pg with
       | report -> Ok report
       | exception Asp.Solver.Budget_exceeded n ->
           Error (Budget.message (Budget.Decisions n))
@@ -63,13 +55,13 @@ type components_result = {
   exhausted : Budget.exhausted option;
 }
 
-let solve_component ?variant ?optimize ?budget ?search ?max_decisions
+let solve_component ?variant ?optimize ?budget ?max_decisions
     (c : Repair.Decompose.component) =
   let base = Repair.Decompose.base c in
   let ics = c.Repair.Decompose.ics in
   match
     Result.map
-      (run_exn ?budget ?search ?max_decisions base ics)
+      (run_exn ?budget ?max_decisions base ics)
       (Proggen.repair_program ?variant ?optimize base ics)
   with
   | Ok report -> Repair.Decompose.Solved report.repairs
@@ -78,21 +70,21 @@ let solve_component ?variant ?optimize ?budget ?search ?max_decisions
       Repair.Decompose.Tripped (Budget.Decisions n)
   | exception Budget.Exhausted e -> Repair.Decompose.Tripped e
 
-let solve_components ?variant ?optimize ?budget ?search ?max_decisions ?jobs
+let solve_components ?variant ?optimize ?budget ?max_decisions ?jobs
     (plan : Repair.Decompose.plan) =
   Result.map
     (fun (solved, _, exhausted) -> { solved; exhausted })
     (Repair.Decompose.solve ?budget ?jobs
        ~filler:(fun c -> [ Repair.Decompose.base c ])
-       (solve_component ?variant ?optimize ?budget ?search ?max_decisions)
+       (solve_component ?variant ?optimize ?budget ?max_decisions)
        plan.Repair.Decompose.components)
 
-let repairs ?variant ?optimize ?budget ?search ?max_decisions
-    ?(decompose = false) ?jobs d ics =
+let repairs ?variant ?optimize ?budget ?max_decisions ?(decompose = false)
+    ?jobs d ics =
   let monolithic () =
     Result.map
       (fun r -> r.repairs)
-      (run ?variant ?optimize ?budget ?search ?max_decisions d ics)
+      (run ?variant ?optimize ?budget ?max_decisions d ics)
   in
   if not decompose then monolithic ()
   else
@@ -110,8 +102,8 @@ let repairs ?variant ?optimize ?budget ?search ?max_decisions
               monolithic ()
             else
               Result.bind
-                (solve_components ?variant ?optimize ?budget ?search
-                   ?max_decisions ?jobs plan)
+                (solve_components ?variant ?optimize ?budget ?max_decisions
+                   ?jobs plan)
                 (fun r ->
                   match r.exhausted with
                   | Some e ->

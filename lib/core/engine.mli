@@ -22,8 +22,6 @@ val run :
   ?variant:Proggen.variant ->
   ?optimize:bool ->
   ?shift:bool ->
-  ?solver:[ `Counter | `Naive ] ->
-  ?search:Asp.Solver.search ->
   ?budget:Budget.ctl ->
   ?max_decisions:int ->
   Relational.Instance.t ->
@@ -31,13 +29,8 @@ val run :
   (report, string) result
 (** [shift] defaults to true: the ground program is shifted to a normal one
     whenever it is HCF (Section 6); pass false to always solve the
-    disjunctive program directly (used by bench table E4).  [solver]
-    selects the stable-model engine: [`Counter] (default) is the
-    occurrence-indexed counter-propagation engine, [`Naive] the sweep-based
-    reference — the E4 before/after columns run both through this switch.
-    [search] (default [`Cdcl]) picks the [`Counter] engine's search mode —
-    conflict-driven clause learning or the chronological DPLL baseline —
-    and is ignored under [`Naive].
+    disjunctive program directly (used by bench table E4).  The stable
+    models come from {!Asp.Solver.stable_models}.
     [optimize] applies the relevance pruning of {!Proggen.repair_program}.
     [budget] bounds grounding and solving under the shared run budget
     (decision limit and wall-clock deadline); exhaustion of either it or
@@ -47,7 +40,6 @@ val solve_component :
   ?variant:Proggen.variant ->
   ?optimize:bool ->
   ?budget:Budget.ctl ->
-  ?search:Asp.Solver.search ->
   ?max_decisions:int ->
   Repair.Decompose.component ->
   Relational.Instance.t list Repair.Decompose.solved
@@ -69,7 +61,6 @@ val solve_components :
   ?variant:Proggen.variant ->
   ?optimize:bool ->
   ?budget:Budget.ctl ->
-  ?search:Asp.Solver.search ->
   ?max_decisions:int ->
   ?jobs:int ->
   Repair.Decompose.plan ->
@@ -84,7 +75,6 @@ val repairs :
   ?variant:Proggen.variant ->
   ?optimize:bool ->
   ?budget:Budget.ctl ->
-  ?search:Asp.Solver.search ->
   ?max_decisions:int ->
   ?decompose:bool ->
   ?jobs:int ->

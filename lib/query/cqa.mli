@@ -91,16 +91,6 @@ val consistent_answers :
     (see {!Repair.Decompose.solve} for the contract under exhaustion).
     Decomposed runs are {!outcome_of_plan} over a fresh plan. *)
 
-val outcome_of_repairs :
-  ?semantics:Qeval.semantics ->
-  standard:Relational.Tuple.Set.t ->
-  Qsyntax.t ->
-  Relational.Instance.t list ->
-  outcome
-(** Evaluate the query in every repair of a materialized list and fold the
-    answer sets: [consistent] is their intersection, [possible] their
-    union.  The monolithic tail of both materializing methods. *)
-
 val factorized_outcome :
   ?semantics:Qeval.semantics ->
   ?jobs:int ->

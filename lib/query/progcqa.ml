@@ -178,8 +178,7 @@ let answers_in_model model =
       else None)
     model
 
-let consistent_answers ?variant ?budget ?search ?max_decisions d ics
-    (q : Qsyntax.t) =
+let consistent_answers ?variant ?budget ?max_decisions d ics (q : Qsyntax.t) =
   let* () =
     if Ic.Depgraph.is_ric_acyclic ics then Ok ()
     else
@@ -198,7 +197,7 @@ let consistent_answers ?variant ?budget ?search ?max_decisions d ics
     let solvable =
       if Asp.Hcf.is_hcf ground then Asp.Shift.ground ground else ground
     in
-    Asp.Solver.stable_models_atoms ?budget ?max_decisions ?search solvable
+    Asp.Solver.stable_models_atoms ?budget ?max_decisions solvable
   with
   | exception Asp.Solver.Budget_exceeded n ->
       Error (Budget.message (Budget.Decisions n))
@@ -218,9 +217,9 @@ let consistent_answers ?variant ?budget ?search ?max_decisions d ics
       in
       Ok { consistent; possible; stable_models = List.length models }
 
-let certain ?variant ?budget ?search ?max_decisions d ics q =
+let certain ?variant ?budget ?max_decisions d ics q =
   if not (Qsyntax.is_boolean q) then Error "certain: query has head variables"
   else
     Result.map
       (fun o -> Relational.Tuple.Set.mem (Relational.Tuple.make []) o.consistent)
-      (consistent_answers ?variant ?budget ?search ?max_decisions d ics q)
+      (consistent_answers ?variant ?budget ?max_decisions d ics q)

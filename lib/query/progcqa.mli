@@ -32,7 +32,6 @@ type outcome = {
 val consistent_answers :
   ?variant:Core.Proggen.variant ->
   ?budget:Budget.ctl ->
-  ?search:Asp.Solver.search ->
   ?max_decisions:int ->
   Relational.Instance.t ->
   Ic.Constr.t list ->
@@ -40,13 +39,11 @@ val consistent_answers :
   (outcome, string) result
 (** [budget] bounds grounding and solving under the shared run budget;
     exhaustion of it or of the local [max_decisions] yields [Error], never
-    an exception.  [search] picks the solver's search mode
-    ({!Asp.Solver.search}, default [`Cdcl]). *)
+    an exception. *)
 
 val certain :
   ?variant:Core.Proggen.variant ->
   ?budget:Budget.ctl ->
-  ?search:Asp.Solver.search ->
   ?max_decisions:int ->
   Relational.Instance.t ->
   Ic.Constr.t list ->

@@ -10,8 +10,8 @@
     stay functional and cheap.  Joins read the codes directly (see
     {!section-code}).  The observable behaviour — set semantics,
     iteration order, the [compare]/[equal] total order, [pp] output — is
-    byte-identical to the historical tuple-set representation, which is
-    kept as {!module:Naive} and differentially tested against this one. *)
+    byte-identical to the historical tuple-set representation, which the
+    test suite keeps as the differential oracle of this one. *)
 
 type t
 
@@ -135,42 +135,3 @@ val pp : t Fmt.t
 
 val pp_inline : t Fmt.t
 (** [{A(1), B(2, null)}] on one line. *)
-
-(** {2 The oracle}
-
-    The pre-columnar representation — a functional map of tuple sets —
-    retained verbatim as the differential-testing oracle: every operation
-    above is property-tested to agree with it, including the sign of
-    [compare] and byte-identical [pp]. *)
-
-module Naive : sig
-  type t
-
-  val empty : t
-  val is_empty : t -> bool
-  val add : Atom.t -> t -> t
-  val remove : Atom.t -> t -> t
-  val mem : Atom.t -> t -> bool
-  val of_atoms : Atom.t list -> t
-  val of_list : (string * Value.t list) list -> t
-  val atoms : t -> Atom.t list
-  val atom_set : t -> Atom.Set.t
-  val cardinal : t -> int
-  val preds : t -> string list
-  val tuples : t -> string -> Tuple.Set.t
-  val fold : (Atom.t -> 'a -> 'a) -> t -> 'a -> 'a
-  val iter : (Atom.t -> unit) -> t -> unit
-  val filter : (Atom.t -> bool) -> t -> t
-  val union : t -> t -> t
-  val diff : t -> t -> t
-  val inter : t -> t -> t
-  val symdiff : t -> t -> t
-  val subset : t -> t -> bool
-  val equal : t -> t -> bool
-  val compare : t -> t -> int
-  val active_domain : t -> Value.t list
-  val active_domain_non_null : t -> Value.t list
-  val null_count : t -> int
-  val pp : t Fmt.t
-  val pp_inline : t Fmt.t
-end

@@ -310,9 +310,9 @@ let prop_minimality =
         ms)
 
 (* ------------------------------------------------------------------ *)
-(* Counter-based engine vs the kept-around sweep-based reference, on
-   random ground disjunctive programs built directly at the Ground layer
-   (so duplicate literals, empty heads/bodies, and unused atoms are all in
+(* The solver's counters vs the sweep-based reference search, on random
+   ground disjunctive programs built directly at the Ground layer (so
+   duplicate literals, empty heads/bodies, and unused atoms are all in
    scope — shapes the syntax-level generator cannot produce). *)
 
 let ground_program_gen =
@@ -346,20 +346,18 @@ let build_ground (n_atoms, rules) =
     rules;
   g
 
-let prop_counter_engine_matches_naive =
+let prop_solver_counters =
   QCheck.Test.make
-    ~name:"counter-based solver = sweep-based reference (random ground programs)"
+    ~name:"cdcl solver vs sweep-based reference: counters (random ground programs)"
     ~count:1000
     (QCheck.make
        ~print:(fun gp -> Fmt.str "%a" Ground.pp (build_ground gp))
        ground_program_gen)
     (fun gp ->
       let g = build_ground gp in
-      let s_counter = Solver.new_stats () in
+      let s_cdcl = Solver.new_stats () in
       let s_naive = Solver.new_stats () in
-      (* pinned to `Dpll: the candidate-count invariant below is specific to
-         the chronological engine (CDCL differentials live in test_cdcl) *)
-      let m_counter = Solver.stable_models ~search:`Dpll ~stats:s_counter g in
+      let m_cdcl = Solver.stable_models ~stats:s_cdcl g in
       let m_naive = Solver.stable_models_naive ~stats:s_naive g in
       let nonneg (s : Solver.stats) =
         s.Solver.decisions >= 0 && s.Solver.propagations >= 0
@@ -367,32 +365,20 @@ let prop_counter_engine_matches_naive =
         && s.Solver.queue_pushes >= 0 && s.Solver.rules_touched >= 0
       in
       (* a second run accumulating into the same record only grows it *)
-      let d0 = s_counter.Solver.decisions
-      and p0 = s_counter.Solver.propagations
-      and q0 = s_counter.Solver.queue_pushes
-      and r0 = s_counter.Solver.rules_touched in
-      ignore (Solver.stable_models ~search:`Dpll ~stats:s_counter g);
-      m_counter = m_naive
-      && List.for_all (Solver.is_stable_model g) m_counter
-      && nonneg s_counter && nonneg s_naive
+      let d0 = s_cdcl.Solver.decisions
+      and p0 = s_cdcl.Solver.propagations
+      and q0 = s_cdcl.Solver.queue_pushes
+      and r0 = s_cdcl.Solver.rules_touched in
+      ignore (Solver.stable_models ~stats:s_cdcl g);
+      m_cdcl = m_naive
+      && List.for_all (Solver.is_stable_model g) m_cdcl
+      && nonneg s_cdcl && nonneg s_naive
       && s_naive.Solver.queue_pushes = 0
-      && s_counter.Solver.candidates >= 2 * List.length m_counter
-      && s_counter.Solver.decisions >= d0
-      && s_counter.Solver.propagations >= p0
-      && s_counter.Solver.queue_pushes >= q0
-      && s_counter.Solver.rules_touched >= r0)
-
-let prop_counter_engine_support_ablation =
-  QCheck.Test.make
-    ~name:"counter-based solver: support propagation does not change models"
-    ~count:300
-    (QCheck.make
-       ~print:(fun gp -> Fmt.str "%a" Ground.pp (build_ground gp))
-       ground_program_gen)
-    (fun gp ->
-      let g = build_ground gp in
-      Solver.stable_models ~search:`Dpll g
-      = Solver.stable_models ~search:`Dpll ~support_propagation:false g)
+      && s_cdcl.Solver.candidates >= 2 * List.length m_cdcl
+      && s_cdcl.Solver.decisions >= d0
+      && s_cdcl.Solver.propagations >= p0
+      && s_cdcl.Solver.queue_pushes >= q0
+      && s_cdcl.Solver.rules_touched >= r0)
 
 (* ------------------------------------------------------------------ *)
 (* is_stable_model *)
@@ -695,7 +681,6 @@ let () =
             prop_shift_preserves_hcf_models;
             prop_stable_models_are_models;
             prop_minimality;
-            prop_counter_engine_matches_naive;
-            prop_counter_engine_support_ablation;
+            prop_solver_counters;
           ] );
     ]

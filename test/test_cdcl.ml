@@ -1,13 +1,15 @@
-(* Differential suite for the CDCL search mode: the learning engine must
-   enumerate exactly the same stable models as the chronological counter
-   engine and the sweep-based reference, on random ground disjunctive
-   programs built directly at the Ground layer (duplicate literals, empty
-   heads/bodies, unused atoms all in scope).  Plus pinned end-to-end
-   regressions through the repair engine on the paper's Examples 19/20. *)
+(* Differential suite for the CDCL search: it must enumerate exactly the
+   same stable models as the sweep-based reference search, on random
+   ground disjunctive programs built directly at the Ground layer
+   (duplicate literals, empty heads/bodies, unused atoms all in scope) and
+   on the repair programs of the conformance corpus, the fuzzer and the
+   hard scenario files.  Plus pinned end-to-end regressions through the
+   repair engine on the paper's Examples 19/20. *)
 
 open Asp
+module Iset = Set.Make (Int)
 
-(* Same generator shape as test_asp's counter-vs-naive property: small
+(* Same generator shape as test_asp's solver-vs-reference property: small
    universes keep brute-force checkable, dense rule shapes exercise the
    disjunctive/minimality paths. *)
 let ground_program_gen =
@@ -46,17 +48,15 @@ let arb =
     ~print:(fun gp -> Fmt.str "%a" Ground.pp (build_ground gp))
     ground_program_gen
 
-let prop_three_engines_agree =
+let prop_matches_reference =
   QCheck.Test.make
-    ~name:"cdcl = dpll = sweep-based reference (random ground programs)"
+    ~name:"cdcl = sweep-based reference (random ground programs)"
     ~count:1000 arb
     (fun gp ->
       let g = build_ground gp in
       let s_cdcl = Solver.new_stats () in
-      let m_cdcl = Solver.stable_models ~search:`Cdcl ~stats:s_cdcl g in
-      let m_dpll = Solver.stable_models ~search:`Dpll g in
-      let m_naive = Solver.stable_models_naive g in
-      m_cdcl = m_dpll && m_cdcl = m_naive
+      let m_cdcl = Solver.stable_models ~stats:s_cdcl g in
+      m_cdcl = Solver.stable_models_naive g
       && List.for_all (Solver.is_stable_model g) m_cdcl
       (* every model reached the candidate check; every conflict except a
          final level-0 one (which ends the search unanalyzed) produced a
@@ -69,11 +69,18 @@ let prop_three_engines_agree =
 
 let prop_cautious_brave_agree =
   QCheck.Test.make
-    ~name:"cdcl cautious/brave = dpll cautious/brave" ~count:300 arb
+    ~name:"cdcl cautious/brave = reference intersection/union" ~count:300 arb
     (fun gp ->
       let g = build_ground gp in
-      Solver.cautious ~search:`Cdcl g = Solver.cautious ~search:`Dpll g
-      && Solver.brave ~search:`Cdcl g = Solver.brave ~search:`Dpll g)
+      let models = List.map Iset.of_list (Solver.stable_models_naive g) in
+      let inter =
+        match models with
+        | [] -> []
+        | m :: rest -> Iset.elements (List.fold_left Iset.inter m rest)
+      in
+      Solver.cautious g = inter
+      && Solver.brave g
+         = Iset.elements (List.fold_left Iset.union Iset.empty models))
 
 let prop_support_ablation =
   QCheck.Test.make
@@ -81,12 +88,69 @@ let prop_support_ablation =
     ~count:300 arb
     (fun gp ->
       let g = build_ground gp in
-      Solver.stable_models ~search:`Cdcl g
-      = Solver.stable_models ~search:`Cdcl ~support_propagation:false g)
+      Solver.stable_models g
+      = Solver.stable_models ~support_propagation:false g)
+
+(* ------------------------------------------------------------------ *)
+(* Real repair programs: every non-conflicting corpus case that has one,
+   50 fuzz scenarios and the two hard scenario files (the second one with
+   Example 20's NNC/RIC conflict), ground and shifted when
+   head-cycle-free exactly as Core.Engine.run solves them. *)
+
+let solvable (pg : Core.Proggen.t) =
+  let g = Grounder.ground pg.Core.Proggen.program in
+  if Hcf.is_hcf g then Shift.ground g else g
+
+let load (file, source) =
+  match Lang.Load.of_string ~file source with
+  | Ok l -> (file, l)
+  | Error msg -> Alcotest.failf "%s: %s" file msg
+
+let test_repair_programs () =
+  let check_all what expected loaded =
+    let programs =
+      List.filter_map
+        (fun (file, l) ->
+          match
+            Core.Proggen.repair_program (Lang.Load.final_instance l)
+              l.Lang.Load.ics
+          with
+          | Ok pg -> Some (file, solvable pg)
+          | Error _ -> None)
+        loaded
+    in
+    Alcotest.(check int) (what ^ " repair programs") expected
+      (List.length programs);
+    List.iter
+      (fun (file, g) ->
+        Alcotest.(check (list (list int)))
+          (file ^ ": cdcl = reference") (Solver.stable_models_naive g)
+          (Solver.stable_models g))
+      programs
+  in
+  check_all "corpus" 30
+    (List.filter
+       (fun (_, l) -> Result.is_ok (Ic.Builder.non_conflicting l.Lang.Load.ics))
+       (List.map
+          (fun (c : Conform.Case.t) ->
+            load (c.Conform.Case.name, c.Conform.Case.source))
+          (Conform.Suite.all @ Conform.Corpus.all)));
+  check_all "fuzz" 50
+    (List.init 50 (fun i ->
+         let seed = i + 1 in
+         load
+           ( Printf.sprintf "fuzz seed %d" seed,
+             Conform.Fuzz.source (Conform.Fuzz.gen ~seed ()) )));
+  check_all "scenario" 2
+    (List.map
+       (fun f ->
+         let file = "../scenarios/" ^ f in
+         load (file, In_channel.with_open_text file In_channel.input_all))
+       [ "cyclic_ric_chain.cqa"; "nnc_ric_conflicts.cqa" ])
 
 (* ------------------------------------------------------------------ *)
 (* Enumeration mechanics under learning: limits and budgets behave like
-   the chronological engine's. *)
+   the reference search's. *)
 
 let a0 name = Syntax.{ pred = name; args = [] }
 let gatom name = Ground.{ gpred = name; gargs = [] }
@@ -103,15 +167,24 @@ let big_choice_program n =
 let test_limit () =
   let g = Grounder.ground (big_choice_program 4) in
   Alcotest.(check int) "all models" 16
-    (List.length (Solver.stable_models ~search:`Cdcl g));
+    (List.length (Solver.stable_models g));
   Alcotest.(check int) "limited" 3
-    (List.length (Solver.stable_models ~search:`Cdcl ~limit:3 g))
+    (List.length (Solver.stable_models ~limit:3 g));
+  (* [~limit:0] asks for no model and runs no search *)
+  let stats = Solver.new_stats () in
+  Alcotest.(check int) "limit 0" 0
+    (List.length (Solver.stable_models ~limit:0 ~stats g));
+  Alcotest.(check int) "limit 0: reference" 0
+    (List.length (Solver.stable_models_naive ~limit:0 ~stats g));
+  Alcotest.(check string) "limit 0: nothing searched"
+    (Fmt.str "%a" Solver.pp_stats (Solver.new_stats ()))
+    (Fmt.str "%a" Solver.pp_stats stats)
 
 let test_budget_exceeded () =
   let g = Grounder.ground (big_choice_program 10) in
   Alcotest.check_raises "decision budget trips"
     (Solver.Budget_exceeded 5) (fun () ->
-      ignore (Solver.stable_models ~search:`Cdcl ~max_decisions:5 g))
+      ignore (Solver.stable_models ~max_decisions:5 g))
 
 let test_restarts_complete () =
   (* enough conflicts to cross the Luby base: enumeration stays exact
@@ -119,32 +192,25 @@ let test_restarts_complete () =
   let n = 6 in
   let g = Grounder.ground (big_choice_program n) in
   let stats = Solver.new_stats () in
-  let ms = Solver.stable_models ~search:`Cdcl ~stats g in
+  let ms = Solver.stable_models ~stats g in
   Alcotest.(check int) "2^n models" (1 lsl n) (List.length ms);
   Alcotest.(check bool) "no duplicates" true
     (List.sort_uniq compare ms = ms)
 
-let test_search_stats_dpll_zero () =
-  let g = Grounder.ground (big_choice_program 3) in
-  let stats = Solver.new_stats () in
-  ignore (Solver.stable_models ~search:`Dpll ~stats g);
-  Alcotest.(check string) "dpll leaves the cdcl counters at zero"
-    "conflicts=0 learned=0 restarts=0 backjump_len=0 phase_saved=0"
-    (Fmt.str "%a" Solver.pp_search_stats stats)
-
 let test_unsupported_atom () =
-  (* an atom with no rule head is fixed false at level 0 by both engines *)
+  (* an atom with no rule head is fixed false at level 0 *)
   let p = [ Syntax.rule [ a0 "a" ] ~body_neg:[ a0 "z" ] ] in
   let g = Grounder.ground p in
   let id name = Option.get (Ground.find g (gatom name)) in
   Alcotest.(check (list (list int)))
     "only {a}"
     [ [ id "a" ] ]
-    (Solver.stable_models ~search:`Cdcl g)
+    (Solver.stable_models g)
 
 (* ------------------------------------------------------------------ *)
 (* Pinned end-to-end regressions: the repair engine on Examples 19/20 of
-   the paper, solved through both search modes. *)
+   the paper, against the model-theoretic enumeration and the reference
+   search. *)
 
 let vs = Relational.Value.str
 let vn = Relational.Value.null
@@ -167,19 +233,22 @@ let ex19_ics =
     ]
 
 let test_example19_repairs () =
-  let run search =
-    match Core.Engine.repairs ~search ex19_d ex19_ics with
-    | Ok reps -> List.sort compare (List.map Relational.Instance.atoms reps)
+  let sorted reps =
+    List.sort compare (List.map Relational.Instance.atoms reps)
+  in
+  let cdcl =
+    match Core.Engine.repairs ex19_d ex19_ics with
+    | Ok reps -> sorted reps
     | Error msg -> Alcotest.failf "engine error: %s" msg
   in
-  let cdcl = run `Cdcl in
   Alcotest.(check int) "the four repairs of Example 19" 4 (List.length cdcl);
-  Alcotest.(check bool) "identical to dpll" true (cdcl = run `Dpll)
+  Alcotest.(check bool) "identical to enumeration" true
+    (cdcl = sorted (Repair.Enumerate.repairs ex19_d ex19_ics))
 
 let test_example20_conflicting_nnc () =
   (* Example 20: the NNC on Q[2] conflicts with the RIC's existential
-     attribute; the repair program over-approximates, and both search
-     modes must agree on the model count and the extracted repair set *)
+     attribute; the repair program over-approximates, and the search must
+     still find exactly the reference's stable models of it *)
   let d =
     Relational.Instance.of_list
       [ ("P", [ vs "a" ]); ("P", [ vs "b" ]); ("Q", [ vs "b"; vs "c" ]) ]
@@ -195,16 +264,13 @@ let test_example20_conflicting_nnc () =
       Ic.Constr.not_null ~pred:"Q" ~arity:2 ~pos:2 ();
     ]
   in
-  let run search =
-    match Core.Engine.run ~search d ics with
-    | Ok r ->
-        ( r.Core.Engine.stable_model_count,
-          List.sort compare
-            (List.map Relational.Instance.atoms r.Core.Engine.repairs) )
-    | Error msg -> Alcotest.failf "engine error: %s" msg
-  in
-  Alcotest.(check bool) "cdcl = dpll on Example 20's program" true
-    (run `Cdcl = run `Dpll)
+  match Core.Proggen.repair_program d ics with
+  | Error msg -> Alcotest.failf "program error: %s" msg
+  | Ok pg ->
+      let g = solvable pg in
+      Alcotest.(check (list (list int)))
+        "cdcl = reference on Example 20's program"
+        (Solver.stable_models_naive g) (Solver.stable_models g)
 
 let () =
   Alcotest.run "cdcl"
@@ -212,8 +278,11 @@ let () =
       ( "differential",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_three_engines_agree; prop_cautious_brave_agree;
+            prop_matches_reference; prop_cautious_brave_agree;
             prop_support_ablation;
+          ]
+        @ [
+            Alcotest.test_case "repair programs" `Quick test_repair_programs;
           ] );
       ( "mechanics",
         [
@@ -221,8 +290,6 @@ let () =
           Alcotest.test_case "budget" `Quick test_budget_exceeded;
           Alcotest.test_case "restarts keep enumeration exact" `Quick
             test_restarts_complete;
-          Alcotest.test_case "dpll zero cdcl counters" `Quick
-            test_search_stats_dpll_zero;
           Alcotest.test_case "unsupported atom fixed false" `Quick
             test_unsupported_atom;
         ] );

@@ -291,7 +291,7 @@ let prop_hash_discriminates_constructors =
       Value.equal a b || Value.hash a <> Value.hash b)
 
 (* ------------------------------------------------------------------ *)
-(* Columnar storage vs the functional-set oracle (Instance.Naive).
+(* Columnar storage vs the functional-set oracle (Naive_instance).
 
    The columnar representation (interned segments + deletion/extra
    overlays) must be observationally identical to the old Tuple.Set-per-
@@ -303,7 +303,7 @@ let prop_hash_discriminates_constructors =
    extra overlay), and removals of both segment rows (the deletion
    overlay) and freshly added ones. *)
 
-module Naive = Instance.Naive
+module Naive = Naive_instance
 
 let script_gen =
   QCheck.Gen.(
