@@ -18,7 +18,10 @@ type solved = {
   tier : Budget.tier option;
 }
 
-type solve_key = Whole | Component of Decompose.component
+type store = {
+  find : string -> (solved * Relational.Value.t array) option;
+  add : string -> solved * Relational.Value.t array -> unit;
+}
 
 let cannot_decompose =
   "the cautious-program method cannot decompose: it materializes no \
@@ -226,12 +229,104 @@ let solve_component ?budget ?max_effort method_ (plan : Decompose.plan) c =
   | LogicProgram -> program None
   | CautiousProgram -> Decompose.Failed cannot_decompose
 
-let no_memo _ solve = solve ()
+(* ------------------------------------------------------------------ *)
+(* Solve memos.
+
+   A solve step can go through a store of solved components, probed and
+   filled by key.  A key names the strategy and the effort bound, then
+   digests what the solve reads.  An exact [Auto] plan keys a component by
+   its shape ({!Decompose.shape_key}), so isomorphic components share one
+   solve: a hit carries the stored results over to the asking component
+   through the renaming between the two keys' constants.  Every other
+   component, and the monolithic program, is keyed by content, which
+   renames nothing. *)
+
+let effort_tag = function None -> "-" | Some n -> string_of_int n
+
+(* The key of one component's solve; [None] leaves it unmemoized.  With
+   [shapes_only] only shape keys memoize: within one request no two
+   components have the same content, so a content key could never hit,
+   and on a large instance its universe digest is not free. *)
+let component_key ~shapes_only ?max_effort method_ (plan : Decompose.plan) c =
+  let key tag id constants =
+    Some (Printf.sprintf "%s:%s:%s" tag (effort_tag max_effort) id, constants)
+  in
+  let content tag id = if shapes_only then None else key tag (id ()) [||] in
+  let with_universe () =
+    Decompose.fingerprint ~universe:plan.Decompose.universe
+      ~nnc_positions:plan.Decompose.nnc_positions c
+  in
+  match (method_, plan.Decompose.product_exact) with
+  | Auto, true -> (
+      match Decompose.shape_key plan c with
+      | Some k -> key "auto" k.Decompose.id k.Decompose.constants
+      | None -> content "auto" with_universe)
+  (* [Auto] on an inexact plan enumerates, like [ModelTheoretic], over the
+     universe *)
+  | (Auto | ModelTheoretic), _ -> content "enum" with_universe
+  | (LogicProgram | CautiousProgram), _ ->
+      content "prog" (fun () -> Decompose.fingerprint c)
+
+(* The monolithic program reads the whole instance: its key is the
+   content of the instance as one component. *)
+let whole_key ?max_effort d ics =
+  let whole =
+    {
+      Decompose.atoms = Relational.Atom.Set.empty;
+      sub = d;
+      support = Instance.empty;
+      ics;
+    }
+  in
+  Some
+    ( Printf.sprintf "mono:%s:%s" (effort_tag max_effort)
+        (Decompose.fingerprint whole),
+      [||] )
+
+(* A hit's results carried from the component that solved them to the
+   asking one: renamed and re-sorted, which is exactly what the asking
+   component's own solve returns, since every tier sorts its minimal
+   repairs by [Instance.compare].  The states keep their order: only an
+   inexact plan reads them, and it never keys by shape. *)
+let carry ~from ~into (e : solved) =
+  match Decompose.renaming ~from ~into with
+  | None -> e
+  | Some rename ->
+      {
+        e with
+        minimal = List.sort Instance.compare (List.map rename e.minimal);
+        states = Option.map (List.map rename) e.states;
+      }
+
+let memoized store key solve =
+  match store with
+  | None -> solve ()
+  | Some store -> (
+      match key () with
+      | None -> solve ()
+      | Some (id, into) -> (
+          match store.find id with
+          | Some (e, from) -> Decompose.Solved (carry ~from ~into e)
+          | None -> (
+              match solve () with
+              | Decompose.Solved e as r ->
+                  store.add id (e, into);
+                  r
+              | r -> r)))
+
+(* The request-local store of the cold [Auto] path: pool workers share
+   it, so a mutex guards the table.  It lives for one request. *)
+let request_store () =
+  let table = Hashtbl.create 16 and lock = Mutex.create () in
+  {
+    find = (fun id -> Mutex.protect lock (fun () -> Hashtbl.find_opt table id));
+    add = (fun id e -> Mutex.protect lock (fun () -> Hashtbl.replace table id e));
+  }
 
 (* The logic-program engine yields only minimal repairs, which do not
    recombine exactly on an inexact plan: it solves the whole instance
    instead, and says so in the stats instead of degrading invisibly. *)
-let whole_repairs ?budget ?max_effort ~memo d ics =
+let whole_repairs ?budget ?max_effort ?store d ics =
   (match budget with
   | Some b ->
       Budget.note_degraded b ~stage:"decompose"
@@ -239,7 +334,9 @@ let whole_repairs ?budget ?max_effort ~memo d ics =
          logic-program engine computed monolithic repairs instead"
   | None -> ());
   match
-    memo Whole (fun () ->
+    memoized store
+      (fun () -> whole_key ?max_effort d ics)
+      (fun () ->
         match Core.Engine.repairs ?budget ?max_decisions:max_effort d ics with
         | Ok minimal -> Decompose.Solved { minimal; states = None; tier = None }
         | Error msg -> Decompose.Failed msg)
@@ -248,10 +345,12 @@ let whole_repairs ?budget ?max_effort ~memo d ics =
   | Decompose.Failed msg -> Error msg
   | Decompose.Tripped e -> Error (Budget.message e)
 
-(* Every component through [memo] and the prefix-rule merge.  The kept
-   results' tiers are counted here, once, so a cached solve counts exactly
-   like a fresh one. *)
-let solve_plan ?budget ?max_effort ?jobs ~memo method_ (plan : Decompose.plan)
+(* Every component through the memo and the prefix-rule merge.  Without
+   a [store], an exact [Auto] plan solves through a request-local one,
+   keyed by shape only; the other methods solve every component, as the
+   reference oracles of that path.  The kept results' tiers are counted
+   here, once, so a memoized solve counts exactly like a fresh one. *)
+let solve_plan ?budget ?max_effort ?jobs ?store method_ (plan : Decompose.plan)
     =
   (match (budget, method_, plan.Decompose.product_exact) with
   | Some b, Auto, false ->
@@ -263,9 +362,17 @@ let solve_plan ?budget ?max_effort ?jobs ~memo method_ (plan : Decompose.plan)
     let base = Decompose.base c in
     { minimal = [ base ]; states = Some [ base ]; tier = None }
   in
+  let store, shapes_only =
+    match store with
+    | Some _ -> (store, false)
+    | None when method_ = Auto && plan.Decompose.product_exact ->
+        (Some (request_store ()), true)
+    | None -> (None, true)
+  in
   let solve c =
-    memo (Component c) (fun () ->
-        solve_component ?budget ?max_effort method_ plan c)
+    memoized store
+      (fun () -> component_key ~shapes_only ?max_effort method_ plan c)
+      (fun () -> solve_component ?budget ?max_effort method_ plan c)
   in
   Result.map
     (fun ((results, kept, _) as merged) ->
@@ -285,8 +392,8 @@ let states_of (plan : Decompose.plan) results =
   if plan.Decompose.product_exact then None
   else Some (List.map (fun e -> Option.get e.states) results)
 
-let outcome_of_plan ?semantics ?budget ?max_effort ?(jobs = 1)
-    ?(memo = no_memo) ~method_ ~standard ~plan d ics q =
+let outcome_of_plan ?semantics ?budget ?max_effort ?(jobs = 1) ?store
+    ~method_ ~standard ~plan d ics q =
   match plan.Decompose.components with
   | [] ->
       (* consistent instance: the only repair is D itself *)
@@ -301,9 +408,9 @@ let outcome_of_plan ?semantics ?budget ?max_effort ?(jobs = 1)
   | _ when (not plan.Decompose.product_exact) && method_ = LogicProgram ->
       Result.map
         (outcome_of_repairs ?semantics ~standard q)
-        (whole_repairs ?budget ?max_effort ~memo d ics)
+        (whole_repairs ?budget ?max_effort ?store d ics)
   | _ ->
-      Result.bind (solve_plan ?budget ?max_effort ~jobs ~memo method_ plan)
+      Result.bind (solve_plan ?budget ?max_effort ~jobs ?store method_ plan)
         (fun (results, kept, exhausted) ->
           match exhausted with
           | Some e when kept = 0 ->
@@ -316,14 +423,14 @@ let outcome_of_plan ?semantics ?budget ?max_effort ?(jobs = 1)
                    ~minimal:(List.map (fun e -> e.minimal) results)
                    ~standard q))
 
-let repairs_of_plan ?budget ?max_effort ?(jobs = 1) ?(memo = no_memo)
-    ~method_ ~plan d ics =
+let repairs_of_plan ?budget ?max_effort ?(jobs = 1) ?store ~method_ ~plan d
+    ics =
   match plan.Decompose.components with
   | [] -> Ok [ d ]
   | _ when (not plan.Decompose.product_exact) && method_ = LogicProgram ->
-      whole_repairs ?budget ?max_effort ~memo d ics
+      whole_repairs ?budget ?max_effort ?store d ics
   | _ ->
-      Result.bind (solve_plan ?budget ?max_effort ~jobs ~memo method_ plan)
+      Result.bind (solve_plan ?budget ?max_effort ~jobs ?store method_ plan)
         (fun (results, _, exhausted) ->
           match exhausted with
           | Some e ->

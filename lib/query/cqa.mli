@@ -89,7 +89,8 @@ val consistent_answers :
     ([Auto], or [~decompose:true]) parallelize; the merge is
     deterministic, so the outcome is identical across [jobs] settings
     (see {!Repair.Decompose.solve} for the contract under exhaustion).
-    Decomposed runs are {!outcome_of_plan} over a fresh plan. *)
+    Decomposed runs are {!outcome_of_plan} over a fresh plan; [Auto]
+    solves each shape of component once there. *)
 
 val factorized_outcome :
   ?semantics:Qeval.semantics ->
@@ -118,13 +119,13 @@ val factorized_outcome :
     through {!outcome_of_plan}: one solver per component, whose strategy
     follows from the method and the plan, merged by
     {!Repair.Decompose.solve}'s prefix rule.  A session passes its cache as
-    [memo]; that is the only difference between a session request and a
-    cold one. *)
+    the [store] of the solve step; that is the only difference between a
+    session request and a cold one. *)
 
 type solved = {
   minimal : Relational.Instance.t list;
       (** the locally [<=_D]-minimal repairs, relative to the component's
-          {!Repair.Decompose.base} *)
+          {!Repair.Decompose.base}, sorted by [Instance.compare] *)
   states : Relational.Instance.t list option;
       (** every consistent state, when the component was enumerated *)
   tier : Budget.tier option;
@@ -134,20 +135,31 @@ type solved = {
 }
 (** One component solved. *)
 
-type solve_key =
-  | Whole  (** the monolithic repair program of the whole instance *)
-  | Component of Repair.Decompose.component
-(** What a solve step computes. *)
+type store = {
+  find : string -> (solved * Relational.Value.t array) option;
+  add : string -> solved * Relational.Value.t array -> unit;
+}
+(** A store of solved components behind the solve step, probed and filled
+    by key.  An entry carries, next to the results, the constants its key
+    renamed ({!Repair.Decompose.key}); content-keyed entries carry none.
+    [find] and [add] may run on pool workers.
+
+    Keys name the strategy ([auto], [enum], [prog], or [mono] for the
+    monolithic program) and the effort bound, then digest everything the
+    solve reads.  An exact [Auto] plan keys a component by its shape
+    ({!Repair.Decompose.shape_key}), falling back to its content with the
+    universe; [ModelTheoretic], and [Auto] on an inexact plan, by content
+    with the universe; [LogicProgram] by content alone.  A hit on a shape
+    key carries the stored results over to the asking component through
+    {!Repair.Decompose.renaming} and re-sorts them, so it returns exactly
+    what the asking component's own solve would. *)
 
 val outcome_of_plan :
   ?semantics:Qeval.semantics ->
   ?budget:Budget.ctl ->
   ?max_effort:int ->
   ?jobs:int ->
-  ?memo:
-    (solve_key ->
-    (unit -> solved Repair.Decompose.solved) ->
-    solved Repair.Decompose.solved) ->
+  ?store:store ->
   method_:method_ ->
   standard:Relational.Tuple.Set.t ->
   plan:Repair.Decompose.plan ->
@@ -169,20 +181,21 @@ val outcome_of_plan :
       solved is an [Error]; after, the outcome is partial ([exhausted]).
       [factorized_outcome] recombines.
 
-    [memo key solve] runs every solve step (default: [solve ()]); a session
-    probes and fills its cache there.  It may run on a pool worker.
-    [budget] counts each kept component once ([components_solved]) and, for
-    [Auto], its tier ([routed]).  [CautiousProgram] materializes no
-    repairs: each of its components [Failed]. *)
+    Every solve step goes through [store] when one is given (a session
+    passes its cache).  Without one, an exact [Auto] plan solves through a
+    request-local store keyed by shape only, so each shape of component is
+    solved once per request and nothing outlives the call; the other
+    methods solve every component, as the reference oracles of that path.
+    [budget] counts each kept component once ([components_solved]) and,
+    for [Auto], its tier ([routed]), whether solved or carried over.
+    [CautiousProgram] materializes no repairs: each of its components
+    [Failed]. *)
 
 val repairs_of_plan :
   ?budget:Budget.ctl ->
   ?max_effort:int ->
   ?jobs:int ->
-  ?memo:
-    (solve_key ->
-    (unit -> solved Repair.Decompose.solved) ->
-    solved Repair.Decompose.solved) ->
+  ?store:store ->
   method_:method_ ->
   plan:Repair.Decompose.plan ->
   Relational.Instance.t ->

@@ -22,8 +22,6 @@ let value i =
   if i < 0 || i >= Atomic.get count then invalid_arg "Symtab.value: unknown code";
   (Atomic.get values).(i)
 
-let to_string i = Value.to_string (value i)
-
 let locked f =
   Mutex.lock mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock mutex) f

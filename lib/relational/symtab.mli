@@ -29,11 +29,6 @@ val find : Value.t -> int option
 val value : int -> Value.t
 (** Decode.  @raise Invalid_argument on a code never handed out. *)
 
-val to_string : int -> string
-(** [Value.to_string (value i)] — the canonical, process-independent
-    rendering used by content-addressed fingerprints
-    ({!Repair.Decompose.fingerprint}); never the physical code itself. *)
-
 val is_null : int -> bool
 val size : unit -> int
 (** Number of interned values (monotone). *)

@@ -68,6 +68,25 @@ let insertions ~universe ~nnc_positions theta atom =
     (fun theta' -> Ic.Patom.ground (Semantics.Assign.lookup_exn theta') atom)
     (assignments theta existentials)
 
+(* Whether [insertions] reads the universe for some consequent atom of
+   [ics]: only an existential position under a NOT NULL constraint ranges
+   over it, every other one takes [null]. *)
+let reads_universe ~nnc_positions ics =
+  List.exists
+    (function
+      | Ic.Constr.NotNull _ -> false
+      | Ic.Constr.Generic g ->
+          List.exists
+            (fun atom ->
+              List.exists
+                (fun x ->
+                  List.exists
+                    (fun pos -> List.mem (Ic.Patom.pred atom, pos) nnc_positions)
+                    (Ic.Patom.positions_of atom (Ic.Term.var x)))
+                (Ic.Constr.existential_vars_of_atom g atom))
+            g.Ic.Constr.cons)
+    ics
+
 (* Deduplicate actions, first occurrence wins, through an action-keyed
    table — the List.mem scans this replaces were quadratic in the number of
    candidate actions per state. *)

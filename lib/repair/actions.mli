@@ -22,6 +22,14 @@ val insertions :
     assignment: existential positions take [null], positions under a
     conflicting NNC range over the non-null universe (Example 20). *)
 
+val reads_universe :
+  nnc_positions:(string * int) list -> Ic.Constr.t list -> bool
+(** Whether {!insertions} ranges over the universe for some consequent
+    atom of the constraints: some existential position is NOT
+    NULL-constrained (a conflicting NNC, Example 20).  Otherwise every
+    insertion candidate is null at its existential positions, and a search
+    over these constraints never reads the universe. *)
+
 val dedup_actions : action list -> action list
 (** First occurrence wins. *)
 

@@ -168,7 +168,18 @@ let seeds_of a patoms =
    them, so no repair action ever touches them.  That fixpoint is monotone
    too; a pv's antecedent can only become region-covered when one of its
    atoms enters the region, so the worklist starts from every active atom
-   and continues from every new support atom. *)
+   and continues from every new support atom.
+
+   Each support atom is tagged with the components whose region pulled it
+   in: the classes of the pv's active antecedent atoms, plus the tags of
+   its support antecedent atoms.  An atom whose tags grow is queued again,
+   so the tags reach the support atoms its pvs pull in after it.  The pvs
+   that can match in a component's search instance are those whose
+   antecedent atoms are all its own atoms or support atoms tagged with
+   it, and each of them tags its witness with the component, so the
+   component's support is the atoms tagged with its class.  Every support
+   atom has a tag, so the components' supports cover the untagged
+   fixpoint. *)
 
 let plan ?budget d ics =
   (* Planning carries no decision/state counter, so the budget contributes
@@ -259,10 +270,19 @@ let plan ?budget d ics =
   done;
   let active = !active and d_ext = !d_ext in
   (* Support: core witnesses keeping otherwise-matchable pvs satisfied
-     (only constraints with consequent atoms have witnesses). *)
+     (only constraints with consequent atoms have witnesses), each tagged
+     with the classes (union-find representatives) that pulled it in. *)
   let witnessed = List.filter (fun (_, g, _) -> g.Ic.Constr.cons <> []) generics in
-  let support = ref Instance.empty in
-  let in_region a = Atom.Set.mem a active || Instance.mem a !support in
+  let tags : (Atom.t, Atom.Set.t) Hashtbl.t = Hashtbl.create 16 in
+  let in_region a = Atom.Set.mem a active || Hashtbl.mem tags a in
+  let pulling witness =
+    List.fold_left
+      (fun acc a ->
+        match Hashtbl.find_opt tags a with
+        | Some t -> Atom.Set.union t acc
+        | None -> Atom.Set.add (uf_find uf a) acc)
+      Atom.Set.empty witness
+  in
   Atom.Set.iter (fun a -> Queue.add a pending) active;
   while not (Queue.is_empty pending) do
     tick ();
@@ -278,13 +298,28 @@ let plan ?budget d ics =
                   (cons_witnesses cons_joins d_ext i g theta)
               in
               match core_witness with
-              | Some w when not (Instance.mem w !support) ->
-                  support := Instance.add w !support;
-                  Queue.add w pending
-              | _ -> ()))
+              | Some w -> (
+                  let pulled = pulling witness in
+                  match Hashtbl.find_opt tags w with
+                  | Some t when Atom.Set.subset pulled t -> ()
+                  | t ->
+                      Hashtbl.replace tags w
+                        (Option.fold ~none:pulled ~some:(Atom.Set.union pulled) t);
+                      Queue.add w pending)
+              | None -> ()))
       witnessed
   done;
-  let support = !support in
+  let support_of : (Atom.t, Instance.t) Hashtbl.t = Hashtbl.create 16 in
+  Hashtbl.iter
+    (fun w t ->
+      Atom.Set.iter
+        (fun r ->
+          let prev =
+            Option.value ~default:Instance.empty (Hashtbl.find_opt support_of r)
+          in
+          Hashtbl.replace support_of r (Instance.add w prev))
+        t)
+    tags;
   (* Extract components in a deterministic order. *)
   let classes : (Atom.t, Atom.Set.t) Hashtbl.t = Hashtbl.create 16 in
   Atom.Set.iter
@@ -296,9 +331,10 @@ let plan ?budget d ics =
       Hashtbl.replace classes r (Atom.Set.add a prev))
     active;
   let components =
-    Hashtbl.fold (fun _ atoms acc -> atoms :: acc) classes []
-    |> List.sort (fun a b -> Atom.compare (Atom.Set.min_elt a) (Atom.Set.min_elt b))
-    |> List.map (fun atoms ->
+    Hashtbl.fold (fun r atoms acc -> (r, atoms) :: acc) classes []
+    |> List.sort (fun (_, a) (_, b) ->
+           Atom.compare (Atom.Set.min_elt a) (Atom.Set.min_elt b))
+    |> List.map (fun (r, atoms) ->
            let preds =
              Atom.Set.fold
                (fun a acc ->
@@ -317,7 +353,8 @@ let plan ?budget d ics =
                Atom.Set.fold
                  (fun a acc -> if Instance.mem a d then Instance.add a acc else acc)
                  atoms Instance.empty;
-             support;
+             support =
+               Option.value ~default:Instance.empty (Hashtbl.find_opt support_of r);
              ics;
            })
   in
@@ -399,55 +436,189 @@ let plan ?budget d ics =
   { core; components; universe; nnc_positions; product_exact }
 
 (* ------------------------------------------------------------------ *)
-(* Content fingerprints and incremental plan maintenance (the session
-   engine's cache key and fast path). *)
+(* Solve keys and incremental plan maintenance (the memo keys of the
+   solve step and the session engine's fast path). *)
 
-(* Instances digest through the symbol table's {e canonical strings}
-   ([Symtab.to_string], i.e. [Value.to_string] of the decoded value) —
-   never through physical codes, which depend on interning order and so
-   differ across sessions and processes.  Content-addressing is what lets
-   identical components hit the session cache cross-session. *)
-let render_instance buf inst =
+(* One rendering of what a component solve reads, injective: every value
+   is tagged with its type and every string is length-prefixed, so
+   [Int 1], [Str "1"], [Null] and [Str "null"] render apart, and so do a
+   variable and a constant of the same name.  Values render from the
+   decoded value, never from physical codes, which depend on interning
+   order.  Lists carry their length, so the rendering parses back
+   uniquely. *)
+let add_string buf s =
+  Buffer.add_string buf (string_of_int (String.length s));
+  Buffer.add_char buf ':';
+  Buffer.add_string buf s
+
+let add_int buf i =
+  Buffer.add_string buf (string_of_int i);
+  Buffer.add_char buf ';'
+
+let add_value buf = function
+  | Value.Null -> Buffer.add_char buf 'n'
+  | Value.Int i ->
+      Buffer.add_char buf 'i';
+      add_int buf i
+  | Value.Str s ->
+      Buffer.add_char buf 's';
+      add_string buf s
+
+let add_list buf f l =
+  add_int buf (List.length l);
+  List.iter (f buf) l
+
+let add_term buf = function
+  | Ic.Term.Var x ->
+      Buffer.add_char buf 'v';
+      add_string buf x
+  | Ic.Term.Const v ->
+      Buffer.add_char buf 'c';
+      add_value buf v
+
+let add_patom buf p =
+  add_string buf (Ic.Patom.pred p);
+  add_list buf add_term (Ic.Patom.terms p)
+
+let add_builtin buf = function
+  | Ic.Builtin.False -> Buffer.add_char buf 'F'
+  | Ic.Builtin.Cmp (op, l, r) ->
+      Buffer.add_char buf
+        (match op with
+        | Ic.Builtin.Eq -> '='
+        | Neq -> '!'
+        | Lt -> '<'
+        | Leq -> 'l'
+        | Gt -> '>'
+        | Geq -> 'g');
+      List.iter
+        (fun (e : Ic.Builtin.expr) ->
+          add_term buf e.Ic.Builtin.base;
+          add_int buf e.Ic.Builtin.offset)
+        [ l; r ]
+
+let add_name buf = function
+  | None -> Buffer.add_char buf '-'
+  | Some n ->
+      Buffer.add_char buf '+';
+      add_string buf n
+
+let add_ic buf = function
+  | Ic.Constr.Generic g ->
+      Buffer.add_char buf 'G';
+      add_name buf g.Ic.Constr.name;
+      add_list buf add_patom g.Ic.Constr.ante;
+      add_list buf add_patom g.Ic.Constr.cons;
+      add_list buf add_builtin g.Ic.Constr.phi
+  | Ic.Constr.NotNull n ->
+      Buffer.add_char buf 'N';
+      add_name buf n.name;
+      add_string buf n.pred;
+      add_int buf n.arity;
+      add_int buf n.pos
+
+module Vtbl = Hashtbl.Make (Value)
+
+(* The atoms of an instance, each as its predicate and arguments; sets
+   iterate in sorted order, so the rendering does not depend on the order
+   the tuples arrived in. *)
+let add_instance buf rename inst =
+  add_int buf (Instance.cardinal inst);
   Instance.iter
     (fun a ->
-      Buffer.add_string buf (Relational.Atom.pred a);
-      Buffer.add_char buf '(';
-      Array.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf
-            (Relational.Symtab.to_string (Relational.Symtab.intern v)))
-        (Relational.Atom.args a);
-      Buffer.add_string buf ")\n")
+      add_string buf (Atom.pred a);
+      add_int buf (Atom.arity a);
+      Array.iter (rename buf) (Atom.args a))
     inst
 
-let fingerprint ?(universe = []) ?(nnc_positions = []) c =
+(* Constraint order is part of the content: the per-component searches
+   traverse the constraint list in order, so two orderings are distinct
+   solves even over the same set. *)
+let render ?(universe = []) ?(nnc_positions = []) ~mode rename c =
   let buf = Buffer.create 256 in
-  (* instances are sets iterated in sorted order, so the rendering — hence
-     the digest — is independent of tuple order *)
-  render_instance buf c.sub;
-  Buffer.add_string buf "\x00support\x00";
-  render_instance buf c.support;
-  Buffer.add_string buf "\x00ics\x00";
-  (* constraint order is part of the content: the per-component searches
-     traverse the constraint list in order, so two orderings are distinct
-     solves even over the same set *)
-  List.iter
-    (fun ic ->
-      Buffer.add_string buf (Ic.Constr.to_string ic);
-      Buffer.add_char buf '\n')
-    c.ics;
-  Buffer.add_string buf "\x00universe\x00";
-  List.iter
-    (fun v ->
-      Buffer.add_string buf (Value.to_string v);
-      Buffer.add_char buf '\n')
-    universe;
-  Buffer.add_string buf "\x00nnc\x00";
-  List.iter
-    (fun (p, i) -> Buffer.add_string buf (Printf.sprintf "%s[%d]\n" p i))
+  Buffer.add_char buf mode;
+  add_instance buf rename c.sub;
+  add_instance buf rename c.support;
+  add_list buf add_ic c.ics;
+  add_list buf add_value universe;
+  add_list buf
+    (fun buf (p, i) ->
+      add_string buf p;
+      add_int buf i)
     nnc_positions;
   Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let fingerprint ?universe ?nnc_positions c =
+  render ?universe ?nnc_positions ~mode:'c' add_value c
+
+(* Orders and offsets read the values themselves: a renaming need not
+   preserve [x < y] or [x = y + 1]. *)
+let order_sensitive ics =
+  List.exists
+    (function
+      | Ic.Constr.NotNull _ -> false
+      | Ic.Constr.Generic g ->
+          List.exists
+            (function
+              | Ic.Builtin.False -> false
+              | Ic.Builtin.Cmp (op, l, r) -> (
+                  l.Ic.Builtin.offset <> 0
+                  || r.Ic.Builtin.offset <> 0
+                  ||
+                  match op with
+                  | Ic.Builtin.Eq | Neq -> false
+                  | Lt | Leq | Gt | Geq -> true))
+            g.Ic.Constr.phi)
+    ics
+
+type key = { id : string; constants : Value.t array }
+
+let shape_key (p : plan) c =
+  if
+    order_sensitive c.ics
+    || Actions.reads_universe ~nnc_positions:p.nnc_positions c.ics
+  then None
+  else
+    let ic_constants = Candidates.constants_of_ics c.ics in
+    (* the repair program encodes [Str "null"] as its null constant *)
+    let fixed v =
+      Value.is_null v
+      || Value.equal v (Value.str "null")
+      || List.exists (Value.equal v) ic_constants
+    in
+    let index = Vtbl.create 16 and order = ref [] in
+    let rename buf v =
+      if fixed v then add_value buf v
+      else begin
+        let k =
+          match Vtbl.find_opt index v with
+          | Some k -> k
+          | None ->
+              let k = Vtbl.length index in
+              Vtbl.add index v k;
+              order := v :: !order;
+              k
+        in
+        Buffer.add_char buf (match v with Value.Int _ -> 'I' | _ -> 'S');
+        add_int buf k
+      end
+    in
+    let id = render ~mode:'s' rename c in
+    Some { id; constants = Array.of_list (List.rev !order) }
+
+let renaming ~from ~into =
+  if Array.for_all2 Value.equal from into then None
+  else begin
+    let map = Vtbl.create (Array.length from) in
+    Array.iteri (fun i v -> Vtbl.replace map v into.(i)) from;
+    let value v = Option.value ~default:v (Vtbl.find_opt map v) in
+    Some
+      (fun inst ->
+        Instance.of_atoms
+          (List.map
+             (fun a -> Atom.of_tuple (Atom.pred a) (Array.map value (Atom.args a)))
+             (Instance.atoms inst)))
+  end
 
 let refresh p d' ics ~inserted ~deleted ~violations_unchanged =
   (* Sound reuse of the whole partition.  The closure of [plan] is a

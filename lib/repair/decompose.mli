@@ -36,8 +36,12 @@ type component = {
           insertion candidates) *)
   sub : Relational.Instance.t;  (** [atoms ∩ D]: the component's slice *)
   support : Relational.Instance.t;
-      (** inert core witnesses that must be present in the search instance
-          so permanently-satisfied constraints stay satisfied *)
+      (** inert core witnesses that must be present in this component's
+          search instance so permanently-satisfied constraints stay
+          satisfied: the support atoms whose region this component pulled
+          in (a potential violation over its own atoms and support).  The
+          components' supports together are the plan's support fixpoint;
+          an atom is shared only when several regions reach it. *)
   ics : Ic.Constr.t list;  (** constraints whose predicates meet the component *)
 }
 
@@ -71,15 +75,52 @@ val fingerprint :
   ?nnc_positions:(string * int) list ->
   component ->
   string
-(** Stable content fingerprint of everything a per-component solve depends
-    on: the component's tuples ([sub] and [support] — order-independent,
-    instances are sets), its constraint list (order-sensitive: the searches
-    traverse it in order), and optionally the plan-global [universe] and
-    [nnc_positions] (pass them for the model-theoretic search, whose
-    insertion candidates range over them; the logic-program engine
-    regenerates its candidates from the slice and does not take them).
-    Equal fingerprints mean the solve would produce identical results —
-    the key of the session engine's component cache ({!Session}). *)
+(** Content mode of the solve key: a digest of everything a per-component
+    solve depends on — the component's tuples ([sub] and [support];
+    order-independent, instances are sets), its constraint list
+    (order-sensitive: the searches traverse it in order), and optionally
+    the plan-global [universe] and [nnc_positions] (pass them for the
+    model-theoretic search, whose insertion candidates range over them;
+    the logic-program engine regenerates its candidates from the slice and
+    does not take them).  The rendering is injective: every value carries
+    its type ([Int 1], [Str "1"], [Null] and [Str "null"] differ) and
+    every string its length, so equal fingerprints mean equal inputs, and
+    the solve would produce identical results. *)
+
+type key = {
+  id : string;  (** the digest *)
+  constants : Relational.Value.t array;
+      (** the renamed constants, in order of first occurrence *)
+}
+
+val shape_key : plan -> component -> key option
+(** Shape mode of the solve key: the rendering of {!fingerprint} with
+    every constant renamed to the index of its first occurrence (tagged
+    with its type) — every constant except [null], [Str "null"] (the
+    repair program's null) and the constants of the component's
+    constraints.  Equal ids therefore mean isomorphic components: the
+    renaming [constants.(i)] of one to [constants.(i)] of the other maps
+    one onto the other, constraints and all, whether or not the traversal
+    labels them canonically.  Repairs are defined through symmetric
+    differences and [<=_D] (Definitions 6–7), both invariant under such a
+    renaming, so isomorphic components have repair sets that differ by the
+    same renaming.
+
+    [None] where that argument does not apply and the component must be
+    keyed by content, with the universe: when its constraints use an order
+    comparison or an offset (a renaming need not preserve [x < y] or
+    [x = y + 1]), or when its search reads the universe
+    ({!Actions.reads_universe}: insertions under a conflicting NNC). *)
+
+val renaming :
+  from:Relational.Value.t array ->
+  into:Relational.Value.t array ->
+  (Relational.Instance.t -> Relational.Instance.t) option
+(** [renaming ~from:k.constants ~into:k'.constants] for two keys with the
+    same id: the map of every instance of the first component to the
+    second's, constant [from.(i)] to [into.(i)], every other value fixed.
+    [None] when it is the identity.
+    @raise Invalid_argument on arrays of different lengths. *)
 
 val refresh :
   plan ->

@@ -1,7 +1,7 @@
 (** A bounded least-recently-used cache with hit/miss/evict telemetry.
 
     The session engine ({!Session}) keys per-component repair solves by
-    content fingerprint; this cache bounds how many solved components stay
+    content or shape; this cache bounds how many solved components stay
     resident.  [find] promotes, [add] inserts at the front and evicts from
     the back once [capacity] is exceeded.  Every probe is counted, so the
     serving loop can surface hit rates without instrumenting call sites.

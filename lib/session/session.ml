@@ -15,15 +15,16 @@ let method_of = function
 (* The component cache, shareable across sessions.  Entries are tagged
    with the session id that solved them, so a hit on another session's
    entry — the payoff of promoting the cache process-global — is counted
-   separately ([cross_hits]).  Fingerprint keys are content-addressed
-   (strategy + effort + component digest), so sharing is sound: two
-   sessions producing the same key would solve to the same entry.
+   separately ([cross_hits]).  The keys are {!Query.Cqa}'s solve keys
+   (strategy + effort + shape or content digest): they name everything a
+   solve reads, so sharing is sound — two sessions producing the same key
+   would solve to the same entry, up to the renaming the entry carries.
    Thread-safety comes from {!Lru} (every operation is mutex-guarded) and
    the atomic cross-hit/session counters. *)
 
 module Cache = struct
   type nonrec t = {
-    lru : (string, Cqa.solved * int) Lru.t;
+    lru : (string, (Cqa.solved * Relational.Value.t array) * int) Lru.t;
     cross_hits : int Atomic.t;
     sessions : int Atomic.t;  (* sessions ever attached *)
   }
@@ -222,76 +223,39 @@ let with_plan ?budget t f =
   | p -> f p
   | exception Budget.Exhausted e -> Error (Budget.message e)
 
-let effort_tag t =
-  match t.max_effort with None -> "-" | Some n -> string_of_int n
-
 let tier_slot = function
   | Budget.Direct -> 0
   | Budget.Shifted -> 1
   | Budget.Disjunctive -> 2
   | Budget.Enumerated -> 3
 
-(* The cache key covers everything a component solve depends on: the
-   solve strategy, the effort bound, and the content fingerprint —
-   including the plan-global universe and NNC positions for the enumerate
-   strategy, whose insertion candidates range over them; the program
-   engine regenerates its candidates from the slice, so its entries
-   survive universe drift.  [Auto] on an inexact plan enumerates
-   ({!Query.Cqa.outcome_of_plan}), so it shares the [enum:] entries; its
-   routed solves carry the universe too — the Enumerated tier searches
-   over it. *)
-let component_key t (plan : Decompose.plan) c =
-  let with_universe () =
-    Decompose.fingerprint ~universe:plan.Decompose.universe
-      ~nnc_positions:plan.Decompose.nnc_positions c
-  in
-  match (t.engine, plan.Decompose.product_exact) with
-  | Enumerate, _ | Auto, false ->
-      Printf.sprintf "enum:%s:%s" (effort_tag t) (with_universe ())
-  | Program, _ ->
-      Printf.sprintf "prog:%s:%s" (effort_tag t) (Decompose.fingerprint c)
-  | Auto, true -> Printf.sprintf "auto:%s:%s" (effort_tag t) (with_universe ())
-
-(* Whole-instance key for the monolithic program-engine fallback
-   (inexact product): digest of the instance and the constraint list. *)
-let mono_key t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Fmt.str "%a" Instance.pp t.d);
-  List.iter
-    (fun ic ->
-      Buffer.add_char buf '\x00';
-      Buffer.add_string buf (Ic.Constr.to_string ic))
-    t.ics;
-  Printf.sprintf "mono:%s:%s" (effort_tag t)
-    (Digest.to_hex (Digest.string (Buffer.contents buf)))
-
-(* The session's solve step: probe the cache, and on a miss solve and
-   insert — past a budget trip too (the work is done; only this request's
-   answer may not use it).  The routed counters count every component
-   served, hit or solved. *)
-let memo t plan key solve =
-  let key =
-    match key with
-    | Cqa.Whole -> mono_key t
-    | Cqa.Component c -> component_key t plan c
-  in
-  let served (e : Cqa.solved) =
-    (match (t.engine, e.Cqa.tier) with
+(* The session's solve step: the cache as the store of the cold
+   pipeline's memo, which keys, probes, carries hits over and fills it —
+   past a budget trip too (the work is done; only this request's answer
+   may not use it).  The routed counters count every component served,
+   hit or solved. *)
+let store t =
+  let served ((e : Cqa.solved), _) =
+    match (t.engine, e.Cqa.tier) with
     | Auto, Some tier -> Atomic.incr t.routed.(tier_slot tier)
-    | _ -> ());
-    Decompose.Solved e
+    | _ -> ()
   in
-  match Cache.find t.cache ~sid:t.sid key with
-  | Some e ->
-      Atomic.incr t.s_hits;
-      served e
-  | None -> (
-      Atomic.incr t.s_misses;
-      match solve () with
-      | Decompose.Solved e ->
-          Cache.add t.cache ~sid:t.sid key e;
-          served e
-      | r -> r)
+  {
+    Cqa.find =
+      (fun key ->
+        match Cache.find t.cache ~sid:t.sid key with
+        | Some e ->
+            Atomic.incr t.s_hits;
+            served e;
+            Some e
+        | None ->
+            Atomic.incr t.s_misses;
+            None);
+    add =
+      (fun key e ->
+        served e;
+        Cache.add t.cache ~sid:t.sid key e);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Requests: the cold pipeline over the session's plan, with the cache as
@@ -301,14 +265,14 @@ let repairs ?budget t =
   t.requests <- t.requests + 1;
   with_plan ?budget t (fun plan ->
       Cqa.repairs_of_plan ?budget ?max_effort:t.max_effort ~jobs:t.jobs
-        ~memo:(memo t plan) ~method_:(method_of t.engine) ~plan t.d t.ics)
+        ~store:(store t) ~method_:(method_of t.engine) ~plan t.d t.ics)
 
 let cqa ?budget ?semantics t q =
   t.requests <- t.requests + 1;
   let standard = Query.Qeval.answers ?semantics t.d q in
   with_plan ?budget t (fun plan ->
       Cqa.outcome_of_plan ?semantics ?budget ?max_effort:t.max_effort
-        ~jobs:t.jobs ~memo:(memo t plan) ~method_:(method_of t.engine)
+        ~jobs:t.jobs ~store:(store t) ~method_:(method_of t.engine)
         ~standard ~plan t.d t.ics q)
 
 (* ------------------------------------------------------------------ *)

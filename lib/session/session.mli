@@ -8,9 +8,24 @@
     delta touches are re-examined), the conflict-component plan through
     {!Repair.Decompose.refresh} (re-planned only when the delta intersects
     the active/support region).  Requests ([repairs], [cqa]) then solve the
-    plan's components through a bounded LRU cache keyed by
-    {!Repair.Decompose.fingerprint} — a component untouched since the last
-    request is never solved again.
+    plan's components through a bounded LRU cache keyed by the solve keys
+    of {!Query.Cqa.store} — a component untouched since the last request
+    is never solved again, and under the [Auto] engine neither is one
+    isomorphic to a component solved before.
+
+    {b Cache keys}: a key names the strategy ([auto], [enum], [prog], or
+    [mono] for the monolithic program fallback) and the [max_effort]
+    bound, then digests everything the solve reads, in an injective
+    rendering that keeps the type of every value.  [Enumerate] (and
+    [Auto] on an inexact plan) keys a component by its content with the
+    plan's universe and NNC positions; [Program] by its content alone.
+    [Auto] on an exact plan keys it by its shape
+    ({!Repair.Decompose.shape_key}) and stores the renamed constants with
+    the entry, so a hit is renamed into the asking component; the
+    universe enters only the keys of the components whose search reads
+    it (enumeration under a conflicting NNC), and those of components
+    whose constraints compare by order or offset, which are keyed by
+    content.
 
     {b Correctness contract}: after any delta sequence, [repairs] and
     [cqa] return byte-identical results to a cold one-shot run
@@ -21,7 +36,9 @@
     cold run under the same limits, partial outcomes and [Error] messages
     included.  This holds by construction — the plan is either provably
     the cold plan (refresh) or freshly computed, the cache key covers
-    every input of a component solve, and a request runs the cold
+    every input of a component solve (up to the renaming a shape entry
+    carries, under which repairs are invariant), and a request runs the
+    cold
     pipeline itself ({!Query.Cqa.outcome_of_plan} /
     {!Query.Cqa.repairs_of_plan}) with the cache probe and insert as its
     solve step, so the merge, the fallbacks, the degradation notes and
@@ -40,16 +57,20 @@ type engine =
           the repair-less direct computation, the repair program, or
           enumeration as last resort.  The routing verdict is stored in
           the cache entry, so a cache hit re-counts its tier without
-          re-classifying the component.  On an inexact component product
-          every component is enumerated, as in the cold [Auto] method,
-          sharing the enumerate engine's cache entries. *)
+          re-classifying the component.  Components are keyed by shape,
+          as in the cold [Auto] method's request-local memo, so
+          isomorphic components share one entry.  On an inexact
+          component product every component is enumerated, as in the
+          cold [Auto] method, sharing the enumerate engine's cache
+          entries. *)
 
 type t
 
 (** The component cache, shareable across sessions.  By default every
     session owns a private cache; a server passes one [Cache.t] to every
-    {!create} so identical components across sessions (fingerprint keys
-    are content-addressed) become cross-session hits.  Thread-safe: the
+    {!create} so identical (or, under [Auto], isomorphic) components
+    across sessions become cross-session hits: the keys address content
+    or shape, never a session.  Thread-safe: the
     underlying {!Lru} is mutex-guarded and the cross-hit/session counters
     are atomic. *)
 module Cache : sig

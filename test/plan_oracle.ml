@@ -3,7 +3,8 @@
    closure is differentially tested against (test_decompose.ml).  Each
    closure round rescans every potential violation of the extended
    instance until a round activates nothing, then the support fixpoint
-   rescans them until a round adds no support atom; the core is [d]
+   rescans them until a round adds no support atom, and the attribution
+   rescans them until no support atom's tags grow; the core is [d]
    filtered into fresh segments, and the universe is built as a set. *)
 
 module Atom = Relational.Atom
@@ -85,9 +86,10 @@ let iter_pvs d_ext ics ~f =
     ics
 
 (* The closure rescans every potential violation per round; the support
-   fixpoint likewise. *)
+   fixpoint and its attribution likewise.  Returns the plan and the
+   support fixpoint itself, which the components' supports must cover. *)
 
-let plan d ics =
+let plan_and_support d ics =
   let universe = universe d ics in
   let nnc_positions = Actions.nnc_positions_of ics in
   let uf = uf_create () in
@@ -168,6 +170,40 @@ let plan d ics =
               support_changed := true
           | _ -> ())
   done;
+  (* Attribution: each support atom is tagged with the classes of the
+     active antecedent atoms, and the tags of the support antecedent atoms,
+     of every potential violation it witnesses. *)
+  let tags : (Atom.t, Atom.Set.t) Hashtbl.t = Hashtbl.create 16 in
+  let tags_of a = Option.value ~default:Atom.Set.empty (Hashtbl.find_opt tags a) in
+  let tags_changed = ref true in
+  while !tags_changed do
+    tags_changed := false;
+    iter_pvs !d_ext ics ~f:(fun g theta witness ->
+        let matchable =
+          List.for_all
+            (fun a -> Atom.Set.mem a !active || Instance.mem a !support)
+            witness
+        in
+        if matchable then
+          match
+            List.find_opt
+              (fun a -> Instance.mem a d && not (Atom.Set.mem a !active))
+              (cons_witnesses !d_ext g theta)
+          with
+          | Some w ->
+              let pulled =
+                List.fold_left
+                  (fun acc a ->
+                    if Atom.Set.mem a !active then Atom.Set.add (uf_find uf a) acc
+                    else Atom.Set.union (tags_of a) acc)
+                  Atom.Set.empty witness
+              in
+              if not (Atom.Set.subset pulled (tags_of w)) then begin
+                Hashtbl.replace tags w (Atom.Set.union pulled (tags_of w));
+                tags_changed := true
+              end
+          | None -> ())
+  done;
   (* Extract components in a deterministic order. *)
   let classes : (Atom.t, Atom.Set.t) Hashtbl.t = Hashtbl.create 16 in
   Atom.Set.iter
@@ -179,9 +215,10 @@ let plan d ics =
       Hashtbl.replace classes r (Atom.Set.add a prev))
     !active;
   let components =
-    Hashtbl.fold (fun _ atoms acc -> atoms :: acc) classes []
-    |> List.sort (fun a b -> Atom.compare (Atom.Set.min_elt a) (Atom.Set.min_elt b))
-    |> List.map (fun atoms ->
+    Hashtbl.fold (fun r atoms acc -> (r, atoms) :: acc) classes []
+    |> List.sort (fun (_, a) (_, b) ->
+           Atom.compare (Atom.Set.min_elt a) (Atom.Set.min_elt b))
+    |> List.map (fun (r, atoms) ->
            let preds =
              Atom.Set.fold
                (fun a acc ->
@@ -200,7 +237,8 @@ let plan d ics =
                Atom.Set.fold
                  (fun a acc -> if Instance.mem a d then Instance.add a acc else acc)
                  atoms Instance.empty;
-             support = !support;
+             support =
+               Instance.filter (fun a -> Atom.Set.mem r (tags_of a)) !support;
              ics;
            })
   in
@@ -276,4 +314,5 @@ let plan d ics =
       true
     with Not_exact -> false
   in
-  { Decompose.core; components; universe; nnc_positions; product_exact }
+  ( { Decompose.core; components; universe; nnc_positions; product_exact },
+    !support )

@@ -176,51 +176,88 @@ let test_partial_outcome () =
 
 (* The same for a routed request, cold and in a fresh session: one
    accounting serves both.  A component counts as solved, and its tier as
-   routed, only when the outcome keeps it. *)
-let test_partial_outcome_auto () =
-  let plan = Repair.Decompose.plan clusters.Gen.d clusters.Gen.ics in
+   routed, only when the outcome keeps it.  [Auto] solves each shape of
+   component once per request, so the second cluster must differ from the
+   first in shape for the limit the first one uses up to trip on it: it
+   carries an R tuple whose T witness is missing.  Both stay on the
+   shifted tier (an FD would make them disjunctive). *)
+let unequal_clusters =
+  {
+    clusters with
+    Gen.d =
+      Instance.add
+        (Relational.Atom.make "R"
+           [ Relational.Value.str "a1"; Relational.Value.str "b" ])
+        clusters.Gen.d;
+  }
+
+(* The decisions of the first component alone, and a request under that
+   limit, cold or in a fresh session, as its rendered outcome and its
+   accounting. *)
+let first_cost (w : Gen.t) =
+  let plan = Repair.Decompose.plan w.Gen.d w.Gen.ics in
   let first = List.hd plan.Repair.Decompose.components in
+  let stats = Budget.new_stats () in
+  let budget = Budget.start ~stats Budget.unlimited in
+  ignore
+    (Core.Engine.solve_components ~budget
+       { plan with Repair.Decompose.components = [ first ] });
+  (first, Atomic.get stats.Budget.decisions)
+
+let routed_request ~limit ~check run =
+  let stats = Budget.new_stats () in
+  let budget = Budget.start ~stats (Budget.make ~max_decisions:limit ()) in
+  let outcome =
+    match run budget with
+    | Ok o ->
+        check o;
+        Fmt.str "%a" Cqa.pp_outcome o
+    | Error msg -> Alcotest.failf "expected an outcome, got: %s" msg
+  in
+  ( outcome,
+    Fmt.str "solved=%d routed: %a%a"
+      (Atomic.get stats.Budget.components_solved)
+      Budget.pp_routed stats Budget.pp_degradations stats )
+
+let cold_request (w : Gen.t) budget =
+  Cqa.consistent_answers ~method_:Cqa.Auto ~budget w.Gen.d w.Gen.ics q_s
+
+let session_request (w : Gen.t) budget =
+  Session.cqa ~budget (Session.create ~engine:Session.Auto w.Gen.d w.Gen.ics) q_s
+
+let test_partial_outcome_auto () =
+  let first, first_cost = first_cost unequal_clusters in
   Alcotest.(check string) "the first component runs the program" "shifted"
     (Budget.tier_name (Route.Tier.component first).Route.Tier.tier);
-  let first_cost =
-    let stats = Budget.new_stats () in
-    let budget = Budget.start ~stats Budget.unlimited in
-    ignore
-      (Core.Engine.solve_components ~budget
-         { plan with Repair.Decompose.components = [ first ] });
-    Atomic.get stats.Budget.decisions
+  let request =
+    routed_request ~limit:first_cost ~check:(fun o ->
+        Alcotest.(check bool) "tripped at the shared limit" true
+          (o.Cqa.exhausted = Some (Budget.Decisions first_cost)))
   in
-  let request run =
-    let stats = Budget.new_stats () in
-    let budget =
-      Budget.start ~stats (Budget.make ~max_decisions:first_cost ())
-    in
-    let outcome =
-      match run budget with
-      | Ok o ->
-          Alcotest.(check bool) "tripped at the shared limit" true
-            (o.Cqa.exhausted = Some (Budget.Decisions first_cost));
-          Fmt.str "%a" Cqa.pp_outcome o
-      | Error msg -> Alcotest.failf "expected a partial outcome, got: %s" msg
-    in
-    ( outcome,
-      Fmt.str "solved=%d routed: %a%a"
-        (Atomic.get stats.Budget.components_solved)
-        Budget.pp_routed stats Budget.pp_degradations stats )
-  in
-  let cold_outcome, cold_stats =
-    request (fun budget ->
-        Cqa.consistent_answers ~method_:Cqa.Auto ~budget clusters.Gen.d
-          clusters.Gen.ics q_s)
-  in
+  let cold_outcome, cold_stats = request (cold_request unequal_clusters) in
   Alcotest.(check string) "kept component and its tier only"
     "solved=1 routed: direct=0 shifted=1 disjunctive=0 enumerate=0" cold_stats;
   let session_outcome, session_stats =
-    request (fun budget ->
-        Session.cqa ~budget
-          (Session.create ~engine:Session.Auto clusters.Gen.d clusters.Gen.ics)
-          q_s)
+    request (session_request unequal_clusters)
   in
+  Alcotest.(check string) "session outcome = cold" cold_outcome session_outcome;
+  Alcotest.(check string) "session accounting = cold" cold_stats session_stats
+
+(* Isomorphic clusters under the same limit: the second is the first's
+   solve carried over, which costs no decision, so the request completes,
+   cold and in a fresh session alike. *)
+let test_isomorphic_complete_auto () =
+  let _, first_cost = first_cost clusters in
+  let request =
+    routed_request ~limit:first_cost ~check:(fun o ->
+        Alcotest.(check bool) "completes under the limit" true
+          (o.Cqa.exhausted = None);
+        Alcotest.(check int) "every repair" 4 o.Cqa.repair_count)
+  in
+  let cold_outcome, cold_stats = request (cold_request clusters) in
+  Alcotest.(check string) "both components and their tiers"
+    "solved=2 routed: direct=0 shifted=2 disjunctive=0 enumerate=0" cold_stats;
+  let session_outcome, session_stats = request (session_request clusters) in
   Alcotest.(check string) "session outcome = cold" cold_outcome session_outcome;
   Alcotest.(check string) "session accounting = cold" cold_stats session_stats
 
@@ -283,6 +320,8 @@ let () =
           Alcotest.test_case "partial outcome" `Quick test_partial_outcome;
           Alcotest.test_case "partial routed outcome" `Quick
             test_partial_outcome_auto;
+          Alcotest.test_case "isomorphic routed components complete" `Quick
+            test_isomorphic_complete_auto;
         ] );
       ("qcheck", [ QCheck_alcotest.to_alcotest qcheck_no_escape ]);
     ]

@@ -277,7 +277,8 @@ let diff_cqa_test =
 (* The worklist planner against the round-based oracle (Plan_oracle):
    whole plans, field by field — same components in the same order with
    the same atoms/sub/support/ics, an equal core, the same universe, NNC
-   positions and product exactness. *)
+   positions and product exactness — and the components' supports
+   together equal to the oracle's support fixpoint. *)
 
 let plan_mismatch (a : Decompose.plan) (b : Decompose.plan) =
   let same_component (x : Decompose.component) (y : Decompose.component) =
@@ -298,9 +299,19 @@ let plan_mismatch (a : Decompose.plan) (b : Decompose.plan) =
 (* the worklist plan, once it matches the oracle's *)
 let check_against_oracle name d ics =
   let plan = Decompose.plan d ics in
-  match plan_mismatch plan (Plan_oracle.plan d ics) with
-  | None -> plan
+  let oracle, support = Plan_oracle.plan_and_support d ics in
+  match plan_mismatch plan oracle with
   | Some field -> Alcotest.failf "%s: plan differs from the oracle in %s" name field
+  | None ->
+      let attributed =
+        List.fold_left
+          (fun acc c -> Instance.union acc c.Decompose.support)
+          Instance.empty plan.Decompose.components
+      in
+      if not (Instance.equal attributed support) then
+        Alcotest.failf "%s: the components' supports are not the support fixpoint"
+          name;
+      plan
 
 let test_oracle_generated () =
   let cases = ref 0 and with_components = ref 0 in
@@ -441,6 +452,56 @@ let test_allocation_guard () =
   Alcotest.(check int) "repair count" (Decompose.count_product (List.map List.length minimal))
     outcome.Query.Cqa.repair_count
 
+(* Per-component support: k independent clusters cost k times one
+   cluster.  Each weighted cluster's r_t pvs are kept satisfied by its own
+   T(a_i) alone, so every component carries one support atom and grounds
+   the same program at every k, and the plan allocates the same per
+   component atom. *)
+let test_linear_in_k () =
+  let ground = ref None in
+  let per_atom =
+    List.map
+      (fun k ->
+        let w = Gen.clusters_workload ~weight:4 ~padding:10 ~k () in
+        let d = w.Gen.d and ics = w.Gen.ics in
+        let plan = Decompose.plan d ics in
+        Alcotest.(check int) (Printf.sprintf "k=%d components" k) k
+          (List.length plan.Decompose.components);
+        List.iter
+          (fun c ->
+            Alcotest.(check int)
+              (Printf.sprintf "k=%d: one support atom per component" k)
+              1
+              (Instance.cardinal c.Decompose.support);
+            match Core.Engine.run (Decompose.base c) c.Decompose.ics with
+            | Ok r -> (
+                let n = r.Core.Engine.ground_atoms in
+                match !ground with
+                | None -> ground := Some n
+                | Some first ->
+                    Alcotest.(check int)
+                      (Printf.sprintf "k=%d: ground atoms as at k=16" k)
+                      first n)
+            | Error e -> Alcotest.fail e)
+          plan.Decompose.components;
+        let _, words = allocated (fun () -> Decompose.plan d ics) in
+        let atoms =
+          List.fold_left
+            (fun n c -> n + Atom.Set.cardinal c.Decompose.atoms)
+            0 plan.Decompose.components
+        in
+        (k, words /. float_of_int atoms))
+      [ 16; 64; 256 ]
+  in
+  let lo = List.fold_left (fun m (_, x) -> min m x) infinity per_atom
+  and hi = List.fold_left (fun m (_, x) -> max m x) 0. per_atom in
+  Alcotest.(check bool)
+    (Printf.sprintf "plan words per component atom within 1.5x across k (%s)"
+       (String.concat ", "
+          (List.map (fun (k, x) -> Printf.sprintf "k=%d: %.0f" k x) per_atom)))
+    true
+    (hi <= 1.5 *. lo)
+
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -471,5 +532,9 @@ let () =
           Alcotest.test_case "workloads" `Quick test_oracle_workloads;
           Alcotest.test_case "scenario files" `Quick test_oracle_scenarios;
         ] );
-      ("allocation", [ Alcotest.test_case "plan and recombine guard" `Quick test_allocation_guard ]);
+      ( "allocation",
+        [
+          Alcotest.test_case "plan and recombine guard" `Quick test_allocation_guard;
+          Alcotest.test_case "solve and plan linear in k" `Quick test_linear_in_k;
+        ] );
     ]

@@ -545,6 +545,314 @@ let test_session_consistent_instance () =
   | Error m -> Alcotest.fail m
 
 (* ------------------------------------------------------------------ *)
+(* Solve keys: values that differ only in type, IC constants, shapes *)
+
+let fd_f =
+  Ic.Builder.functional_dependency ~name:"fd_f" ~pred:"F" ~arity:2 ~lhs:[ 1 ]
+    ~rhs:2 ()
+
+let f_atom x y = Atom.make "F" [ x; vs y ]
+
+(* q(Y) :- F(X, Y), G(X) *)
+let q_fg =
+  Qsyntax.make ~head:[ "y" ]
+    (Qsyntax.Exists
+       ( [ "x" ],
+         Qsyntax.And
+           ( Qsyntax.Atom (patom "F" [ v "x"; v "y" ]),
+             Qsyntax.Atom (patom "G" [ v "x" ]) ) ))
+
+(* F(1, a), F(1, b) and F("1", a), F("1", b) once keyed alike, so after
+   the swap the session answered from the cached repairs of the integer
+   tuples, which join no G("1"): possible {} where a cold request answers
+   {(a), (b)}. *)
+let test_cache_types () =
+  let one = Value.int 1 and one_s = vs "1" in
+  let d =
+    Instance.of_atoms [ f_atom one "a"; f_atom one "b"; Atom.make "G" [ one_s ] ]
+  in
+  let ops =
+    [
+      Delta.delete (f_atom one "a");
+      Delta.delete (f_atom one "b");
+      Delta.insert (f_atom one_s "a");
+      Delta.insert (f_atom one_s "b");
+    ]
+  in
+  let d' = Delta.apply ops d in
+  List.iter
+    (fun (name, engine) ->
+      let s = Session.create ~engine d [ fd_f ] in
+      ignore (Session.cqa s q_fg);
+      Session.apply s ops;
+      let cold =
+        Query.Cqa.consistent_answers ~method_:(method_of engine) ~decompose:true
+          d' [ fd_f ] q_fg
+      in
+      Alcotest.(check string)
+        (name ^ ": session = cold") (render cold)
+        (render (Session.cqa s q_fg));
+      match cold with
+      | Ok o ->
+          Alcotest.(check int)
+            (name ^ ": possible {(a), (b)}")
+            2
+            (Tuple.Set.cardinal o.Query.Cqa.possible)
+      | Error e -> Alcotest.fail e)
+    [ ("program", Session.Program); ("auto", Session.Auto) ]
+
+(* a store that never hits: the memo-free solve *)
+let memo_free = { Query.Cqa.find = (fun _ -> None); add = (fun _ _ -> ()) }
+
+let component_of atoms ics =
+  let sub = Instance.of_atoms atoms in
+  { Decompose.atoms = Instance.atom_set sub; sub; support = Instance.empty; ics }
+
+let shapes_of components =
+  let plan =
+    {
+      Decompose.core = Instance.empty;
+      components;
+      universe = [];
+      nnc_positions = [];
+      product_exact = true;
+    }
+  in
+  List.map (fun c -> Option.map (fun k -> k.Decompose.id) (Decompose.shape_key plan c)) components
+
+let test_keys_apart () =
+  let no_k = Ic.Builder.denial ~name:"no_k" [ patom "F" [ v "x"; Term.str "k" ] ] in
+  let apart name a b =
+    Alcotest.(check bool)
+      (name ^ ": content keys differ")
+      true
+      (Decompose.fingerprint a <> Decompose.fingerprint b);
+    match shapes_of [ a; b ] with
+    | [ Some ka; Some kb ] ->
+        Alcotest.(check bool) (name ^ ": shape keys differ") true (ka <> kb)
+    | _ -> Alcotest.failf "%s: expected shape keys" name
+  in
+  let one = Value.int 1 and one_s = vs "1" in
+  apart "Int 1 / Str \"1\""
+    (component_of [ f_atom one "a"; f_atom one "b" ] [ fd_f ])
+    (component_of [ f_atom one_s "a"; f_atom one_s "b" ] [ fd_f ]);
+  apart "Null / Str \"null\""
+    (component_of [ Atom.make "F" [ vs "c"; vn ]; f_atom (vs "c") "b" ] [ fd_f ])
+    (component_of [ f_atom (vs "c") "null"; f_atom (vs "c") "b" ] [ fd_f ]);
+  apart "IC constant / other constant"
+    (component_of [ f_atom one "k"; f_atom one "b" ] [ fd_f; no_k ])
+    (component_of [ f_atom one "m"; f_atom one "b" ] [ fd_f; no_k ]);
+  apart "constraints differing in a constant"
+    (component_of [ f_atom one "a"; f_atom one "b" ] [ fd_f; no_k ])
+    (component_of [ f_atom one "a"; f_atom one "b" ]
+       [ fd_f; Ic.Builder.denial ~name:"no_k" [ patom "F" [ v "x"; Term.str "m" ] ] ]);
+  (* and isomorphic components share one *)
+  match
+    shapes_of
+      [
+        component_of [ f_atom one "a"; f_atom one "b" ] [ fd_f ];
+        component_of [ f_atom (Value.int 2) "c"; f_atom (Value.int 2) "d" ] [ fd_f ];
+      ]
+  with
+  | [ Some ka; Some kb ] -> Alcotest.(check string) "isomorphic components" ka kb
+  | _ -> Alcotest.fail "expected shape keys"
+
+(* Two isomorphic components whose renaming reverses the order of the
+   constants their repairs insert: P(b, k1), Q(a, k1) labels b before a,
+   P(c, k2), Q(d, k2) labels c before d, but a < b and c < d.  The
+   second component's carried repairs must be re-sorted to come out as
+   its own solve's, so the session's repair list matches the memo-free
+   one byte for byte. *)
+let test_carried_resorted () =
+  let pq =
+    Constr.generic ~name:"pq_r"
+      ~ante:[ patom "P" [ v "x"; v "k" ]; patom "Q" [ v "y"; v "k" ] ]
+      ~cons:[ patom "R" [ v "x"; v "u" ]; patom "R" [ v "y"; v "w" ] ]
+      ()
+  in
+  let two x y k = [ Atom.make "P" [ vs x; vs k ]; Atom.make "Q" [ vs y; vs k ] ] in
+  let d = Instance.of_atoms (two "b" "a" "k1" @ two "c" "d" "k2") in
+  let plan = Decompose.plan d [ pq ] in
+  (match List.map (fun c -> Decompose.shape_key plan c) plan.Decompose.components with
+  | [ Some k1; Some k2 ] ->
+      Alcotest.(check string) "one shape" k1.Decompose.id k2.Decompose.id
+  | _ -> Alcotest.fail "expected two shape-keyed components");
+  let session = Session.create ~engine:Session.Auto d [ pq ] in
+  match
+    ( Query.Cqa.repairs_of_plan ~store:memo_free ~method_:Query.Cqa.Auto ~plan d
+        [ pq ],
+      Session.repairs session )
+  with
+  | Ok free, Ok memo ->
+      Alcotest.(check int) "one hit" 1 (Session.stats session).Session.cache_hits;
+      Alcotest.(check (list instance)) "repairs in the memo-free order" free memo
+  | _ -> Alcotest.fail "repairs failed"
+
+(* The shape differential: a case, next to a copy of itself under a random
+   renaming that fixes [null] and the constraints' constants, so the plan
+   holds isomorphic components.  Auto CQA and session repairs, memoized by
+   shape, equal the memo-free run (a store that never hits) byte for byte,
+   at jobs 1 and 2.  A component whose constraints compare by order, use
+   an offset or carry a conflicting NNC is keyed by content; and the two
+   retypings of a shape-keyed component that differ only in the type of
+   their constants are keyed apart. *)
+
+let shape_case seed =
+  let of_gen (w : Gen.t) = (w.Gen.label, w.Gen.d, w.Gen.ics) in
+  match seed mod 4 with
+  | 0 -> of_gen (Gen.random_case ~seed ())
+  | 1 -> of_gen (Gen.route_case ~seed ())
+  | 2 -> (
+      match Lang.Load.of_string (Conform.Fuzz.source (Conform.Fuzz.gen ~seed ())) with
+      | Ok l ->
+          (Printf.sprintf "fuzz seed=%d" seed, Lang.Load.final_instance l, l.Lang.Load.ics)
+      | Error e -> failwith e)
+  | _ ->
+      let label, d, ics = of_gen (Gen.random_case ~seed ()) in
+      let r = patom "R" [ v "x"; v "y" ] in
+      let check =
+        if seed mod 8 = 3 then
+          Ic.Builder.check ~name:"r_lt" r
+            [ Ic.Builtin.cmp Ic.Builtin.Lt (Ic.Builtin.evar "x") (Ic.Builtin.evar "y") ]
+        else
+          Ic.Builder.check ~name:"r_off" r
+            [
+              Ic.Builtin.cmp Ic.Builtin.Neq (Ic.Builtin.evar "x")
+                (Ic.Builtin.shift (Ic.Builtin.evar "y") 1);
+            ]
+      in
+      (label ^ " + " ^ Option.get (Constr.name check), d, ics @ [ check ])
+
+let order_or_offset ics =
+  List.exists
+    (function
+      | Constr.NotNull _ -> false
+      | Constr.Generic g ->
+          List.exists
+            (function
+              | Ic.Builtin.False -> false
+              | Ic.Builtin.Cmp (op, l, r) ->
+                  l.Ic.Builtin.offset <> 0
+                  || r.Ic.Builtin.offset <> 0
+                  || not (op = Ic.Builtin.Eq || op = Ic.Builtin.Neq))
+            g.Constr.phi)
+    ics
+
+let shape_differential seed =
+  let label, d, ics = shape_case seed in
+  let rng = Random.State.make [| seed; 71 |] in
+  let fixed = Repair.Candidates.constants_of_ics ics in
+  let renamed =
+    List.filter
+      (fun c ->
+        not (Value.is_null c || Value.equal c (vs "null") || List.mem c fixed))
+      (Instance.active_domain d)
+  in
+  let fresh =
+    let n = List.length renamed in
+    let perm = Array.init n Fun.id in
+    for i = n - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let t = perm.(i) in
+      perm.(i) <- perm.(j);
+      perm.(j) <- t
+    done;
+    List.mapi
+      (fun i c ->
+        match c with
+        | Value.Int _ -> Value.int (100_000 + perm.(i))
+        | _ -> vs (Printf.sprintf "r_%d" perm.(i)))
+      renamed
+  in
+  let copy =
+    match
+      Decompose.renaming ~from:(Array.of_list renamed) ~into:(Array.of_list fresh)
+    with
+    | Some f -> f d
+    | None -> d
+  in
+  let d = Instance.union d copy in
+  let fail what =
+    QCheck.Test.fail_reportf "%s (renamed copy): %s" label what
+  in
+  let plan = Decompose.plan d ics in
+  List.iter
+    (fun (c : Decompose.component) ->
+      let content_only =
+        order_or_offset c.Decompose.ics
+        || Result.is_error (Ic.Builder.non_conflicting c.Decompose.ics)
+      in
+      match Decompose.shape_key plan c with
+      | Some _ when content_only -> ignore (fail "shape key on an order, offset or NNC conflict")
+      | Some k ->
+          let strs = Array.map (fun c -> match c with Value.Str _ -> true | _ -> false) k.Decompose.constants in
+          if Array.exists Fun.id strs then begin
+            let retype into =
+              let f = Option.get (Decompose.renaming ~from:k.Decompose.constants ~into) in
+              { c with Decompose.sub = f c.Decompose.sub; support = f c.Decompose.support }
+            in
+            let as_str = retype (Array.mapi (fun i v -> if strs.(i) then vs (string_of_int (i + 7)) else v) k.Decompose.constants)
+            and as_int = retype (Array.mapi (fun i v -> if strs.(i) then Value.int (i + 7) else v) k.Decompose.constants) in
+            if
+              Decompose.fingerprint as_str = Decompose.fingerprint as_int
+              || Decompose.shape_key plan as_str = Decompose.shape_key plan as_int
+            then ignore (fail "retyped components share a key")
+          end
+      | None -> ())
+    plan.Decompose.components;
+  (* The memo keys exact plans only, and the renamed copy squares the
+     products that an inexact plan's global filter, session repairs and
+     join queries materialize: compare exact plans whose repair product
+     stays small, as the memo-free single-atom outcome (which builds no
+     product there) counts it. *)
+  let effort = 20_000 in
+  let free ?(jobs = 1) q =
+    Query.Cqa.outcome_of_plan ~max_effort:effort ~jobs ~store:memo_free
+      ~method_:Query.Cqa.Auto ~standard:(Query.Qeval.answers d q) ~plan d ics q
+  in
+  match
+    if plan.Decompose.product_exact then Some (free (List.hd queries)) else None
+  with
+  | Some (Ok o)
+    when o.Query.Cqa.exhausted = None && o.Query.Cqa.repair_count <= 4096 ->
+      List.for_all
+        (fun jobs ->
+          let session =
+            Session.create ~engine:Session.Auto ~jobs ~max_effort:effort d ics
+          in
+          (match
+             ( Query.Cqa.repairs_of_plan ~max_effort:effort ~jobs ~store:memo_free
+                 ~method_:Query.Cqa.Auto ~plan d ics,
+               Session.repairs session )
+           with
+          | Ok free, Ok memo ->
+              (List.length free = List.length memo
+              && List.for_all2 Instance.equal free memo)
+              || fail (Printf.sprintf "session repairs differ at jobs %d" jobs)
+          | Error _, _ -> true
+          | Ok _, Error e -> fail e)
+          && List.for_all
+               (fun q ->
+                 let free = free ~jobs q in
+                 let memo =
+                   Query.Cqa.consistent_answers ~method_:Query.Cqa.Auto
+                     ~max_effort:effort ~jobs d ics q
+                 in
+                 String.equal (render free) (render memo)
+                 || fail
+                      (Printf.sprintf "cqa at jobs %d:@.memo-free %s@.memo %s"
+                         jobs (render free) (render memo)))
+               queries)
+        [ 1; 2 ]
+  | _ -> true
+
+let diff_shape_memo =
+  QCheck.Test.make ~name:"shape memo = memo-free solve, jobs 1 and 2 (120 cases)"
+    ~count:120
+    QCheck.(int_bound 1_000_000)
+    shape_differential
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
@@ -568,6 +876,8 @@ let () =
             test_fingerprint_reorder;
           Alcotest.test_case "discriminates content" `Quick
             test_fingerprint_discriminates;
+          Alcotest.test_case "keys tell types and IC constants apart" `Quick
+            test_keys_apart;
         ] );
       ( "cache",
         [
@@ -579,6 +889,10 @@ let () =
             test_session_eviction;
           Alcotest.test_case "consistent instance" `Quick
             test_session_consistent_instance;
+          Alcotest.test_case "values that differ only in type" `Quick
+            test_cache_types;
+          Alcotest.test_case "shape hits carried and re-sorted" `Quick
+            test_carried_resorted;
         ] );
       ( "qcheck",
         qcheck
@@ -592,5 +906,6 @@ let () =
             diff_session_auto_repairs;
             diff_session_auto_cqa;
             diff_session_budget;
+            diff_shape_memo;
           ] );
     ]
