@@ -911,5 +911,7 @@ let e22 () =
     rows
 
 let all =
-  [ e1; e2; e3; e4; e5; e6; e7; e8; e9; e10; e11; e12; e13; e14; e15; e18;
-    e21; e22 ]
+  [ ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
+    ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10); ("E11", e11);
+    ("E12", e12); ("E13", e13); ("E14", e14); ("E15", e15); ("E18", e18);
+    ("E21", e21); ("E22", e22) ]

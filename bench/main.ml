@@ -1,20 +1,25 @@
-(* Benchmark harness: regenerates every experiment table (E1-E15, see
-   EXPERIMENTS.md), optionally runs the Bechamel micro-benchmarks, and can
-   emit / validate the machine-readable perf baseline (which also carries
-   the E16 budget/parallel and E17 session telemetry).
+(* Benchmark harness: regenerates the experiment tables of EXPERIMENTS.md
+   (Experiments.all: E1-E15, E18, E21, E22), optionally runs the Bechamel
+   micro-benchmarks, and writes and checks the machine-readable perf
+   baseline, which also carries the E16-E22 telemetry rows.
 
      dune exec bench/main.exe                     # all tables
      dune exec bench/main.exe -- --micro          # tables + micro-benchmarks
      dune exec bench/main.exe -- E4 E5            # selected tables
-     dune exec bench/main.exe -- --json BENCH_PR2.json --micro
-         # micro-benchmarks + solver telemetry to a JSON baseline file
+     dune exec bench/main.exe -- --json BASE.json --micro
+         # micro-benchmarks + telemetry to a JSON baseline file
          # (tables are skipped unless named explicitly)
-     dune exec bench/main.exe -- --check-json BENCH_PR2.json
-         # validate a baseline file: well-formed, stable keys, numeric fields
+     dune exec bench/main.exe -- --check-json BASE.json
+         # validate a baseline against the guard table of Baseline
+     dune exec bench/main.exe -- --compare-json OLD.json NEW.json
+         # validate NEW, then bound its guarded fields against OLD's at 10x
      --quota SECONDS   Bechamel measurement quota per benchmark (default 0.25)
      --scale N         instance size for the E19 scale telemetry rows
-                       (default 20000; the committed baseline uses 1000000)
-*)
+                       (default 20000; the committed baselines use 1000000)
+     --clients N       concurrent clients of the E20 serve telemetry
+                       (default 8)
+
+   An unknown table name or option is a usage error (exit 2). *)
 
 let micro_tests () =
   let open Bechamel in
@@ -902,7 +907,7 @@ let write_json path micro solver_rows decompose_rows budget_rows parallel_rows
   let doc =
     Obj
       [
-        ("schema", Str "cqanull-bench/10");
+        ("schema", Str (Baseline.schema Baseline.latest));
         ("tool", Str "bench/main.exe --json");
         ("unit", Str "ns/run");
         ("micro", Arr micro_rows);
@@ -919,1002 +924,7 @@ let write_json path micro solver_rows decompose_rows budget_rows parallel_rows
       ]
   in
   Out_channel.with_open_text path (fun oc -> output_string oc (emit doc));
-  Printf.printf
-    "wrote %s (%d micro rows, %d solver rows, %d decompose rows, %d budget rows, %d parallel rows, %d session rows, %d routing rows, %d scale rows, %d serve rows, %d cdcl rows, %d conform rows)\n"
-    path
-    (List.length micro_rows)
-    (List.length telemetry_rows)
-    (List.length decompose_json)
-    (List.length budget_json)
-    (List.length parallel_json)
-    (List.length session_json)
-    (List.length routing_json)
-    (List.length scale_json)
-    (List.length serve_json)
-    (List.length cdcl_json)
-    (List.length conform_json)
-
-(* --check-json: the baseline format's self-test.  Guards the stable keys
-   and the numeric fields so the file future PRs diff against cannot drift
-   silently. *)
-let check_json path =
-  let fail msg =
-    Printf.eprintf "%s: %s\n" path msg;
-    exit 1
-  in
-  let contents =
-    try In_channel.with_open_text path In_channel.input_all
-    with Sys_error e -> fail e
-  in
-  let doc = try Table.parse contents with Table.Json_error e -> fail e in
-  let str_field obj key =
-    match Table.member key obj with
-    | Some (Table.Str s) -> s
-    | _ -> fail (Printf.sprintf "missing or non-string field %S" key)
-  in
-  let num_field obj key =
-    match Table.member key obj with
-    | Some (Table.Num f) -> f
-    | Some (Table.Int i) -> float_of_int i
-    | _ -> fail (Printf.sprintf "missing or non-numeric field %S" key)
-  in
-  let int_field obj key =
-    match Table.member key obj with
-    | Some (Table.Int i) -> i
-    | _ -> fail (Printf.sprintf "missing or non-integer field %S" key)
-  in
-  let arr_field obj key =
-    match Table.member key obj with
-    | Some (Table.Arr items) -> items
-    | _ -> fail (Printf.sprintf "missing or non-array field %S" key)
-  in
-  let schema = str_field doc "schema" in
-  (match schema with
-  | "cqanull-bench/1" | "cqanull-bench/2" | "cqanull-bench/3"
-  | "cqanull-bench/4" | "cqanull-bench/5" | "cqanull-bench/6"
-  | "cqanull-bench/7" | "cqanull-bench/8" | "cqanull-bench/9"
-  | "cqanull-bench/10" -> ()
-  | s -> fail (Printf.sprintf "unknown schema %S" s));
-  (* the version number behind "cqanull-bench/", for the cumulative
-     section guards below (each section is guarded from the version that
-     introduced it onward) *)
-  let v = int_of_string (String.sub schema 14 (String.length schema - 14)) in
-  ignore (str_field doc "tool");
-  ignore (str_field doc "unit");
-  let micro = arr_field doc "micro" in
-  List.iter
-    (fun row ->
-      let name = str_field row "name" in
-      let ns = num_field row "ns_per_run" in
-      if ns < 0.0 then
-        fail (Printf.sprintf "negative ns_per_run for %S" name))
-    micro;
-  let solver = arr_field doc "solver" in
-  List.iter
-    (fun row ->
-      ignore (str_field row "name");
-      (match str_field row "engine" with
-      (* "counter": the chronological DPLL of the checked-in baselines *)
-      | "counter" | "naive" -> ()
-      | "cdcl" when v >= 9 -> ()
-      | e -> fail (Printf.sprintf "unknown engine %S" e));
-      List.iter
-        (fun key ->
-          if int_field row key < 0 then
-            fail (Printf.sprintf "negative field %S" key))
-        ([ "models"; "decisions"; "propagations"; "candidates";
-           "minimality_checks"; "queue_pushes"; "rules_touched" ]
-        (* /9 adds the learning counters to every solver row *)
-        @ (if v >= 9 then
-             [ "conflicts"; "learned"; "restarts"; "backjump_len" ]
-           else [])
-        (* /10 adds the phase-saving counter *)
-        @ if v >= 10 then [ "phase_saved" ] else []))
-    solver;
-  (* /2 adds the conflict-decomposition counters: the per-component state
-     counts must sum to no more than the monolithic exploration *)
-  let decompose = if v < 2 then [] else arr_field doc "decompose" in
-  List.iter
-    (fun row ->
-      List.iter
-        (fun key ->
-          if int_field row key < 0 then
-            fail (Printf.sprintf "negative field %S" key))
-        [ "k"; "components"; "max_component_atoms"; "repair_count";
-          "monolithic_states" ];
-      (match str_field row "product_exact" with
-      | "true" | "false" -> ()
-      | s -> fail (Printf.sprintf "non-boolean product_exact %S" s));
-      let states =
-        List.map
-          (function
-            | Table.Int i when i >= 0 -> i
-            | _ -> fail "non-integer component state count")
-          (arr_field row "component_states")
-      in
-      if List.fold_left ( + ) 0 states > int_field row "monolithic_states" then
-        fail
-          (Printf.sprintf
-             "decomposed exploration exceeds monolithic at k=%d"
-             (int_field row "k")))
-    decompose;
-  (* /3 adds the per-stage budget counters: every row must show live
-     consumption — at least one of decisions/states ticked, components
-     solved on decomposed rows, and a started millisecond of wall-clock *)
-  let budget = if v >= 3 then arr_field doc "budget" else [] in
-  List.iter
-    (fun row ->
-      let name = str_field row "name" in
-      (match str_field row "outcome" with
-      | "ok" | "error" -> ()
-      | s -> fail (Printf.sprintf "unknown outcome %S in %S" s name));
-      let decompose_row =
-        match str_field row "decompose" with
-        | "true" -> true
-        | "false" -> false
-        | s -> fail (Printf.sprintf "non-boolean decompose %S in %S" s name)
-      in
-      List.iter
-        (fun key ->
-          if int_field row key < 0 then
-            fail (Printf.sprintf "negative field %S in %S" key name))
-        [ "decisions"; "states"; "components_solved"; "elapsed_ms" ];
-      if int_field row "decisions" + int_field row "states" = 0 then
-        fail (Printf.sprintf "no budget consumption recorded in %S" name);
-      if decompose_row && int_field row "components_solved" = 0 then
-        fail (Printf.sprintf "no components solved in decomposed row %S" name);
-      if int_field row "elapsed_ms" < 1 then
-        fail (Printf.sprintf "zero elapsed_ms in %S" name))
-    budget;
-  (* /4 adds the --jobs telemetry.  The section is exclusive to /4 in both
-     directions — a /3-or-older file carrying it, or a /4 file without it,
-     is schema drift and fails.  Every row must record a positive repair
-     count and wall-clock, and the [identical] flag must hold: the
-     deterministic-merge contract is checked data, not prose.  The >= 2x
-     speedup of jobs=4 over jobs=1 is only guarded when the recording
-     machine actually had >= 4 cores — on fewer cores there is no
-     parallelism to measure and the honest numbers may even slow down
-     (domains contending for one core). *)
-  (if v < 4 then begin
-     if Table.member "parallel" doc <> None then
-       fail "section \"parallel\" requires schema cqanull-bench/4"
-   end
-   else
-     let parallel = arr_field doc "parallel" in
-     if parallel = [] then fail "empty parallel section";
-     let row_ms jobs =
-       List.find_map
-         (fun row ->
-           if int_field row "jobs" = jobs then Some (num_field row "wall_ms")
-           else None)
-         parallel
-     in
-     List.iter
-       (fun row ->
-         let name = str_field row "name" in
-         List.iter
-           (fun key ->
-             if int_field row key < 1 then
-               fail (Printf.sprintf "non-positive field %S in %S" key name))
-           [ "k"; "weight"; "jobs"; "cores"; "repairs" ];
-         if num_field row "wall_ms" <= 0.0 then
-           fail (Printf.sprintf "non-positive wall_ms in %S" name);
-         match str_field row "identical" with
-         | "true" -> ()
-         | "false" ->
-             fail
-               (Printf.sprintf
-                  "parallel run %S diverged from the sequential output" name)
-         | s -> fail (Printf.sprintf "non-boolean identical %S in %S" s name))
-       parallel;
-     let cores =
-       match parallel with
-       | row :: _ -> int_field row "cores"
-       | [] -> assert false
-     in
-     match (row_ms 1, row_ms 4) with
-     | None, _ -> fail "parallel section has no jobs=1 baseline row"
-     | _, None -> fail "parallel section has no jobs=4 row"
-     | Some ms1, Some ms4 ->
-         if cores >= 4 && ms4 > ms1 /. 2.0 then
-           fail
-             (Printf.sprintf
-                "jobs=4 speedup %.2fx below 2x on a %d-core machine"
-                (ms1 /. ms4) cores));
-  (* /5 adds the session telemetry.  Exclusive to /5 in both directions,
-     like the parallel section.  Every row must show the cache actually
-     serving (> 0.5 hit rate on the scripted mix) and the correctness
-     contract holding — identical session and cold answers on every
-     request. *)
-  (if v < 5 then begin
-     if Table.member "session" doc <> None then
-       fail "section \"session\" requires schema cqanull-bench/5"
-   end
-   else
-     let session = arr_field doc "session" in
-     if session = [] then fail "empty session section";
-     List.iter
-       (fun row ->
-         let name = str_field row "name" in
-         List.iter
-           (fun key ->
-             if int_field row key < 0 then
-               fail (Printf.sprintf "negative field %S in %S" key name))
-           [ "k"; "deltas"; "requests"; "hits"; "misses"; "evictions" ];
-         if int_field row "requests" < 1 then
-           fail (Printf.sprintf "no requests served in %S" name);
-         if num_field row "hit_rate" <= 0.5 then
-           fail
-             (Printf.sprintf "cache hit rate %.2f not above 0.5 in %S"
-                (num_field row "hit_rate") name);
-         if num_field row "incremental_ms" <= 0.0 then
-           fail (Printf.sprintf "non-positive incremental_ms in %S" name);
-         if num_field row "cold_ms" <= 0.0 then
-           fail (Printf.sprintf "non-positive cold_ms in %S" name);
-         match str_field row "identical" with
-         | "true" -> ()
-         | "false" ->
-             fail
-               (Printf.sprintf
-                  "session run %S diverged from the cold answers" name)
-         | s -> fail (Printf.sprintf "non-boolean identical %S in %S" s name))
-       session);
-  (* /6 adds the per-tier routing telemetry.  Exclusive to /6 in both
-     directions, like the parallel and session sections.  Every row must
-     route at least one component, report positive wall-clocks and hold
-     the byte-identity contract with the enumerate oracle; at least one
-     all-direct FD row must beat decomposed enumeration by >= 10x — the
-     fast-path claim as a checked fact, not prose. *)
-  (if v < 6 then begin
-     if Table.member "routing" doc <> None then
-       fail "section \"routing\" requires schema cqanull-bench/6"
-   end
-   else
-     let routing = arr_field doc "routing" in
-     if routing = [] then fail "empty routing section";
-     List.iter
-       (fun row ->
-         let name = str_field row "name" in
-         let tiers =
-           List.map
-             (fun key ->
-               let n = int_field row key in
-               if n < 0 then fail (Printf.sprintf "negative %S in %S" key name);
-               n)
-             [ "routed_direct"; "routed_shifted"; "routed_disjunctive";
-               "routed_enumerate" ]
-         in
-         if List.fold_left ( + ) 0 tiers = 0 then
-           fail (Printf.sprintf "no components routed in %S" name);
-         List.iter
-           (fun key ->
-             if num_field row key <= 0.0 then
-               fail (Printf.sprintf "non-positive %S in %S" key name))
-           [ "auto_ms"; "enumerate_ms"; "program_ms" ];
-         match str_field row "identical" with
-         | "true" -> ()
-         | "false" ->
-             fail
-               (Printf.sprintf
-                  "routing row %S diverged from the enumerate oracle" name)
-         | s -> fail (Printf.sprintf "non-boolean identical %S in %S" s name))
-       routing;
-     let fast_path_holds =
-       List.exists
-         (fun row ->
-           int_field row "routed_direct" >= 1
-           && int_field row "routed_shifted" = 0
-           && int_field row "routed_disjunctive" = 0
-           && int_field row "routed_enumerate" = 0
-           && num_field row "speedup_vs_enumerate" >= 10.0)
-         routing
-     in
-     if not fast_path_holds then
-       fail
-         "no all-direct routing row beats decomposed enumeration by >= 10x");
-  (* /7 adds the large-instance scale telemetry.  Exclusive to /7 in both
-     directions, like the earlier sections.  Every row must report positive
-     wall-clocks and throughputs and hold the incremental-check contract
-     ([delta_identical], checked data); rows at n >= 10^5 must additionally
-     show the delta-seeded incremental check beating the full re-check by
-     >= 10x — the indexed-maintenance claim as a checked fact, not prose.
-     Smaller rows are exempt: at cram-sized instances both clocks sit in
-     the sub-millisecond noise floor. *)
-  (if v < 7 then begin
-     if Table.member "scale" doc <> None then
-       fail "section \"scale\" requires schema cqanull-bench/7"
-   end
-   else
-     let scale = arr_field doc "scale" in
-     if scale = [] then fail "empty scale section";
-     List.iter
-       (fun row ->
-         let name = str_field row "name" in
-         let n = int_field row "n" in
-         if n < 1 then fail (Printf.sprintf "non-positive n in %S" name);
-         List.iter
-           (fun key ->
-             if num_field row key <= 0.0 then
-               fail (Printf.sprintf "non-positive %S in %S" key name))
-           [ "load_ms"; "load_tps"; "check_ms"; "check_tps"; "cqa_ms";
-             "cqa_tps"; "delta_full_ms"; "delta_incr_ms" ];
-         List.iter
-           (fun key ->
-             if int_field row key < 0 then
-               fail (Printf.sprintf "negative field %S in %S" key name))
-           [ "violations"; "answers" ];
-         if num_field row "rss_mb" < 0.0 then
-           fail (Printf.sprintf "negative rss_mb in %S" name);
-         (match str_field row "delta_identical" with
-         | "true" -> ()
-         | "false" ->
-             fail
-               (Printf.sprintf
-                  "incremental check in %S diverged from the full re-check"
-                  name)
-         | s -> fail (Printf.sprintf "non-boolean delta_identical %S in %S" s name));
-         if n >= 100_000 && num_field row "delta_speedup" < 10.0 then
-           fail
-             (Printf.sprintf
-                "delta speedup %.2fx below 10x at n=%d in %S"
-                (num_field row "delta_speedup") n name))
-       scale);
-  (* /8 adds the concurrent-serving telemetry.  Exclusive to /8 in both
-     directions, like the earlier sections.  Every row must replay >= 2
-     concurrent clients, report positive throughput and ordered positive
-     percentiles (p99 >= p50 > 0), hold the byte-identity contract with
-     the cold single-session replay ([identical], checked data), and show
-     the process-global cache actually being shared across sessions —
-     cross_hits >= 1 and a positive cross-session hit rate.  A server
-     whose cache silently degrades to per-connection privacy fails the
-     baseline even if every answer stays correct. *)
-  (if v < 8 then begin
-     if Table.member "serve" doc <> None then
-       fail "section \"serve\" requires schema cqanull-bench/8"
-   end
-   else
-     let serve = arr_field doc "serve" in
-     if serve = [] then fail "empty serve section";
-     List.iter
-       (fun row ->
-         let name = str_field row "name" in
-         if int_field row "clients" < 2 then
-           fail (Printf.sprintf "fewer than 2 clients in %S" name);
-         if int_field row "requests" < 1 then
-           fail (Printf.sprintf "no requests served in %S" name);
-         List.iter
-           (fun key ->
-             if num_field row key <= 0.0 then
-               fail (Printf.sprintf "non-positive %S in %S" key name))
-           [ "wall_ms"; "req_per_s"; "p50_ms"; "p99_ms" ];
-         if num_field row "p99_ms" < num_field row "p50_ms" then
-           fail (Printf.sprintf "p99 below p50 in %S" name);
-         List.iter
-           (fun key ->
-             if int_field row key < 0 then
-               fail (Printf.sprintf "negative field %S in %S" key name))
-           [ "hits"; "misses"; "evictions" ];
-         if int_field row "cross_hits" < 1 then
-           fail
-             (Printf.sprintf
-                "no cross-session cache hits in %S — the global cache is \
-                 not shared"
-                name);
-         if num_field row "cross_hit_rate" <= 0.0 then
-           fail
-             (Printf.sprintf "non-positive cross_hit_rate in %S" name);
-         match str_field row "identical" with
-         | "true" -> ()
-         | "false" ->
-             fail
-               (Printf.sprintf
-                  "serve replay %S diverged from the cold single-session \
-                   answers"
-                  name)
-         | s -> fail (Printf.sprintf "non-boolean identical %S in %S" s name))
-       serve);
-  (* /9 adds the CDCL decision-count sweep (E21).  Exclusive to /9 in both
-     directions, like the earlier sections.  Every row must report the two
-     searches reaching identical model sets ([identical], checked data) with
-     positive decision counts; the sweep must carry at least one hard row,
-     and on every hard row the learning search must reach the same models
-     with at most half the decisions of the chronological one (the
-     [dpll_decisions] key, now counted by the sweep-based reference
-     search) — the headline claim of the CDCL rewrite as a checked fact,
-     not prose. *)
-  (if v < 9 then begin
-     if Table.member "cdcl" doc <> None then
-       fail "section \"cdcl\" requires schema cqanull-bench/9"
-   end
-   else
-     let cdcl = arr_field doc "cdcl" in
-     if cdcl = [] then fail "empty cdcl section";
-     let hard_rows = ref 0 in
-     List.iter
-       (fun row ->
-         let name = str_field row "name" in
-         List.iter
-           (fun key ->
-             if int_field row key < 0 then
-               fail (Printf.sprintf "negative field %S in %S" key name))
-           ([ "k"; "m"; "atoms"; "models"; "cdcl_decisions"; "dpll_decisions";
-              "conflicts"; "learned"; "restarts"; "backjump_len" ]
-           @ if v >= 10 then [ "phase_saved" ] else []);
-         if int_field row "models" < 1 then
-           fail (Printf.sprintf "no models enumerated in %S" name);
-         if int_field row "dpll_decisions" < 1 then
-           fail (Printf.sprintf "no dpll decisions recorded in %S" name);
-         if num_field row "decision_ratio" < 0.0 then
-           fail (Printf.sprintf "negative decision_ratio in %S" name);
-         (match str_field row "identical" with
-         | "true" -> ()
-         | "false" ->
-             fail
-               (Printf.sprintf
-                  "cdcl run %S diverged from the dpll model set" name)
-         | s -> fail (Printf.sprintf "non-boolean identical %S in %S" s name));
-         match str_field row "hard" with
-         | "false" -> ()
-         | "true" ->
-             incr hard_rows;
-             if
-               2 * int_field row "cdcl_decisions"
-               > int_field row "dpll_decisions"
-             then
-               fail
-                 (Printf.sprintf
-                    "cdcl decisions %d not <= 0.5x dpll decisions %d on hard \
-                     row %S"
-                    (int_field row "cdcl_decisions")
-                    (int_field row "dpll_decisions")
-                    name)
-         | s -> fail (Printf.sprintf "non-boolean hard %S in %S" s name))
-       cdcl;
-     if !hard_rows = 0 then fail "cdcl section has no hard rows");
-  (* /10 adds the conformance replay (E22).  Exclusive to /10 in both
-     directions, like the earlier sections.  The replayed corpus must
-     cover at least 5 scenario families and 20 cases; every row must
-     report at least 4 engine tiers with non-negative per-tier
-     wall-clocks, and every verdict must be identical across tiers — the
-     conformance contract as checked data, not prose. *)
-  (if v < 10 then begin
-     if Table.member "conform" doc <> None then
-       fail "section \"conform\" requires schema cqanull-bench/10"
-   end
-   else
-     let conform = arr_field doc "conform" in
-     if conform = [] then fail "empty conform section";
-     let families = ref [] in
-     List.iter
-       (fun row ->
-         let name = str_field row "name" in
-         let family = str_field row "family" in
-         if not (List.mem family !families) then
-           families := family :: !families;
-         let tiers = int_field row "tiers" in
-         if tiers < 4 then
-           fail (Printf.sprintf "fewer than 4 tiers in %S" name);
-         (match Table.member "tier_ms" row with
-         | Some (Table.Obj fields) ->
-             if List.length fields <> tiers then
-               fail (Printf.sprintf "tier_ms arity mismatch in %S" name);
-             List.iter
-               (fun (tier, x) ->
-                 match x with
-                 | Table.Num ms when ms >= 0.0 -> ()
-                 | Table.Int ms when ms >= 0 -> ()
-                 | _ ->
-                     fail
-                       (Printf.sprintf "negative tier_ms for %S in %S" tier
-                          name))
-               fields
-         | _ -> fail (Printf.sprintf "missing tier_ms object in %S" name));
-         match str_field row "identical" with
-         | "true" -> ()
-         | "false" ->
-             fail
-               (Printf.sprintf
-                  "conformance case %S failed its cross-tier check" name)
-         | s -> fail (Printf.sprintf "non-boolean identical %S in %S" s name))
-       conform;
-     if List.length !families < 5 then
-       fail "conform section covers fewer than 5 families";
-     if List.length conform < 20 then
-       fail "conform section has fewer than 20 cases");
-  match schema with
-  | "cqanull-bench/1" ->
-      Printf.printf "%s: ok (%d micro rows, %d solver rows)\n" path
-        (List.length micro) (List.length solver)
-  | "cqanull-bench/2" ->
-      Printf.printf
-        "%s: ok (%d micro rows, %d solver rows, %d decompose rows)\n" path
-        (List.length micro) (List.length solver) (List.length decompose)
-  | "cqanull-bench/3" ->
-      Printf.printf
-        "%s: ok (%d micro rows, %d solver rows, %d decompose rows, %d budget rows)\n"
-        path (List.length micro) (List.length solver) (List.length decompose)
-        (List.length budget)
-  | _ ->
-      let rows key =
-        match Table.member key doc with
-        | Some (Table.Arr rows) -> rows
-        | _ -> []
-      in
-      if schema = "cqanull-bench/4" then
-        Printf.printf
-          "%s: ok (%d micro rows, %d solver rows, %d decompose rows, %d budget rows, %d parallel rows)\n"
-          path (List.length micro) (List.length solver)
-          (List.length decompose) (List.length budget)
-          (List.length (rows "parallel"))
-      else if schema = "cqanull-bench/5" then
-        Printf.printf
-          "%s: ok (%d micro rows, %d solver rows, %d decompose rows, %d budget rows, %d parallel rows, %d session rows)\n"
-          path (List.length micro) (List.length solver)
-          (List.length decompose) (List.length budget)
-          (List.length (rows "parallel"))
-          (List.length (rows "session"))
-      else if schema = "cqanull-bench/6" then
-        Printf.printf
-          "%s: ok (%d micro rows, %d solver rows, %d decompose rows, %d budget rows, %d parallel rows, %d session rows, %d routing rows)\n"
-          path (List.length micro) (List.length solver)
-          (List.length decompose) (List.length budget)
-          (List.length (rows "parallel"))
-          (List.length (rows "session"))
-          (List.length (rows "routing"))
-      else if schema = "cqanull-bench/7" then
-        Printf.printf
-          "%s: ok (%d micro rows, %d solver rows, %d decompose rows, %d budget rows, %d parallel rows, %d session rows, %d routing rows, %d scale rows)\n"
-          path (List.length micro) (List.length solver)
-          (List.length decompose) (List.length budget)
-          (List.length (rows "parallel"))
-          (List.length (rows "session"))
-          (List.length (rows "routing"))
-          (List.length (rows "scale"))
-      else if schema = "cqanull-bench/8" then
-        Printf.printf
-          "%s: ok (%d micro rows, %d solver rows, %d decompose rows, %d budget rows, %d parallel rows, %d session rows, %d routing rows, %d scale rows, %d serve rows)\n"
-          path (List.length micro) (List.length solver)
-          (List.length decompose) (List.length budget)
-          (List.length (rows "parallel"))
-          (List.length (rows "session"))
-          (List.length (rows "routing"))
-          (List.length (rows "scale"))
-          (List.length (rows "serve"))
-      else if schema = "cqanull-bench/9" then
-        Printf.printf
-          "%s: ok (%d micro rows, %d solver rows, %d decompose rows, %d budget rows, %d parallel rows, %d session rows, %d routing rows, %d scale rows, %d serve rows, %d cdcl rows)\n"
-          path (List.length micro) (List.length solver)
-          (List.length decompose) (List.length budget)
-          (List.length (rows "parallel"))
-          (List.length (rows "session"))
-          (List.length (rows "routing"))
-          (List.length (rows "scale"))
-          (List.length (rows "serve"))
-          (List.length (rows "cdcl"))
-      else
-        Printf.printf
-          "%s: ok (%d micro rows, %d solver rows, %d decompose rows, %d budget rows, %d parallel rows, %d session rows, %d routing rows, %d scale rows, %d serve rows, %d cdcl rows, %d conform rows)\n"
-          path (List.length micro) (List.length solver)
-          (List.length decompose) (List.length budget)
-          (List.length (rows "parallel"))
-          (List.length (rows "session"))
-          (List.length (rows "routing"))
-          (List.length (rows "scale"))
-          (List.length (rows "serve"))
-          (List.length (rows "cdcl"))
-          (List.length (rows "conform"))
-
-(* --compare-json OLD NEW: regression guard over the micro rows both files
-   share in the E1/E2 families.  Bechamel estimates from ~5ms cram quotas
-   are noisy, so the tolerance is generous (10x) — the guard catches
-   order-of-magnitude regressions (an accidentally quadratic comparator, a
-   dropped index), not percent-level drift. *)
-let compare_json ~tolerance old_path new_path =
-  let fail msg =
-    Printf.eprintf "%s\n" msg;
-    exit 1
-  in
-  let load path =
-    let contents =
-      try In_channel.with_open_text path In_channel.input_all
-      with Sys_error e -> fail (path ^ ": " ^ e)
-    in
-    try Table.parse contents
-    with Table.Json_error e -> fail (path ^ ": " ^ e)
-  in
-  (* Parallel telemetry carries across baselines only when both files have
-     it (the section is new in cqanull-bench/4): the jobs=1 wall-clock is
-     guarded with the same generous tolerance as the micro rows, and
-     diverged-output rows fail outright — determinism is not a perf
-     number. *)
-  let parallel_guard old_doc new_doc =
-    match (Table.member "parallel" old_doc, Table.member "parallel" new_doc) with
-    | Some (Table.Arr old_rows), Some (Table.Arr new_rows) ->
-        List.iter
-          (fun row ->
-            match Table.member "identical" row with
-            | Some (Table.Str "true") -> ()
-            | _ -> fail "new baseline has a diverged parallel row")
-          new_rows;
-        let seq_ms rows =
-          List.find_map
-            (fun row ->
-              match (Table.member "jobs" row, Table.member "wall_ms" row) with
-              | Some (Table.Int 1), Some (Table.Num ms) -> Some ms
-              | Some (Table.Int 1), Some (Table.Int ms) ->
-                  Some (float_of_int ms)
-              | _ -> None)
-            rows
-        in
-        (match (seq_ms old_rows, seq_ms new_rows) with
-        | Some old_ms, Some new_ms ->
-            Printf.printf "parallel jobs=1 %.1f -> %.1f wall_ms (%.2fx)\n"
-              old_ms new_ms
-              (if old_ms > 0.0 then new_ms /. old_ms else 0.0);
-            if old_ms > 0.0 && new_ms > tolerance *. old_ms then
-              fail
-                (Printf.sprintf
-                   "parallel jobs=1 wall-clock regressed beyond %.0fx tolerance"
-                   tolerance)
-        | _ -> ())
-    | _ -> ()
-  in
-  (* Session telemetry carries across baselines only when both files have
-     it (the section is new in cqanull-bench/5): the incremental
-     wall-clock is guarded with the micro-row tolerance, and a new
-     baseline with diverged session answers or a collapsed hit rate fails
-     outright — both are contracts, not perf numbers. *)
-  let session_guard old_doc new_doc =
-    match (Table.member "session" old_doc, Table.member "session" new_doc) with
-    | Some (Table.Arr old_rows), Some (Table.Arr new_rows) ->
-        List.iter
-          (fun row ->
-            (match Table.member "identical" row with
-            | Some (Table.Str "true") -> ()
-            | _ -> fail "new baseline has a diverged session row");
-            match Table.member "hit_rate" row with
-            | Some (Table.Num r) when r > 0.5 -> ()
-            | _ -> fail "new baseline's session hit rate fell to 0.5 or below")
-          new_rows;
-        let inc_ms rows =
-          List.find_map
-            (fun row ->
-              match Table.member "incremental_ms" row with
-              | Some (Table.Num ms) -> Some ms
-              | Some (Table.Int ms) -> Some (float_of_int ms)
-              | _ -> None)
-            rows
-        in
-        (match (inc_ms old_rows, inc_ms new_rows) with
-        | Some old_ms, Some new_ms ->
-            Printf.printf "session incremental %.1f -> %.1f ms (%.2fx)\n"
-              old_ms new_ms
-              (if old_ms > 0.0 then new_ms /. old_ms else 0.0);
-            if old_ms > 0.0 && new_ms > tolerance *. old_ms then
-              fail
-                (Printf.sprintf
-                   "session incremental wall-clock regressed beyond %.0fx \
-                    tolerance"
-                   tolerance)
-        | _ -> ())
-    | _ -> ()
-  in
-  (* Routing telemetry carries across baselines only when both files have
-     it (the section is new in cqanull-bench/6): the auto wall-clock is
-     guarded with the micro-row tolerance, and a new baseline whose
-     routing rows diverged from the enumerate oracle or whose all-direct
-     FD fast path no longer beats decomposed enumeration by >= 10x fails
-     outright — both are contracts, not perf numbers. *)
-  let routing_guard old_doc new_doc =
-    match (Table.member "routing" old_doc, Table.member "routing" new_doc) with
-    | Some (Table.Arr old_rows), Some (Table.Arr new_rows) ->
-        List.iter
-          (fun row ->
-            match Table.member "identical" row with
-            | Some (Table.Str "true") -> ()
-            | _ -> fail "new baseline has a diverged routing row")
-          new_rows;
-        let speedup row =
-          match Table.member "speedup_vs_enumerate" row with
-          | Some (Table.Num s) -> s
-          | Some (Table.Int s) -> float_of_int s
-          | _ -> 0.0
-        in
-        let all_direct row =
-          List.for_all
-            (fun key ->
-              match Table.member key row with
-              | Some (Table.Int 0) -> true
-              | _ -> false)
-            [ "routed_shifted"; "routed_disjunctive"; "routed_enumerate" ]
-        in
-        if
-          not
-            (List.exists
-               (fun row -> all_direct row && speedup row >= 10.0)
-               new_rows)
-        then
-          fail
-            "new baseline's FD fast path no longer beats decomposed \
-             enumeration by >= 10x";
-        let auto_ms rows name =
-          List.find_map
-            (fun row ->
-              match (Table.member "name" row, Table.member "auto_ms" row) with
-              | Some (Table.Str n), Some (Table.Num ms) when n = name ->
-                  Some ms
-              | Some (Table.Str n), Some (Table.Int ms) when n = name ->
-                  Some (float_of_int ms)
-              | _ -> None)
-            rows
-        in
-        List.iter
-          (fun row ->
-            match Table.member "name" row with
-            | Some (Table.Str name) -> (
-                match (auto_ms old_rows name, auto_ms new_rows name) with
-                | Some old_ms, Some new_ms ->
-                    Printf.printf "routing %-24s %.1f -> %.1f auto_ms (%.2fx)\n"
-                      name old_ms new_ms
-                      (if old_ms > 0.0 then new_ms /. old_ms else 0.0);
-                    if old_ms > 0.0 && new_ms > tolerance *. old_ms then
-                      fail
-                        (Printf.sprintf
-                           "routing %s auto wall-clock regressed beyond %.0fx \
-                            tolerance"
-                           name tolerance)
-                | _ -> ())
-            | _ -> ())
-          old_rows
-    | _ -> ()
-  in
-  (* Scale telemetry carries across baselines only when both files have it
-     (the section is new in cqanull-bench/7): the load/check/cqa wall-clocks
-     are guarded per shared row name with the micro-row tolerance, and a
-     new baseline with a diverged incremental check, or one that lost the
-     >= 10x delta speedup at n >= 10^5 the old baseline demonstrated, fails
-     outright — both are contracts, not perf numbers. *)
-  let scale_guard old_doc new_doc =
-    match (Table.member "scale" old_doc, Table.member "scale" new_doc) with
-    | Some (Table.Arr old_rows), Some (Table.Arr new_rows) ->
-        let num row key =
-          match Table.member key row with
-          | Some (Table.Num f) -> Some f
-          | Some (Table.Int i) -> Some (float_of_int i)
-          | _ -> None
-        in
-        List.iter
-          (fun row ->
-            match Table.member "delta_identical" row with
-            | Some (Table.Str "true") -> ()
-            | _ -> fail "new baseline has a diverged scale row")
-          new_rows;
-        let big_speedup rows =
-          List.exists
-            (fun row ->
-              match (num row "n", num row "delta_speedup") with
-              | Some n, Some s -> n >= 100_000.0 && s >= 10.0
-              | _ -> false)
-            rows
-        in
-        if big_speedup old_rows && not (big_speedup new_rows) then
-          fail
-            "new baseline's incremental check no longer beats the full \
-             re-check by >= 10x at n >= 100000";
-        let find rows name key =
-          List.find_map
-            (fun row ->
-              match Table.member "name" row with
-              | Some (Table.Str n) when n = name -> num row key
-              | _ -> None)
-            rows
-        in
-        List.iter
-          (fun row ->
-            match Table.member "name" row with
-            | Some (Table.Str name) ->
-                List.iter
-                  (fun key ->
-                    match (find old_rows name key, find new_rows name key) with
-                    | Some old_ms, Some new_ms ->
-                        Printf.printf "scale %-18s %-12s %.1f -> %.1f ms (%.2fx)\n"
-                          name key old_ms new_ms
-                          (if old_ms > 0.0 then new_ms /. old_ms else 0.0);
-                        if old_ms > 0.0 && new_ms > tolerance *. old_ms then
-                          fail
-                            (Printf.sprintf
-                               "scale %s %s regressed beyond %.0fx tolerance"
-                               name key tolerance)
-                    | _ -> ())
-                  [ "load_ms"; "check_ms"; "cqa_ms" ]
-            | _ -> ())
-          old_rows
-    | _ -> ()
-  in
-  (* Serve telemetry carries across baselines only when both files have it
-     (the section is new in cqanull-bench/8): the p50 latency is guarded
-     with the micro-row tolerance, and a new baseline with diverged
-     concurrent answers or a cache that stopped crossing session
-     boundaries fails outright — both are contracts, not perf numbers. *)
-  let serve_guard old_doc new_doc =
-    match (Table.member "serve" old_doc, Table.member "serve" new_doc) with
-    | Some (Table.Arr old_rows), Some (Table.Arr new_rows) ->
-        let num row key =
-          match Table.member key row with
-          | Some (Table.Num f) -> Some f
-          | Some (Table.Int i) -> Some (float_of_int i)
-          | _ -> None
-        in
-        List.iter
-          (fun row ->
-            (match Table.member "identical" row with
-            | Some (Table.Str "true") -> ()
-            | _ -> fail "new baseline has a diverged serve row");
-            match num row "cross_hits" with
-            | Some c when c >= 1.0 -> ()
-            | _ ->
-                fail
-                  "new baseline's server cache shows no cross-session hits")
-          new_rows;
-        let p50 rows =
-          List.find_map (fun row -> num row "p50_ms") rows
-        in
-        (match
-           ( List.find_map (fun row -> num row "req_per_s") old_rows,
-             List.find_map (fun row -> num row "req_per_s") new_rows )
-        with
-        | Some old_rps, Some new_rps ->
-            Printf.printf "serve %.1f -> %.1f req/s (%.2fx)\n" old_rps
-              new_rps
-              (if old_rps > 0.0 then new_rps /. old_rps else 0.0)
-        | _ -> ());
-        (match (p50 old_rows, p50 new_rows) with
-        | Some old_ms, Some new_ms ->
-            Printf.printf "serve p50 %.2f -> %.2f ms (%.2fx)\n" old_ms new_ms
-              (if old_ms > 0.0 then new_ms /. old_ms else 0.0);
-            if old_ms > 0.0 && new_ms > tolerance *. old_ms then
-              fail
-                (Printf.sprintf
-                   "serve p50 latency regressed beyond %.0fx tolerance"
-                   tolerance)
-        | _ -> ())
-    | _ -> ()
-  in
-  (* CDCL telemetry carries across baselines only when both files have it
-     (the section is new in cqanull-bench/9): the deterministic decision
-     counts are guarded per shared row with the same generous tolerance as
-     the wall-clocks — a heuristic tweak may shift them, a 10x blow-up is
-     a search regression — and two outright contracts on the new baseline:
-     every row's model set identical across engines, and every hard row
-     keeping the >= 2x decision advantage of the learning engine. *)
-  let cdcl_guard old_doc new_doc =
-    match (Table.member "cdcl" old_doc, Table.member "cdcl" new_doc) with
-    | Some (Table.Arr old_rows), Some (Table.Arr new_rows) ->
-        let int_of row key =
-          match Table.member key row with
-          | Some (Table.Int i) -> Some i
-          | _ -> None
-        in
-        List.iter
-          (fun row ->
-            (match Table.member "identical" row with
-            | Some (Table.Str "true") -> ()
-            | _ -> fail "new baseline has a diverged cdcl row");
-            match
-              (Table.member "hard" row, int_of row "cdcl_decisions",
-               int_of row "dpll_decisions")
-            with
-            | Some (Table.Str "true"), Some c, Some d when 2 * c > d ->
-                fail
-                  "new baseline lost the 2x decision advantage on a hard \
-                   cdcl row"
-            | _ -> ())
-          new_rows;
-        let decisions rows name =
-          List.find_map
-            (fun row ->
-              match Table.member "name" row with
-              | Some (Table.Str n) when n = name -> int_of row "cdcl_decisions"
-              | _ -> None)
-            rows
-        in
-        List.iter
-          (fun row ->
-            match Table.member "name" row with
-            | Some (Table.Str name) -> (
-                match (decisions old_rows name, decisions new_rows name) with
-                | Some old_d, Some new_d ->
-                    Printf.printf "cdcl %-18s %d -> %d decisions (%.2fx)\n"
-                      name old_d new_d
-                      (if old_d > 0 then
-                         float_of_int new_d /. float_of_int old_d
-                       else 0.0);
-                    if
-                      old_d > 0
-                      && float_of_int new_d > tolerance *. float_of_int old_d
-                    then
-                      fail
-                        (Printf.sprintf
-                           "cdcl %s decision count regressed beyond %.0fx \
-                            tolerance"
-                           name tolerance)
-                | _ -> ())
-            | _ -> ())
-          old_rows
-    | _ -> ()
-  in
-  let conform_guard old_doc new_doc =
-    match (Table.member "conform" old_doc, Table.member "conform" new_doc) with
-    | Some (Table.Arr old_rows), Some (Table.Arr new_rows) ->
-        List.iter
-          (fun row ->
-            match Table.member "identical" row with
-            | Some (Table.Str "true") -> ()
-            | _ -> fail "new baseline has a failing conform row")
-          new_rows;
-        if List.length new_rows < List.length old_rows then
-          fail "new baseline dropped conformance cases";
-        Printf.printf "conform %d -> %d cases, all identical across tiers\n"
-          (List.length old_rows) (List.length new_rows)
-    | _ -> ()
-  in
-  let micro_map doc =
-    match Table.member "micro" doc with
-    | Some (Table.Arr rows) ->
-        List.filter_map
-          (fun row ->
-            match (Table.member "name" row, Table.member "ns_per_run" row) with
-            | Some (Table.Str n), Some (Table.Num ns) -> Some (n, ns)
-            | Some (Table.Str n), Some (Table.Int ns) ->
-                Some (n, float_of_int ns)
-            | _ -> None)
-          rows
-    | _ -> fail "missing micro section"
-  in
-  let old_doc = load old_path and new_doc = load new_path in
-  let old_rows = micro_map old_doc in
-  let new_rows = micro_map new_doc in
-  let guarded =
-    List.filter
-      (fun (n, _) ->
-        String.length n >= 3
-        && (String.sub n 0 3 = "E1." || String.sub n 0 3 = "E2."))
-      old_rows
-  in
-  if guarded = [] then fail "no E1/E2 rows to compare";
-  let regressions =
-    List.filter_map
-      (fun (name, old_ns) ->
-        match List.assoc_opt name new_rows with
-        | Some new_ns when old_ns > 0.0 && new_ns > tolerance *. old_ns ->
-            Some (name, old_ns, new_ns)
-        | _ -> None)
-      guarded
-  in
-  List.iter
-    (fun (name, old_ns) ->
-      match List.assoc_opt name new_rows with
-      | Some new_ns ->
-          Printf.printf "%-28s %12.0f -> %12.0f ns/run (%.2fx)\n" name old_ns
-            new_ns
-            (if old_ns > 0.0 then new_ns /. old_ns else 0.0)
-      | None -> Printf.printf "%-28s missing from %s\n" name new_path)
-    guarded;
-  parallel_guard old_doc new_doc;
-  session_guard old_doc new_doc;
-  routing_guard old_doc new_doc;
-  scale_guard old_doc new_doc;
-  serve_guard old_doc new_doc;
-  cdcl_guard old_doc new_doc;
-  conform_guard old_doc new_doc;
-  match regressions with
-  | [] ->
-      Printf.printf "compare ok (%d guarded rows, tolerance %.0fx)\n"
-        (List.length guarded) tolerance
-  | _ ->
-      fail
-        (Printf.sprintf "%d regression(s) beyond %.0fx tolerance"
-           (List.length regressions) tolerance)
+  Printf.printf "wrote %s (%s)\n" path (Baseline.summary Baseline.latest doc)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -1954,43 +964,30 @@ let () =
     | "--compare-json" :: ([] | [ _ ]) ->
         Printf.eprintf "missing argument\n";
         exit 2
-    | name :: rest ->
+    | name :: _ when String.starts_with ~prefix:"-" name ->
+        Printf.eprintf "unknown option %s\n" name;
+        exit 2
+    | name :: rest when List.mem_assoc name Experiments.all ->
         parse (name :: acc_names) micro json check cmp quota scale clients rest
+    | name :: _ ->
+        Printf.eprintf "unknown table %s (%s)\n" name
+          (String.concat ", " (List.map fst Experiments.all));
+        exit 2
   in
   let selected, micro, json, check, cmp, quota, scale, clients =
     parse [] false None None None 0.25 20_000 8 args
   in
   match (check, cmp) with
-  | Some file, _ -> check_json file
-  | None, Some (old_file, new_file) ->
-      compare_json ~tolerance:10.0 old_file new_file
+  | Some file, _ -> Baseline.check_json file
+  | None, Some (old_file, new_file) -> Baseline.compare_json old_file new_file
   | None, None ->
-      let named =
-        [ ("E1", List.nth Experiments.all 0); ("E2", List.nth Experiments.all 1);
-          ("E3", List.nth Experiments.all 2); ("E4", List.nth Experiments.all 3);
-          ("E5", List.nth Experiments.all 4); ("E6", List.nth Experiments.all 5);
-          ("E7", List.nth Experiments.all 6); ("E8", List.nth Experiments.all 7);
-          ("E9", List.nth Experiments.all 8); ("E10", List.nth Experiments.all 9);
-          ("E11", List.nth Experiments.all 10); ("E12", List.nth Experiments.all 11);
-          ("E13", List.nth Experiments.all 12); ("E14", List.nth Experiments.all 13);
-          ("E15", List.nth Experiments.all 14); ("E18", List.nth Experiments.all 15);
-          ("E21", List.nth Experiments.all 16);
-          ("E22", List.nth Experiments.all 17) ]
-      in
       print_endline
         "cqanull benchmark harness — reproduction tables for 'Semantically \
          Correct Query Answers in the Presence of Null Values' (EDBT 2006)";
       (match (selected, json) with
       | [], Some _ -> ()  (* JSON mode: tables only when named explicitly *)
-      | [], None -> List.iter (fun (_, f) -> f ()) named
-      | names, _ ->
-          List.iter
-            (fun n ->
-              match List.assoc_opt n named with
-              | Some f -> f ()
-              | None ->
-                  Printf.eprintf "unknown table %s (E1..E15, E18, E21, E22)\n" n)
-            names);
+      | [], None -> List.iter (fun (_, f) -> f ()) Experiments.all
+      | names, _ -> List.iter (fun n -> List.assoc n Experiments.all ()) names);
       let micro_rows =
         if micro || json <> None then run_micro ~quota () else []
       in

@@ -246,20 +246,26 @@ let cqa_cmd =
       | `Cautious -> Query.Cqa.CautiousProgram
     in
     let budget = start_budget ~timeout_ms ~want_stats ~jobs in
-    List.iter
-      (fun (name, q) ->
-        Fmt.pr "query %s: %a@." name Query.Qsyntax.pp q;
-        (match Query.Qsafe.check q with
-        | Ok () -> ()
-        | Error msg -> Fmt.pr "  note: %s@." msg);
-        match
-          Query.Cqa.consistent_answers ~method_ ?budget ~decompose ~jobs d ics q
-        with
-        | Error msg -> Fmt.pr "  error: %s@." msg
-        | Ok outcome -> Fmt.pr "%a@." Query.Cqa.pp_outcome outcome)
-      queries;
+    let failed =
+      List.fold_left
+        (fun failed (name, q) ->
+          Fmt.pr "query %s: %a@." name Query.Qsyntax.pp q;
+          (match Query.Qsafe.check q with
+          | Ok () -> ()
+          | Error msg -> Fmt.pr "  note: %s@." msg);
+          match
+            Query.Cqa.consistent_answers ~method_ ?budget ~decompose ~jobs d ics q
+          with
+          | Error msg ->
+              Fmt.pr "  error: %s@." msg;
+              true
+          | Ok outcome ->
+              Fmt.pr "%a@." Query.Cqa.pp_outcome outcome;
+              failed)
+        false queries
+    in
     report_budget ~want_stats budget;
-    0
+    if failed then 1 else 0
   in
   let query_flag =
     Arg.(
@@ -281,7 +287,13 @@ let cqa_cmd =
                 materializing any (RIC-acyclic constraints only).")
   in
   Cmd.v
-    (Cmd.info "cqa" ~doc:"Compute consistent answers (Definition 8) to the file's queries.")
+    (Cmd.info "cqa"
+       ~doc:"Compute consistent answers (Definition 8) to the file's queries."
+       ~exits:
+         (Cmd.Exit.info 1
+            ~doc:"when a query failed (for example past its $(b,--timeout) \
+                  deadline); the other queries are still answered"
+         :: Cmd.Exit.defaults))
     Term.(
       const (fun f q e dc j t st -> Stdlib.exit (run f q e dc j t st))
       $ file_arg $ query_flag $ engine_flag $ decompose_flag $ jobs_flag
@@ -532,7 +544,7 @@ let connect_cmd =
 (* export *)
 
 let export_cmd =
-  let run file dialect variant output validate =
+  let run file dialect variant output =
     let l = load_or_die file in
     let variant =
       match variant with `Literal -> Core.Proggen.Literal | `Refined -> Core.Proggen.Refined
@@ -549,72 +561,20 @@ let export_cmd =
           match dialect with
           | `Dlv -> Core.Proggen.to_dlv pg
           | `Clingo -> Core.Proggen.to_clingo pg
-          | `Dimacs | `Smtlib ->
-              (* clause-level dialects ground the program first: both
-                 serialize the classical clause view of the ground rules *)
-              let ground = Asp.Grounder.ground pg.Core.Proggen.program in
-              let pp =
-                match dialect with
-                | `Dimacs -> Asp.Smtexport.to_dimacs
-                | _ -> Asp.Smtexport.to_smtlib
-              in
-              Fmt.str "%a" pp ground
         in
-        let validation =
-          if not validate then Ok ()
-          else
-            match dialect with
-            | `Dimacs -> (
-                match Asp.Smtexport.validate_dimacs text with
-                | Ok (v, c) ->
-                    Fmt.pr "valid dimacs: %d var(s), %d clause(s)@." v c;
-                    Ok ()
-                | Error msg -> Error (Fmt.str "invalid dimacs: %s" msg))
-            | `Smtlib -> (
-                match Asp.Smtexport.validate_smtlib text with
-                | Ok n ->
-                    Fmt.pr "valid smtlib: %d expression(s)@." n;
-                    Ok ()
-                | Error msg -> Error (Fmt.str "invalid smtlib: %s" msg))
-            | `Dlv | `Clingo ->
-                Error "--validate applies to the dimacs and smtlib dialects"
-        in
-        (match validation with
-        | Error msg ->
-            Fmt.epr "error: %s@." msg;
-            1
-        | Ok () ->
-            (match output with
-            | None -> print_string text
-            | Some path ->
-                Out_channel.with_open_text path (fun oc -> output_string oc text);
-                Fmt.pr "wrote %s@." path);
-            0)
+        (match output with
+        | None -> print_string text
+        | Some path ->
+            Out_channel.with_open_text path (fun oc -> output_string oc text);
+            Fmt.pr "wrote %s@." path);
+        0
   in
   let dialect_flag =
     Arg.(
       value
-      & opt
-          (Arg.enum
-             [
-               ("dlv", `Dlv); ("clingo", `Clingo); ("dimacs", `Dimacs);
-               ("smtlib", `Smtlib);
-             ])
-          `Dlv
+      & opt (Arg.enum [ ("dlv", `Dlv); ("clingo", `Clingo) ]) `Dlv
       & info [ "dialect" ] ~docv:"DIALECT"
-          ~doc:"Target syntax: 'dlv' or 'clingo' print the repair program \
-                for an external ASP solver; 'dimacs' (CNF) and 'smtlib' \
-                (SMT-LIB 2) print the classical clause view of the ground \
-                program for SAT/SMT cross-checks — stable-model conditions \
-                are not encoded.")
-  in
-  let validate_flag =
-    Arg.(
-      value & flag
-      & info [ "validate" ]
-          ~doc:"Shape-check the export before printing it (dimacs/smtlib \
-                only): header/clause agreement and literal ranges for \
-                DIMACS, s-expression well-formedness for SMT-LIB.")
+          ~doc:"Target syntax of the external ASP solver: 'dlv' or 'clingo'.")
   in
   let variant_flag =
     Arg.(
@@ -630,11 +590,10 @@ let export_cmd =
   Cmd.v
     (Cmd.info "export"
        ~doc:"Print the repair program Pi(D, IC) for an external ASP solver \
-             (dlv/clingo), or its ground classical clause view for SAT/SMT \
-             tools (dimacs/smtlib).")
+             (dlv/clingo).")
     Term.(
-      const (fun f d v o va -> Stdlib.exit (run f d v o va))
-      $ file_arg $ dialect_flag $ variant_flag $ output_flag $ validate_flag)
+      const (fun f d v o -> Stdlib.exit (run f d v o))
+      $ file_arg $ dialect_flag $ variant_flag $ output_flag)
 
 (* ------------------------------------------------------------------ *)
 (* solve: run the internal ASP solver on a DLV/clingo-syntax file *)

@@ -1,8 +1,2 @@
-type t = { jobs : int }
-
-let default = { jobs = 1 }
-
 let resolve jobs =
   if jobs = 0 then Domain.recommended_domain_count () else max 1 jobs
-
-let make ~jobs = { jobs = resolve jobs }

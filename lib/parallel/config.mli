@@ -5,14 +5,6 @@
     no domains, bit-for-bit the pre-parallel engine.  [jobs = 0] on the
     CLI means "auto": [Domain.recommended_domain_count ()]. *)
 
-type t = { jobs : int }
-
-val default : t
-(** [{ jobs = 1 }] — sequential. *)
-
 val resolve : int -> int
 (** [resolve 0] is [Domain.recommended_domain_count ()]; any other value
     is clamped to at least [1]. *)
-
-val make : jobs:int -> t
-(** [{ jobs = resolve jobs }]. *)

@@ -55,15 +55,3 @@ let universe d ics =
 
 let universe_non_null d ics =
   List.filter (fun v -> not (Value.is_null v)) (universe d ics)
-
-let all_atoms ~schema values =
-  let rec tuples n =
-    if n = 0 then [ [] ]
-    else
-      let rest = tuples (n - 1) in
-      List.concat_map (fun v -> List.map (fun t -> v :: t) rest) values
-  in
-  List.concat_map
-    (fun (pred, arity) ->
-      List.map (fun t -> Relational.Atom.make pred t) (tuples arity))
-    schema

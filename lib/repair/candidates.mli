@@ -11,8 +11,3 @@ val universe :
 
 val universe_non_null :
   Relational.Instance.t -> Ic.Constr.t list -> Relational.Value.t list
-
-val all_atoms :
-  schema:(string * int) list -> Relational.Value.t list -> Relational.Atom.t list
-(** Every ground atom over the given predicates/arities and value universe.
-    Exponential — reference/brute-force use only. *)

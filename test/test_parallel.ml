@@ -54,8 +54,7 @@ let test_tasks_run () =
 let test_config_resolve () =
   Alcotest.(check bool) "auto >= 1" true (Parallel.Config.resolve 0 >= 1);
   Alcotest.(check int) "explicit" 3 (Parallel.Config.resolve 3);
-  Alcotest.(check int) "clamped" 1 (Parallel.Config.resolve (-2));
-  Alcotest.(check int) "default sequential" 1 Parallel.Config.default.jobs
+  Alcotest.(check int) "clamped" 1 (Parallel.Config.resolve (-2))
 
 (* ------------------------------------------------------------------ *)
 (* jobs=1 vs jobs=N determinism *)

@@ -12,7 +12,6 @@ module Order = Repair.Order
 module Enumerate = Repair.Enumerate
 module Check = Repair.Check
 module Repd = Repair.Repd
-module Bruteforce = Repair.Bruteforce
 
 let v = Term.var
 let atom p ts = Patom.make p ts
