@@ -42,38 +42,57 @@ let eval_expr lookup e =
   if e.offset = 0 then Some v
   else match v with Value.Int i -> Some (Value.Int (i + e.offset)) | _ -> None
 
+(* The value of an offset-free side, read as it is: the checks and the
+   query filters evaluate a comparison per matched row, and a side boxed
+   in [Some] would cost them 2 words per side per row. *)
+let base_value lookup e =
+  match e.base with Term.Const v -> v | Term.Var x -> lookup x
+
+(* at top level: an order comparison allocates no closure *)
+let ordered op c =
+  match op with
+  | Lt -> c < 0
+  | Leq -> c <= 0
+  | Gt -> c > 0
+  | Geq -> c >= 0
+  | Eq | Neq -> assert false
+
 let compare_values op u v =
   match op with
   | Eq -> Value.equal u v
   | Neq -> not (Value.equal u v)
   | Lt | Leq | Gt | Geq -> (
-      let ordered c =
-        match op with
-        | Lt -> c < 0
-        | Leq -> c <= 0
-        | Gt -> c > 0
-        | Geq -> c >= 0
-        | Eq | Neq -> assert false
-      in
       match u, v with
-      | Value.Int i, Value.Int j -> ordered (Int.compare i j)
-      | Value.Str s, Value.Str t -> ordered (String.compare s t)
+      | Value.Int i, Value.Int j -> ordered op (Int.compare i j)
+      | Value.Str s, Value.Str t -> ordered op (String.compare s t)
       | _ -> false)
 
 let eval lookup = function
   | False -> false
+  | Cmp (op, a, b) when a.offset = 0 && b.offset = 0 ->
+      compare_values op (base_value lookup a) (base_value lookup b)
   | Cmp (op, a, b) -> (
       match eval_expr lookup a, eval_expr lookup b with
       | Some u, Some v -> compare_values op u v
       | _ -> false)
 
+(* shared, so a known verdict allocates nothing *)
+let known_true = Some true
+let known_false = Some false
+let known b = if b then known_true else known_false
+
 let eval3 lookup = function
-  | False -> Some false
+  | False -> known_false
+  | Cmp (op, a, b) when a.offset = 0 && b.offset = 0 ->
+      let u = base_value lookup a in
+      let v = base_value lookup b in
+      if Value.is_null u || Value.is_null v then None
+      else known (compare_values op u v)
   | Cmp (op, a, b) -> (
       match eval_expr lookup a, eval_expr lookup b with
       | Some u, Some v ->
           if Value.is_null u || Value.is_null v then None
-          else Some (compare_values op u v)
+          else known (compare_values op u v)
       | _ -> None)
 
 let compare_expr a b =

@@ -1,3 +1,5 @@
+module Value = Relational.Value
+module Atom = Relational.Atom
 module Tuple = Relational.Tuple
 module Instance = Relational.Instance
 module Decompose = Repair.Decompose
@@ -81,6 +83,90 @@ let full_repairs ~plan ~minimal states =
     Repair.Order.minimal_among ~d
       (List.of_seq (Decompose.product core (Option.get states)))
 
+(* What a position of the query atom asks of a matching tuple. *)
+type position_test = Equals of Value.t | Same_as of int
+
+(* The query atom's pattern, compiled once: [matches t] when the tuple
+   matches the atom (its constants equal there, its repeated variables
+   equal to their first occurrence), and [positions], where the head's
+   variables first occur.  Unlike [Assign.match_tuple] it builds no
+   binding, so a component atom whose head is not new allocates nothing. *)
+let compile_pattern atom head =
+  let terms = Array.of_list (Ic.Patom.terms atom) in
+  let first x =
+    let rec go i =
+      match terms.(i) with
+      | Ic.Term.Var y when String.equal x y -> i
+      | Ic.Term.Var _ | Ic.Term.Const _ -> go (i + 1)
+    in
+    go 0
+  in
+  let tests =
+    Array.to_list terms
+    |> List.mapi (fun i t ->
+           match t with
+           | Ic.Term.Const v -> Some (i, Equals v)
+           | Ic.Term.Var x ->
+               let f = first x in
+               if f < i then Some (i, Same_as f) else None)
+    |> List.filter_map Fun.id |> Array.of_list
+  in
+  let rec holds (t : Tuple.t) i =
+    i >= Array.length tests
+    ||
+    let p, test = tests.(i) in
+    (match test with
+    | Equals v -> Value.equal t.(p) v
+    | Same_as f -> Value.equal t.(p) t.(f))
+    && holds t (i + 1)
+  in
+  let matches (t : Tuple.t) = Array.length t = Array.length terms && holds t 0 in
+  (matches, Array.of_list (List.map first head))
+
+(* The core's answers to a single-atom query, derived from [standard], the
+   answers over D.  D is the core plus the components' slices, and a
+   single atom's answers are additive, so an answer over D is missing from
+   the core's only if every witness of it is a slice atom.  So only the
+   heads of the components' atoms matching the query atom are tested, each
+   with one join over the core seeded on it ({!Qeval.witnessed}), and the
+   unwitnessed ones are removed: the cost follows the conflict, and the
+   result shares [standard]'s structure.  The atoms include insertion
+   candidates outside D, whose heads the test decides like any other.  A
+   run of atoms with the head just decided (a relation's atoms are sorted)
+   builds and tests nothing. *)
+let core_answers ?semantics ~(plan : Decompose.plan) ~standard (q : Qsyntax.t) =
+  let atom = List.hd (Qsyntax.atoms q.Qsyntax.body) in
+  let pred = Ic.Patom.pred atom in
+  let matches, positions = compile_pattern atom q.Qsyntax.head in
+  let k = Array.length positions in
+  let witnessed = lazy (Qeval.witnessed ?semantics plan.Decompose.core q) in
+  let answers = ref standard and last = ref [||] and fresh = ref true in
+  let rec same_head (t : Tuple.t) i =
+    i >= k
+    || Value.equal !last.(i) t.(positions.(i)) && same_head t (i + 1)
+  in
+  let decide (a : Atom.t) =
+    let t = Atom.args a in
+    if
+      String.equal (Atom.pred a) pred
+      && matches t
+      && (!fresh || not (same_head t 0))
+    then begin
+      let h = Array.make k Value.null in
+      for i = 0 to k - 1 do
+        h.(i) <- t.(positions.(i))
+      done;
+      last := h;
+      fresh := false;
+      if Tuple.Set.mem h !answers && not (Lazy.force witnessed h) then
+        answers := Tuple.Set.remove h !answers
+    end
+  in
+  List.iter
+    (fun (c : Decompose.component) -> Atom.Set.iter decide c.Decompose.atoms)
+    plan.Decompose.components;
+  !answers
+
 let factorized_outcome ?semantics ?(jobs = 1) ?states ?exhausted ~plan
     ~minimal ~standard (q : Qsyntax.t) =
   let core = plan.Decompose.core in
@@ -123,8 +209,9 @@ let factorized_outcome ?semantics ?(jobs = 1) ?states ?exhausted ~plan
                eval (core ∪ r) = eval core ∪ eval r, so
                Inter_choices (A ∪ Union_i B_i) =
                A ∪ Union_i Inter_c B_i,c with A the core's
-               answers — the core is evaluated once, each
-               repair alone *)
+               answers — derived from the standard answers,
+               never evaluated — and each repair evaluated
+               alone *)
             let eval_component (_, reps) =
               let sets = List.map eval reps in
               ( List.fold_left Tuple.Set.inter
@@ -146,7 +233,7 @@ let factorized_outcome ?semantics ?(jobs = 1) ?states ?exhausted ~plan
                     Parallel.Pool.map pool eval_component
                       relevant)
             in
-            let base = eval core in
+            let base = core_answers ?semantics ~plan ~standard q in
             {
               consistent =
                 List.fold_left
@@ -488,24 +575,102 @@ let certain ?method_ ?semantics ?budget ?max_effort ?decompose ?jobs d ics q =
 (* An answer set in the syntax of [Tuple.pp] lists, "{(a, b), (c, null)}",
    written to the formatter as one string: the set holds no break hint and
    opens no box, so one token prints exactly the bytes the per-value tokens
-   did, wherever the outcome is nested. *)
+   did, wherever the outcome is nested.
+
+   The string is written in place: one pass sizes it, a second writes
+   every value straight into the bytes, integers digit by digit, and the
+   bytes become the string without a copy.  Everything is local to the
+   call, so concurrent renders (a server's pool domains) share nothing. *)
+
+(* The decimal digits of a non-positive integer (the negative side holds
+   [min_int]), by comparisons: ten digits at most for a search of four,
+   then ten at a time. *)
+let rec digits n =
+  if n > -10_000_000_000 then
+    if n > -100_000 then
+      if n > -100 then if n > -10 then 1 else 2
+      else if n > -1_000 then 3
+      else if n > -10_000 then 4
+      else 5
+    else if n > -10_000_000 then if n > -1_000_000 then 6 else 7
+    else if n > -100_000_000 then 8
+    else if n > -1_000_000_000 then 9
+    else 10
+  else 10 + digits (n / 10_000_000_000)
+
+let int_length i = if i < 0 then 1 + digits i else digits (-i)
+
+let value_length = function
+  | Value.Null -> 4
+  | Value.Int i -> int_length i
+  | Value.Str s -> String.length s
+
+(* "(" values separated by ", " ")" *)
+let tuple_length (t : Tuple.t) =
+  let n = ref (2 + (2 * Int.max 0 (Array.length t - 1))) in
+  for i = 0 to Array.length t - 1 do
+    n := !n + value_length t.(i)
+  done;
+  !n
+
+(* The digits of the non-positive [n], the last one at [p], one per step:
+   [q * 10 - n] is the digit [n / 10] drops. *)
+let rec write_digits b n p =
+  let q = n / 10 in
+  Bytes.set b p (Char.unsafe_chr (48 + ((q * 10) - n)));
+  if q < 0 then write_digits b q (p - 1)
+
+let write_separator b pos =
+  Bytes.set b pos ',';
+  Bytes.set b (pos + 1) ' '
+
+(* Each writer writes at [pos] and returns the position after it. *)
+let write_value b pos = function
+  | Value.Null ->
+      Bytes.blit_string "null" 0 b pos 4;
+      pos + 4
+  | Value.Str s ->
+      Bytes.blit_string s 0 b pos (String.length s);
+      pos + String.length s
+  | Value.Int i ->
+      let stop = pos + int_length i in
+      if i < 0 then Bytes.set b pos '-';
+      write_digits b (if i < 0 then i else -i) (stop - 1);
+      stop
+
+let write_tuple b pos (t : Tuple.t) =
+  Bytes.set b pos '(';
+  let pos = ref (pos + 1) in
+  for i = 0 to Array.length t - 1 do
+    if i > 0 then begin
+      write_separator b !pos;
+      pos := !pos + 2
+    end;
+    pos := write_value b !pos t.(i)
+  done;
+  Bytes.set b !pos ')';
+  !pos + 1
+
 let answer_set_string s =
-  let buf = Buffer.create 64 in
-  Buffer.add_char buf '{';
-  let first = ref true in
-  Tuple.Set.iter
-    (fun t ->
-      if !first then first := false else Buffer.add_string buf ", ";
-      Buffer.add_char buf '(';
-      Array.iteri
-        (fun i v ->
-          if i > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf (Relational.Value.to_string v))
-        t;
-      Buffer.add_char buf ')')
-    s;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  (* the braces, and ", " after every tuple but the last *)
+  let size =
+    Tuple.Set.fold (fun t n -> n + tuple_length t + 2) s 2
+    - if Tuple.Set.is_empty s then 0 else 2
+  in
+  let b = Bytes.create size in
+  Bytes.set b 0 '{';
+  let stop =
+    Tuple.Set.fold
+      (fun t pos ->
+        if pos = 1 then write_tuple b pos t
+        else begin
+          write_separator b pos;
+          write_tuple b (pos + 2) t
+        end)
+      s 1
+  in
+  Bytes.set b stop '}';
+  Bytes.unsafe_to_string b
 
 let pp_outcome ppf o =
   let pp_set ppf s = Format.pp_print_string ppf (answer_set_string s) in

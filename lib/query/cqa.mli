@@ -108,9 +108,19 @@ val factorized_outcome :
     base slice, with [exhausted] set).  [states] must carry the full
     consistent state lists when [plan.product_exact] is [false] (the
     recombined product is re-filtered globally).  This is the last step of
-    {!outcome_of_plan}.  A single-atom query is evaluated once over
-    [plan.core] and once per repair over the repair alone (answers are
-    additive), so the core's size is paid once, not once per repair. *)
+    {!outcome_of_plan}.
+
+    [standard] must be [Qeval.answers ?semantics d q] for the instance [d]
+    the plan was built from (or refreshed to): the single-atom path
+    derives the core's answers from it.  A single-atom query is never
+    evaluated over [plan.core]: [d] is the core plus the components'
+    slices and answers are additive, so a standard answer is missing from
+    the core's only if every witness of it is a component atom.  The heads
+    of the components' atoms matching the query atom are each tested with
+    one join over the core seeded on them ({!Qeval.witnessed}), and the
+    unwitnessed ones are removed from [standard].  Each repair is
+    evaluated alone.  No step here grows with the core: the cost follows
+    the conflict. *)
 
 (** {1 The decomposed pipeline}
 

@@ -168,11 +168,12 @@ let answers_enum ?semantics d (q : Qsyntax.t) =
    under nested quantifiers collapse to equality in both evaluators
    ([Assign.bind] refuses conflicting rebinds).
 
-   The join is compiled once ({!Assign.Join}): [IsNull] reads codes, the
-   built-ins decode only their own variables, and each kept match decodes
-   its head values into a tuple; one sort makes the tuples the answer
-   set. *)
-let answers_join semantics d (q : Qsyntax.t) =
+   The join is compiled once ({!Assign.Join}) from seeds binding [bound]:
+   [IsNull] reads codes, and the built-ins decode only their own
+   variables.  Under [NullAware] a match binding a join variable to null
+   is not kept either: that is [prepare]'s rule for each atom, and every
+   join variable is bound by one of the atoms. *)
+let compile_body semantics d ~bound (q : Qsyntax.t) =
   let module J = Assign.Join in
   let atoms = Qsyntax.atoms q.Qsyntax.body in
   let builtins = ref [] and isnulls = ref [] in
@@ -185,10 +186,10 @@ let answers_join semantics d (q : Qsyntax.t) =
         collect g
     | Qsyntax.Exists (_, f) -> collect f
     | Qsyntax.Or _ | Qsyntax.Not _ | Qsyntax.Forall _ ->
-        invalid_arg "Qeval.answers_join: not factorizable"
+        invalid_arg "Qeval: body not factorizable"
   in
   collect q.Qsyntax.body;
-  let j = J.compile d ~bound:[] atoms in
+  let j = J.compile d ~bound atoms in
   let lookup = J.lookup j in
   let builtin_holds b = eval_builtin_with semantics lookup b in
   let is_null = function
@@ -198,14 +199,30 @@ let answers_join semantics d (q : Qsyntax.t) =
         if s < 0 then invalid_arg "Qeval: unbound variable under IsNull"
         else J.code j s = Relational.Symtab.null_id
   in
+  let nulls =
+    match semantics with
+    | NullAsConstant | SqlLike -> [||]
+    | NullAware -> J.slots_of j (join_vars q.Qsyntax.body)
+  in
   let builtins = !builtins and isnulls = !isnulls in
+  let kept () =
+    (not (J.any_null j nulls))
+    && List.for_all builtin_holds builtins
+    && List.for_all is_null isnulls
+  in
+  (j, kept)
+
+(* Each kept match decodes its head values into a tuple; one sort makes
+   the tuples the answer set. *)
+let answers_join semantics d (q : Qsyntax.t) =
+  let module J = Assign.Join in
+  let j, kept = compile_body semantics d ~bound:[] q in
   let head = Array.of_list q.Qsyntax.head in
   let head_slots = Array.map (J.slot j) head in
   let decode i =
     let s = head_slots.(i) in
-    if s >= 0 then J.value j s else lookup head.(i)
+    if s >= 0 then J.value j s else J.lookup j head.(i)
   in
-  let kept () = List.for_all builtin_holds builtins && List.for_all is_null isnulls in
   if head = [||] then
     (* a boolean query: the first kept match decides *)
     let exception Found in
@@ -218,6 +235,29 @@ let answers_join semantics d (q : Qsyntax.t) =
         if kept () then acc := Array.init (Array.length head) decode :: !acc);
     Relational.Tuple.Set.of_list !acc
   end
+
+(* The membership test of the answers: one join seeded with the head
+   bound to the tuple, stopped at the first kept match. *)
+let witnessed ?(semantics = NullAsConstant) d (q : Qsyntax.t) =
+  let j, kept = compile_body semantics d ~bound:q.Qsyntax.head q in
+  let exception Found in
+  let found () = if kept () then raise_notrace Found in
+  let rec seed theta (t : Relational.Tuple.t) i = function
+    | [] -> Some theta
+    | x :: rest -> (
+        match Assign.bind theta x t.(i) with
+        | Some theta -> seed theta t (i + 1) rest
+        | None -> None)
+  in
+  fun t ->
+    Array.length t = List.length q.Qsyntax.head
+    &&
+    match seed Assign.empty t 0 q.Qsyntax.head with
+    | None -> false (* a repeated head variable, two values *)
+    | Some theta -> (
+        match Assign.Join.iter j theta found with
+        | () -> false
+        | exception Found -> true)
 
 let answers ?semantics d (q : Qsyntax.t) =
   match semantics with

@@ -57,5 +57,22 @@ val answers :
     property-tested reference; it compiles the body once, and each of its
     atoms once, however many assignments it tries. *)
 
+val witnessed :
+  ?semantics:semantics ->
+  Relational.Instance.t ->
+  Qsyntax.t ->
+  Relational.Tuple.t ->
+  bool
+(** [witnessed ?semantics d q t] is [Tuple.Set.mem t (answers ?semantics d
+    q)] for a factorizable body ({!Qsafe.factorizable}), under every
+    semantics: it has a witness in [d].  Compiled once on partial
+    application ([let test = witnessed d q in ...]); each test is one join
+    of the body's atoms seeded with the head bound to [t], stopped at the
+    first match the built-ins and [IsNull]s keep, and under [NullAware]
+    binding no join variable to null.  Like a compiled join, the test is
+    not reentrant: one domain at a time.
+    @raise Invalid_argument on a body with a disjunction, a negation or a
+    universal quantifier. *)
+
 val boolean :
   ?semantics:semantics -> Relational.Instance.t -> Qsyntax.t -> bool

@@ -274,6 +274,114 @@ let diff_cqa_test =
         ])
 
 (* ------------------------------------------------------------------ *)
+(* The core's answers derived from the standard answers against the core
+   evaluated (Cqa_oracle), on random cases of three generators and random
+   single-atom factorizable queries: constants (one absent from every
+   instance, and null), repeated variables, comparisons with and without
+   offsets, IsNull, boolean and non-boolean heads, free or quantified
+   non-head variables.  A random suffix of the components stands for a
+   budget trip: their base slices replace their repairs, as
+   Decompose.solve's prefix rule leaves them. *)
+
+let random_single_atom_query rng =
+  let pick l = List.nth l (Random.State.int rng (List.length l)) in
+  let pred, arity = pick [ ("P", 1); ("Q", 1); ("R", 2); ("S", 1) ] in
+  let const () = pick [ vs "a"; vs "b"; vs "c"; vs "d"; vn ] in
+  let terms =
+    List.init arity (fun _ ->
+        if Random.State.int rng 4 = 0 then Term.const (const ())
+        else v (pick [ "x"; "y" ]))
+  in
+  let vars = List.sort_uniq String.compare (Patom.vars (atom pred terms)) in
+  let op () = pick Ic.Builtin.[ Eq; Neq; Lt; Leq; Gt; Geq ] in
+  let side () =
+    if vars = [] || Random.State.int rng 3 = 0 then Ic.Builtin.econst (const ())
+    else Ic.Builtin.evar (pick vars)
+  in
+  let filter () =
+    match Random.State.int rng 6 with
+    | 0 | 1 -> Qsyntax.Builtin (Ic.Builtin.cmp (op ()) (side ()) (side ()))
+    | 2 -> Qsyntax.Builtin (Ic.Builtin.cmp (op ()) (Ic.Builtin.shift (side ()) 1) (side ()))
+    | 3 | 4 when vars <> [] -> Qsyntax.IsNull (v (pick vars))
+    | _ -> Qsyntax.IsNull (Term.const (const ()))
+  in
+  let filters = List.init (Random.State.int rng 3) (fun _ -> filter ()) in
+  let head = List.filter (fun _ -> Random.State.bool rng) vars in
+  let head = if Random.State.bool rng then List.rev head else head in
+  let body =
+    List.fold_left
+      (fun f g -> if Random.State.bool rng then Qsyntax.And (f, g) else Qsyntax.And (g, f))
+      (Qsyntax.Atom (atom pred terms))
+      filters
+  in
+  let hidden = List.filter (fun x -> not (List.mem x head)) vars in
+  Qsyntax.make ~head
+    (if hidden <> [] && Random.State.bool rng then Qsyntax.Exists (hidden, body)
+     else body)
+
+let fuzz_case seed =
+  let sc = Conform.Fuzz.gen ~seed () in
+  match Lang.Load.of_string (Conform.Fuzz.source sc) with
+  | Ok l -> (Lang.Load.final_instance l, l.Lang.Load.ics)
+  | Error e -> failwith e
+
+let same_outcome (a : Query.Cqa.outcome) (b : Query.Cqa.outcome) =
+  Tuple.Set.equal a.Query.Cqa.consistent b.Query.Cqa.consistent
+  && Tuple.Set.equal a.Query.Cqa.possible b.Query.Cqa.possible
+  && Tuple.Set.equal a.Query.Cqa.standard b.Query.Cqa.standard
+  && a.Query.Cqa.repair_count = b.Query.Cqa.repair_count
+  && a.Query.Cqa.exhausted = b.Query.Cqa.exhausted
+
+let diff_core_answers_test =
+  QCheck.Test.make
+    ~name:"derived core answers = evaluated core (2000 random cases, 3 semantics)"
+    ~count:2000
+    QCheck.(int_bound 1_000_000) (fun seed ->
+      let d, ics =
+        match seed mod 3 with
+        | 0 -> let w = Gen.random_case ~seed () in (w.Gen.d, w.Gen.ics)
+        | 1 -> let w = Gen.route_case ~seed () in (w.Gen.d, w.Gen.ics)
+        | _ -> fuzz_case seed
+      in
+      let rng = Random.State.make [| seed; 0xc0de |] in
+      let q = random_single_atom_query rng in
+      let plan = Decompose.plan d ics in
+      QCheck.assume plan.Decompose.product_exact;
+      let n = List.length plan.Decompose.components in
+      let trip = Random.State.int rng (n + 2) in
+      let minimal =
+        List.mapi
+          (fun i c ->
+            match
+              if i >= trip then None
+              else
+                match Enumerate.solve_component ~max_states:20_000 plan c with
+                | Decompose.Solved (minimal, _, _) -> Some minimal
+                | Decompose.Tripped _ | Decompose.Failed _ -> None
+            with
+            | Some minimal -> minimal
+            | None -> [ Decompose.base c ])
+          plan.Decompose.components
+      in
+      let exhausted = if trip < n then Some (Budget.States 0) else None in
+      Query.Qsafe.shape q = Query.Qsafe.Single
+      && List.for_all
+           (fun semantics ->
+             let standard = Query.Qeval.answers ~semantics d q in
+             let derived =
+               Query.Cqa.factorized_outcome ~semantics ?exhausted ~plan ~minimal
+                 ~standard q
+             and evaluated =
+               Cqa_oracle.single_atom_outcome ~semantics ?exhausted ~plan
+                 ~minimal ~standard q
+             in
+             same_outcome derived evaluated
+             || QCheck.Test.fail_reportf "seed %d, query %a:@.%a@.vs the evaluated core:@.%a"
+                  seed Qsyntax.pp q Query.Cqa.pp_outcome derived Query.Cqa.pp_outcome
+                  evaluated)
+           Query.Qeval.[ NullAsConstant; SqlLike; NullAware ])
+
+(* ------------------------------------------------------------------ *)
 (* The worklist planner against the round-based oracle (Plan_oracle):
    whole plans, field by field — same components in the same order with
    the same atoms/sub/support/ics, an equal core, the same universe, NNC
@@ -366,10 +474,10 @@ let test_oracle_scenarios () =
     paths
 
 (* ------------------------------------------------------------------ *)
-(* Allocation guard: on a large instance with few conflicts, the check and
-   one query evaluation allocate little beyond their results, planning
-   allocates one check plus work proportional to the conflicts, and the
-   factorized answer algebra about one query evaluation.
+(* Allocation guard: on a large instance with few conflicts, the check
+   allocates nothing per row, one query evaluation little beyond its
+   result, planning one check plus work proportional to the conflicts, and
+   the factorized answer algebra work proportional to the conflicts alone.
 
    Words are counted exactly: [Gc.minor_words] for the minor heap (the
    minor count of [Gc.counters] only adds an eighth of the words allocated
@@ -387,21 +495,40 @@ let allocated f =
 
 (* Planning's bookkeeping per conflict atom beyond its check (closure and
    support joins, union-find, components, the overlay core): 1.62k words
-   on this workload (45.4k for 28 atoms), plus a tenth.  Once the check
-   stopped allocating per row (34k words here, 3.57M before), a fifth of
-   it no longer covers the bookkeeping, so the conflict term is explicit
-   and the check term keeps its 1.2. *)
+   on this workload (45.4k for 28 atoms), plus a tenth.  The check
+   allocates per constraint, not per row (1.9k words here, 3.57M when it
+   built a binding per row), so a fraction of it cannot cover the
+   bookkeeping: the conflict term is explicit and the check term keeps
+   its 1.2. *)
 let plan_words_per_atom = 1_800.
 
-let test_allocation_guard () =
-  let w = Gen.scale_workload ~tuples:20_000 () in
-  let d = w.Gen.d and ics = w.Gen.ics in
-  let q =
-    Qsyntax.make ~head:[ "x" ] (Qsyntax.Exists ([ "y" ], Qsyntax.Atom (atom "S" [ v "x"; v "y" ])))
-  in
-  (* one untimed pass each builds the lazy indexes and memos every later
-     request shares *)
-  ignore (Semantics.Nullsat.check d ics);
+(* The check's comparisons read their sides unboxed, so it allocates per
+   constraint, not per row: 1.9k words at 20k tuples as at 80k.  Boxing
+   one comparison side per antecedent match costs 2 words per row again,
+   40k words here. *)
+let check_words = 10_000.
+
+(* Recombination's allocation per component atom: the core's answers are
+   derived from the standard answers (a pattern, one seeded join over the
+   core, a removal per lost answer), and each component's repairs are
+   evaluated alone, a compiled join of a few hundred words per repair:
+   456 words per atom at 20k tuples, 383 at 80k.  Evaluating the core
+   again costs 1.1M words at 20k tuples and 5.1M at 80k. *)
+let recombine_words_per_atom = 1_000.
+
+let exists_s_query =
+  Qsyntax.make ~head:[ "x" ] (Qsyntax.Exists ([ "y" ], Qsyntax.Atom (atom "S" [ v "x"; v "y" ])))
+
+let component_atoms (plan : Decompose.plan) =
+  List.fold_left
+    (fun n c -> n + Relational.Atom.Set.cardinal c.Decompose.atoms)
+    0 plan.Decompose.components
+
+(* [factorized_outcome]'s words per component atom on the E19 shape at
+   [tuples] tuples: the conflicts are fixed, only the table grows *)
+let recombine_words_at tuples =
+  let w = Gen.scale_workload ~tuples () in
+  let d = w.Gen.d and ics = w.Gen.ics and q = exists_s_query in
   let plan = Decompose.plan d ics in
   let standard = Query.Qeval.answers d q in
   let minimal =
@@ -410,20 +537,42 @@ let test_allocation_guard () =
     | Error e -> Alcotest.fail e
   in
   Alcotest.(check bool) "conflicts present" true (List.length minimal >= 2);
-  let _, check_words = allocated (fun () -> Semantics.Nullsat.check d ics) in
-  Alcotest.(check bool)
-    (Printf.sprintf "check %.0f words <= 1.0M" check_words)
-    true (check_words <= 1_000_000.);
-  let _, plan_words = allocated (fun () -> Decompose.plan d ics) in
-  let atoms =
-    List.fold_left
-      (fun n c -> n + Relational.Atom.Set.cardinal c.Decompose.atoms)
-      0 plan.Decompose.components
+  (* one untimed pass builds the lazy indexes every later request shares *)
+  ignore (Query.Cqa.factorized_outcome ~plan ~minimal ~standard q);
+  let outcome, words =
+    allocated (fun () -> Query.Cqa.factorized_outcome ~plan ~minimal ~standard q)
   in
-  let bound = (1.2 *. check_words) +. (plan_words_per_atom *. float_of_int atoms) in
+  Alcotest.(check int)
+    (Printf.sprintf "%d tuples: repair count" tuples)
+    (Decompose.count_product (List.map List.length minimal))
+    outcome.Query.Cqa.repair_count;
+  let atoms = component_atoms plan in
+  let per_atom = words /. float_of_int atoms in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d tuples: factorized_outcome %.0f words <= %.0f per atom x %d atoms"
+       tuples words recombine_words_per_atom atoms)
+    true
+    (per_atom <= recombine_words_per_atom);
+  per_atom
+
+let test_allocation_guard () =
+  let w = Gen.scale_workload ~tuples:20_000 () in
+  let d = w.Gen.d and ics = w.Gen.ics and q = exists_s_query in
+  (* one untimed pass each builds the lazy indexes and memos every later
+     request shares *)
+  ignore (Semantics.Nullsat.check d ics);
+  let plan = Decompose.plan d ics in
+  ignore (Query.Qeval.answers d q);
+  let _, check = allocated (fun () -> Semantics.Nullsat.check d ics) in
+  Alcotest.(check bool)
+    (Printf.sprintf "check %.0f words <= %.0f" check check_words)
+    true (check <= check_words);
+  let _, plan_words = allocated (fun () -> Decompose.plan d ics) in
+  let atoms = component_atoms plan in
+  let bound = (1.2 *. check) +. (plan_words_per_atom *. float_of_int atoms) in
   Alcotest.(check bool)
     (Printf.sprintf "plan %.0f words <= 1.2 x check %.0f words + %.0f per atom x %d atoms"
-       plan_words check_words plan_words_per_atom atoms)
+       plan_words check plan_words_per_atom atoms)
     true (plan_words <= bound);
   let _, eval_words = allocated (fun () -> Query.Qeval.answers d q) in
   Alcotest.(check bool)
@@ -441,16 +590,13 @@ let test_allocation_guard () =
   Alcotest.(check bool)
     (Printf.sprintf "projection %.0f words <= 1.0M" owners_words)
     true (owners_words <= 1_000_000.);
-  let outcome, recombine_words =
-    allocated (fun () -> Query.Cqa.factorized_outcome ~plan ~minimal ~standard q)
-  in
+  (* recombination follows the conflicts: the same bound per component
+     atom at 20k and at 80k tuples, and no growth with the table *)
+  let small = recombine_words_at 20_000 and large = recombine_words_at 80_000 in
   Alcotest.(check bool)
-    (Printf.sprintf "factorized_outcome %.0f words <= 1.5 x qeval %.0f words"
-       recombine_words eval_words)
-    true
-    (recombine_words <= 1.5 *. eval_words);
-  Alcotest.(check int) "repair count" (Decompose.count_product (List.map List.length minimal))
-    outcome.Query.Cqa.repair_count
+    (Printf.sprintf "recombine words per atom at 80k (%.0f) <= 1.5 x at 20k (%.0f)"
+       large small)
+    true (large <= 1.5 *. small)
 
 (* Per-component support: k independent clusters cost k times one
    cluster.  Each weighted cluster's r_t pvs are kept satisfied by its own
@@ -525,7 +671,7 @@ let () =
           Alcotest.test_case "engine" `Quick test_engine_decomposed;
           Alcotest.test_case "cqa" `Quick test_cqa_decomposed;
         ] );
-      ("qcheck", qcheck [ diff_repairs_test; diff_cqa_test ]);
+      ("qcheck", qcheck [ diff_repairs_test; diff_cqa_test; diff_core_answers_test ]);
       ( "oracle",
         [
           Alcotest.test_case "generated cases" `Quick test_oracle_generated;

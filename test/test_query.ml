@@ -537,6 +537,34 @@ let prop_join_answers_match_enum =
              Tuple.Set.equal (Qeval.answers ~semantics d q) (enum_answers semantics d q))
            [ Qeval.NullAsConstant; Qeval.SqlLike ])
 
+(* The seeded witness test against the answers it decides membership of,
+   under every semantics, for every head tuple over the instance's domain
+   and the queries' constants. *)
+let prop_witnessed_is_membership =
+  QCheck.Test.make ~name:"witnessed = membership in the answers" ~count:400
+    (QCheck.make
+       ~print:(fun (d, q) -> Fmt.str "%a@ %a" Instance.pp_inline d Q.pp q)
+       QCheck.Gen.(pair inst_gen factorizable_gen))
+    (fun (d, q) ->
+      let dom =
+        List.sort_uniq Value.compare
+          (Instance.active_domain d @ [ vs "a"; vs "d"; vn ])
+      in
+      let rec heads = function
+        | 0 -> [ [] ]
+        | n -> List.concat_map (fun t -> List.map (fun c -> c :: t) dom) (heads (n - 1))
+      in
+      List.for_all
+        (fun semantics ->
+          let answers = Qeval.answers ~semantics d q in
+          let witnessed = Qeval.witnessed ~semantics d q in
+          List.for_all
+            (fun h ->
+              let t = Tuple.make h in
+              witnessed t = Tuple.Set.mem t answers)
+            (heads (List.length q.Q.head)))
+        [ Qeval.NullAsConstant; Qeval.SqlLike; Qeval.NullAware ])
+
 let prop_consistent_subset_possible =
   QCheck.Test.make ~name:"consistent ⊆ possible ⊆ union with standard" ~count:60
     (QCheck.make ~print:(Fmt.str "%a" Instance.pp_inline) inst_gen)
@@ -588,15 +616,27 @@ let token_pp_outcome ppf (o : Cqa.outcome) =
 
 let outcome_gen =
   let open QCheck.Gen in
+  (* integers over the whole range, the digit writer's edges among them,
+     and strings that print like other values *)
   let value =
     frequency
       [
         (1, return vn);
         (2, map vi (int_range (-20) 20000));
+        (1, map vi int);
+        ( 1,
+          map vi
+            (oneofl
+               [ 0; -1; 9; 10; -10; 99; 100; 1_000_000_000; 1_000_004_418; max_int;
+                 max_int - 1; min_int; min_int + 1 ]) );
         (2, map vs (string_size ~gen:(char_range 'a' 'e') (int_range 1 6)));
-        (1, map vs (oneofl [ "a b"; "x, y"; "(p)"; "{q}"; "é" ]));
+        ( 1,
+          map vs
+            (oneofl [ "a b"; "x, y"; "(p)"; "{q}"; "é"; "null"; "-3"; "007"; "0"; "" ])
+        );
       ]
   in
+  (* 0-arity tuples included: a boolean query's yes is "{()}" *)
   let set = map Tuple.Set.of_list (list_size (int_range 0 25) (map Tuple.make (list_size (int_range 0 3) value))) in
   let exhausted =
     opt
@@ -632,6 +672,39 @@ let prop_render_matches_tokens =
             (render ~margin ~nest Cqa.pp_outcome o)
             (render ~margin ~nest token_pp_outcome o))
         [ (78, 0); (20, 0); (78, 1); (60, 1); (40, 1); (20, 1); (8, 1); (78, 2); (20, 2) ])
+
+(* A server renders replies on several domains at once: four domains
+   rendering one large outcome (20k answers) concurrently must each write
+   the bytes of the sequential render. *)
+let test_render_concurrent () =
+  let answers n f = Tuple.Set.of_list (List.init n f) in
+  let o =
+    {
+      Cqa.consistent = answers 20_000 (fun i -> [| vi (1_000_000_000 + i) |]);
+      possible =
+        answers 24_000 (fun i ->
+            [| vi (1_000_000_000 + i); (if i mod 7 = 0 then vn else vi (-i)) |]);
+      standard = answers 20_000 (fun i -> [| vs (Printf.sprintf "s%d" i); vi (max_int - i) |]);
+      repair_count = 16;
+      exhausted = None;
+    }
+  in
+  let expected = render ~margin:78 ~nest:0 Cqa.pp_outcome o in
+  Alcotest.(check string) "sequential render = per-token render" expected
+    (render ~margin:78 ~nest:0 token_pp_outcome o);
+  let domains =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () -> List.init 3 (fun _ -> render ~margin:78 ~nest:0 Cqa.pp_outcome o)))
+  in
+  List.iteri
+    (fun i d ->
+      List.iter
+        (fun r ->
+          Alcotest.(check bool)
+            (Printf.sprintf "domain %d: the sequential bytes" i)
+            true (String.equal r expected))
+        (Domain.join d))
+    domains
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
@@ -682,9 +755,11 @@ let () =
           [
             prop_nullaware_agrees_nullfree;
             prop_join_answers_match_enum;
+            prop_witnessed_is_membership;
             prop_consistent_subset_possible;
             prop_methods_agree;
             prop_consistent_on_consistent_db;
             prop_render_matches_tokens;
           ] );
+      ("render", [ Alcotest.test_case "concurrent domains" `Quick test_render_concurrent ]);
     ]
