@@ -35,18 +35,18 @@ let vars = function
       let vs = expr_vars a @ expr_vars b in
       List.sort_uniq String.compare vs
 
-(* Evaluate an expression to a value; integer offsets fold into integer
-   bases, a non-zero offset on a non-integer base yields [None]. *)
-let eval_expr lookup e =
-  let v = match e.base with Term.Const v -> v | Term.Var x -> lookup x in
-  if e.offset = 0 then Some v
-  else match v with Value.Int i -> Some (Value.Int (i + e.offset)) | _ -> None
-
-(* The value of an offset-free side, read as it is: the checks and the
-   query filters evaluate a comparison per matched row, and a side boxed
-   in [Some] would cost them 2 words per side per row. *)
+(* A side's value as it is read: the checks and the query filters
+   evaluate a comparison per matched row, so neither the value nor the
+   verdict is boxed.  An integer offset folds into an integer value; a
+   non-zero offset on a non-integer leaves the side undefined. *)
 let base_value lookup e =
   match e.base with Term.Const v -> v | Term.Var x -> lookup x
+
+let defined e v = e.offset = 0 || (match v with Value.Int _ -> true | _ -> false)
+
+let offset_value e v =
+  if e.offset = 0 then v
+  else match v with Value.Int i -> Value.Int (i + e.offset) | _ -> v
 
 (* at top level: an order comparison allocates no closure *)
 let ordered op c =
@@ -69,31 +69,25 @@ let compare_values op u v =
 
 let eval lookup = function
   | False -> false
-  | Cmp (op, a, b) when a.offset = 0 && b.offset = 0 ->
-      compare_values op (base_value lookup a) (base_value lookup b)
-  | Cmp (op, a, b) -> (
-      match eval_expr lookup a, eval_expr lookup b with
-      | Some u, Some v -> compare_values op u v
-      | _ -> false)
+  | Cmp (op, a, b) ->
+      let u = base_value lookup a and v = base_value lookup b in
+      defined a u && defined b v
+      && compare_values op (offset_value a u) (offset_value b v)
 
 (* shared, so a known verdict allocates nothing *)
 let known_true = Some true
 let known_false = Some false
 let known b = if b then known_true else known_false
 
+(* An offset side is defined only on an integer, never null, so testing
+   the values as read decides the unknown case. *)
 let eval3 lookup = function
   | False -> known_false
-  | Cmp (op, a, b) when a.offset = 0 && b.offset = 0 ->
-      let u = base_value lookup a in
-      let v = base_value lookup b in
-      if Value.is_null u || Value.is_null v then None
-      else known (compare_values op u v)
-  | Cmp (op, a, b) -> (
-      match eval_expr lookup a, eval_expr lookup b with
-      | Some u, Some v ->
-          if Value.is_null u || Value.is_null v then None
-          else known (compare_values op u v)
-      | _ -> None)
+  | Cmp (op, a, b) ->
+      let u = base_value lookup a and v = base_value lookup b in
+      if not (defined a u && defined b v) || Value.is_null u || Value.is_null v
+      then None
+      else known (compare_values op (offset_value a u) (offset_value b v))
 
 let compare_expr a b =
   let c = Term.compare a.base b.base in

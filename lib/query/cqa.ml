@@ -3,6 +3,7 @@ module Atom = Relational.Atom
 module Tuple = Relational.Tuple
 module Instance = Relational.Instance
 module Decompose = Repair.Decompose
+module Assign = Semantics.Assign
 
 type method_ = ModelTheoretic | LogicProgram | CautiousProgram | Auto
 
@@ -83,89 +84,36 @@ let full_repairs ~plan ~minimal states =
     Repair.Order.minimal_among ~d
       (List.of_seq (Decompose.product core (Option.get states)))
 
-(* What a position of the query atom asks of a matching tuple. *)
-type position_test = Equals of Value.t | Same_as of int
-
-(* The query atom's pattern, compiled once: [matches t] when the tuple
-   matches the atom (its constants equal there, its repeated variables
-   equal to their first occurrence), and [positions], where the head's
-   variables first occur.  Unlike [Assign.match_tuple] it builds no
-   binding, so a component atom whose head is not new allocates nothing. *)
-let compile_pattern atom head =
-  let terms = Array.of_list (Ic.Patom.terms atom) in
-  let first x =
-    let rec go i =
-      match terms.(i) with
-      | Ic.Term.Var y when String.equal x y -> i
-      | Ic.Term.Var _ | Ic.Term.Const _ -> go (i + 1)
-    in
-    go 0
-  in
-  let tests =
-    Array.to_list terms
-    |> List.mapi (fun i t ->
-           match t with
-           | Ic.Term.Const v -> Some (i, Equals v)
-           | Ic.Term.Var x ->
-               let f = first x in
-               if f < i then Some (i, Same_as f) else None)
-    |> List.filter_map Fun.id |> Array.of_list
-  in
-  let rec holds (t : Tuple.t) i =
-    i >= Array.length tests
-    ||
-    let p, test = tests.(i) in
-    (match test with
-    | Equals v -> Value.equal t.(p) v
-    | Same_as f -> Value.equal t.(p) t.(f))
-    && holds t (i + 1)
-  in
-  let matches (t : Tuple.t) = Array.length t = Array.length terms && holds t 0 in
-  (matches, Array.of_list (List.map first head))
-
 (* The core's answers to a single-atom query, derived from [standard], the
    answers over D.  D is the core plus the components' slices, and a
    single atom's answers are additive, so an answer over D is missing from
    the core's only if every witness of it is a slice atom.  So only the
    heads of the components' atoms matching the query atom are tested, each
    with one join over the core seeded on it ({!Qeval.witnessed}), and the
-   unwitnessed ones are removed: the cost follows the conflict, and the
-   result shares [standard]'s structure.  The atoms include insertion
-   candidates outside D, whose heads the test decides like any other.  A
-   run of atoms with the head just decided (a relation's atoms are sorted)
-   builds and tests nothing. *)
+   unwitnessed ones are removed: the result shares [standard]'s
+   structure.  The atoms include insertion candidates outside D, whose
+   heads the test decides like any other. *)
 let core_answers ?semantics ~(plan : Decompose.plan) ~standard (q : Qsyntax.t) =
   let atom = List.hd (Qsyntax.atoms q.Qsyntax.body) in
-  let pred = Ic.Patom.pred atom in
-  let matches, positions = compile_pattern atom q.Qsyntax.head in
-  let k = Array.length positions in
+  let pred = Ic.Patom.pred atom and terms = Ic.Patom.terms atom in
   let witnessed = lazy (Qeval.witnessed ?semantics plan.Decompose.core q) in
-  let answers = ref standard and last = ref [||] and fresh = ref true in
-  let rec same_head (t : Tuple.t) i =
-    i >= k
-    || Value.equal !last.(i) t.(positions.(i)) && same_head t (i + 1)
+  let decide (a : Atom.t) answers =
+    if not (String.equal (Atom.pred a) pred) then answers
+    else
+      match Assign.match_tuple Assign.empty terms (Atom.args a) with
+      | None -> answers
+      | Some theta ->
+          let h =
+            Array.of_list (List.map (Assign.lookup_exn theta) q.Qsyntax.head)
+          in
+          if Tuple.Set.mem h answers && not (Lazy.force witnessed h) then
+            Tuple.Set.remove h answers
+          else answers
   in
-  let decide (a : Atom.t) =
-    let t = Atom.args a in
-    if
-      String.equal (Atom.pred a) pred
-      && matches t
-      && (!fresh || not (same_head t 0))
-    then begin
-      let h = Array.make k Value.null in
-      for i = 0 to k - 1 do
-        h.(i) <- t.(positions.(i))
-      done;
-      last := h;
-      fresh := false;
-      if Tuple.Set.mem h !answers && not (Lazy.force witnessed h) then
-        answers := Tuple.Set.remove h !answers
-    end
-  in
-  List.iter
-    (fun (c : Decompose.component) -> Atom.Set.iter decide c.Decompose.atoms)
-    plan.Decompose.components;
-  !answers
+  List.fold_left
+    (fun answers (c : Decompose.component) ->
+      Atom.Set.fold decide c.Decompose.atoms answers)
+    standard plan.Decompose.components
 
 let factorized_outcome ?semantics ?(jobs = 1) ?states ?exhausted ~plan
     ~minimal ~standard (q : Qsyntax.t) =
@@ -584,7 +532,12 @@ let certain ?method_ ?semantics ?budget ?max_effort ?decompose ?jobs d ics q =
 
 (* The decimal digits of a non-positive integer (the negative side holds
    [min_int]), by comparisons: ten digits at most for a search of four,
-   then ten at a time. *)
+   then ten at a time.  Counting by a loop dividing by ten, once, with a
+   writer that starts from the first digit, made the one-shot request of
+   the [oneshot_scale] benchmark (three sets of 30k ten-digit keys)
+   slower: 25.9 against 22.9 ms median over four alternating 35 s pairs
+   on a 2-core Xeon.  Alone, sizing and writing 30k such keys takes 1.2
+   ms this way, 1.9 ms that way. *)
 let rec digits n =
   if n > -10_000_000_000 then
     if n > -100_000 then
@@ -614,7 +567,9 @@ let tuple_length (t : Tuple.t) =
   !n
 
 (* The digits of the non-positive [n], the last one at [p], one per step:
-   [q * 10 - n] is the digit [n / 10] drops. *)
+   [q * 10 - n] is the digit [n / 10] drops.  From the length [digits]
+   gives, backwards: a tail call, unlike a writer that starts with the
+   first digit. *)
 let rec write_digits b n p =
   let q = n / 10 in
   Bytes.set b p (Char.unsafe_chr (48 + ((q * 10) - n)));

@@ -119,8 +119,12 @@ val factorized_outcome :
     of the components' atoms matching the query atom are each tested with
     one join over the core seeded on them ({!Qeval.witnessed}), and the
     unwitnessed ones are removed from [standard].  Each repair is
-    evaluated alone.  No step here grows with the core: the cost follows
-    the conflict. *)
+    evaluated alone.  The seeded join probes the index of one column the
+    query atom binds (a constant's or a head variable's) over the segment
+    the core shares with [d]: the first request on a column no join has
+    probed yet builds that index once, kept for every later request.
+    Apart from it no step grows with the core: the cost follows the
+    conflict. *)
 
 (** {1 The decomposed pipeline}
 

@@ -364,9 +364,30 @@ let test_builtin_eval () =
   Alcotest.(check bool) "string order" true
     (t (Builtin.cmp Builtin.Lt (Builtin.evar "s") (Builtin.econst (Relational.Value.str "abd"))));
   Alcotest.(check bool) "false atom" false (t Builtin.False);
+  (* an offset folds into an integer on either side; on a string or null
+     side the comparison is false, and so is its negation *)
+  let ev x = Builtin.evar x and sh x k = Builtin.shift (Builtin.evar x) k in
+  Alcotest.(check bool) "10+10 = 20" true (t (Builtin.cmp Builtin.Eq (sh "x" 10) (ev "y")));
+  Alcotest.(check bool) "10 = 20-10" true (t (Builtin.cmp Builtin.Eq (ev "x") (sh "y" (-10))));
+  List.iter
+    (fun (name, a, b) ->
+      List.iter
+        (fun op ->
+          Alcotest.(check bool) (name ^ " classical") false (t (Builtin.cmp op a b));
+          Alcotest.(check bool) (name ^ " three-valued") true
+            (Builtin.eval3 lookup (Builtin.cmp op a b) = None))
+        Builtin.[ Eq; Neq; Lt; Geq ])
+    [
+      ("s = s+1", ev "s", sh "s" 1);
+      ("s+1 = s", sh "s" 1, ev "s");
+      ("x = n-1", ev "x", sh "n" (-1));
+      ("n+1 = x", sh "n" 1, ev "x");
+    ];
   (* three-valued *)
   Alcotest.(check bool) "eval3 null -> unknown" true
-    (Builtin.eval3 lookup (Builtin.eq (Term.var "n") (Term.var "x")) = None)
+    (Builtin.eval3 lookup (Builtin.eq (Term.var "n") (Term.var "x")) = None);
+  Alcotest.(check bool) "eval3 10+10 = 20" true
+    (Builtin.eval3 lookup (Builtin.cmp Builtin.Eq (sh "x" 10) (ev "y")) = Some true)
 
 let test_builtin_negate () =
   let b = Builtin.cmp Builtin.Lt (Builtin.evar "x") (Builtin.evar "y") in
