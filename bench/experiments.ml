@@ -19,6 +19,23 @@ let engine_repairs d ics =
   | Ok report -> report
   | Error msg -> failwith ("engine: " ^ msg)
 
+(* [Rep(D, IC)] through the decomposed pipeline of Query.Cqa *)
+let decomposed_repairs ?jobs method_ d ics =
+  match Query.Cqa.repairs ?jobs ~method_ d ics with
+  | Ok reps -> reps
+  | Error msg -> failwith ("decomposed repairs: " ^ msg)
+
+(* The states each conflict component's search explores, in plan order:
+   the per-component counters behind the decomposed enumeration *)
+let component_states (plan : Repair.Decompose.plan) =
+  List.map
+    (fun c ->
+      match Enumerate.solve_component plan c with
+      | Repair.Decompose.Solved (_, _, explored) -> explored
+      | Repair.Decompose.Tripped e -> failwith (Budget.message e)
+      | Repair.Decompose.Failed msg -> failwith msg)
+    plan.Repair.Decompose.components
+
 (* ------------------------------------------------------------------ *)
 (* E1: the paper's examples — repair counts and engine agreement *)
 
@@ -449,10 +466,7 @@ let e11 () =
         let d, ics = scenario k in
         let mono, t_mono = Table.time (fun () -> engine_repairs d ics) in
         let reps_dec, t_dec =
-          Table.time (fun () ->
-              match Engine.repairs ~decompose:true d ics with
-              | Ok r -> r
-              | Error m -> failwith m)
+          Table.time (fun () -> decomposed_repairs Query.Cqa.LogicProgram d ics)
         in
         let components = (Repair.Decompose.plan d ics).Repair.Decompose.components in
         [
@@ -632,18 +646,13 @@ let e15 () =
                 (Enumerate.search ~explored:mono_states w.Gen.d w.Gen.ics))
         in
         let dec, t_dec =
-          Table.time (fun () -> Enumerate.decomposed w.Gen.d w.Gen.ics)
+          Table.time (fun () ->
+              decomposed_repairs Query.Cqa.ModelTheoretic w.Gen.d w.Gen.ics)
         in
-        let dec_states = List.fold_left ( + ) 0 dec.Enumerate.explored in
-        let plan = dec.Enumerate.plan in
-        let count =
-          Repair.Decompose.count_product
-            (List.map List.length dec.Enumerate.minimal)
-        in
-        let agree =
-          same_set mono (Enumerate.repairs ~decompose:true w.Gen.d w.Gen.ics)
-          && List.length mono = count
-        in
+        let plan = Repair.Decompose.plan w.Gen.d w.Gen.ics in
+        let dec_states = List.fold_left ( + ) 0 (component_states plan) in
+        let count = List.length dec in
+        let agree = same_set mono dec in
         [
           string_of_int k;
           string_of_int (List.length mono);

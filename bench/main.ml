@@ -75,8 +75,8 @@ let micro_tests () =
         Repair.Enumerate.repairs clusters4.Workload.Gen.d
           clusters4.Workload.Gen.ics);
     t "E15.repairs.decomposed.k4" (fun () ->
-        Repair.Enumerate.repairs ~decompose:true clusters4.Workload.Gen.d
-          clusters4.Workload.Gen.ics);
+        Query.Cqa.repairs ~method_:Query.Cqa.ModelTheoretic
+          clusters4.Workload.Gen.d clusters4.Workload.Gen.ics);
   ]
 
 (* Runs every micro-benchmark and returns (name, ns/run) rows; a failed
@@ -177,8 +177,11 @@ let decompose_telemetry () =
       ignore
         (Repair.Enumerate.search ~explored:mono_states w.Workload.Gen.d
            w.Workload.Gen.ics);
-      let r = Repair.Enumerate.decomposed w.Workload.Gen.d w.Workload.Gen.ics in
-      let plan = r.Repair.Enumerate.plan in
+      let plan = Repair.Decompose.plan w.Workload.Gen.d w.Workload.Gen.ics in
+      let reps =
+        Experiments.decomposed_repairs Query.Cqa.ModelTheoretic
+          w.Workload.Gen.d w.Workload.Gen.ics
+      in
       let max_component_atoms =
         List.fold_left
           (fun acc (c : Repair.Decompose.component) ->
@@ -189,10 +192,9 @@ let decompose_telemetry () =
         List.length plan.Repair.Decompose.components,
         max_component_atoms,
         plan.Repair.Decompose.product_exact,
-        Repair.Decompose.count_product
-          (List.map List.length r.Repair.Enumerate.minimal),
+        List.length reps,
         !mono_states,
-        r.Repair.Enumerate.explored ))
+        Experiments.component_states plan ))
     [ 1; 2; 4; 6 ]
 
 (* Budget telemetry (E16): one budgeted end-to-end CQA run per engine,
@@ -229,7 +231,7 @@ let budget_telemetry () =
   ]
 
 (* Parallel telemetry (E16): the weighted cluster workload repaired with
-   --jobs 1, 2 and 4 through the decomposed enumerator, recording
+   --jobs 1, 2 and 4 by the decomposed pipeline's enumeration, recording
    wall-clock, the machine's core count and whether every run's repair
    list is identical to the sequential one — the determinism contract as
    a checked fact, and the speedup (when the machine has the cores for
@@ -241,8 +243,8 @@ let parallel_telemetry () =
   let run jobs =
     let t0 = Unix.gettimeofday () in
     let reps =
-      Repair.Enumerate.repairs ~decompose:true ~jobs g.Workload.Gen.d
-        g.Workload.Gen.ics
+      Experiments.decomposed_repairs ~jobs Query.Cqa.ModelTheoretic
+        g.Workload.Gen.d g.Workload.Gen.ics
     in
     let ms = (Unix.gettimeofday () -. t0) *. 1000. in
     (jobs, reps, ms)
@@ -306,7 +308,8 @@ let session_telemetry () =
     let s_out = timed incremental_ms (fun () -> Session.cqa s query) in
     let c_reps =
       timed cold_ms (fun () ->
-          Core.Engine.repairs ~decompose:true !d w.Workload.Gen.ics)
+          Query.Cqa.repairs ~method_:Query.Cqa.LogicProgram !d
+            w.Workload.Gen.ics)
     in
     let c_out =
       timed cold_ms (fun () ->

@@ -150,25 +150,35 @@ let repairs_cmd =
            attribute of '%s' (Example 20 situation); consider --repd@."
           (Ic.Constr.label nnc) (Ic.Constr.label ic));
     let budget = start_budget ~timeout_ms ~want_stats ~jobs in
+    (* decomposed repairs come from the one decomposed pipeline, whole
+       ones from the engines' monolithic oracles *)
+    let enumerate () =
+      if decompose then
+        Query.Cqa.repairs ?budget ~jobs ~method_:Query.Cqa.ModelTheoretic d ics
+      else
+        match Repair.Enumerate.repairs ?budget d ics with
+        | reps -> Ok reps
+        | exception Repair.Enumerate.Budget_exceeded n ->
+            Error (Budget.message (Budget.States n))
+        | exception Budget.Exhausted e -> Error (Budget.message e)
+    in
+    let program () =
+      if decompose then
+        Query.Cqa.repairs ?budget ~jobs ~method_:Query.Cqa.LogicProgram d ics
+      else Core.Engine.repairs ?budget d ics
+    in
     let result =
       if repd then Ok (Repair.Repd.repairs_d d ics)
       else
         match engine with
-        | `Enumerate -> (
-            match Repair.Enumerate.repairs ?budget ~decompose ~jobs d ics with
-            | reps -> Ok reps
-            | exception Repair.Enumerate.Budget_exceeded n ->
-                Error (Budget.message (Budget.States n))
-            | exception Budget.Exhausted e -> Error (Budget.message e))
+        | `Enumerate -> enumerate ()
         | `Program -> (
-            match
-              Core.Engine.repairs ?budget ~decompose ~jobs d ics
-            with
+            match program () with
             | Ok _ as ok -> ok
             | Error msg when timeout_ms = None ->
                 Fmt.epr "repair program not applicable (%s); falling back to \
                          enumeration@." msg;
-                Ok (Repair.Enumerate.repairs ?budget ~decompose ~jobs d ics)
+                enumerate ()
             | Error _ as e -> e)
     in
     match result with

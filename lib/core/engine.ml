@@ -42,8 +42,8 @@ let run_exn ?budget ?(shift = true) ?max_decisions d ics (pg : Proggen.t) =
     solver = stats;
   }
 
-let run ?variant ?optimize ?shift ?budget ?max_decisions d ics =
-  Result.bind (Proggen.repair_program ?variant ?optimize d ics) (fun pg ->
+let run ?variant ?shift ?budget ?max_decisions d ics =
+  Result.bind (Proggen.repair_program ?variant d ics) (fun pg ->
       match run_exn ?budget ?shift ?max_decisions d ics pg with
       | report -> Ok report
       | exception Asp.Solver.Budget_exceeded n ->
@@ -55,14 +55,13 @@ type components_result = {
   exhausted : Budget.exhausted option;
 }
 
-let solve_component ?variant ?optimize ?budget ?max_decisions
-    (c : Repair.Decompose.component) =
+let solve_component ?budget ?max_decisions (c : Repair.Decompose.component) =
   let base = Repair.Decompose.base c in
   let ics = c.Repair.Decompose.ics in
   match
     Result.map
       (run_exn ?budget ?max_decisions base ics)
-      (Proggen.repair_program ?variant ?optimize base ics)
+      (Proggen.repair_program base ics)
   with
   | Ok report -> Repair.Decompose.Solved report.repairs
   | Error msg -> Repair.Decompose.Failed msg
@@ -70,49 +69,14 @@ let solve_component ?variant ?optimize ?budget ?max_decisions
       Repair.Decompose.Tripped (Budget.Decisions n)
   | exception Budget.Exhausted e -> Repair.Decompose.Tripped e
 
-let solve_components ?variant ?optimize ?budget ?max_decisions ?jobs
+let solve_components ?budget ?max_decisions ?jobs
     (plan : Repair.Decompose.plan) =
   Result.map
     (fun (solved, _, exhausted) -> { solved; exhausted })
     (Repair.Decompose.solve ?budget ?jobs
        ~filler:(fun c -> [ Repair.Decompose.base c ])
-       (solve_component ?variant ?optimize ?budget ?max_decisions)
+       (solve_component ?budget ?max_decisions)
        plan.Repair.Decompose.components)
 
-let repairs ?variant ?optimize ?budget ?max_decisions ?(decompose = false)
-    ?jobs d ics =
-  let monolithic () =
-    Result.map
-      (fun r -> r.repairs)
-      (run ?variant ?optimize ?budget ?max_decisions d ics)
-  in
-  if not decompose then monolithic ()
-  else
-    match Repair.Decompose.plan ?budget d ics with
-    | exception Budget.Exhausted e -> Error (Budget.message e)
-    | plan -> (
-        match plan.Repair.Decompose.components with
-        | [] -> Ok [ d ]
-        | _ ->
-            if not plan.Repair.Decompose.product_exact then
-              (* per-component minimal repairs cannot be recombined exactly
-                 when cross-component <=_D covering is possible, and the
-                 program gives no access to non-minimal consistent states —
-                 stay monolithic *)
-              monolithic ()
-            else
-              Result.bind
-                (solve_components ?variant ?optimize ?budget ?max_decisions
-                   ?jobs plan)
-                (fun r ->
-                  match r.exhausted with
-                  | Some e ->
-                      (* [repairs] promises the full repair set: a partial
-                         recombination would silently misrepresent it — the
-                         partial-outcome path lives in Query.Cqa *)
-                      Error (Budget.message e)
-                  | None ->
-                      Ok
-                        (List.of_seq
-                           (Repair.Decompose.product plan.Repair.Decompose.core
-                              r.solved))))
+let repairs ?variant ?budget ?max_decisions d ics =
+  Result.map (fun r -> r.repairs) (run ?variant ?budget ?max_decisions d ics)

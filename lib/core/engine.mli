@@ -2,6 +2,11 @@
     shift it when head-cycle-free, enumerate its stable models and read the
     repairs off them (Theorem 4).
 
+    [run] and [repairs] solve the whole instance: the Definition 9 oracle,
+    which Theorem 4 makes interchangeable with {!Repair.Enumerate.repairs}.
+    {!solve_component} is the logic-program solver of {!Query.Cqa}'s
+    decomposed pipeline, which plans, merges and recombines.
+
     Every entry point returns [Error] on budget exhaustion — the grounder's
     and solver's budget exceptions ({!Budget.Exhausted},
     {!Asp.Solver.Budget_exceeded}) are caught here and never escape. *)
@@ -20,7 +25,6 @@ type report = {
 
 val run :
   ?variant:Proggen.variant ->
-  ?optimize:bool ->
   ?shift:bool ->
   ?budget:Budget.ctl ->
   ?max_decisions:int ->
@@ -31,14 +35,11 @@ val run :
     whenever it is HCF (Section 6); pass false to always solve the
     disjunctive program directly (used by bench table E4).  The stable
     models come from {!Asp.Solver.stable_models}.
-    [optimize] applies the relevance pruning of {!Proggen.repair_program}.
     [budget] bounds grounding and solving under the shared run budget
     (decision limit and wall-clock deadline); exhaustion of either it or
     [max_decisions] yields [Error], never an exception. *)
 
 val solve_component :
-  ?variant:Proggen.variant ->
-  ?optimize:bool ->
   ?budget:Budget.ctl ->
   ?max_decisions:int ->
   Repair.Decompose.component ->
@@ -58,8 +59,6 @@ type components_result = {
 }
 
 val solve_components :
-  ?variant:Proggen.variant ->
-  ?optimize:bool ->
   ?budget:Budget.ctl ->
   ?max_decisions:int ->
   ?jobs:int ->
@@ -69,26 +68,16 @@ val solve_components :
     {!Repair.Decompose.solve}'s prefix rule: budget trips keep the solved
     prefix and set [exhausted]; program-generation failures are genuine
     [Error]s.  [jobs > 1] solves on a {!Parallel.Pool}, bit-identical to
-    [jobs = 1] whenever no limit trips. *)
+    [jobs = 1] whenever no limit trips.  A harness for the stage benchmark
+    ([perfbench/]) and the tests; it recombines nothing. *)
 
 val repairs :
   ?variant:Proggen.variant ->
-  ?optimize:bool ->
   ?budget:Budget.ctl ->
   ?max_decisions:int ->
-  ?decompose:bool ->
-  ?jobs:int ->
   Relational.Instance.t ->
   Ic.Constr.t list ->
   (Relational.Instance.t list, string) result
-(** Just the repairs.  With [~decompose:true] (default [false]) the program
-    is generated, grounded and solved independently per conflict component
-    of {!Repair.Decompose} and the per-component repairs are recombined by
-    cross product over the untouched core; when the plan reports that
-    cross-component [<=_D] covering is possible ([product_exact = false])
-    the call falls back to the monolithic program, since stable models only
-    yield the minimal repairs.  This function promises the full repair set,
-    so exhaustion mid-decomposition is an [Error] — partial outcomes live
-    in {!Query.Cqa}.  [jobs] (default [1]) parallelizes the per-component
-    solves as in {!solve_components}; the recombination is deterministic,
-    so the repair list is identical across [jobs] settings. *)
+(** Just the repairs of {!run}.  This function promises the full repair
+    set, so exhaustion is an [Error]; partial outcomes, and per-component
+    solving, live in {!Query.Cqa}. *)

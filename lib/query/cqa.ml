@@ -477,6 +477,11 @@ let repairs_of_plan ?budget ?max_effort ?(jobs = 1) ?store ~method_ ~plan d
                    ~minimal:(List.map (fun e -> e.minimal) results)
                    (states_of plan results)))
 
+let repairs ?budget ?max_effort ?jobs ~method_ d ics =
+  match Decompose.plan ?budget d ics with
+  | exception Budget.Exhausted e -> Error (Budget.message e)
+  | plan -> repairs_of_plan ?budget ?max_effort ?jobs ~method_ ~plan d ics
+
 let consistent_answers ?(method_ = LogicProgram) ?semantics ?budget ?max_effort
     ?(decompose = false) ?jobs d ics q =
   let standard () = Qeval.answers ?semantics d q in

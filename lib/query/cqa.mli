@@ -5,7 +5,9 @@
     [yes] iff it holds in every repair.  Repairs can come from the
     model-theoretic enumerator of Section 4 ({!Repair.Enumerate}) or from
     the stable models of the repair program of Section 5 ({!Core.Engine}) —
-    Theorem 4 makes them interchangeable, which is property-tested.
+    Theorem 4 makes them interchangeable, which is property-tested — and
+    decomposed, per conflict component, both come through this module
+    ({!repairs}), with the engine as a parameter.
 
     CQA for first-order queries under this semantics is decidable
     (Theorem 2) and Pi^p_2-complete (Theorem 3); both engines are
@@ -130,11 +132,14 @@ val factorized_outcome :
 
     [consistent_answers] (for [Auto], or a materializing method with
     [~decompose:true]) and the session engine ({!Session}) both answer
-    through {!outcome_of_plan}: one solver per component, whose strategy
+    through {!outcome_of_plan}, and {!repairs} and the session's repairs
+    go through {!repairs_of_plan}: one solver per component, whose strategy
     follows from the method and the plan, merged by
-    {!Repair.Decompose.solve}'s prefix rule.  A session passes its cache as
-    the [store] of the solve step; that is the only difference between a
-    session request and a cold one. *)
+    {!Repair.Decompose.solve}'s prefix rule.  This is the only place
+    decomposed repairs are computed; the engines' own [repairs] solve the
+    whole instance, as the oracles of this pipeline.  A session passes its
+    cache as the [store] of the solve step; that is the only difference
+    between a session request and a cold one. *)
 
 type solved = {
   minimal : Relational.Instance.t list;
@@ -219,6 +224,23 @@ val repairs_of_plan :
     component repairs recombined by cross product over the core (or, on an
     inexact plan, the consistent states filtered globally).  The full set
     cannot degrade: any budget trip is an [Error]. *)
+
+val repairs :
+  ?budget:Budget.ctl ->
+  ?max_effort:int ->
+  ?jobs:int ->
+  method_:method_ ->
+  Relational.Instance.t ->
+  Ic.Constr.t list ->
+  (Relational.Instance.t list, string) result
+(** Decomposed [Rep(D, IC)]: plans [D] and runs {!repairs_of_plan}, as
+    [consistent_answers] does for answers; a budget trip while planning is
+    an [Error] too.  [ModelTheoretic] and [LogicProgram] give the repair
+    sets of their monolithic oracles ({!Repair.Enumerate.repairs},
+    {!Core.Engine.repairs}), in the order of the product over the
+    components, and [jobs] changes nothing in them.  On an inexact plan
+    [LogicProgram] runs the monolithic program, with a [decompose]
+    degradation note in the budget's stats. *)
 
 val certain :
   ?method_:method_ ->

@@ -259,13 +259,9 @@ let witnessed ?(semantics = NullAsConstant) d (q : Qsyntax.t) =
         | () -> false
         | exception Found -> true)
 
-let answers ?semantics d (q : Qsyntax.t) =
-  match semantics with
-  | Some NullAware -> answers_enum ?semantics d q
-  | (None | Some NullAsConstant | Some SqlLike) when
-      Qsafe.factorizable q.Qsyntax.body ->
-      answers_join (Option.value ~default:NullAsConstant semantics) d q
-  | _ -> answers_enum ?semantics d q
+let answers ?(semantics = NullAsConstant) d (q : Qsyntax.t) =
+  if Qsafe.factorizable q.Qsyntax.body then answers_join semantics d q
+  else answers_enum ~semantics d q
 
 let boolean ?semantics d q =
   if not (Qsyntax.is_boolean q) then

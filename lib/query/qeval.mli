@@ -48,11 +48,12 @@ val answers :
 (** Head-variable bindings satisfying the query body.  For a boolean query
     the result is either empty or the singleton empty tuple.
 
-    Factorizable bodies ({!Qsafe.factorizable}) under [NullAsConstant] or
-    [SqlLike] are evaluated by joining the body's atoms through the
-    instance's hash indexes and filtering with built-ins/[IsNull] —
-    linear-ish in the matching tuples instead of [|adom|^k] — which is what
-    makes consistent answers over millions of tuples feasible; the
+    Factorizable bodies ({!Qsafe.factorizable}) are evaluated, under every
+    semantics, by joining the body's atoms through the instance's hash
+    indexes and filtering with built-ins/[IsNull] (under [NullAware], also
+    dropping a match that binds a join variable to null) — linear-ish in
+    the matching tuples instead of [|adom|^k] — which is what makes
+    consistent answers over millions of tuples feasible; the
     active-domain enumeration remains for the general fragment and is the
     property-tested reference; it compiles the body once, and each of its
     atoms once, however many assignments it tries. *)

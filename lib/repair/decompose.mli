@@ -191,4 +191,11 @@ val solve :
     trips first can differ.  [budget] counts each kept result once, here
     in the merge ({!Budget.note_component}), and attributes every solved
     result to the domain that produced it
-    ({!Budget.note_worker_component}); [f] counts neither. *)
+    ({!Budget.note_worker_component}); [f] counts neither.
+
+    Every decomposed request merges here once, in {!Query.Cqa}'s
+    pipeline, whose [f] is the method's solver
+    ({!Enumerate.solve_component}, [Core.Engine.solve_component] or a
+    routed tier) behind an optional store.
+    [Core.Engine.solve_components] runs the program solver alone through
+    it for the stage benchmark and the tests. *)

@@ -76,18 +76,11 @@ let search ?budget ?(max_states = 200_000) ?universe ?nnc_positions ?explored d
   explore d (List.map (fun ic -> (ic, Nullsat.violations d ic)) ics);
   List.rev !consistent
 
-let consistent_states ?budget ?max_states d ics = search ?budget ?max_states d ics
+let repairs ?budget ?max_states d ics =
+  Order.minimal_among ~d (search ?budget ?max_states d ics)
 
 (* ------------------------------------------------------------------ *)
-(* Conflict-component decomposition (see Decompose) *)
-
-type decomposed = {
-  plan : Decompose.plan;
-  minimal : Instance.t list list;
-  states : Instance.t list list;
-  explored : int list;
-  exhausted : Budget.exhausted option;
-}
+(* One conflict component (see Decompose) *)
 
 let solve_component ?budget ?max_states (plan : Decompose.plan)
     (c : Decompose.component) =
@@ -106,50 +99,3 @@ let solve_component ?budget ?max_states (plan : Decompose.plan)
       Decompose.Solved (Order.minimal_among ~d:base states, states, !explored)
   | exception Budget_exceeded n -> Decompose.Tripped (Budget.States n)
   | exception Budget.Exhausted e -> Decompose.Tripped e
-
-let decomposed ?budget ?max_states ?jobs d ics =
-  let plan = Decompose.plan ?budget d ics in
-  let filler c =
-    let base = Decompose.base c in
-    ([ base ], [ base ], 0)
-  in
-  match
-    Decompose.solve ?budget ?jobs ~filler
-      (solve_component ?budget ?max_states plan)
-      plan.Decompose.components
-  with
-  | Error _ -> assert false (* the search trips, it never fails *)
-  | Ok (solved, _, exhausted) ->
-      {
-        plan;
-        minimal = List.map (fun (m, _, _) -> m) solved;
-        states = List.map (fun (_, s, _) -> s) solved;
-        explored = List.map (fun (_, _, e) -> e) solved;
-        exhausted;
-      }
-
-let repairs ?budget ?max_states ?(decompose = false) ?(jobs = 1) d ics =
-  if not decompose then
-    Order.minimal_among ~d (search ?budget ?max_states d ics)
-  else
-    let r = decomposed ?budget ?max_states ~jobs d ics in
-    (* [repairs] promises the full repair set, so a partial decomposition
-       cannot be returned here — re-raise and let the result-returning
-       engines (Cqa, Engine) do the graceful degradation. *)
-    (match r.exhausted with
-    | Some (Budget.States n) -> raise (Budget_exceeded n)
-    | Some e -> raise (Budget.Exhausted e)
-    | None -> ());
-    match r.plan.Decompose.components with
-    | [] -> [ d ]
-    | _ ->
-        if r.plan.Decompose.product_exact then
-          List.of_seq (Decompose.product r.plan.Decompose.core r.minimal)
-        else
-          (* Cross-component covering could beat a product of locally
-             minimal repairs (or keep a locally non-minimal component in a
-             global repair), so recombine the consistent states and filter
-             globally — still cheaper than the monolithic search, which
-             explores the product state space instead of recombining it. *)
-          Order.minimal_among ~d
-            (List.of_seq (Decompose.product r.plan.Decompose.core r.states))

@@ -18,11 +18,12 @@
     The search space is finite (states are sets of atoms over the universe
     of Proposition 1) so the procedure terminates even for RIC-cyclic
     constraint sets (Example 18).  Worst-case exponential, as CQA is
-    Pi^p_2-complete (Theorem 3).  [repairs ~decompose:true] fights the
-    exponent by splitting the search along the conflict components of
-    {!Decompose} and recombining per-component repairs by cross product:
-    k independent conflict clusters cost the {e sum} of their searches
-    instead of the product. *)
+    Pi^p_2-complete (Theorem 3).  [repairs] is the monolithic search, the
+    Definition 7 oracle.  The decomposed pipeline of {!Query.Cqa} fights
+    the exponent with {!solve_component}: it splits the search along the
+    conflict components of {!Decompose} and recombines the per-component
+    repairs by cross product, so k independent conflict clusters cost the
+    {e sum} of their searches instead of the product. *)
 
 exception Budget_exceeded of int
 
@@ -66,33 +67,16 @@ val search :
 val repairs :
   ?budget:Budget.ctl ->
   ?max_states:int ->
-  ?decompose:bool ->
-  ?jobs:int ->
   Relational.Instance.t ->
   Ic.Constr.t list ->
   Relational.Instance.t list
-(** [Rep(D, IC)].  Deterministic order.  A consistent [D] yields [[D]].
-    With [~decompose:true] (default [false]) the search runs independently
-    per conflict component and the results are recombined — same repair
-    set, per {!Decompose}'s exactness analysis.  [jobs] (default [1])
-    solves the components on that many {!Parallel.Pool} worker domains;
-    the recombination is a deterministic ordered merge, so the repair list
-    is byte-identical across [jobs] settings (it only applies with
-    [~decompose:true]).
+(** [Rep(D, IC)]: the [<=_D]-minimal states of {!search}.  Deterministic
+    order.  A consistent [D] yields [[D]].
     @raise Budget_exceeded when more than [max_states] (default [200_000])
-    distinct states are explored (per component when decomposing).
+    distinct states are explored.
     @raise Budget.Exhausted when [budget] trips; this function promises the
-    full repair set and cannot degrade gracefully — use {!decomposed} (or
-    the engines of {!Query.Cqa}) for partial outcomes. *)
-
-val consistent_states :
-  ?budget:Budget.ctl ->
-  ?max_states:int ->
-  Relational.Instance.t ->
-  Ic.Constr.t list ->
-  Relational.Instance.t list
-(** [search] under its historical name (exposed for the <=_D property
-    tests). *)
+    full repair set and cannot degrade gracefully — the engines of
+    {!Query.Cqa} return partial outcomes. *)
 
 val solve_component :
   ?budget:Budget.ctl ->
@@ -105,37 +89,5 @@ val solve_component :
     universe and NNC positions: its locally [<=_D]-minimal repairs, all its
     consistent states and the number of states explored, or the budget
     trip ([max_states] applies to this one search).  It counts no
-    component: {!Decompose.solve} does, for the results it keeps. *)
-
-type decomposed = {
-  plan : Decompose.plan;
-  minimal : Relational.Instance.t list list;
-      (** locally [<=_D]-minimal repairs per component, in [plan.components]
-          order, each relative to the component's [sub ∪ support] *)
-  states : Relational.Instance.t list list;
-      (** all consistent states per component *)
-  explored : int list;  (** states explored per component *)
-  exhausted : Budget.exhausted option;
-      (** [Some _] when a budget tripped mid-run: the longest fully-solved
-          prefix (in plan order) carries its true repairs, the remaining
-          components degrade to their unrepaired base slice
-          ([sub ∪ support]) as sole entry — partial, but the work already
-          done is preserved *)
-}
-
-val decomposed :
-  ?budget:Budget.ctl ->
-  ?max_states:int ->
-  ?jobs:int ->
-  Relational.Instance.t ->
-  Ic.Constr.t list ->
-  decomposed
-(** Plan and run {!solve_component} on every conflict component through
-    {!Decompose.solve}, without recombining — the building block of
-    [repairs ~decompose:true] and of the benchmark's decomposition
-    counters.  Never raises on exhaustion during the solves: budget trips
-    (state limit, decision limit, deadline — including the legacy
-    [max_states] bound) are reported through the [exhausted] marker with
-    the solved prefix intact, by {!Decompose.solve}'s prefix rule, which
-    also makes [jobs > 1] (solving on a {!Parallel.Pool}) bit-identical to
-    [jobs = 1] whenever no limit trips. *)
+    component: {!Decompose.solve} does, for the results it keeps.  The
+    model-theoretic solver of {!Query.Cqa}'s decomposed pipeline. *)

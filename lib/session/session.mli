@@ -29,9 +29,8 @@
 
     {b Correctness contract}: after any delta sequence, [repairs] and
     [cqa] return byte-identical results to a cold one-shot run
-    ([Repair.Enumerate.repairs ~decompose:true] /
-    [Core.Engine.repairs ~decompose:true] /
-    [Query.Cqa.consistent_answers ~decompose:true]) on the final instance,
+    ({!Query.Cqa.repairs} / [Query.Cqa.consistent_answers ~decompose:true]
+    with the session's engine, and no store) on the final instance,
     and under a budget a fresh session's request is byte-identical to the
     cold run under the same limits, partial outcomes and [Error] messages
     included.  This holds by construction — the plan is either provably
@@ -161,7 +160,7 @@ val apply : t -> Delta.t -> unit
 val repairs : ?budget:Budget.ctl -> t -> (Relational.Instance.t list, string) result
 (** The full repair set of the current instance
     ({!Query.Cqa.repairs_of_plan} with the cache as the solve step),
-    identical to the cold decomposed engines'.  [budget] is this
+    identical to a cold {!Query.Cqa.repairs}.  [budget] is this
     request's budget (one per request); like the cold engines, the full
     set cannot degrade — a budget trip is an [Error].  Cached component
     solves cost nothing against it. *)

@@ -147,14 +147,12 @@ let test_cautious_decompose_rejected () =
    yields a partial outcome carrying the solved prefix, not an error. *)
 
 let test_partial_outcome () =
-  let full =
-    Repair.Enumerate.decomposed clusters.Gen.d clusters.Gen.ics
-  in
+  let full = Component_search.enumerate clusters.Gen.d clusters.Gen.ics in
   Alcotest.(check bool) "fixture has >= 2 components" true
-    (List.length full.Repair.Enumerate.explored >= 2);
+    (List.length full.Component_search.explored >= 2);
   Alcotest.(check bool) "fixture solves without budget" true
-    (full.Repair.Enumerate.exhausted = None);
-  let first_cost = List.hd full.Repair.Enumerate.explored in
+    (full.Component_search.exhausted = None);
+  let first_cost = List.hd full.Component_search.explored in
   let stats = Budget.new_stats () in
   let budget = Budget.start ~stats (Budget.make ~max_states:first_cost ()) in
   match

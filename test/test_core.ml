@@ -330,15 +330,19 @@ let test_example23_stable_models () =
 (* ------------------------------------------------------------------ *)
 (* Decomposition into independent conflict components (Repair.Decompose) *)
 
-(* Decomposed = monolithic, for the enumerator and the program engine *)
+(* Decomposed = monolithic: the decomposed pipeline on the enumerator and
+   on the program engine against the monolithic search *)
 let check_decomposed name d ics =
   let mono = Enumerate.repairs d ics in
-  let reps = Enumerate.repairs ~decompose:true d ics in
-  check_repair_set name mono reps;
-  (match Engine.repairs ~decompose:true d ics with
-  | Ok prog -> check_repair_set (name ^ ", program engine") mono prog
-  | Error m -> Alcotest.failf "%s: program engine: %s" name m);
-  reps
+  let repairs method_ engine =
+    match Query.Cqa.repairs ~method_ d ics with
+    | Ok reps ->
+        check_repair_set (name ^ engine) mono reps;
+        reps
+    | Error m -> Alcotest.failf "%s%s: %s" name engine m
+  in
+  ignore (repairs Query.Cqa.LogicProgram ", program engine");
+  repairs Query.Cqa.ModelTheoretic ""
 
 let test_decompose_components () =
   (* ex15 and ex16 are over disjoint schemas: their conflicts fall into
@@ -361,11 +365,11 @@ let test_decompose_product () =
   let spectator = Atom.make "Spectator" [ vs "s" ] in
   let d = Instance.add spectator (Instance.union ex15_d ex16_d) in
   let ics = [ ex15_ric ] @ ex16_ics in
-  let dec = Enumerate.decomposed d ics in
+  let dec = Component_search.enumerate d ics in
   Alcotest.(check int) "component count" 2
-    (List.length dec.Enumerate.plan.Repair.Decompose.components);
+    (List.length dec.Component_search.plan.Repair.Decompose.components);
   Alcotest.(check (list int)) "2 repairs each" [ 2; 2 ]
-    (List.sort compare (List.map List.length dec.Enumerate.minimal));
+    (List.sort compare (List.map List.length dec.Component_search.minimal));
   let reps = check_decomposed "matches the monolithic engine" d ics in
   Alcotest.(check int) "product of repairs" 4 (List.length reps);
   List.iter
@@ -410,11 +414,12 @@ let prop_decompose_agrees =
     (fun d ->
       let sort = List.sort Instance.compare in
       let mono = sort (Enumerate.repairs d two_groups) in
-      List.equal Instance.equal mono (sort (Enumerate.repairs ~decompose:true d two_groups))
-      &&
-      match Engine.repairs ~decompose:true d two_groups with
-      | Ok prog -> List.equal Instance.equal mono (sort prog)
-      | Error _ -> false)
+      List.for_all
+        (fun method_ ->
+          match Query.Cqa.repairs ~method_ d two_groups with
+          | Ok reps -> List.equal Instance.equal mono (sort reps)
+          | Error _ -> false)
+        Query.Cqa.[ ModelTheoretic; LogicProgram ])
 
 (* ------------------------------------------------------------------ *)
 (* Null-propagation analysis (extended-paper item (b)) *)

@@ -1,6 +1,7 @@
 (* Tests for the conflict-component decomposition (Repair.Decompose): the
-   plan itself, the decomposed enumerator and engines against their
-   monolithic counterparts, and the differential qcheck suites. *)
+   plan itself, the decomposed pipeline (Query.Cqa.repairs) on both
+   materializing engines against the monolithic ones, and the
+   differential qcheck suites. *)
 
 module Value = Relational.Value
 module Atom = Relational.Atom
@@ -25,9 +26,24 @@ let check_repair_set name expected actual =
   let sort = List.sort Instance.compare in
   Alcotest.(check (list instance)) name (sort expected) (sort actual)
 
+(* [Rep(D, IC)] through the front door of the decomposed pipeline *)
+let decomposed method_ d ics =
+  match Query.Cqa.repairs ~method_ d ics with
+  | Ok reps -> reps
+  | Error msg -> Alcotest.failf "decomposed repairs: %s" msg
+
+(* the decomposed pipeline on each materializing engine against that
+   engine's monolithic oracle: the search of Definition 7 and the program
+   of Definition 9, which differ where Theorem 4 does not apply (a
+   conflicting NNC, Example 20) *)
 let same_repairs name d ics =
   check_repair_set name (Enumerate.repairs d ics)
-    (Enumerate.repairs ~decompose:true d ics)
+    (decomposed Query.Cqa.ModelTheoretic d ics);
+  match Core.Engine.repairs d ics with
+  | Ok mono ->
+      check_repair_set (name ^ ", program engine") mono
+        (decomposed Query.Cqa.LogicProgram d ics)
+  | Error msg -> Alcotest.failf "%s: program engine: %s" name msg
 
 (* ------------------------------------------------------------------ *)
 (* Fixtures from test_repair.ml (Examples 15-20) *)
@@ -138,7 +154,7 @@ let test_components_share_universe () =
     (List.mem (vs "c") plan.Decompose.universe)
 
 (* ------------------------------------------------------------------ *)
-(* Decomposed enumeration = monolithic on the paper's examples *)
+(* Decomposed repairs = monolithic on the paper's examples *)
 
 let test_examples_differential () =
   same_repairs "Example 15" ex15_d [ ex15_ric ];
@@ -149,7 +165,7 @@ let test_examples_differential () =
 let test_clusters_differential () =
   let w = Gen.clusters_workload ~padding:1 ~k:3 () in
   same_repairs "3 clusters" w.Gen.d w.Gen.ics;
-  let reps = Enumerate.repairs ~decompose:true w.Gen.d w.Gen.ics in
+  let reps = decomposed Query.Cqa.ModelTheoretic w.Gen.d w.Gen.ics in
   Alcotest.(check int) "2^3 repairs" 8 (List.length reps)
 
 let test_exploration_collapses () =
@@ -158,25 +174,30 @@ let test_exploration_collapses () =
   let w = Gen.clusters_workload ~k:4 () in
   let monolithic = ref 0 in
   ignore (Enumerate.search ~explored:monolithic w.Gen.d w.Gen.ics);
-  let r = Enumerate.decomposed w.Gen.d w.Gen.ics in
-  let decomposed = List.fold_left ( + ) 0 r.Enumerate.explored in
+  let r = Component_search.enumerate w.Gen.d w.Gen.ics in
+  let decomposed = List.fold_left ( + ) 0 r.Component_search.explored in
   Alcotest.(check bool)
     (Printf.sprintf "decomposed %d states <= monolithic %d / 5" decomposed !monolithic)
     true
     (decomposed * 5 <= !monolithic);
   Alcotest.(check int) "repair count factorizes" 16
-    (Decompose.count_product (List.map List.length r.Enumerate.minimal))
+    (Decompose.count_product (List.map List.length r.Component_search.minimal))
 
 (* ------------------------------------------------------------------ *)
 (* Engine and CQA wiring *)
 
 let test_engine_decomposed () =
   let w = Gen.clusters_workload ~k:3 () in
-  let mono = Core.Engine.repairs w.Gen.d w.Gen.ics in
-  let dec = Core.Engine.repairs ~decompose:true w.Gen.d w.Gen.ics in
-  match (mono, dec) with
-  | Ok m, Ok d -> check_repair_set "engine decomposed = monolithic" m d
-  | _ -> Alcotest.fail "engine failed"
+  match Core.Engine.repairs w.Gen.d w.Gen.ics with
+  | Ok mono ->
+      List.iter
+        (fun (name, method_) ->
+          check_repair_set
+            ("engine decomposed = monolithic, " ^ name)
+            mono
+            (decomposed method_ w.Gen.d w.Gen.ics))
+        Query.Cqa.[ ("enumerate", ModelTheoretic); ("program", LogicProgram) ]
+  | Error msg -> Alcotest.failf "engine failed: %s" msg
 
 let q_single = Qsyntax.make ~head:[ "x" ] (Qsyntax.Atom (atom "S" [ v "x" ]))
 
@@ -214,19 +235,21 @@ let test_cqa_decomposed () =
 (* ------------------------------------------------------------------ *)
 (* Differential qcheck suites over random schemas *)
 
-let sorted_repairs ?max_states ~decompose d ics =
-  List.sort Instance.compare (Enumerate.repairs ?max_states ~decompose d ics)
-
 let diff_repairs_test =
   QCheck.Test.make ~name:"decomposed repairs = monolithic (500 random cases)"
     ~count:500
     QCheck.(int_bound 1_000_000) (fun seed ->
       let w = Gen.random_case ~seed () in
+      let sort = List.sort Instance.compare in
       match
-        ( sorted_repairs ~max_states:50_000 ~decompose:false w.Gen.d w.Gen.ics,
-          sorted_repairs ~max_states:50_000 ~decompose:true w.Gen.d w.Gen.ics )
+        ( sort (Enumerate.repairs ~max_states:50_000 w.Gen.d w.Gen.ics),
+          Query.Cqa.repairs ~max_effort:50_000 ~method_:Query.Cqa.ModelTheoretic
+            w.Gen.d w.Gen.ics )
       with
-      | mono, dec ->
+      | _, Error msg when msg = Budget.message (Budget.States 50_000) -> true
+      | _, Error msg -> QCheck.Test.fail_reportf "%s: %s" w.Gen.label msg
+      | mono, Ok dec ->
+          let dec = sort dec in
           if List.length mono <> List.length dec || not (List.for_all2 Instance.equal mono dec)
           then
             QCheck.Test.fail_reportf "repairs differ on %s:@.mono %a@.dec %a"
@@ -478,21 +501,8 @@ let test_oracle_scenarios () =
    allocates nothing per row, one query evaluation little beyond its
    result, planning one check plus work proportional to the conflicts, and
    the factorized answer algebra work proportional to the conflicts, once
-   the query's head column is indexed.
-
-   Words are counted exactly: [Gc.minor_words] for the minor heap (the
-   minor count of [Gc.counters] only adds an eighth of the words allocated
-   since the last minor collection on OCaml 5.1, so it misreads anything
-   smaller than the minor heap), plus the words allocated directly in the
-   major heap. *)
-
-let allocated f =
-  let _, promoted0, major0 = Gc.counters () in
-  let minor0 = Gc.minor_words () in
-  let r = f () in
-  let minor1 = Gc.minor_words () in
-  let _, promoted1, major1 = Gc.counters () in
-  (r, minor1 -. minor0 +. (major1 -. major0) -. (promoted1 -. promoted0))
+   the query's head column is indexed.  Words are counted exactly
+   ({!Alloc.allocated}). *)
 
 (* Planning's bookkeeping per conflict atom beyond its check (closure and
    support joins, union-find, components, the overlay core): 1.62k words
@@ -556,7 +566,7 @@ let recombine_words_at tuples =
   let conflict_words = recombine_words_per_atom *. float_of_int atoms in
   let request q =
     let standard = Query.Qeval.answers d q in
-    allocated (fun () -> Query.Cqa.factorized_outcome ~plan ~minimal ~standard q)
+    Alloc.allocated (fun () -> Query.Cqa.factorized_outcome ~plan ~minimal ~standard q)
   in
   let outcome, words = request exists_s_query in
   Alcotest.(check int)
@@ -590,18 +600,18 @@ let test_allocation_guard () =
   ignore (Semantics.Nullsat.check d ics);
   let plan = Decompose.plan d ics in
   ignore (Query.Qeval.answers d q);
-  let _, check = allocated (fun () -> Semantics.Nullsat.check d ics) in
+  let _, check = Alloc.allocated (fun () -> Semantics.Nullsat.check d ics) in
   Alcotest.(check bool)
     (Printf.sprintf "check %.0f words <= %.0f" check check_words)
     true (check <= check_words);
-  let _, plan_words = allocated (fun () -> Decompose.plan d ics) in
+  let _, plan_words = Alloc.allocated (fun () -> Decompose.plan d ics) in
   let atoms = component_atoms plan in
   let bound = (1.2 *. check) +. (plan_words_per_atom *. float_of_int atoms) in
   Alcotest.(check bool)
     (Printf.sprintf "plan %.0f words <= 1.2 x check %.0f words + %.0f per atom x %d atoms"
        plan_words check plan_words_per_atom atoms)
     true (plan_words <= bound);
-  let _, eval_words = allocated (fun () -> Query.Qeval.answers d q) in
+  let _, eval_words = Alloc.allocated (fun () -> Query.Qeval.answers d q) in
   Alcotest.(check bool)
     (Printf.sprintf "qeval %.0f words <= 1.5M" eval_words)
     true (eval_words <= 1_500_000.);
@@ -611,7 +621,7 @@ let test_allocation_guard () =
     let r = Qsyntax.Atom (atom "R" [ v "x"; v "o" ]) and s = Qsyntax.Atom (atom "S" [ v "c"; v "x" ]) in
     Qsyntax.make ~head:[ "o" ] (Qsyntax.Exists ([ "x"; "c" ], Qsyntax.And (r, s)))
   in
-  let answers, owners_words = allocated (fun () -> Query.Qeval.answers d owners) in
+  let answers, owners_words = Alloc.allocated (fun () -> Query.Qeval.answers d owners) in
   Alcotest.(check bool) "duplicates dominate" true
     (20 * Relational.Tuple.Set.cardinal answers < Instance.rel_cardinal d "S");
   Alcotest.(check bool)
@@ -657,7 +667,7 @@ let test_linear_in_k () =
                       first n)
             | Error e -> Alcotest.fail e)
           plan.Decompose.components;
-        let _, words = allocated (fun () -> Decompose.plan d ics) in
+        let _, words = Alloc.allocated (fun () -> Decompose.plan d ics) in
         let atoms =
           List.fold_left
             (fun n c -> n + Atom.Set.cardinal c.Decompose.atoms)

@@ -71,16 +71,15 @@ let check_repair_lists msg expected actual =
 
 let test_repairs_identical_weighted () =
   let g = Gen.clusters_workload ~k:3 ~weight:4 () in
-  let run jobs =
-    Repair.Enumerate.repairs ~decompose:true ~jobs g.Gen.d g.Gen.ics
-  in
-  check_repair_lists "enumerate clusters" (run 1) (run 4);
-  let erun jobs =
-    match Core.Engine.repairs ~decompose:true ~jobs g.Gen.d g.Gen.ics with
+  let run method_ jobs =
+    match Cqa.repairs ~jobs ~method_ g.Gen.d g.Gen.ics with
     | Ok reps -> reps
-    | Error msg -> Alcotest.failf "engine error: %s" msg
+    | Error msg -> Alcotest.failf "decomposed repairs: %s" msg
   in
-  check_repair_lists "engine clusters" (erun 1) (erun 4)
+  check_repair_lists "enumerate clusters" (run Cqa.ModelTheoretic 1)
+    (run Cqa.ModelTheoretic 4);
+  check_repair_lists "engine clusters" (run Cqa.LogicProgram 1)
+    (run Cqa.LogicProgram 4)
 
 let outcome_equal (a : Cqa.outcome) (b : Cqa.outcome) =
   Relational.Tuple.Set.equal a.Cqa.consistent b.Cqa.consistent
@@ -100,10 +99,12 @@ let prop_enumerate_jobs_differential =
     (fun seed ->
       let g = Gen.random_case ~seed () in
       let run jobs =
-        Repair.Enumerate.repairs ~decompose:true ~jobs ~max_states:50_000
+        Cqa.repairs ~jobs ~max_effort:50_000 ~method_:Cqa.ModelTheoretic
           g.Gen.d g.Gen.ics
       in
-      List.equal Instance.equal (run 1) (run 4))
+      match (run 1, run 4) with
+      | Ok a, Ok b -> List.equal Instance.equal a b
+      | _ -> false)
 
 let prop_cqa_jobs_differential =
   QCheck.Test.make ~name:"decomposed CQA: jobs=4 = jobs=1 (150 cases)"
@@ -133,10 +134,10 @@ let test_exhaustion_matches_sequential () =
   let g = Gen.clusters_workload ~k:3 ~weight:2 () in
   let run jobs =
     let budget = Budget.start (Budget.make ~max_states:0 ()) in
-    Repair.Enumerate.decomposed ~budget ~jobs g.Gen.d g.Gen.ics
+    Component_search.enumerate ~budget ~jobs g.Gen.d g.Gen.ics
   in
   let r1 = run 1 and r4 = run 4 in
-  (match (r1.Repair.Enumerate.exhausted, r4.Repair.Enumerate.exhausted) with
+  (match (r1.Component_search.exhausted, r4.Component_search.exhausted) with
   | Some (Budget.States 0), Some (Budget.States 0) -> ()
   | e1, e4 ->
       Alcotest.failf "markers differ or missing: %a vs %a"
@@ -146,27 +147,27 @@ let test_exhaustion_matches_sequential () =
         e4);
   List.iter
     (fun (m1, m4) -> check_repair_lists "degraded component" m1 m4)
-    (List.combine r1.Repair.Enumerate.minimal r4.Repair.Enumerate.minimal);
+    (List.combine r1.Component_search.minimal r4.Component_search.minimal);
   Alcotest.(check (list int))
-    "no exploration recorded" r1.Repair.Enumerate.explored
-    r4.Repair.Enumerate.explored
+    "no exploration recorded" r1.Component_search.explored
+    r4.Component_search.explored
 
 let test_per_search_limit_matches_sequential () =
   (* the legacy max_states bound is per-component-search, so even the trip
      points are deterministic: the whole decomposed record must match *)
   let g = Gen.clusters_workload ~k:3 ~weight:3 () in
   let run jobs =
-    Repair.Enumerate.decomposed ~max_states:5 ~jobs g.Gen.d g.Gen.ics
+    Component_search.enumerate ~max_states:5 ~jobs g.Gen.d g.Gen.ics
   in
   let r1 = run 1 and r4 = run 4 in
   Alcotest.(check bool) "same marker" true
-    (r1.Repair.Enumerate.exhausted = r4.Repair.Enumerate.exhausted);
-  Alcotest.(check bool) "tripped" true (r1.Repair.Enumerate.exhausted <> None);
+    (r1.Component_search.exhausted = r4.Component_search.exhausted);
+  Alcotest.(check bool) "tripped" true (r1.Component_search.exhausted <> None);
   Alcotest.(check (list int))
-    "same exploration" r1.Repair.Enumerate.explored r4.Repair.Enumerate.explored;
+    "same exploration" r1.Component_search.explored r4.Component_search.explored;
   List.iter
     (fun (m1, m4) -> check_repair_lists "component repairs" m1 m4)
-    (List.combine r1.Repair.Enumerate.minimal r4.Repair.Enumerate.minimal)
+    (List.combine r1.Component_search.minimal r4.Component_search.minimal)
 
 let test_worker_attribution () =
   (* with worker slots installed, all decomposed search work lands in the
@@ -176,9 +177,9 @@ let test_worker_attribution () =
   let stats = Budget.new_stats () in
   Budget.set_workers stats 2;
   let budget = Budget.start ~stats Budget.unlimited in
-  let r = Repair.Enumerate.decomposed ~budget ~jobs:2 g.Gen.d g.Gen.ics in
+  let r = Component_search.enumerate ~budget ~jobs:2 g.Gen.d g.Gen.ics in
   Alcotest.(check int) "all components solved" 4
-    (List.length (List.filter (fun l -> l <> []) r.Repair.Enumerate.minimal));
+    (List.length (List.filter (fun l -> l <> []) r.Component_search.minimal));
   let sum sel =
     Array.fold_left (fun acc w -> acc + Atomic.get (sel w)) 0 stats.Budget.workers
   in

@@ -374,7 +374,7 @@ let test_enumerate_budget () =
      with Enumerate.Budget_exceeded 3 -> true)
 
 let test_consistent_states_superset () =
-  let states = Enumerate.consistent_states ex15_d [ ex15_ric ] in
+  let states = Enumerate.search ex15_d [ ex15_ric ] in
   let repairs = Enumerate.repairs ex15_d [ ex15_ric ] in
   Alcotest.(check bool) "every repair among the consistent states" true
     (List.for_all (fun r -> List.exists (Instance.equal r) states) repairs)

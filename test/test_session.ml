@@ -284,18 +284,6 @@ let queries =
            Qsyntax.Not (Qsyntax.Atom (patom "Q" [ v "x" ])) ));
   ]
 
-let cold_repairs engine d ics =
-  match engine with
-  (* the routing engine's repair sets are byte-identical to the
-     model-theoretic decomposed engine's, so Auto shares its oracle *)
-  | Session.Enumerate | Session.Auto -> (
-      match Enumerate.repairs ~max_states:50_000 ~decompose:true d ics with
-      | reps -> Ok reps
-      | exception Enumerate.Budget_exceeded n ->
-          Error (Budget.message (Budget.States n)))
-  | Session.Program ->
-      Core.Engine.repairs ~max_decisions:50_000 ~decompose:true d ics
-
 let same_outcome (a : Query.Cqa.outcome) (b : Query.Cqa.outcome) =
   Tuple.Set.equal a.Query.Cqa.consistent b.Query.Cqa.consistent
   && Tuple.Set.equal a.Query.Cqa.possible b.Query.Cqa.possible
@@ -307,6 +295,17 @@ let method_of = function
   | Session.Enumerate -> Query.Cqa.ModelTheoretic
   | Session.Program -> Query.Cqa.LogicProgram
   | Session.Auto -> Query.Cqa.Auto
+
+(* a cold run of the decomposed pipeline, without a store: the routing
+   engine's repair sets are byte-identical to the model-theoretic ones, so
+   Auto shares enumeration's oracle *)
+let cold_repairs engine d ics =
+  let method_ =
+    match engine with
+    | Session.Enumerate | Session.Auto -> Query.Cqa.ModelTheoretic
+    | Session.Program -> Query.Cqa.LogicProgram
+  in
+  Query.Cqa.repairs ~max_effort:50_000 ~method_ d ics
 
 (* one random case: create the session, fold in [steps] random batches,
    and after each batch compare session repairs (byte order included) and
