@@ -242,10 +242,13 @@ let sections =
               | _ -> false)
             rows
         in
+        (* [check] already rejects a row at n >= 100000 below 10x, so
+           NEW fails here only when it has no such row *)
         if fast old_rows && not (fast new_rows) then
           reject
-            "new baseline's incremental check no longer beats the full re-check by \
-             >= 10x at n >= 100000");
+            "new baseline has no scale row at n >= 100000, where the old one \
+             shows the >= 10x incremental check: record it with --scale 100000 \
+             or more");
     (* a server whose cache silently degraded to per-connection privacy
        fails even if every answer stays correct *)
     section "serve" 8

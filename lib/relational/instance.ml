@@ -94,8 +94,40 @@ let is_empty d = Smap.is_empty d.rels
    column allocation would only cost. *)
 let seg_min = 8
 
+(* Decode a row: the tuple is all it allocates, no [Array.init] closure. *)
 let seg_row seg i =
-  Array.init seg.arity (fun j -> Symtab.value seg.cols.(j).(i))
+  if seg.arity = 0 then [||]
+  else begin
+    let t = Array.make seg.arity (Symtab.value seg.cols.(0).(i)) in
+    for j = 1 to seg.arity - 1 do
+      t.(j) <- Symtab.value seg.cols.(j).(i)
+    done;
+    t
+  end
+
+(* [Tuple.compare t row_i], decoding the row one column at a time. *)
+let rec compare_row_from (t : Tuple.t) seg i j =
+  if j >= seg.arity then 0
+  else
+    let c = Value.compare t.(j) (Symtab.value seg.cols.(j).(i)) in
+    if c <> 0 then c else compare_row_from t seg i (j + 1)
+
+let compare_tuple_row (t : Tuple.t) seg i =
+  let n = Array.length t in
+  if n <> seg.arity then Int.compare n seg.arity else compare_row_from t seg i 0
+
+(* [Tuple.compare row_i row_k] across two segments. *)
+let rec compare_rows_from sa i sb k j =
+  if j >= sa.arity then 0
+  else
+    let c =
+      Value.compare (Symtab.value sa.cols.(j).(i)) (Symtab.value sb.cols.(j).(k))
+    in
+    if c <> 0 then c else compare_rows_from sa i sb k (j + 1)
+
+let compare_rows sa i sb k =
+  if sa.arity <> sb.arity then Int.compare sa.arity sb.arity
+  else compare_rows_from sa i sb k 0
 
 let row_hash seg i =
   let h = ref 17 in
@@ -277,34 +309,30 @@ let rel_mem r t =
   | Some i -> not (Iset.mem i r.del)
   | None -> false
 
-(* Live tuples of a relation in [Tuple.compare] order: linear merge of the
-   surviving segment rows (sorted by construction) with the overlay set. *)
-let rel_to_seq r =
+(* Live tuples of a relation in [Tuple.compare] order: one merge of the
+   surviving segment rows (sorted by construction) into the overlay set's
+   own traversal.  A row is compared with the overlay in place and
+   decoded only when it is passed on, so the walk allocates the decoded
+   tuples and nothing per row beyond them. *)
+let rel_iter f r =
   let seg = r.seg in
-  let uncons sq =
-    match sq () with
-    | Seq.Nil -> (None, Seq.empty)
-    | Seq.Cons (e, sq') -> (Some e, sq')
-  in
-  let rec go i pending sq () =
-    if i >= seg.nrows then
-      match pending with
-      | Some e -> Seq.Cons (e, sq)
-      | None -> Seq.Nil
-    else if Iset.mem i r.del then go (i + 1) pending sq ()
-    else
-      let t = seg_row seg i in
-      match pending with
-      | Some e when Tuple.compare e t < 0 ->
-          let pending', sq' = uncons sq in
-          Seq.Cons (e, go i pending' sq')
-      | _ -> Seq.Cons (t, go (i + 1) pending sq)
-  in
-  let pending, sq = uncons (Tuple.Set.to_seq r.extra) in
-  go 0 pending sq
+  let i = ref 0 in
+  Tuple.Set.iter
+    (fun x ->
+      while !i < seg.nrows && compare_tuple_row x seg !i > 0 do
+        if not (Iset.mem !i r.del) then f (seg_row seg !i);
+        incr i
+      done;
+      f x)
+    r.extra;
+  for i = !i to seg.nrows - 1 do
+    if not (Iset.mem i r.del) then f (seg_row seg i)
+  done
 
-let rel_fold f r acc = Seq.fold_left (fun acc t -> f t acc) acc (rel_to_seq r)
-let rel_iter f r = Seq.iter f (rel_to_seq r)
+let rel_fold f r acc =
+  let acc = ref acc in
+  rel_iter (fun t -> acc := f t !acc) r;
+  !acc
 
 let rel_live_array r =
   let n = rel_cardinal_of r in
@@ -418,7 +446,7 @@ let tuples d p =
   | None -> Tuple.Set.empty
   | Some r ->
       if r.seg.nrows = 0 then r.extra
-      else Tuple.Set.of_seq (rel_to_seq r)
+      else rel_fold Tuple.Set.add r Tuple.Set.empty
 
 (* ------------------------------------------------------------------ *)
 (* Set operations.  Relations sharing a segment physically — the common
@@ -545,6 +573,8 @@ let inter a b =
 
 let symdiff a b = union (diff a b) (diff b a)
 
+exception Stop
+
 let rel_subset ra rb =
   if ra == rb then true
   else if ra.seg == rb.seg then
@@ -552,7 +582,10 @@ let rel_subset ra rb =
   else if ra.seg.nrows = 0 && rb.seg.nrows = 0 then
     Tuple.Set.subset ra.extra rb.extra
   else if rel_cardinal_of ra > rel_cardinal_of rb then false
-  else not (Seq.exists (fun t -> not (rel_mem rb t)) (rel_to_seq ra))
+  else
+    match rel_iter (fun t -> if not (rel_mem rb t) then raise_notrace Stop) ra with
+    | () -> true
+    | exception Stop -> false
 
 let subset a b =
   a == b
@@ -562,6 +595,44 @@ let subset a b =
          | None -> rel_is_empty ra
          | Some rb -> rel_subset ra rb)
        a.rels
+
+(* Two relations' live tuples in step: a cursor is the next segment row
+   that may be live and the overlay tuples not yet passed.
+   [row_first r i xs] is whether the cursor's head is segment row [i]
+   (after [live_row] skipped the deleted ones) rather than the head of
+   [xs]; the overlay never holds a segment row, so the two never tie. *)
+let rec live_row r i =
+  if i < r.seg.nrows && Iset.mem i r.del then live_row r (i + 1) else i
+
+let row_first r i xs =
+  i < r.seg.nrows
+  && match xs with [] -> true | x :: _ -> compare_tuple_row x r.seg i > 0
+
+(* [Tuple.compare] over the two cursors' streams, an exhausted side
+   ordering first; rows are compared in place, decoded by no one. *)
+let rec merge_compare ra i xs rb k ys =
+  let i = live_row ra i and k = live_row rb k in
+  let a_row = row_first ra i xs and b_row = row_first rb k ys in
+  let a_done = (not a_row) && List.is_empty xs
+  and b_done = (not b_row) && List.is_empty ys in
+  if a_done || b_done then Bool.compare b_done a_done
+  else
+    let c =
+      match (a_row, b_row, xs, ys) with
+      | true, true, _, _ -> compare_rows ra.seg i rb.seg k
+      | true, false, _, y :: _ -> -compare_tuple_row y ra.seg i
+      | false, true, x :: _, _ -> compare_tuple_row x rb.seg k
+      | false, false, x :: _, y :: _ -> Tuple.compare x y
+      | _ -> assert false
+    in
+    if c <> 0 then c
+    else
+      merge_compare ra
+        (if a_row then i + 1 else i)
+        (if a_row then xs else List.tl xs)
+        rb
+        (if b_row then k + 1 else k)
+        (if b_row then ys else List.tl ys)
 
 (* [compare] replicates the oracle's order — [Smap.compare Tuple.Set.compare]
    over the never-empty per-predicate map — exactly: lexicographic over the
@@ -576,16 +647,8 @@ let rel_compare ra rb =
     ra.seg == rb.seg && Iset.equal ra.del rb.del && Tuple.Set.equal ra.extra rb.extra
   then 0
   else
-    let rec go sa sb =
-      match (sa (), sb ()) with
-      | Seq.Nil, Seq.Nil -> 0
-      | Seq.Nil, Seq.Cons _ -> -1
-      | Seq.Cons _, Seq.Nil -> 1
-      | Seq.Cons (x, sa'), Seq.Cons (y, sb') ->
-          let c = Tuple.compare x y in
-          if c <> 0 then c else go sa' sb'
-    in
-    go (rel_to_seq ra) (rel_to_seq rb)
+    merge_compare ra 0 (Tuple.Set.elements ra.extra) rb 0
+      (Tuple.Set.elements rb.extra)
 
 let compare a b =
   if a == b then 0
@@ -755,17 +818,6 @@ let row_code v h j =
 
 let row_tuple v h =
   if h < v.vseg.nrows then seg_row v.vseg h else v.vx.xtuples.(h - v.vseg.nrows)
-
-(* [Tuple.compare t row_i], decoding the row one column at a time. *)
-let rec compare_row_from (t : Tuple.t) seg i j =
-  if j >= seg.arity then 0
-  else
-    let c = Value.compare t.(j) (Symtab.value seg.cols.(j).(i)) in
-    if c <> 0 then c else compare_row_from t seg i (j + 1)
-
-let compare_tuple_row (t : Tuple.t) seg i =
-  let n = Array.length t in
-  if n <> seg.arity then Int.compare n seg.arity else compare_row_from t seg i 0
 
 let iter_rows v f =
   let seg = v.vseg and xt = v.vx.xtuples in

@@ -87,6 +87,13 @@ let reads_universe ~nnc_positions ics =
             g.Ic.Constr.cons)
     ics
 
+(* Only an insertion at a NOT NULL-constrained existential position reads
+   the universe (Example 20); every other candidate is null there, and
+   folding the active domain of a large instance for it would cost more
+   than planning its conflicts. *)
+let insertion_universe ~nnc_positions d ics =
+  if reads_universe ~nnc_positions ics then Candidates.universe d ics else []
+
 (* Deduplicate actions, first occurrence wins, through an action-keyed
    table — the List.mem scans this replaces were quadratic in the number of
    candidate actions per state. *)

@@ -30,6 +30,15 @@ val reads_universe :
     insertion candidate is null at its existential positions, and a search
     over these constraints never reads the universe. *)
 
+val insertion_universe :
+  nnc_positions:(string * int) list ->
+  Relational.Instance.t ->
+  Ic.Constr.t list ->
+  Relational.Value.t list
+(** The universe {!insertions} reads under the constraints: Proposition 1's
+    universe of the instance and the constraints ({!Candidates.universe})
+    where {!reads_universe} holds, [[]] elsewhere. *)
+
 val dedup_actions : action list -> action list
 (** First occurrence wins. *)
 

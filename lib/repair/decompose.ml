@@ -1,4 +1,5 @@
 module Atom = Relational.Atom
+module Tuple = Relational.Tuple
 module Instance = Relational.Instance
 module Value = Relational.Value
 module Assign = Semantics.Assign
@@ -20,25 +21,48 @@ type plan = {
 }
 
 (* ------------------------------------------------------------------ *)
+(* Atom-keyed tables hashed by the atom's tuple and compared with
+   [Atom.equal]: the generic [Hashtbl] hashes the whole record and
+   compares it with the polymorphic primitives, on every probe of the
+   closure. *)
+
+module Atbl = Hashtbl.Make (struct
+  type t = Atom.t
+
+  let equal = Atom.equal
+  let hash a = Tuple.hash (Atom.args a)
+end)
+
+(* Fired potential violations, keyed by (constraint index, antecedent
+   match). *)
+module Fired = Hashtbl.Make (struct
+  type t = int * Atom.t list
+
+  let equal (i, w) (j, w') = Int.equal i j && List.equal Atom.equal w w'
+
+  let hash (i, w) =
+    List.fold_left (fun h a -> (h * 31) + Tuple.hash (Atom.args a)) i w
+end)
+
 (* Union-find over ground atoms.  An absent key is its own singleton
    class. *)
 
-type uf = (Atom.t, Atom.t) Hashtbl.t
+type uf = Atom.t Atbl.t
 
-let uf_create () : uf = Hashtbl.create 64
+let uf_create () : uf = Atbl.create 64
 
 let rec uf_find (uf : uf) a =
-  match Hashtbl.find_opt uf a with
+  match Atbl.find_opt uf a with
   | None -> a
   | Some p when Atom.equal p a -> a
   | Some p ->
       let r = uf_find uf p in
-      Hashtbl.replace uf a r;
+      Atbl.replace uf a r;
       r
 
 let uf_union uf a b =
   let ra = uf_find uf a and rb = uf_find uf b in
-  if not (Atom.equal ra rb) then Hashtbl.replace uf ra rb
+  if not (Atom.equal ra rb) then Atbl.replace uf ra rb
 
 let uf_merge_all uf = function
   | [] -> ()
@@ -155,6 +179,9 @@ let seeds_of a patoms =
    (the pvs it may make live) and where it matches a consequent atom, with
    the bindings restricted to the antecedent variables (the pvs whose core
    witness it stops being, or whose class it joins as a new witness).
+   The joins of constraints without consequent atoms are seeded by
+   insertion candidates only: their pvs over [d] alone are the check's
+   violations.
    Fired pvs are recorded, so a witness appearing after its pv fired only
    joins that pv's class.  Every seeded join is bounded by index probes
    around the popped atom: the closure costs the conflicts, not the
@@ -187,8 +214,8 @@ let plan ?budget d ics =
   let tick () =
     match budget with Some b -> Budget.check_deadline b | None -> ()
   in
-  let universe = Candidates.universe d ics in
   let nnc_positions = Actions.nnc_positions_of ics in
+  let universe = Actions.insertion_universe ~nnc_positions d ics in
   let generics =
     List.filter_map
       (function Ic.Constr.Generic g -> Some g | Ic.Constr.NotNull _ -> None)
@@ -201,16 +228,20 @@ let plan ?budget d ics =
       g.Ic.Constr.cons
   in
   let uf = uf_create () in
-  let active = ref Atom.Set.empty in
+  let active : unit Atbl.t = Atbl.create 64 in
   let d_ext = ref d in
+  (* newly active atoms, each with whether it is in [d]: [d_ext] is [d]
+     plus the active candidates, so an atom not yet active is in [d]
+     exactly when it is in [d_ext] *)
   let pending = Queue.create () in
   let activate nodes =
     List.iter
       (fun a ->
-        if not (Atom.Set.mem a !active) then begin
-          active := Atom.Set.add a !active;
-          if not (Instance.mem a !d_ext) then d_ext := Instance.add a !d_ext;
-          Queue.add a pending
+        if not (Atbl.mem active a) then begin
+          Atbl.replace active a ();
+          let in_d = Instance.mem a !d_ext in
+          if not in_d then d_ext := Instance.add a !d_ext;
+          Queue.add (a, in_d) pending
         end)
       nodes;
     uf_merge_all uf nodes
@@ -231,59 +262,67 @@ let plan ?budget d ics =
   (* Closure of the active set under cascades.  A pv of a constraint
      without consequent atoms (a denial, an FD) has no witness: it is only
      reached from a popped antecedent atom, so it fires, and its class is
-     its antecedent.  Other fired pvs are recorded by (constraint index,
-     antecedent match) with a member of their class. *)
-  let fired : (int * Atom.t list, Atom.t) Hashtbl.t = Hashtbl.create 64 in
+     its antecedent.  Such a pv over atoms of [d] alone is an actual
+     violation of [d] (the check applies the same null escape and built-in
+     test, and there is no consequent to probe), so the seeds already
+     activated and merged it: an atom of [d] seeds no denial join.  A pv
+     with an insertion candidate among its atoms is reached from the
+     candidate activated last, whose snapshot holds all of them.  Other
+     fired pvs are recorded by (constraint index, antecedent match) with a
+     member of their class. *)
+  let fired : Atom.t Fired.t = Fired.create 64 in
   let ante_joins = joins d and cons_joins = joins d in
-  let is_core a = Instance.mem a d && not (Atom.Set.mem a !active) in
+  let is_core a = (not (Atbl.mem active a)) && Instance.mem a d in
   let fire popped i g theta witness =
     if g.Ic.Constr.cons = [] then activate witness
     else
-      match Hashtbl.find_opt fired (i, witness) with
+      match Fired.find_opt fired (i, witness) with
       | Some rep -> uf_union uf popped rep
       | None ->
           let witnesses = cons_witnesses cons_joins !d_ext i g theta in
           if
             (not (List.exists is_core witnesses))
-            && (List.exists (fun a -> Atom.Set.mem a !active) witness
-               || witnesses <> [])
+            && (List.exists (Atbl.mem active) witness || witnesses <> [])
           then begin
             let nodes = witness @ witnesses @ inserts g theta in
-            Hashtbl.add fired (i, witness) (List.hd nodes);
+            Fired.add fired (i, witness) (List.hd nodes);
             activate nodes
           end
   in
   while not (Queue.is_empty pending) do
     tick ();
-    let a = Queue.pop pending in
+    let a, in_d = Queue.pop pending in
     let snapshot = !d_ext in
     List.iter
       (fun (i, g, universal) ->
-        let seeds =
-          seeds_of a g.Ic.Constr.ante
-          @ List.map
-              (fun s -> Assign.restrict s universal)
-              (seeds_of a g.Ic.Constr.cons)
-        in
-        iter_seeded_pvs ante_joins snapshot i g seeds ~f:(fire a i g))
+        if not (in_d && g.Ic.Constr.cons = []) then
+          let seeds =
+            seeds_of a g.Ic.Constr.ante
+            @ List.map
+                (fun s -> Assign.restrict s universal)
+                (seeds_of a g.Ic.Constr.cons)
+          in
+          iter_seeded_pvs ante_joins snapshot i g seeds ~f:(fire a i g))
       generics
   done;
-  let active = !active and d_ext = !d_ext in
+  let d_ext = !d_ext in
+  let active_set = Atbl.fold (fun a () s -> Atom.Set.add a s) active Atom.Set.empty in
   (* Support: core witnesses keeping otherwise-matchable pvs satisfied
      (only constraints with consequent atoms have witnesses), each tagged
      with the classes (union-find representatives) that pulled it in. *)
   let witnessed = List.filter (fun (_, g, _) -> g.Ic.Constr.cons <> []) generics in
-  let tags : (Atom.t, Atom.Set.t) Hashtbl.t = Hashtbl.create 16 in
-  let in_region a = Atom.Set.mem a active || Hashtbl.mem tags a in
+  let tags : Atom.Set.t Atbl.t = Atbl.create 16 in
+  let in_region a = Atbl.mem active a || Atbl.mem tags a in
   let pulling witness =
     List.fold_left
       (fun acc a ->
-        match Hashtbl.find_opt tags a with
+        match Atbl.find_opt tags a with
         | Some t -> Atom.Set.union t acc
         | None -> Atom.Set.add (uf_find uf a) acc)
       Atom.Set.empty witness
   in
-  Atom.Set.iter (fun a -> Queue.add a pending) active;
+  let pending = Queue.create () in
+  Atom.Set.iter (fun a -> Queue.add a pending) active_set;
   while not (Queue.is_empty pending) do
     tick ();
     let a = Queue.pop pending in
@@ -293,45 +332,43 @@ let plan ?budget d ics =
           ~f:(fun theta witness ->
             if List.for_all in_region witness then
               let core_witness =
-                List.find_opt
-                  (fun w -> Instance.mem w d && not (Atom.Set.mem w active))
-                  (cons_witnesses cons_joins d_ext i g theta)
+                List.find_opt is_core (cons_witnesses cons_joins d_ext i g theta)
               in
               match core_witness with
               | Some w -> (
                   let pulled = pulling witness in
-                  match Hashtbl.find_opt tags w with
+                  match Atbl.find_opt tags w with
                   | Some t when Atom.Set.subset pulled t -> ()
                   | t ->
-                      Hashtbl.replace tags w
+                      Atbl.replace tags w
                         (Option.fold ~none:pulled ~some:(Atom.Set.union pulled) t);
                       Queue.add w pending)
               | None -> ()))
       witnessed
   done;
-  let support_of : (Atom.t, Instance.t) Hashtbl.t = Hashtbl.create 16 in
-  Hashtbl.iter
+  let support_of : Instance.t Atbl.t = Atbl.create 16 in
+  Atbl.iter
     (fun w t ->
       Atom.Set.iter
         (fun r ->
           let prev =
-            Option.value ~default:Instance.empty (Hashtbl.find_opt support_of r)
+            Option.value ~default:Instance.empty (Atbl.find_opt support_of r)
           in
-          Hashtbl.replace support_of r (Instance.add w prev))
+          Atbl.replace support_of r (Instance.add w prev))
         t)
     tags;
   (* Extract components in a deterministic order. *)
-  let classes : (Atom.t, Atom.Set.t) Hashtbl.t = Hashtbl.create 16 in
+  let classes : Atom.Set.t Atbl.t = Atbl.create 16 in
   Atom.Set.iter
     (fun a ->
       let r = uf_find uf a in
       let prev =
-        Option.value ~default:Atom.Set.empty (Hashtbl.find_opt classes r)
+        Option.value ~default:Atom.Set.empty (Atbl.find_opt classes r)
       in
-      Hashtbl.replace classes r (Atom.Set.add a prev))
-    active;
+      Atbl.replace classes r (Atom.Set.add a prev))
+    active_set;
   let components =
-    Hashtbl.fold (fun r atoms acc -> (r, atoms) :: acc) classes []
+    Atbl.fold (fun r atoms acc -> (r, atoms) :: acc) classes []
     |> List.sort (fun (_, a) (_, b) ->
            Atom.compare (Atom.Set.min_elt a) (Atom.Set.min_elt b))
     |> List.map (fun (r, atoms) ->
@@ -354,14 +391,14 @@ let plan ?budget d ics =
                  (fun a acc -> if Instance.mem a d then Instance.add a acc else acc)
                  atoms Instance.empty;
              support =
-               Option.value ~default:Instance.empty (Hashtbl.find_opt support_of r);
+               Option.value ~default:Instance.empty (Atbl.find_opt support_of r);
              ics;
            })
   in
   (* The core is [d] under a deletion overlay of the active atoms: it
      shares [d]'s segments and costs O(conflict), where filtering would
      re-intern every tuple. *)
-  let core = Atom.Set.fold Instance.remove active d in
+  let core = Atom.Set.fold Instance.remove active_set d in
   (* Product exactness: per-component minimality implies global minimality
      unless a null-carrying atom of one component could cover (condition
      (b) of <=_D) an atom of another — only then can a cross product of
@@ -623,9 +660,9 @@ let renaming ~from ~into =
 let refresh p d' ics ~inserted ~deleted ~violations_unchanged =
   (* Sound reuse of the whole partition.  The closure of [plan] is a
      monotone fixpoint seeded by the actual violations; with (1) the same
-     violation set, (2) the same universe (so the same insertion
-     candidates), (3) no delta atom inside any component's atoms or
-     support, and (4) no delta predicate mentioned by any constraint that
+     violation set, (2) the same universe where an insertion reads it (so
+     the same insertion candidates), (3) no delta atom inside any
+     component's atoms or support, and (4) no delta predicate mentioned by any constraint that
      touches the active/support region, no rule application of the cold
      fixpoint on the new instance can differ: the first new activation
      would need a potential violation joining a delta atom with an active
@@ -668,7 +705,11 @@ let refresh p d' ics ~inserted ~deleted ~violations_unchanged =
       if List.exists (fun pr -> List.mem pr relevant_preds) delta_preds then
         None
       else if
-        not (List.equal Value.equal (Candidates.universe d' ics) p.universe)
+        not
+          (List.equal Value.equal
+             (Actions.insertion_universe
+                ~nnc_positions:(Actions.nnc_positions_of ics) d' ics)
+             p.universe)
       then None
       else
         let core =

@@ -49,9 +49,13 @@ type plan = {
   core : Relational.Instance.t;  (** tuples no repair action can touch *)
   components : component list;   (** deterministic order; [[]] iff [D] is consistent *)
   universe : Relational.Value.t list;
-      (** Proposition 1's universe of the {e full} instance — per-component
-          searches must use it, not their slice's, so conflicting-NNC
-          insertions range identically to the monolithic search *)
+      (** the universe insertion candidates range over
+          ({!Actions.insertion_universe}): Proposition 1's universe of the
+          {e full} instance under a conflicting NNC (Example 20), [[]]
+          elsewhere, where every candidate is null at its existential
+          positions.  Per-component searches must use it, not their
+          slice's, so conflicting-NNC insertions range identically to the
+          monolithic search *)
   nnc_positions : (string * int) list;
   product_exact : bool;
       (** no cross-component [<=_D] covering is possible: products of
@@ -62,8 +66,15 @@ val plan : ?budget:Budget.ctl -> Relational.Instance.t -> Ic.Constr.t list -> pl
 (** One check of [D] finds the violations; the closure and support
     fixpoints are then worklists of newly active and newly supported atoms,
     each step a join seeded on one atom, so planning costs the check plus
-    work proportional to the conflicts.  The core is [D] under a deletion
-    overlay of the component atoms, sharing [D]'s storage.
+    work proportional to the conflicts.  An atom of [D] seeds no join of a
+    constraint without consequent atoms (a denial, an FD): such a potential
+    violation over atoms of [D] alone is an actual violation — the check
+    applies the same null escape and built-in test, with no consequent to
+    probe — so the seeds already merged it; one with an insertion
+    candidate among its atoms is found when the candidate activated last
+    is popped.  The core is [D] under a deletion overlay of the component
+    atoms, sharing [D]'s storage, and the universe is built only where an
+    insertion reads it.
 
     [budget] contributes its wall-clock deadline, polled once per worklist
     step (planning has no decision/state counter of its own).
@@ -135,8 +146,8 @@ val refresh :
     instance [d'] when the update provably cannot change the partition:
     the violation set is unchanged, no delta atom lies in any component's
     atoms or support, no delta predicate is mentioned by a constraint
-    touching the active/support region, and the universe of Proposition 1
-    is unchanged.  Under those conditions the cold plan of [d'] is [p]
+    touching the active/support region, and the universe insertions read
+    ({!Actions.insertion_universe}) is unchanged.  Under those conditions the cold plan of [d'] is [p]
     with the delta folded into the untouched core — returned as [Some];
     [None] means the caller must re-plan.  [inserted]/[deleted] are the
     net effect as in {!Semantics.Nullsat.check_delta}. *)

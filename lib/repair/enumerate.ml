@@ -21,13 +21,15 @@ let search ?budget ?(max_states = 200_000) ?universe ?nnc_positions ?explored d
      per-component sub-searches receive the full instance's, already
      computed once by the planner, instead of refolding the active domain
      for every component. *)
-  let universe =
-    match universe with Some u -> u | None -> Candidates.universe d ics
-  in
   let nnc_positions =
     match nnc_positions with
     | Some n -> n
     | None -> Actions.nnc_positions_of ics
+  in
+  let universe =
+    match universe with
+    | Some u -> u
+    | None -> Actions.insertion_universe ~nnc_positions d ics
   in
   let seen = ref Iset.empty in
   let consistent = ref [] in

@@ -53,8 +53,10 @@ val search :
   Relational.Instance.t list
 (** All consistent states reached from [D], before minimality filtering.
     [universe] and [nnc_positions] default to the instance's own
-    (Proposition 1); per-component searches pass the {e global} ones from a
-    {!Decompose.plan} so insertion candidates match the monolithic search.
+    (Proposition 1; the universe only where an insertion reads it,
+    {!Actions.insertion_universe}); per-component searches pass the
+    {e global} ones from a {!Decompose.plan} so insertion candidates match
+    the monolithic search.
     [explored] is reset to [0] and then counts distinct visited states.
     [budget] is the run-global budget: every state also ticks it, so a
     shared state limit and the wall-clock deadline are enforced across the

@@ -153,6 +153,49 @@ let test_components_share_universe () =
   Alcotest.(check bool) "universe covers c" true
     (List.mem (vs "c") plan.Decompose.universe)
 
+let test_denial_through_candidate () =
+  (* S(a) violates the RIC, and its fix inserts R(a, null).  The denial
+     R(x, y), Q(x) -> false has no violation in D, but R(a, null) joins
+     the core Q(a) into one: the closure seeds no denial join from an atom
+     of D (such a match over D alone is an actual violation, already a
+     seed), so Q(a) is reached only through the candidate. *)
+  let d =
+    Instance.of_list
+      [
+        ("S", [ vs "a" ]);
+        ("S", [ vs "b" ]);
+        ("Q", [ vs "a" ]);
+        ("R", [ vs "b"; vs "c" ]);
+        ("R", [ vs "b"; vs "d" ]);
+      ]
+  in
+  let ics =
+    [
+      Constr.generic ~name:"ric" ~ante:[ atom "S" [ v "x" ] ]
+        ~cons:[ atom "R" [ v "x"; v "y" ] ]
+        ();
+      Constr.generic ~name:"denial"
+        ~ante:[ atom "R" [ v "x"; v "y" ]; atom "Q" [ v "x" ] ]
+        ~cons:[] ();
+      Ic.Builder.functional_dependency ~name:"fd" ~pred:"R" ~arity:2 ~lhs:[ 1 ]
+        ~rhs:2 ();
+    ]
+  in
+  let plan = Decompose.plan d ics in
+  let s_a = Atom.make "S" [ vs "a" ] in
+  match
+    List.find_opt
+      (fun c -> Atom.Set.mem s_a c.Decompose.atoms)
+      plan.Decompose.components
+  with
+  | None -> Alcotest.fail "S(a) is in no component"
+  | Some c ->
+      Alcotest.(check (list string))
+        "S(a)'s component"
+        [ "Q(a)"; "R(a, null)"; "S(a)" ]
+        (List.map Atom.to_string (Atom.Set.elements c.Decompose.atoms));
+      same_repairs "denial through a candidate" d ics
+
 (* ------------------------------------------------------------------ *)
 (* Decomposed repairs = monolithic on the paper's examples *)
 
@@ -407,11 +450,18 @@ let diff_core_answers_test =
 (* ------------------------------------------------------------------ *)
 (* The worklist planner against the round-based oracle (Plan_oracle):
    whole plans, field by field — same components in the same order with
-   the same atoms/sub/support/ics, an equal core, the same universe, NNC
-   positions and product exactness — and the components' supports
-   together equal to the oracle's support fixpoint. *)
+   the same atoms/sub/support/ics, an equal core, the same NNC positions
+   and product exactness, and the oracle's universe where an insertion
+   reads it ({!Repair.Actions.reads_universe}), none elsewhere — and the
+   components' supports together equal to the oracle's support
+   fixpoint. *)
 
-let plan_mismatch (a : Decompose.plan) (b : Decompose.plan) =
+let plan_mismatch ics (a : Decompose.plan) (b : Decompose.plan) =
+  let universe =
+    if Repair.Actions.reads_universe ~nnc_positions:b.Decompose.nnc_positions ics
+    then b.Decompose.universe
+    else []
+  in
   let same_component (x : Decompose.component) (y : Decompose.component) =
     Atom.Set.equal x.Decompose.atoms y.Decompose.atoms
     && Instance.equal x.Decompose.sub y.Decompose.sub
@@ -421,7 +471,7 @@ let plan_mismatch (a : Decompose.plan) (b : Decompose.plan) =
   if not (Instance.equal a.Decompose.core b.Decompose.core) then Some "core"
   else if not (List.equal same_component a.Decompose.components b.Decompose.components)
   then Some "components"
-  else if not (List.equal Value.equal a.Decompose.universe b.Decompose.universe) then
+  else if not (List.equal Value.equal a.Decompose.universe universe) then
     Some "universe"
   else if a.Decompose.nnc_positions <> b.Decompose.nnc_positions then Some "nnc_positions"
   else if a.Decompose.product_exact <> b.Decompose.product_exact then Some "product_exact"
@@ -431,7 +481,7 @@ let plan_mismatch (a : Decompose.plan) (b : Decompose.plan) =
 let check_against_oracle name d ics =
   let plan = Decompose.plan d ics in
   let oracle, support = Plan_oracle.plan_and_support d ics in
-  match plan_mismatch plan oracle with
+  match plan_mismatch ics plan oracle with
   | Some field -> Alcotest.failf "%s: plan differs from the oracle in %s" name field
   | None ->
       let attributed =
@@ -635,6 +685,62 @@ let test_allocation_guard () =
        large small)
     true (large <= 1.5 *. small)
 
+(* The first plan of a fresh instance, after its first check, builds
+   once the indexes its closure joins probe and the check did not: R's
+   and S's row indexes and both of S's columns, 22.4 words per tuple at
+   20k tuples and 20.8 at 80k.  Nothing else in it grows with the table.
+   No insertion under these constraints reads Proposition 1's universe,
+   so the plan folds no active domain; with that fold the first plan
+   took 216 words per tuple at 20k tuples and 243 at 80k. *)
+let first_plan_words_per_tuple = 24.
+
+let test_first_plan () =
+  List.iter
+    (fun tuples ->
+      let w = Gen.scale_workload ~tuples () in
+      let d = w.Gen.d and ics = w.Gen.ics in
+      ignore (Semantics.Nullsat.check d ics);
+      let plan, first = Alloc.allocated (fun () -> Decompose.plan d ics) in
+      let _, check = Alloc.allocated (fun () -> Semantics.Nullsat.check d ics) in
+      let atoms = component_atoms plan and n = Instance.cardinal d in
+      let steady = (1.2 *. check) +. (plan_words_per_atom *. float_of_int atoms) in
+      Alcotest.(check bool)
+        (Printf.sprintf
+           "%d tuples: first plan %.0f words <= 1.2 x check %.0f + %.0f per atom x \
+            %d atoms + %.0f per tuple x %d tuples"
+           tuples first check plan_words_per_atom atoms first_plan_words_per_tuple n)
+        true
+        (first <= steady +. (first_plan_words_per_tuple *. float_of_int n)))
+    [ 20_000; 80_000 ]
+
+(* The closure costs its conflicts: heavier FD clusters add component
+   atoms, and the plan's words beyond its check grow with them, not with
+   the FD matches among them.  Every FD match over D is already a
+   violation of the check, so the closure joins no FD from an atom of D;
+   rejoining them cost 2.8k, 4.3k and 6.1k words per component atom at
+   weights 4, 8 and 12 (1.7k, 2.0k and 2.4k without). *)
+let test_closure_across_weight () =
+  let per_atom =
+    List.map
+      (fun weight ->
+        let w = Gen.clusters_workload ~weight ~padding:10 ~k:12 () in
+        let d = w.Gen.d and ics = w.Gen.ics in
+        let plan = Decompose.plan d ics in
+        let _, check = Alloc.allocated (fun () -> Semantics.Nullsat.check d ics) in
+        let _, words = Alloc.allocated (fun () -> Decompose.plan d ics) in
+        (weight, (words -. check) /. float_of_int (component_atoms plan)))
+      [ 4; 8; 12 ]
+  in
+  let lo = List.fold_left (fun m (_, x) -> min m x) infinity per_atom
+  and hi = List.fold_left (fun m (_, x) -> max m x) 0. per_atom in
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "(plan - check) words per component atom within 1.5x across weights (%s)"
+       (String.concat ", "
+          (List.map (fun (k, x) -> Printf.sprintf "weight %d: %.0f" k x) per_atom)))
+    true
+    (hi <= 1.5 *. lo)
+
 (* Per-component support: k independent clusters cost k times one
    cluster.  Each weighted cluster's r_t pvs are kept satisfied by its own
    T(a_i) alone, so every component carries one support atom and grounds
@@ -696,6 +802,8 @@ let () =
           Alcotest.test_case "clusters" `Quick test_plan_clusters;
           Alcotest.test_case "support atoms" `Quick test_plan_support_atoms;
           Alcotest.test_case "shared universe" `Quick test_components_share_universe;
+          Alcotest.test_case "denial reached through a candidate" `Quick
+            test_denial_through_candidate;
         ] );
       ( "differential",
         [
@@ -719,5 +827,8 @@ let () =
         [
           Alcotest.test_case "plan and recombine guard" `Quick test_allocation_guard;
           Alcotest.test_case "solve and plan linear in k" `Quick test_linear_in_k;
+          Alcotest.test_case "first plan follows the conflicts" `Quick test_first_plan;
+          Alcotest.test_case "closure words across FD weight" `Quick
+            test_closure_across_weight;
         ] );
     ]

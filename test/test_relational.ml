@@ -403,6 +403,25 @@ let prop_naive_differential_rebuilt =
            (Naive.union na (to_naive db'))
       && sign (Instance.compare da db') = sign (Naive.compare na (to_naive db')))
 
+(* Operands one atom apart whose segments differ: the merges of [compare]
+   and [subset] then walk a long common prefix of two segments and their
+   overlays before they can decide. *)
+let prop_naive_near_equal =
+  QCheck.Test.make ~name:"columnar = Naive oracle (near-equal rebuilt operands)"
+    ~count:300
+    (QCheck.triple script_arb (QCheck.make atom_gen) (QCheck.make atom_gen))
+    (fun (s, a, b) ->
+      let d, n = build_pair s in
+      let na = Naive.add a n and nb = Naive.remove b n in
+      let da = of_naive na and db = Instance.remove b (of_naive n) in
+      List.for_all
+        (fun (x, nx, y, ny) ->
+          sign (Instance.compare x y) = sign (Naive.compare nx ny)
+          && sign (Instance.compare y x) = sign (Naive.compare ny nx)
+          && Instance.subset x y = Naive.subset nx ny
+          && Instance.subset y x = Naive.subset ny nx)
+        [ (d, n, da, na); (d, n, db, nb); (da, na, db, nb) ])
+
 (* check_delta seeding aside, the index probes themselves must agree with
    a filter of the full scan — order included: segment postings ascending,
    then the extra overlay. *)
@@ -450,6 +469,40 @@ let test_compaction_crossing () =
   let resurrected = Instance.add (mk 1) (Instance.remove (mk 1) d) in
   Alcotest.(check bool) "remove/re-add roundtrip" true
     (Instance.equal d resurrected)
+
+(* A relation walk allocates the tuples it decodes, and nothing per row
+   beyond them: [arity + 1] words per row for [iter_rel], plus the
+   3-word atom per tuple for [fold], and a constant for the walk's
+   closures.  Here over S (12k rows of a 20k-tuple instance) and the
+   whole instance, with an overlay of added and deleted rows. *)
+let test_walk_allocation () =
+  let w = Workload.Gen.scale_workload ~tuples:20_000 () in
+  let d = w.Workload.Gen.d in
+  let rows = ref [] in
+  Instance.iter_rel d "S" (fun t -> rows := t :: !rows);
+  let d =
+    List.fold_left
+      (fun d t -> Instance.remove (Atom.of_tuple "S" t) d)
+      (List.fold_left
+         (fun d i -> Instance.add (Atom.make "S" [ vi (-i); vi i ]) d)
+         d [ 1; 2; 3 ])
+      (List.filteri (fun i _ -> i mod 1000 = 0) !rows)
+  in
+  let slack = 64. in
+  let n = Instance.rel_cardinal d "S" in
+  let _, words = Alloc.allocated (fun () -> Instance.iter_rel d "S" ignore) in
+  Alcotest.(check bool)
+    (Printf.sprintf "iter_rel over %d rows: %.0f words <= 3 per row + %.0f" n words slack)
+    true
+    (words <= (3. *. float_of_int n) +. slack);
+  let tuples = Instance.cardinal d in
+  let count, words = Alloc.allocated (fun () -> Instance.fold (fun _ k -> k + 1) d 0) in
+  Alcotest.(check int) "fold visits every tuple" tuples count;
+  Alcotest.(check bool)
+    (Printf.sprintf "fold over %d tuples: %.0f words <= 6 per tuple + %.0f" tuples words
+       slack)
+    true
+    (words <= (6. *. float_of_int tuples) +. slack)
 
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
@@ -511,11 +564,13 @@ let () =
       ( "columnar vs naive",
         Alcotest.test_case "compaction crossing" `Quick
           test_compaction_crossing
+        :: Alcotest.test_case "relation walk allocation" `Quick test_walk_allocation
         :: qcheck
              [
                prop_naive_differential;
                prop_naive_differential_binary;
                prop_naive_differential_rebuilt;
+               prop_naive_near_equal;
                prop_iter_matching;
              ] );
     ]
