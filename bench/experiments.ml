@@ -333,8 +333,8 @@ let e8 () =
         let w = Gen.fk_workload_det ~n_parent:np ~n_child:nc ~orphans:4 ~null_refs:1 () in
         let enum, t_enum =
           Table.time (fun () ->
-              try `Ok (List.length (Enumerate.repairs ~max_states:400_000 w.Gen.d w.Gen.ics))
-              with Enumerate.Budget_exceeded _ -> `Budget)
+              try `Ok (List.length (Enumerate.repairs w.Gen.d w.Gen.ics))
+              with Budget.Exhausted _ -> `Budget)
         in
         let prog, t_prog =
           Table.time (fun () -> List.length (engine_repairs w.Gen.d w.Gen.ics).Engine.repairs)
@@ -498,9 +498,8 @@ let e12 () =
         match Core.Proggen.repair_program w.Gen.d w.Gen.ics with
         | Error m -> [ w.Gen.label; "error: " ^ m ]
         | Ok pg ->
-            let ground = Asp.Grounder.ground pg.Core.Proggen.program in
-            let solvable =
-              if Asp.Hcf.is_hcf ground then Asp.Shift.ground ground else ground
+            let solvable, _ =
+              Asp.Shift.if_hcf (Asp.Grounder.ground pg.Core.Proggen.program)
             in
             let run support =
               let stats = Asp.Solver.new_stats () in

@@ -155,12 +155,7 @@ let repairs_cmd =
     let enumerate () =
       if decompose then
         Query.Cqa.repairs ?budget ~jobs ~method_:Query.Cqa.ModelTheoretic d ics
-      else
-        match Repair.Enumerate.repairs ?budget d ics with
-        | reps -> Ok reps
-        | exception Repair.Enumerate.Budget_exceeded n ->
-            Error (Budget.message (Budget.States n))
-        | exception Budget.Exhausted e -> Error (Budget.message e)
+      else Budget.guard (fun () -> Ok (Repair.Enumerate.repairs ?budget d ics))
     in
     let program () =
       if decompose then
@@ -168,7 +163,8 @@ let repairs_cmd =
       else Core.Engine.repairs ?budget d ics
     in
     let result =
-      if repd then Ok (Repair.Repd.repairs_d d ics)
+      if repd then
+        Budget.guard (fun () -> Ok (Repair.Repd.repairs_d ?budget d ics))
       else
         match engine with
         | `Enumerate -> enumerate ()
@@ -623,9 +619,7 @@ let solve_cmd =
             Fmt.epr "error: %s@." msg;
             1
         | ground -> (
-            let solvable =
-              if Asp.Hcf.is_hcf ground then Asp.Shift.ground ground else ground
-            in
+            let solvable, _ = Asp.Shift.if_hcf ground in
             let stats = Asp.Solver.new_stats () in
             let report () =
               if want_stats then begin
@@ -638,25 +632,24 @@ let solve_cmd =
                 Fmt.(list ~sep:(any ", ") Asp.Ground.pp_gatom)
                 atoms
             in
-            match mode with
-            | `Models ->
-                let models =
-                  Asp.Solver.stable_models_atoms ?limit ~stats solvable
-                in
+            match
+              match mode with
+              | `Models ->
+                  `Models (Asp.Solver.stable_models_atoms ?limit ~stats solvable)
+              | `Cautious -> `Atoms (Asp.Solver.cautious ~stats solvable)
+              | `Brave -> `Atoms (Asp.Solver.brave ~stats solvable)
+            with
+            | exception Budget.Exhausted e ->
+                report ();
+                Fmt.epr "error: %s@." (Budget.message e);
+                1
+            | `Models models ->
                 List.iter pp_atoms models;
                 Fmt.pr "%d stable model(s)@." (List.length models);
                 report ();
                 if models = [] then 1 else 0
-            | `Cautious ->
-                pp_atoms
-                  (List.map (Asp.Ground.atom_of solvable)
-                     (Asp.Solver.cautious ~stats solvable));
-                report ();
-                0
-            | `Brave ->
-                pp_atoms
-                  (List.map (Asp.Ground.atom_of solvable)
-                     (Asp.Solver.brave ~stats solvable));
+            | `Atoms atoms ->
+                pp_atoms (List.map (Asp.Ground.atom_of solvable) atoms);
                 report ();
                 0))
   in

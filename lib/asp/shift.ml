@@ -44,3 +44,5 @@ let ground g =
      the result eagerly so it is not charged to the first propagation *)
   ignore (Ground.index g');
   g'
+
+let if_hcf g = if Hcf.is_hcf g then (ground g, true) else (g, false)

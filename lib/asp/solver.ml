@@ -1,5 +1,3 @@
-exception Budget_exceeded of int
-
 type stats = {
   mutable decisions : int;
   mutable propagations : int;
@@ -324,11 +322,10 @@ let no_model_wanted = function Some l -> l <= 0 | None -> false
 
    Decisions made after every original clause is already satisfied merely
    complete the assignment with false (the reference search completes such
-   candidates for free), so they are not counted against [max_decisions]
-   or the budget. *)
+   candidates for free), so they are not counted against the per-search
+   cap or the budget. *)
 
-let stable_models ?budget ?limit ?(max_decisions = 10_000_000)
-    ?(support_propagation = true) ?stats g =
+let stable_models ?budget ?limit ?(support_propagation = true) ?stats g =
   let stats = match stats with Some s -> s | None -> new_stats () in
   let { Ground.idx_rules = rules; head_occ; pos_occ; neg_occ } = Ground.index g in
   let n = Ground.atom_count g in
@@ -644,8 +641,7 @@ let stable_models ?budget ?limit ?(max_decisions = 10_000_000)
              | `Decide (a, completion) ->
                  if not completion then begin
                    stats.decisions <- stats.decisions + 1;
-                   if stats.decisions > max_decisions then
-                     raise (Budget_exceeded max_decisions);
+                   Budget.check_search_decisions stats.decisions;
                    match budget with
                    | Some b -> Budget.tick_decision b
                    | None -> ()
@@ -694,8 +690,8 @@ let stable_models ?budget ?limit ?(max_decisions = 10_000_000)
    true atom's supporter list.  [rules_touched] counts those per-rule
    visits. *)
 
-let stable_models_naive ?budget ?limit ?(max_decisions = 10_000_000)
-    ?(support_propagation = true) ?stats g =
+let stable_models_naive ?budget ?limit ?(support_propagation = true) ?stats g
+    =
   let stats = match stats with Some s -> s | None -> new_stats () in
   let rules = Ground.rules g in
   let n = Ground.atom_count g in
@@ -848,8 +844,7 @@ let stable_models_naive ?budget ?limit ?(max_decisions = 10_000_000)
        | None -> record_candidate ()
        | Some i ->
            stats.decisions <- stats.decisions + 1;
-           if stats.decisions > max_decisions then
-             raise (Budget_exceeded max_decisions);
+           Budget.check_search_decisions stats.decisions;
            (match budget with Some b -> Budget.tick_decision b | None -> ());
            let mark2 = !trail in
            assign i fls;
@@ -865,15 +860,15 @@ let stable_models_naive ?budget ?limit ?(max_decisions = 10_000_000)
   (* deterministic order: sort models *)
   List.sort (List.compare Int.compare) !models
 
-let stable_models_atoms ?budget ?limit ?max_decisions ?stats g =
-  stable_models ?budget ?limit ?max_decisions ?stats g
+let stable_models_atoms ?budget ?limit ?stats g =
+  stable_models ?budget ?limit ?stats g
   |> List.map (fun m -> Ground.model_atoms g m)
 
 (* Cautious/brave consequences over the already-sorted model list, by set
    intersection/union instead of the quadratic List.mem filters. *)
 
-let cautious ?budget ?max_decisions ?stats g =
-  match stable_models ?budget ?max_decisions ?stats g with
+let cautious ?budget ?stats g =
+  match stable_models ?budget ?stats g with
   | [] -> []
   | m :: rest ->
       Iset.elements
@@ -881,8 +876,8 @@ let cautious ?budget ?max_decisions ?stats g =
            (fun acc model -> Iset.inter acc (Iset.of_list model))
            (Iset.of_list m) rest)
 
-let brave ?budget ?max_decisions ?stats g =
+let brave ?budget ?stats g =
   Iset.elements
     (List.fold_left
        (fun acc model -> Iset.union acc (Iset.of_list model))
-       Iset.empty (stable_models ?budget ?max_decisions ?stats g))
+       Iset.empty (stable_models ?budget ?stats g))

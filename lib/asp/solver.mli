@@ -35,8 +35,6 @@
     Atoms that occur in no rule head are fixed to false up front — they are
     unsupported in every stable model. *)
 
-exception Budget_exceeded of int
-
 type stats = {
   mutable decisions : int;       (** branch points explored *)
   mutable propagations : int;    (** literals forced by unit propagation *)
@@ -64,25 +62,24 @@ type stats = {
 }
 
 val stable_models :
-  ?budget:Budget.ctl -> ?limit:int -> ?max_decisions:int ->
+  ?budget:Budget.ctl -> ?limit:int ->
   ?support_propagation:bool -> ?stats:stats -> Ground.t -> int list list
 (** All stable models as sorted lists of atom ids; [limit] caps how many are
-    returned ([limit <= 0] returns [[]] without searching),
-    [max_decisions] (default [10_000_000]) bounds the search.  [budget] is
+    returned ([limit <= 0] returns [[]] without searching).  [budget] is
     the run-global budget: every decision also ticks it and every conflict
     checks the deadline, so a shared decision limit and the wall-clock
-    deadline are enforced across the stages of an engine run (the per-call
-    [max_decisions] bound remains local to this search).
+    deadline are enforced across the stages of an engine run; the
+    per-search cap {!Budget.search_decisions} bounds this search alone.
     [support_propagation] (default true) enables the supportedness
     propagation described above; disabling it is only useful for the
     ablation bench (table E12) — the result is identical, the search
     exponentially wider.
-    @raise Budget_exceeded when the local bound is hit.
-    @raise Budget.Exhausted when [budget] trips; public engine APIs catch
-    both and return [Error] — see {!Budget}. *)
+    @raise Budget.Exhausted when [budget] trips or the search makes more
+    than {!Budget.search_decisions} decisions; public engine APIs catch it
+    and return [Error] — see {!Budget}. *)
 
 val stable_models_naive :
-  ?budget:Budget.ctl -> ?limit:int -> ?max_decisions:int ->
+  ?budget:Budget.ctl -> ?limit:int ->
   ?support_propagation:bool -> ?stats:stats -> Ground.t -> int list list
 (** The sweep-based reference search: chronological DPLL with a full
     rule-array re-scan per propagation pass and supporter-list
@@ -92,8 +89,8 @@ val stable_models_naive :
     on any production path. *)
 
 val stable_models_atoms :
-  ?budget:Budget.ctl -> ?limit:int -> ?max_decisions:int -> ?stats:stats ->
-  Ground.t -> Ground.gatom list list
+  ?budget:Budget.ctl -> ?limit:int -> ?stats:stats -> Ground.t ->
+  Ground.gatom list list
 (** {!stable_models} with atoms resolved, each model sorted. *)
 
 val is_stable_model : Ground.t -> int list -> bool
@@ -108,16 +105,12 @@ val pp_search_stats : stats Fmt.t
     [conflicts=… learned=… restarts=… backjump_len=… phase_saved=…]
     (all zero after a {!stable_models_naive} run). *)
 
-val cautious :
-  ?budget:Budget.ctl -> ?max_decisions:int -> ?stats:stats -> Ground.t ->
-  int list
+val cautious : ?budget:Budget.ctl -> ?stats:stats -> Ground.t -> int list
 (** Atoms true in every stable model, ascending (empty if there is no
     stable model — by convention of cautious reasoning over an inconsistent
     program every atom is a consequence, but the repair setting guarantees
     models whenever [IC] is non-conflicting, so we return the intersection
     of an empty family as the empty list and let callers decide). *)
 
-val brave :
-  ?budget:Budget.ctl -> ?max_decisions:int -> ?stats:stats -> Ground.t ->
-  int list
+val brave : ?budget:Budget.ctl -> ?stats:stats -> Ground.t -> int list
 (** Atoms true in at least one stable model, ascending. *)

@@ -9,6 +9,9 @@ let unlimited = { max_decisions = None; max_states = None; timeout_ms = None }
 let make ?max_decisions ?max_states ?timeout_ms () =
   { max_decisions; max_states; timeout_ms }
 
+let search_states = 200_000
+let search_decisions = 10_000_000
+
 type exhausted = Decisions of int | States of int | Deadline of int
 
 let message = function
@@ -163,6 +166,12 @@ let finish t = Atomic.set t.sink.elapsed_ms (elapsed_ms t)
 let exhaust t e =
   finish t;
   raise (Exhausted e)
+
+let check_search_states n =
+  if n > search_states then raise (Exhausted (States search_states))
+
+let check_search_decisions n =
+  if n > search_decisions then raise (Exhausted (Decisions search_decisions))
 
 let check_deadline t =
   match t.deadline with

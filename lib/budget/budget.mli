@@ -6,7 +6,9 @@
     limit of the model-theoretic repair search ({!Repair.Enumerate}), the
     decision limit of the stable-model solver ({!Asp.Solver}) and a
     wall-clock deadline, and a running {!ctl} carries the limits together
-    with per-stage consumption counters ({!stats}).
+    with per-stage consumption counters ({!stats}).  Two fixed per-search
+    caps ({!search_states}, {!search_decisions}) stop a single search
+    that no limit bounds.
 
     The contract with the engines is:
 
@@ -45,6 +47,17 @@ val unlimited : limits
 val make :
   ?max_decisions:int -> ?max_states:int -> ?timeout_ms:int -> unit -> limits
 (** Omitted fields are unlimited. *)
+
+val search_states : int
+(** [200_000] states: the cap of one repair search
+    ({!Repair.Enumerate.search}), budget or not.  Per search, so a
+    decomposed run caps each component alone and [--jobs] cannot move
+    where it trips.  Not settable: {!limits} is the only limit a caller
+    sets. *)
+
+val search_decisions : int
+(** [10_000_000] decisions: the cap of one stable-model search
+    ({!Asp.Solver.stable_models}), per search like {!search_states}. *)
 
 type exhausted =
   | Decisions of int  (** the decision limit that was hit *)
@@ -183,6 +196,13 @@ val tick_decision : ctl -> unit
 val tick_state : ctl -> unit
 (** Count one repair-search state; checks the state limit and the
     deadline.  @raise Exhausted when either is hit. *)
+
+val check_search_states : int -> unit
+(** [check_search_states n] for a search that has explored [n] states.
+    @raise Exhausted with [States search_states] past the cap. *)
+
+val check_search_decisions : int -> unit
+(** The same for a search that has made [n] decisions. *)
 
 val check_deadline : ctl -> unit
 (** Deadline check alone — for loops with no natural counter (grounder

@@ -8,8 +8,7 @@
     decomposed pipeline, which plans, merges and recombines.
 
     Every entry point returns [Error] on budget exhaustion — the grounder's
-    and solver's budget exceptions ({!Budget.Exhausted},
-    {!Asp.Solver.Budget_exceeded}) are caught here and never escape. *)
+    and solver's {!Budget.Exhausted} is caught here and never escapes. *)
 
 type report = {
   repairs : Relational.Instance.t list;
@@ -27,21 +26,19 @@ val run :
   ?variant:Proggen.variant ->
   ?shift:bool ->
   ?budget:Budget.ctl ->
-  ?max_decisions:int ->
   Relational.Instance.t ->
   Ic.Constr.t list ->
   (report, string) result
 (** [shift] defaults to true: the ground program is shifted to a normal one
-    whenever it is HCF (Section 6); pass false to always solve the
-    disjunctive program directly (used by bench table E4).  The stable
-    models come from {!Asp.Solver.stable_models}.
+    whenever it is HCF (Section 6, {!Asp.Shift.if_hcf}); pass false to
+    always solve the disjunctive program directly (used by bench table
+    E4).  The stable models come from {!Asp.Solver.stable_models}.
     [budget] bounds grounding and solving under the shared run budget
-    (decision limit and wall-clock deadline); exhaustion of either it or
-    [max_decisions] yields [Error], never an exception. *)
+    (decision limit and wall-clock deadline); exhaustion of it or of the
+    solver's per-search cap yields [Error], never an exception. *)
 
 val solve_component :
   ?budget:Budget.ctl ->
-  ?max_decisions:int ->
   Repair.Decompose.component ->
   Relational.Instance.t list Repair.Decompose.solved
 (** Generate, ground and solve one component's repair program
@@ -60,7 +57,6 @@ type components_result = {
 
 val solve_components :
   ?budget:Budget.ctl ->
-  ?max_decisions:int ->
   ?jobs:int ->
   Repair.Decompose.plan ->
   (components_result, string) result
@@ -74,7 +70,6 @@ val solve_components :
 val repairs :
   ?variant:Proggen.variant ->
   ?budget:Budget.ctl ->
-  ?max_decisions:int ->
   Relational.Instance.t ->
   Ic.Constr.t list ->
   (Relational.Instance.t list, string) result

@@ -31,13 +31,6 @@ let cannot_decompose =
    per-component repairs to recombine; use the model-theoretic or \
    logic-program engine with ~decompose, or drop ~decompose"
 
-let enumerated_repairs ?budget ?max_effort d ics =
-  match Repair.Enumerate.repairs ?budget ?max_states:max_effort d ics with
-  | reps -> Ok reps
-  | exception Repair.Enumerate.Budget_exceeded n ->
-      Error (Budget.message (Budget.States n))
-  | exception Budget.Exhausted e -> Error (Budget.message e)
-
 let outcome_of_answer_sets ?exhausted standard repair_count answer_sets =
   let consistent =
     match answer_sets with
@@ -234,17 +227,17 @@ let factorized_outcome ?semantics ?(jobs = 1) ?states ?exhausted ~plan
    Every enumeration is tagged [Enumerated], so the entries a session
    caches under one key agree on their tier whichever method solved
    them. *)
-let solve_component ?budget ?max_effort method_ (plan : Decompose.plan) c =
+let solve_component ?budget method_ (plan : Decompose.plan) c =
   let enumerate () =
     Decompose.map_solved
       (fun (minimal, states, _) ->
         { minimal; states = Some states; tier = Some Budget.Enumerated })
-      (Repair.Enumerate.solve_component ?budget ?max_states:max_effort plan c)
+      (Repair.Enumerate.solve_component ?budget plan c)
   in
   let program tier =
     Decompose.map_solved
       (fun minimal -> { minimal; states = None; tier })
-      (Core.Engine.solve_component ?budget ?max_decisions:max_effort c)
+      (Core.Engine.solve_component ?budget c)
   in
   match method_ with
   | Auto when plan.Decompose.product_exact -> (
@@ -268,24 +261,20 @@ let solve_component ?budget ?max_effort method_ (plan : Decompose.plan) c =
 (* Solve memos.
 
    A solve step can go through a store of solved components, probed and
-   filled by key.  A key names the strategy and the effort bound, then
-   digests what the solve reads.  An exact [Auto] plan keys a component by
-   its shape ({!Decompose.shape_key}), so isomorphic components share one
-   solve: a hit carries the stored results over to the asking component
-   through the renaming between the two keys' constants.  Every other
-   component, and the monolithic program, is keyed by content, which
-   renames nothing. *)
-
-let effort_tag = function None -> "-" | Some n -> string_of_int n
+   filled by key.  A key names the strategy, then digests what the solve
+   reads.  An exact [Auto] plan keys a component by its shape
+   ({!Decompose.shape_key}), so isomorphic components share one solve: a
+   hit carries the stored results over to the asking component through
+   the renaming between the two keys' constants.  Every other component,
+   and the monolithic program, is keyed by content, which renames
+   nothing. *)
 
 (* The key of one component's solve; [None] leaves it unmemoized.  With
    [shapes_only] only shape keys memoize: within one request no two
    components have the same content, so a content key could never hit,
    and on a large instance its universe digest is not free. *)
-let component_key ~shapes_only ?max_effort method_ (plan : Decompose.plan) c =
-  let key tag id constants =
-    Some (Printf.sprintf "%s:%s:%s" tag (effort_tag max_effort) id, constants)
-  in
+let component_key ~shapes_only method_ (plan : Decompose.plan) c =
+  let key tag id constants = Some (tag ^ ":" ^ id, constants) in
   let content tag id = if shapes_only then None else key tag (id ()) [||] in
   let with_universe () =
     Decompose.fingerprint ~universe:plan.Decompose.universe
@@ -304,7 +293,7 @@ let component_key ~shapes_only ?max_effort method_ (plan : Decompose.plan) c =
 
 (* The monolithic program reads the whole instance: its key is the
    content of the instance as one component. *)
-let whole_key ?max_effort d ics =
+let whole_key d ics =
   let whole =
     {
       Decompose.atoms = Relational.Atom.Set.empty;
@@ -313,10 +302,7 @@ let whole_key ?max_effort d ics =
       ics;
     }
   in
-  Some
-    ( Printf.sprintf "mono:%s:%s" (effort_tag max_effort)
-        (Decompose.fingerprint whole),
-      [||] )
+  Some ("mono:" ^ Decompose.fingerprint whole, [||])
 
 (* A hit's results carried from the component that solved them to the
    asking one: renamed and re-sorted, which is exactly what the asking
@@ -361,7 +347,7 @@ let request_store () =
 (* The logic-program engine yields only minimal repairs, which do not
    recombine exactly on an inexact plan: it solves the whole instance
    instead, and says so in the stats instead of degrading invisibly. *)
-let whole_repairs ?budget ?max_effort ?store d ics =
+let whole_repairs ?budget ?store d ics =
   (match budget with
   | Some b ->
       Budget.note_degraded b ~stage:"decompose"
@@ -370,9 +356,9 @@ let whole_repairs ?budget ?max_effort ?store d ics =
   | None -> ());
   match
     memoized store
-      (fun () -> whole_key ?max_effort d ics)
+      (fun () -> whole_key d ics)
       (fun () ->
-        match Core.Engine.repairs ?budget ?max_decisions:max_effort d ics with
+        match Core.Engine.repairs ?budget d ics with
         | Ok minimal -> Decompose.Solved { minimal; states = None; tier = None }
         | Error msg -> Decompose.Failed msg)
   with
@@ -385,8 +371,7 @@ let whole_repairs ?budget ?max_effort ?store d ics =
    keyed by shape only; the other methods solve every component, as the
    reference oracles of that path.  The kept results' tiers are counted
    here, once, so a memoized solve counts exactly like a fresh one. *)
-let solve_plan ?budget ?max_effort ?jobs ?store method_ (plan : Decompose.plan)
-    =
+let solve_plan ?budget ?jobs ?store method_ (plan : Decompose.plan) =
   (match (budget, method_, plan.Decompose.product_exact) with
   | Some b, Auto, false ->
       Budget.note_degraded b ~stage:"route"
@@ -406,8 +391,8 @@ let solve_plan ?budget ?max_effort ?jobs ?store method_ (plan : Decompose.plan)
   in
   let solve c =
     memoized store
-      (fun () -> component_key ~shapes_only ?max_effort method_ plan c)
-      (fun () -> solve_component ?budget ?max_effort method_ plan c)
+      (fun () -> component_key ~shapes_only method_ plan c)
+      (fun () -> solve_component ?budget method_ plan c)
   in
   Result.map
     (fun ((results, kept, _) as merged) ->
@@ -427,8 +412,8 @@ let states_of (plan : Decompose.plan) results =
   if plan.Decompose.product_exact then None
   else Some (List.map (fun e -> Option.get e.states) results)
 
-let outcome_of_plan ?semantics ?budget ?max_effort ?(jobs = 1) ?store
-    ~method_ ~standard ~plan d ics q =
+let outcome_of_plan ?semantics ?budget ?(jobs = 1) ?store ~method_ ~standard
+    ~plan d ics q =
   match plan.Decompose.components with
   | [] ->
       (* consistent instance: the only repair is D itself *)
@@ -443,9 +428,9 @@ let outcome_of_plan ?semantics ?budget ?max_effort ?(jobs = 1) ?store
   | _ when (not plan.Decompose.product_exact) && method_ = LogicProgram ->
       Result.map
         (outcome_of_repairs ?semantics ~standard q)
-        (whole_repairs ?budget ?max_effort ?store d ics)
+        (whole_repairs ?budget ?store d ics)
   | _ ->
-      Result.bind (solve_plan ?budget ?max_effort ~jobs ?store method_ plan)
+      Result.bind (solve_plan ?budget ~jobs ?store method_ plan)
         (fun (results, kept, exhausted) ->
           match exhausted with
           | Some e when kept = 0 ->
@@ -458,14 +443,13 @@ let outcome_of_plan ?semantics ?budget ?max_effort ?(jobs = 1) ?store
                    ~minimal:(List.map (fun e -> e.minimal) results)
                    ~standard q))
 
-let repairs_of_plan ?budget ?max_effort ?(jobs = 1) ?store ~method_ ~plan d
-    ics =
+let repairs_of_plan ?budget ?(jobs = 1) ?store ~method_ ~plan d ics =
   match plan.Decompose.components with
   | [] -> Ok [ d ]
   | _ when (not plan.Decompose.product_exact) && method_ = LogicProgram ->
-      whole_repairs ?budget ?max_effort ?store d ics
+      whole_repairs ?budget ?store d ics
   | _ ->
-      Result.bind (solve_plan ?budget ?max_effort ~jobs ?store method_ plan)
+      Result.bind (solve_plan ?budget ~jobs ?store method_ plan)
         (fun (results, _, exhausted) ->
           match exhausted with
           | Some e ->
@@ -477,12 +461,12 @@ let repairs_of_plan ?budget ?max_effort ?(jobs = 1) ?store ~method_ ~plan d
                    ~minimal:(List.map (fun e -> e.minimal) results)
                    (states_of plan results)))
 
-let repairs ?budget ?max_effort ?jobs ~method_ d ics =
+let repairs ?budget ?jobs ~method_ d ics =
   match Decompose.plan ?budget d ics with
   | exception Budget.Exhausted e -> Error (Budget.message e)
-  | plan -> repairs_of_plan ?budget ?max_effort ?jobs ~method_ ~plan d ics
+  | plan -> repairs_of_plan ?budget ?jobs ~method_ ~plan d ics
 
-let consistent_answers ?(method_ = LogicProgram) ?semantics ?budget ?max_effort
+let consistent_answers ?(method_ = LogicProgram) ?semantics ?budget
     ?(decompose = false) ?jobs d ics q =
   let standard () = Qeval.answers ?semantics d q in
   match method_ with
@@ -497,15 +481,15 @@ let consistent_answers ?(method_ = LogicProgram) ?semantics ?budget ?max_effort
             repair_count = o.Progcqa.stable_models;
             exhausted = None;
           })
-        (Progcqa.consistent_answers ?budget ?max_decisions:max_effort d ics q)
+        (Progcqa.consistent_answers ?budget d ics q)
   | ModelTheoretic when not decompose ->
       Result.map
         (fun reps -> outcome_of_repairs ?semantics ~standard:(standard ()) q reps)
-        (enumerated_repairs ?budget ?max_effort d ics)
+        (Budget.guard (fun () -> Ok (Repair.Enumerate.repairs ?budget d ics)))
   | LogicProgram when not decompose ->
       Result.map
         (fun reps -> outcome_of_repairs ?semantics ~standard:(standard ()) q reps)
-        (Core.Engine.repairs ?budget ?max_decisions:max_effort d ics)
+        (Core.Engine.repairs ?budget d ics)
   | ModelTheoretic | LogicProgram | Auto -> (
       (* routing always decomposes (per-component verdicts): ~decompose is
          implied for Auto *)
@@ -513,16 +497,15 @@ let consistent_answers ?(method_ = LogicProgram) ?semantics ?budget ?max_effort
       match Decompose.plan ?budget d ics with
       | exception Budget.Exhausted e -> Error (Budget.message e)
       | plan ->
-          outcome_of_plan ?semantics ?budget ?max_effort ?jobs ~method_
-            ~standard ~plan d ics q)
+          outcome_of_plan ?semantics ?budget ?jobs ~method_ ~standard ~plan d
+            ics q)
 
-let certain ?method_ ?semantics ?budget ?max_effort ?decompose ?jobs d ics q =
+let certain ?method_ ?semantics ?budget ?decompose ?jobs d ics q =
   if not (Qsyntax.is_boolean q) then Error "certain: query has head variables"
   else
     Result.map
       (fun o -> Tuple.Set.mem (Tuple.make []) o.consistent)
-      (consistent_answers ?method_ ?semantics ?budget ?max_effort ?decompose
-         ?jobs d ics
+      (consistent_answers ?method_ ?semantics ?budget ?decompose ?jobs d ics
          { q with Qsyntax.head = [] })
 
 (* An answer set in the syntax of [Tuple.pp] lists, "{(a, b), (c, null)}",

@@ -57,20 +57,18 @@ val consistent_answers :
   ?method_:method_ ->
   ?semantics:Qeval.semantics ->
   ?budget:Budget.ctl ->
-  ?max_effort:int ->
   ?decompose:bool ->
   ?jobs:int ->
   Relational.Instance.t ->
   Ic.Constr.t list ->
   Qsyntax.t ->
   (outcome, string) result
-(** [max_effort] bounds the repair search (states for the model-theoretic
-    engine, solver decisions for the logic-program and cautious engines;
-    per component when decomposing).  [budget] is the shared run budget
-    ({!Budget.start}): its limits and wall-clock deadline are enforced
-    across grounding, solving and state search, and its [stats] record the
-    per-stage counters.  Exhaustion never escapes as an exception: it is an
-    [Error], or on decomposed runs a partial outcome (see [exhausted]).
+(** [budget] is the shared run budget ({!Budget.start}): its limits and
+    wall-clock deadline are enforced across grounding, solving and state
+    search, and its [stats] record the per-stage counters.  Exhaustion,
+    of it or of a search's per-search cap, never escapes as an exception:
+    it is an [Error], or on decomposed runs a partial outcome (see
+    [exhausted]).
 
     [decompose] (default [false]) repairs each conflict component of
     {!Repair.Decompose} independently and factorizes the answer
@@ -164,8 +162,8 @@ type store = {
     [find] and [add] may run on pool workers.
 
     Keys name the strategy ([auto], [enum], [prog], or [mono] for the
-    monolithic program) and the effort bound, then digest everything the
-    solve reads.  An exact [Auto] plan keys a component by its shape
+    monolithic program), then digest everything the solve reads.  An
+    exact [Auto] plan keys a component by its shape
     ({!Repair.Decompose.shape_key}), falling back to its content with the
     universe; [ModelTheoretic], and [Auto] on an inexact plan, by content
     with the universe; [LogicProgram] by content alone.  A hit on a shape
@@ -176,7 +174,6 @@ type store = {
 val outcome_of_plan :
   ?semantics:Qeval.semantics ->
   ?budget:Budget.ctl ->
-  ?max_effort:int ->
   ?jobs:int ->
   ?store:store ->
   method_:method_ ->
@@ -212,7 +209,6 @@ val outcome_of_plan :
 
 val repairs_of_plan :
   ?budget:Budget.ctl ->
-  ?max_effort:int ->
   ?jobs:int ->
   ?store:store ->
   method_:method_ ->
@@ -227,7 +223,6 @@ val repairs_of_plan :
 
 val repairs :
   ?budget:Budget.ctl ->
-  ?max_effort:int ->
   ?jobs:int ->
   method_:method_ ->
   Relational.Instance.t ->
@@ -246,7 +241,6 @@ val certain :
   ?method_:method_ ->
   ?semantics:Qeval.semantics ->
   ?budget:Budget.ctl ->
-  ?max_effort:int ->
   ?decompose:bool ->
   ?jobs:int ->
   Relational.Instance.t ->

@@ -178,7 +178,7 @@ let answers_in_model model =
       else None)
     model
 
-let consistent_answers ?variant ?budget ?max_decisions d ics (q : Qsyntax.t) =
+let consistent_answers ?variant ?budget d ics (q : Qsyntax.t) =
   let* () =
     if Ic.Depgraph.is_ric_acyclic ics then Ok ()
     else
@@ -189,18 +189,13 @@ let consistent_answers ?variant ?budget ?max_decisions d ics (q : Qsyntax.t) =
   let* pg = Core.Proggen.repair_program ?variant d ics in
   let* query_rules = compile pg.Core.Proggen.names q in
   let program = pg.Core.Proggen.program @ query_rules in
-  (* grounding and solving both consume budget; exhaustion of either the
-     local [max_decisions] or the shared [budget] is an [Error] here, never
+  (* grounding and solving both consume budget; exhaustion of the shared
+     [budget] or of the solver's per-search cap is an [Error] here, never
      an escaping exception *)
   match
     let ground = Asp.Grounder.ground ?budget program in
-    let solvable =
-      if Asp.Hcf.is_hcf ground then Asp.Shift.ground ground else ground
-    in
-    Asp.Solver.stable_models_atoms ?budget ?max_decisions solvable
+    Asp.Solver.stable_models_atoms ?budget (fst (Asp.Shift.if_hcf ground))
   with
-  | exception Asp.Solver.Budget_exceeded n ->
-      Error (Budget.message (Budget.Decisions n))
   | exception Budget.Exhausted e -> Error (Budget.message e)
   | [] -> Error "the repair program has no stable models (conflicting ICs?)"
   | models ->
@@ -217,9 +212,9 @@ let consistent_answers ?variant ?budget ?max_decisions d ics (q : Qsyntax.t) =
       in
       Ok { consistent; possible; stable_models = List.length models }
 
-let certain ?variant ?budget ?max_decisions d ics q =
+let certain ?variant ?budget d ics q =
   if not (Qsyntax.is_boolean q) then Error "certain: query has head variables"
   else
     Result.map
       (fun o -> Relational.Tuple.Set.mem (Relational.Tuple.make []) o.consistent)
-      (consistent_answers ?variant ?budget ?max_decisions d ics q)
+      (consistent_answers ?variant ?budget d ics q)

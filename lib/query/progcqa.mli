@@ -32,19 +32,17 @@ type outcome = {
 val consistent_answers :
   ?variant:Core.Proggen.variant ->
   ?budget:Budget.ctl ->
-  ?max_decisions:int ->
   Relational.Instance.t ->
   Ic.Constr.t list ->
   Qsyntax.t ->
   (outcome, string) result
 (** [budget] bounds grounding and solving under the shared run budget;
-    exhaustion of it or of the local [max_decisions] yields [Error], never
-    an exception. *)
+    exhaustion of it or of the solver's per-search cap yields [Error],
+    never an exception. *)
 
 val certain :
   ?variant:Core.Proggen.variant ->
   ?budget:Budget.ctl ->
-  ?max_decisions:int ->
   Relational.Instance.t ->
   Ic.Constr.t list ->
   Qsyntax.t ->

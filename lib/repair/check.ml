@@ -23,10 +23,10 @@ let necessary_conditions ~d ~ics d' =
            "value %a lies outside adom(D) ∪ const(IC) ∪ {null} (Proposition 1)"
            Value.pp v)
 
-let explain ?max_states ~d ~ics d' =
+let explain ~d ~ics d' =
   let ( let* ) = Result.bind in
   let* () = necessary_conditions ~d ~ics d' in
-  let reps = Enumerate.repairs ?max_states d ics in
+  let reps = Enumerate.repairs d ics in
   if List.exists (Instance.equal d') reps then Ok ()
   else
     match List.find_opt (fun r -> Order.lt ~d r d') reps with
@@ -40,5 +40,4 @@ let explain ?max_states ~d ~ics d' =
              "consistent but not a repair: not reachable as a <=_D-minimal \
               consistent instance of D")
 
-let is_repair ?max_states ~d ~ics d' =
-  Result.is_ok (explain ?max_states ~d ~ics d')
+let is_repair ~d ~ics d' = Result.is_ok (explain ~d ~ics d')

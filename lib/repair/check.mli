@@ -14,14 +14,12 @@ val necessary_conditions :
     carries the reason for rejection. *)
 
 val is_repair :
-  ?max_states:int ->
   d:Relational.Instance.t ->
   ics:Ic.Constr.t list ->
   Relational.Instance.t ->
   bool
 
 val explain :
-  ?max_states:int ->
   d:Relational.Instance.t ->
   ics:Ic.Constr.t list ->
   Relational.Instance.t ->

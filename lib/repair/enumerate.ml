@@ -2,8 +2,6 @@ module Atom = Relational.Atom
 module Instance = Relational.Instance
 module Nullsat = Semantics.Nullsat
 
-exception Budget_exceeded of int
-
 type action = Actions.action = Delete of Atom.t | Insert of Atom.t
 
 let pp_action = Actions.pp_action
@@ -15,8 +13,7 @@ module Iset = Set.Make (struct
   let compare = Instance.compare
 end)
 
-let search ?budget ?(max_states = 200_000) ?universe ?nnc_positions ?explored d
-    ics =
+let search ?budget ?universe ?nnc_positions ?explored d ics =
   (* The universe and NNC positions are instance-global (Proposition 1):
      per-component sub-searches receive the full instance's, already
      computed once by the planner, instead of refolding the active domain
@@ -41,7 +38,7 @@ let search ?budget ?(max_states = 200_000) ?universe ?nnc_positions ?explored d
     if not (Iset.mem state !seen) then begin
       seen := Iset.add state !seen;
       incr count;
-      if !count > max_states then raise (Budget_exceeded max_states);
+      Budget.check_search_states !count;
       (match budget with Some b -> Budget.tick_state b | None -> ());
       match List.concat_map snd per_ic with
       | [] -> consistent := state :: !consistent
@@ -78,18 +75,17 @@ let search ?budget ?(max_states = 200_000) ?universe ?nnc_positions ?explored d
   explore d (List.map (fun ic -> (ic, Nullsat.violations d ic)) ics);
   List.rev !consistent
 
-let repairs ?budget ?max_states d ics =
-  Order.minimal_among ~d (search ?budget ?max_states d ics)
+let repairs ?budget d ics = Order.minimal_among ~d (search ?budget d ics)
 
 (* ------------------------------------------------------------------ *)
 (* One conflict component (see Decompose) *)
 
-let solve_component ?budget ?max_states (plan : Decompose.plan)
-    (c : Decompose.component) =
+let solve_component ?budget (plan : Decompose.plan) (c : Decompose.component)
+    =
   let base = Decompose.base c in
   let explored = ref 0 in
   match
-    search ?budget ?max_states ~universe:plan.Decompose.universe
+    search ?budget ~universe:plan.Decompose.universe
       ~nnc_positions:plan.Decompose.nnc_positions ~explored base
       c.Decompose.ics
   with
@@ -99,5 +95,4 @@ let solve_component ?budget ?max_states (plan : Decompose.plan)
          component's states against its own base replaces the cross
          product's quadratic filter by per-component ones. *)
       Decompose.Solved (Order.minimal_among ~d:base states, states, !explored)
-  | exception Budget_exceeded n -> Decompose.Tripped (Budget.States n)
   | exception Budget.Exhausted e -> Decompose.Tripped e

@@ -25,8 +25,6 @@
     repairs by cross product, so k independent conflict clusters cost the
     {e sum} of their searches instead of the product. *)
 
-exception Budget_exceeded of int
-
 type action = Actions.action =
   | Delete of Relational.Atom.t
   | Insert of Relational.Atom.t
@@ -44,7 +42,6 @@ val fixes :
 
 val search :
   ?budget:Budget.ctl ->
-  ?max_states:int ->
   ?universe:Relational.Value.t list ->
   ?nnc_positions:(string * int) list ->
   ?explored:int ref ->
@@ -61,28 +58,24 @@ val search :
     [budget] is the run-global budget: every state also ticks it, so a
     shared state limit and the wall-clock deadline are enforced across the
     per-component searches of one run.
-    @raise Budget_exceeded when more than [max_states] (default [200_000])
-    distinct states are explored.
-    @raise Budget.Exhausted when [budget] trips; public engine APIs catch
-    both and return [Error] — see {!Budget}. *)
+    @raise Budget.Exhausted when [budget] trips, or with
+    [States Budget.search_states] when more distinct states than that are
+    explored; public engine APIs catch it and return [Error] — see
+    {!Budget}. *)
 
 val repairs :
   ?budget:Budget.ctl ->
-  ?max_states:int ->
   Relational.Instance.t ->
   Ic.Constr.t list ->
   Relational.Instance.t list
 (** [Rep(D, IC)]: the [<=_D]-minimal states of {!search}.  Deterministic
     order.  A consistent [D] yields [[D]].
-    @raise Budget_exceeded when more than [max_states] (default [200_000])
-    distinct states are explored.
-    @raise Budget.Exhausted when [budget] trips; this function promises the
+    @raise Budget.Exhausted as {!search} does; this function promises the
     full repair set and cannot degrade gracefully — the engines of
     {!Query.Cqa} return partial outcomes. *)
 
 val solve_component :
   ?budget:Budget.ctl ->
-  ?max_states:int ->
   Decompose.plan ->
   Decompose.component ->
   (Relational.Instance.t list * Relational.Instance.t list * int)
@@ -90,6 +83,6 @@ val solve_component :
 (** One component's search from its {!Decompose.base}, over the plan's
     universe and NNC positions: its locally [<=_D]-minimal repairs, all its
     consistent states and the number of states explored, or the budget
-    trip ([max_states] applies to this one search).  It counts no
+    trip ({!Budget.search_states} applies to this one search).  It counts no
     component: {!Decompose.solve} does, for the results it keeps.  The
     model-theoretic solver of {!Query.Cqa}'s decomposed pipeline. *)

@@ -21,8 +21,8 @@ let conflicting_nncs ics =
             ics)
     ics
 
-let repairs_d ?max_states d ics =
-  let reps = Enumerate.repairs ?max_states d ics in
+let repairs_d ?budget d ics =
+  let reps = Enumerate.repairs ?budget d ics in
   match conflicting_nncs ics with
   | [] -> reps
   | conflicting ->
@@ -31,7 +31,7 @@ let repairs_d ?max_states d ics =
           (fun ic -> not (List.exists (Ic.Constr.equal ic) conflicting))
           ics
       in
-      let reps' = Enumerate.repairs ?max_states d ic' in
+      let reps' = Enumerate.repairs ?budget d ic' in
       List.filter
         (fun r -> not (List.exists (fun r' -> Order.lt ~d r' r) reps'))
         reps

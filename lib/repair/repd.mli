@@ -13,9 +13,10 @@ val conflicting_nncs : Ic.Constr.t list -> Ic.Constr.t list
     constraint of form (1). *)
 
 val repairs_d :
-  ?max_states:int ->
+  ?budget:Budget.ctl ->
   Relational.Instance.t ->
   Ic.Constr.t list ->
   Relational.Instance.t list
 (** [Rep_d(D, IC)] = repairs of [IC] not strictly beaten by any repair of
-    [IC] minus its conflicting NNCs. *)
+    [IC] minus its conflicting NNCs.  Both searches run under [budget].
+    @raise Budget.Exhausted as {!Enumerate.repairs} does. *)

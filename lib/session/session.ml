@@ -16,7 +16,7 @@ let method_of = function
    with the session id that solved them, so a hit on another session's
    entry — the payoff of promoting the cache process-global — is counted
    separately ([cross_hits]).  The keys are {!Query.Cqa}'s solve keys
-   (strategy + effort + shape or content digest): they name everything a
+   (strategy + shape or content digest): they name everything a
    solve reads, so sharing is sound — two sessions producing the same key
    would solve to the same entry, up to the renaming the entry carries.
    Thread-safety comes from {!Lru} (every operation is mutex-guarded) and
@@ -106,7 +106,6 @@ type stats = {
 type t = {
   engine : engine;
   jobs : int;
-  max_effort : int option;
   ics : Ic.Constr.t list;
   sid : int;  (* owner tag for cache entries *)
   cache : Cache.t;  (* private by default, shared under a server *)
@@ -129,8 +128,8 @@ type t = {
   s_misses : int Atomic.t;
 }
 
-let create ?(engine = Program) ?(jobs = 1) ?max_effort ?(capacity = 256)
-    ?cache ?violations d ics =
+let create ?(engine = Program) ?(jobs = 1) ?(capacity = 256) ?cache
+    ?violations d ics =
   let cache =
     match cache with Some c -> c | None -> Cache.create ~capacity
   in
@@ -138,7 +137,6 @@ let create ?(engine = Program) ?(jobs = 1) ?max_effort ?(capacity = 256)
   {
     engine;
     jobs;
-    max_effort;
     ics;
     sid = Atomic.fetch_and_add next_sid 1;
     cache;
@@ -264,16 +262,15 @@ let store t =
 let repairs ?budget t =
   t.requests <- t.requests + 1;
   with_plan ?budget t (fun plan ->
-      Cqa.repairs_of_plan ?budget ?max_effort:t.max_effort ~jobs:t.jobs
-        ~store:(store t) ~method_:(method_of t.engine) ~plan t.d t.ics)
+      Cqa.repairs_of_plan ?budget ~jobs:t.jobs ~store:(store t)
+        ~method_:(method_of t.engine) ~plan t.d t.ics)
 
 let cqa ?budget ?semantics t q =
   t.requests <- t.requests + 1;
   let standard = Query.Qeval.answers ?semantics t.d q in
   with_plan ?budget t (fun plan ->
-      Cqa.outcome_of_plan ?semantics ?budget ?max_effort:t.max_effort
-        ~jobs:t.jobs ~store:(store t) ~method_:(method_of t.engine)
-        ~standard ~plan t.d t.ics q)
+      Cqa.outcome_of_plan ?semantics ?budget ~jobs:t.jobs ~store:(store t)
+        ~method_:(method_of t.engine) ~standard ~plan t.d t.ics q)
 
 (* ------------------------------------------------------------------ *)
 (* Telemetry *)

@@ -14,9 +14,9 @@
     isomorphic to a component solved before.
 
     {b Cache keys}: a key names the strategy ([auto], [enum], [prog], or
-    [mono] for the monolithic program fallback) and the [max_effort]
-    bound, then digests everything the solve reads, in an injective
-    rendering that keeps the type of every value.  [Enumerate] (and
+    [mono] for the monolithic program fallback), then digests everything
+    the solve reads, in an injective rendering that keeps the type of
+    every value.  [Enumerate] (and
     [Auto] on an inexact plan) keys a component by its content with the
     plan's universe and NNC positions; [Program] by its content alone.
     [Auto] on an exact plan keys it by its shape
@@ -120,7 +120,6 @@ type stats = {
 val create :
   ?engine:engine ->
   ?jobs:int ->
-  ?max_effort:int ->
   ?capacity:int ->
   ?cache:Cache.t ->
   ?violations:Semantics.Nullsat.violation list ->
@@ -128,10 +127,8 @@ val create :
   Ic.Constr.t list ->
   t
 (** [engine] defaults to [Program], [jobs] to [1], [capacity] (cache
-    entries) to [256]; [max_effort] bounds each component solve (states
-    for [Enumerate], solver decisions for [Program]) and is part of the
-    cache key.  [cache] shares a process-global component cache (then
-    [capacity] is ignored); the per-session [stats] keep counting only
+    entries) to [256].  [cache] shares a process-global component cache
+    (then [capacity] is ignored); the per-session [stats] keep counting only
     this session's probes.  [violations] short-circuits the initial
     violation scan with a precomputed canonical set — a server creating
     thousands of sessions over one shared base instance computes it once.

@@ -16,12 +16,12 @@ type t = {
   exhausted : Budget.exhausted option;
 }
 
-let enumerate ?budget ?max_states ?jobs d ics =
+let enumerate ?budget ?jobs d ics =
   let plan = Decompose.plan ?budget d ics in
   let filler c = ([ Decompose.base c ], [], 0) in
   match
     Decompose.solve ?budget ?jobs ~filler
-      (Repair.Enumerate.solve_component ?budget ?max_states plan)
+      (Repair.Enumerate.solve_component ?budget plan)
       plan.Decompose.components
   with
   | Error msg -> failwith msg (* the search trips, it never fails *)

@@ -409,11 +409,12 @@ let test_limit () =
 
 let test_budget_exceeded () =
   let g = Grounder.ground (big_choice_program 10) in
+  let budget = Budget.start (Budget.make ~max_decisions:5 ()) in
   Alcotest.(check bool) "budget raises" true
     (try
-       ignore (Solver.stable_models ~max_decisions:5 g);
+       ignore (Solver.stable_models ~budget g);
        false
-     with Solver.Budget_exceeded 5 -> true)
+     with Budget.Exhausted (Budget.Decisions 5) -> true)
 
 let test_constants_in_rules () =
   (* heads may carry constants; builtins may compare against constants *)

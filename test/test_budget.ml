@@ -68,11 +68,12 @@ let test_messages () =
     (Budget.message (Budget.Deadline 10))
 
 (* ------------------------------------------------------------------ *)
-(* Engine regression: tiny budgets and passed deadlines yield Ok/Error
-   across all three methods, with and without decomposition — the
-   historical escapes (Asp.Solver.Budget_exceeded out of
-   Progcqa.consistent_answers, Enumerate.Budget_exceeded out of the
-   decomposed paths) stay fixed. *)
+(* Engine regression: at every entry point a request reaches, 1-unit
+   limits yield Ok/Error and a passed deadline an Error, never an
+   exception — the historical escapes (the solver's exception out of
+   Progcqa.consistent_answers, the enumerator's out of the decomposed
+   paths and out of `repairs --repd`, which ran without the budget) stay
+   fixed. *)
 
 let clusters = Gen.clusters_workload ~k:2 ()
 let q_s = Qsyntax.make ~head:[ "x" ] (Qsyntax.Atom (atom "S" [ v "x" ]))
@@ -87,42 +88,98 @@ let methods =
 
 let observe name f =
   match f () with
-  | Ok _ | Error _ -> ()
+  | r -> r
   | exception e ->
       Alcotest.failf "%s: exception escaped: %s" name (Printexc.to_string e)
 
+let engines =
+  [
+    ("enumerate", Session.Enumerate);
+    ("program", Session.Program);
+    ("auto", Session.Auto);
+  ]
+
+(* The protocol starts one budget per request from its configuration,
+   which carries a deadline only: under count limits its request runs
+   unlimited.  A reply with an error line is an [Error]. *)
+let protocol_exec budget line =
+  let p =
+    Serve.Protocol.create
+      (Serve.Protocol.repl_config
+         ?timeout_ms:(Budget.limits budget).Budget.timeout_ms ())
+  in
+  let schema =
+    Relational.Schema.of_list
+      [ ("S", [ "x" ]); ("R", [ "x"; "y" ]); ("T", [ "x" ]) ]
+  in
+  ignore
+    (Serve.Protocol.attach p ~base:clusters.Gen.d ~ics:clusters.Gen.ics
+       { Serve.Protocol.schema; queries = [ ("q1", q_s) ] });
+  let reply = (Serve.Protocol.exec p line).Serve.Protocol.text in
+  if
+    List.exists
+      (fun l -> String.starts_with ~prefix:"error:" (String.trim l))
+      (String.split_on_char '\n' reply)
+  then Error reply
+  else Ok ()
+
+(* The entry points, one row each: [run budget] drives it under [budget]. *)
+let cases : (string * (Budget.ctl -> (unit, string) result)) list =
+  let d = clusters.Gen.d and ics = clusters.Gen.ics in
+  let per name rows run =
+    List.map (fun (row, x) -> (Printf.sprintf "%s %s" name row, run x)) rows
+  in
+  let drop r = Result.map ignore r in
+  List.concat
+    [
+      per "Cqa.consistent_answers" methods (fun method_ budget ->
+          drop (Cqa.consistent_answers ~method_ ~budget d ics q_s));
+      per "Cqa.consistent_answers ~decompose" methods (fun method_ budget ->
+          drop
+            (Cqa.consistent_answers ~method_ ~budget ~decompose:true d ics q_s));
+      per "Cqa.repairs" methods (fun method_ budget ->
+          drop (Cqa.repairs ~budget ~method_ d ics));
+      [
+        ("Engine.repairs", fun budget -> drop (Core.Engine.repairs ~budget d ics));
+        (* promises the full set, so it raises; the CLI guards it *)
+        ( "Repd.repairs_d",
+          fun budget ->
+            Budget.guard (fun () ->
+                Ok (ignore (Repair.Repd.repairs_d ~budget d ics))) );
+      ];
+      per "Session.cqa" engines (fun engine budget ->
+          drop (Session.cqa ~budget (Session.create ~engine d ics) q_s));
+      per "Session.repairs" engines (fun engine budget ->
+          drop (Session.repairs ~budget (Session.create ~engine d ics)));
+      [
+        ("Protocol.exec repairs", fun budget -> protocol_exec budget "repairs");
+        ("Protocol.exec cqa q1", fun budget -> protocol_exec budget "cqa q1");
+      ];
+    ]
+
 let test_tiny_budgets () =
   List.iter
-    (fun (mname, method_) ->
-      List.iter
-        (fun decompose ->
-          let name = Printf.sprintf "%s decompose=%b" mname decompose in
-          (* the legacy per-call limit *)
-          observe (name ^ " max_effort") (fun () ->
-              Cqa.consistent_answers ~method_ ~max_effort:1 ~decompose
-                clusters.Gen.d clusters.Gen.ics q_s);
-          (* 1-unit shared limits *)
-          observe (name ^ " shared") (fun () ->
-              let budget =
-                Budget.start (Budget.make ~max_decisions:1 ~max_states:1 ())
-              in
-              Cqa.consistent_answers ~method_ ~budget ~decompose clusters.Gen.d
-                clusters.Gen.ics q_s);
-          (* passed deadline *)
-          observe (name ^ " deadline") (fun () ->
-              let budget = Budget.start (Budget.make ~timeout_ms:1 ()) in
-              Unix.sleepf 0.003;
-              Cqa.consistent_answers ~method_ ~budget ~decompose clusters.Gen.d
-                clusters.Gen.ics q_s))
-        [ false; true ])
-    methods
+    (fun (name, run) ->
+      ignore
+        (observe (name ^ ", 1-unit shared limits") (fun () ->
+             run (Budget.start (Budget.make ~max_decisions:1 ~max_states:1 ()))));
+      match
+        observe (name ^ ", passed deadline") (fun () ->
+            let budget = Budget.start (Budget.make ~timeout_ms:0 ()) in
+            Unix.sleepf 0.002;
+            run budget)
+      with
+      | Ok () -> Alcotest.failf "%s: finished past its deadline" name
+      | Error _ -> ())
+    cases
 
 let test_progcqa_budget_error () =
   (* the cautious engine converts the solver's budget exception into the
      engines' shared error message instead of letting it escape *)
   match
-    Query.Progcqa.consistent_answers ~max_decisions:0 clusters.Gen.d
-      clusters.Gen.ics q_s
+    Query.Progcqa.consistent_answers
+      ~budget:(Budget.start (Budget.make ~max_decisions:0 ()))
+      clusters.Gen.d clusters.Gen.ics q_s
   with
   | Error msg ->
       Alcotest.(check string) "message" "solver budget (0 decisions) exceeded"

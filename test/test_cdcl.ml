@@ -182,9 +182,10 @@ let test_limit () =
 
 let test_budget_exceeded () =
   let g = Grounder.ground (big_choice_program 10) in
+  let budget = Budget.start (Budget.make ~max_decisions:5 ()) in
   Alcotest.check_raises "decision budget trips"
-    (Solver.Budget_exceeded 5) (fun () ->
-      ignore (Solver.stable_models ~max_decisions:5 g))
+    (Budget.Exhausted (Budget.Decisions 5)) (fun () ->
+      ignore (Solver.stable_models ~budget g))
 
 let test_restarts_complete () =
   (* enough conflicts to cross the Luby base: enumeration stays exact

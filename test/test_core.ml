@@ -168,7 +168,7 @@ let prop_theorem4_cyclic =
   QCheck.Test.make ~name:"engine = Rep on cyclic scenarios" ~count:60
     (QCheck.make ~print:(Fmt.str "%a" Instance.pp_inline) inst_gen)
     (fun d ->
-      let model_based = Enumerate.repairs ~max_states:100_000 d census_ics in
+      let model_based = Enumerate.repairs d census_ics in
       let program_based = engine_repairs d census_ics in
       let sort = List.sort Instance.compare in
       List.equal Instance.equal (sort model_based) (sort program_based))
@@ -455,7 +455,7 @@ let prop_nullflow_sound =
     (QCheck.make ~print:(Fmt.str "%a" Instance.pp_inline) inst_gen)
     (fun d ->
       let may = Core.Nullflow.may_null d ex19_ics in
-      Enumerate.repairs ~max_states:100_000 d ex19_ics
+      Enumerate.repairs d ex19_ics
       |> List.for_all (fun r ->
              Instance.fold
                (fun a ok ->
@@ -674,7 +674,7 @@ let prop_theorem4_random =
        ~print:(Fmt.str "%a" Instance.pp_inline)
        (inst_gen [ ("P", 2); ("T", 1); ("R", 2) ] 5))
     (fun d ->
-      let model_based = Enumerate.repairs ~max_states:100_000 d scenario_uic_ric in
+      let model_based = Enumerate.repairs d scenario_uic_ric in
       let program_based = engine_repairs d scenario_uic_ric in
       let sort = List.sort Instance.compare in
       List.equal Instance.equal (sort model_based) (sort program_based))
@@ -692,7 +692,7 @@ let prop_theorem4_fd_fk =
        ~print:(Fmt.str "%a" Instance.pp_inline)
        (inst_gen [ ("R", 2); ("S", 2) ] 4))
     (fun d ->
-      let model_based = Enumerate.repairs ~max_states:100_000 d scenario_fd_fk in
+      let model_based = Enumerate.repairs d scenario_fd_fk in
       let program_based = engine_repairs d scenario_fd_fk in
       let sort = List.sort Instance.compare in
       List.equal Instance.equal (sort model_based) (sort program_based))
@@ -761,7 +761,7 @@ let prop_theorem4_random_ics =
     (fun (d, ics) ->
       QCheck.assume (Ic.Builder.non_conflicting ics = Ok ());
       QCheck.assume (Ic.Depgraph.is_ric_acyclic ics);
-      let model_based = Enumerate.repairs ~max_states:200_000 d ics in
+      let model_based = Enumerate.repairs d ics in
       let program_based = engine_repairs d ics in
       let sort = List.sort Instance.compare in
       List.equal Instance.equal (sort model_based) (sort program_based))

@@ -285,11 +285,13 @@ let diff_repairs_test =
       let w = Gen.random_case ~seed () in
       let sort = List.sort Instance.compare in
       match
-        ( sort (Enumerate.repairs ~max_states:50_000 w.Gen.d w.Gen.ics),
-          Query.Cqa.repairs ~max_effort:50_000 ~method_:Query.Cqa.ModelTheoretic
-            w.Gen.d w.Gen.ics )
+        ( sort (Enumerate.repairs w.Gen.d w.Gen.ics),
+          Query.Cqa.repairs ~method_:Query.Cqa.ModelTheoretic w.Gen.d w.Gen.ics
+        )
       with
-      | _, Error msg when msg = Budget.message (Budget.States 50_000) -> true
+      | _, Error msg
+        when msg = Budget.message (Budget.States Budget.search_states) ->
+          true
       | _, Error msg -> QCheck.Test.fail_reportf "%s: %s" w.Gen.label msg
       | mono, Ok dec ->
           let dec = sort dec in
@@ -302,7 +304,7 @@ let diff_repairs_test =
               Fmt.(list ~sep:(any " | ") Instance.pp_inline)
               dec
           else true
-      | exception Enumerate.Budget_exceeded _ -> true)
+      | exception Budget.Exhausted _ -> true)
 
 let diff_cqa_test =
   QCheck.Test.make ~name:"decomposed CQA = monolithic (200 random cases)"
@@ -313,9 +315,9 @@ let diff_cqa_test =
         (fun q ->
           match
             ( Query.Cqa.consistent_answers ~method_:Query.Cqa.ModelTheoretic
-                ~max_effort:50_000 w.Gen.d w.Gen.ics q,
+                w.Gen.d w.Gen.ics q,
               Query.Cqa.consistent_answers ~method_:Query.Cqa.ModelTheoretic
-                ~max_effort:50_000 ~decompose:true w.Gen.d w.Gen.ics q )
+                ~decompose:true w.Gen.d w.Gen.ics q )
           with
           | Ok _, Ok dec when dec.Query.Cqa.exhausted <> None ->
               (* the decomposed run degraded gracefully under the budget:
@@ -421,7 +423,8 @@ let diff_core_answers_test =
             match
               if i >= trip then None
               else
-                match Enumerate.solve_component ~max_states:20_000 plan c with
+                let budget = Budget.start (Budget.make ~max_states:20_000 ()) in
+                match Enumerate.solve_component ~budget plan c with
                 | Decompose.Solved (minimal, _, _) -> Some minimal
                 | Decompose.Tripped _ | Decompose.Failed _ -> None
             with

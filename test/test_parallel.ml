@@ -99,8 +99,7 @@ let prop_enumerate_jobs_differential =
     (fun seed ->
       let g = Gen.random_case ~seed () in
       let run jobs =
-        Cqa.repairs ~jobs ~max_effort:50_000 ~method_:Cqa.ModelTheoretic
-          g.Gen.d g.Gen.ics
+        Cqa.repairs ~jobs ~method_:Cqa.ModelTheoretic g.Gen.d g.Gen.ics
       in
       match (run 1, run 4) with
       | Ok a, Ok b -> List.equal Instance.equal a b
@@ -115,8 +114,8 @@ let prop_cqa_jobs_differential =
       List.for_all
         (fun method_ ->
           let run jobs =
-            Cqa.consistent_answers ~method_ ~decompose:true ~jobs
-              ~max_effort:50_000 g.Gen.d g.Gen.ics q_s
+            Cqa.consistent_answers ~method_ ~decompose:true ~jobs g.Gen.d
+              g.Gen.ics q_s
           in
           match (run 1, run 4) with
           | Ok a, Ok b -> outcome_equal a b
@@ -152,23 +151,6 @@ let test_exhaustion_matches_sequential () =
     "no exploration recorded" r1.Component_search.explored
     r4.Component_search.explored
 
-let test_per_search_limit_matches_sequential () =
-  (* the legacy max_states bound is per-component-search, so even the trip
-     points are deterministic: the whole decomposed record must match *)
-  let g = Gen.clusters_workload ~k:3 ~weight:3 () in
-  let run jobs =
-    Component_search.enumerate ~max_states:5 ~jobs g.Gen.d g.Gen.ics
-  in
-  let r1 = run 1 and r4 = run 4 in
-  Alcotest.(check bool) "same marker" true
-    (r1.Component_search.exhausted = r4.Component_search.exhausted);
-  Alcotest.(check bool) "tripped" true (r1.Component_search.exhausted <> None);
-  Alcotest.(check (list int))
-    "same exploration" r1.Component_search.explored r4.Component_search.explored;
-  List.iter
-    (fun (m1, m4) -> check_repair_lists "component repairs" m1 m4)
-    (List.combine r1.Component_search.minimal r4.Component_search.minimal)
-
 let test_worker_attribution () =
   (* with worker slots installed, all decomposed search work lands in the
      pool slots (the coordinator only merges) and sums to the global
@@ -194,10 +176,10 @@ let test_worker_attribution () =
 let test_components_solved_kept_only () =
   (* four clusters over clusters_workload's three constraints, with FD
      weights 6, 2, 2 and 2: all four route to the disjunctive tier and the
-     heavy one comes first in plan order.  Under a per-component decision
-     limit it trips while the light ones finish on the other workers; the
-     prefix rule keeps none of them, so the request is an Error and no
-     component counts as solved, at any jobs setting. *)
+     heavy one comes first in plan order.  Under a decision limit below
+     its own cost it trips while the light ones can finish on the other
+     workers; the prefix rule keeps none of them, so the request is an
+     Error and no component counts as solved, at any jobs setting. *)
   let ics = (Gen.clusters_workload ~weight:2 ~k:1 ()).Gen.ics in
   let sym p i = Relational.Value.str (Printf.sprintf "%s%d" p i) in
   let d =
@@ -221,24 +203,23 @@ let test_components_solved_kept_only () =
     (Instance.rel_cardinal
        (List.hd plan.Repair.Decompose.components).Repair.Decompose.sub "R");
   List.iter
-    (fun max_effort ->
+    (fun limit ->
       let run jobs =
         let stats = Budget.new_stats () in
-        let budget = Budget.start ~stats Budget.unlimited in
+        let budget =
+          Budget.start ~stats (Budget.make ~max_decisions:limit ())
+        in
         match
-          Cqa.consistent_answers ~method_:Cqa.Auto ~budget ~max_effort ~jobs d
-            ics q_s
+          Cqa.consistent_answers ~method_:Cqa.Auto ~budget ~jobs d ics q_s
         with
-        | Ok _ -> Alcotest.failf "max_effort %d: expected an Error" max_effort
+        | Ok _ -> Alcotest.failf "limit %d: expected an Error" limit
         | Error _ -> Atomic.get stats.Budget.components_solved
       in
       let seq = run 1 and par = run 4 in
       Alcotest.(check int)
-        (Printf.sprintf "max_effort %d: jobs=4 = jobs=1" max_effort)
+        (Printf.sprintf "limit %d: jobs=4 = jobs=1" limit)
         seq par;
-      Alcotest.(check int)
-        (Printf.sprintf "max_effort %d: nothing kept" max_effort)
-        0 seq)
+      Alcotest.(check int) (Printf.sprintf "limit %d: nothing kept" limit) 0 seq)
     [ 20; 40 ]
 
 let prop_no_escape_parallel =
@@ -287,8 +268,6 @@ let () =
         [
           Alcotest.test_case "shared budget matches sequential" `Quick
             test_exhaustion_matches_sequential;
-          Alcotest.test_case "per-search limit matches sequential" `Quick
-            test_per_search_limit_matches_sequential;
           Alcotest.test_case "worker attribution" `Quick test_worker_attribution;
           Alcotest.test_case "components solved counts kept only" `Quick
             test_components_solved_kept_only;

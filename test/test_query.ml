@@ -421,16 +421,18 @@ let test_cqa_budget () =
   in
   let q = Q.make ~head:[ "i"; "c" ] (Q.Atom (atom "Course" [ v "i"; v "c" ])) in
   (match
-     Cqa.consistent_answers ~method_:Cqa.ModelTheoretic ~max_effort:3 d
-       ex15.Workload.Paperdb.ics q
+     Cqa.consistent_answers ~method_:Cqa.ModelTheoretic
+       ~budget:(Budget.start (Budget.make ~max_states:3 ()))
+       d ex15.Workload.Paperdb.ics q
    with
   | Error msg ->
       Alcotest.(check bool) "budget message" true
         (String.length msg > 0)
   | Ok _ -> Alcotest.fail "expected budget error");
   match
-    Cqa.consistent_answers ~method_:Cqa.LogicProgram ~max_effort:2 d
-      ex15.Workload.Paperdb.ics q
+    Cqa.consistent_answers ~method_:Cqa.LogicProgram
+      ~budget:(Budget.start (Budget.make ~max_decisions:2 ()))
+      d ex15.Workload.Paperdb.ics q
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected solver budget error"

@@ -367,11 +367,12 @@ let test_enumerate_budget () =
     Instance.of_list
       (List.init 6 (fun i -> ("Course", [ vi i; vs "c" ])))
   in
+  let budget = Budget.start (Budget.make ~max_states:3 ()) in
   Alcotest.(check bool) "budget raises" true
     (try
-       ignore (Enumerate.repairs ~max_states:3 d [ ex15_ric ]);
+       ignore (Enumerate.repairs ~budget d [ ex15_ric ]);
        false
-     with Enumerate.Budget_exceeded 3 -> true)
+     with Budget.Exhausted (Budget.States 3) -> true)
 
 let test_consistent_states_superset () =
   let states = Enumerate.search ex15_d [ ex15_ric ] in
@@ -428,7 +429,7 @@ let small_ics =
 let prop_check_accepts_exactly_repairs =
   QCheck.Test.make ~name:"is_repair accepts repairs and rejects perturbations"
     ~count:40 inst_arb (fun d ->
-      let reps = Enumerate.repairs ~max_states:50_000 d small_ics in
+      let reps = Enumerate.repairs d small_ics in
       List.for_all (fun r -> Check.is_repair ~d ~ics:small_ics r) reps
       &&
       (* perturb each repair by dropping one atom: never again a repair of
@@ -448,12 +449,12 @@ let prop_repairs_consistent =
   QCheck.Test.make ~name:"every repair satisfies IC" ~count:60 inst_arb (fun d ->
       List.for_all
         (fun r -> Semantics.Nullsat.consistent r small_ics)
-        (Enumerate.repairs ~max_states:50_000 d small_ics))
+        (Enumerate.repairs d small_ics))
 
 let prop_repairs_minimal =
   QCheck.Test.make ~name:"repairs are pairwise <=_D-incomparable" ~count:40 inst_arb
     (fun d ->
-      let reps = Enumerate.repairs ~max_states:50_000 d small_ics in
+      let reps = Enumerate.repairs d small_ics in
       List.for_all
         (fun r1 -> List.for_all (fun r2 -> Instance.equal r1 r2 || not (Order.lt ~d r1 r2)) reps)
         reps)
@@ -506,11 +507,12 @@ let prop_minimal_among_pairwise =
         else Workload.Gen.random_case ~seed ()
       in
       let d = w.Workload.Gen.d and ics = w.Workload.Gen.ics in
-      match Enumerate.search ~max_states:5_000 d ics with
+      let budget = Budget.start (Budget.make ~max_states:5_000 ()) in
+      match Enumerate.search ~budget d ics with
       | states ->
           List.equal Instance.equal (Order.minimal_among ~d states)
             (pairwise_minimal ~d states)
-      | exception Enumerate.Budget_exceeded _ -> QCheck.assume_fail ())
+      | exception Budget.Exhausted _ -> QCheck.assume_fail ())
 
 (* ... and on arbitrary candidate lists, whose null-carrying deltas cover
    each other through condition (b) far more often than repairs do *)

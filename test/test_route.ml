@@ -310,10 +310,10 @@ let qcheck_auto_differential =
       List.for_all
         (fun q ->
           match
-            ( Query.Cqa.consistent_answers ~method_:Query.Cqa.Auto
-                ~max_effort:100_000 case.Gen.d case.Gen.ics q,
+            ( Query.Cqa.consistent_answers ~method_:Query.Cqa.Auto case.Gen.d
+                case.Gen.ics q,
               Query.Cqa.consistent_answers ~method_:Query.Cqa.ModelTheoretic
-                ~max_effort:100_000 case.Gen.d case.Gen.ics q )
+                case.Gen.d case.Gen.ics q )
           with
           | Ok auto, Ok oracle ->
               same_outcome auto oracle

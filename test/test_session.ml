@@ -305,7 +305,7 @@ let cold_repairs engine d ics =
     | Session.Enumerate | Session.Auto -> Query.Cqa.ModelTheoretic
     | Session.Program -> Query.Cqa.LogicProgram
   in
-  Query.Cqa.repairs ~max_effort:50_000 ~method_ d ics
+  Query.Cqa.repairs ~method_ d ics
 
 (* one random case: create the session, fold in [steps] random batches,
    and after each batch compare session repairs (byte order included) and
@@ -314,7 +314,7 @@ let run_differential engine ~check_cqa seed =
   let w = Gen.random_case ~seed () in
   let rng = Random.State.make [| seed; 23 |] in
   let session =
-    Session.create ~engine ~max_effort:50_000 ~capacity:64 w.Gen.d w.Gen.ics
+    Session.create ~engine ~capacity:64 w.Gen.d w.Gen.ics
   in
   let d = ref w.Gen.d in
   let steps = 1 + Random.State.int rng 3 in
@@ -346,7 +346,7 @@ let run_differential engine ~check_cqa seed =
              match
                ( Session.cqa session q,
                  Query.Cqa.consistent_answers ~method_:(method_of engine)
-                   ~max_effort:50_000 ~decompose:true !d w.Gen.ics q )
+                   ~decompose:true !d w.Gen.ics q )
              with
              | Ok so, Ok co ->
                  if not (same_outcome so co) then (
@@ -414,8 +414,7 @@ let diff_session_auto_cqa =
 (* ------------------------------------------------------------------ *)
 (* Session differential under a budget: a fresh session's request renders
    byte-identically to the cold decomposed run under the same limits,
-   partial outcomes and Error messages included — once as a shared
-   budget, once as the per-component [max_effort] *)
+   partial outcomes and Error messages included *)
 
 let render = function
   | Ok o -> Fmt.str "%a" Query.Cqa.pp_outcome o
@@ -435,26 +434,20 @@ let budgeted_differential seed =
                     Budget.start
                       (Budget.make ~max_states:limit ~max_decisions:limit ())
                   in
-                  let session ?max_effort () =
-                    Session.create ~engine ?max_effort w.Gen.d w.Gen.ics
+                  let cold =
+                    render
+                      (Query.Cqa.consistent_answers ~method_ ~decompose:true
+                         ~budget:(budget ()) w.Gen.d w.Gen.ics q)
+                  and session =
+                    render
+                      (Session.cqa ~budget:(budget ())
+                         (Session.create ~engine w.Gen.d w.Gen.ics)
+                         q)
                   in
-                  let compare what cold session =
-                    String.equal cold session
-                    || QCheck.Test.fail_reportf
-                         "%s, limit %d, %s: session@.%s@.cold@.%s" w.Gen.label
-                         limit what session cold
-                  in
-                  compare "shared budget"
-                    (render
-                       (Query.Cqa.consistent_answers ~method_ ~decompose:true
-                          ~budget:(budget ()) w.Gen.d w.Gen.ics q))
-                    (render (Session.cqa ~budget:(budget ()) (session ()) q))
-                  && compare "max_effort"
-                       (render
-                          (Query.Cqa.consistent_answers ~method_
-                             ~decompose:true ~max_effort:limit w.Gen.d w.Gen.ics
-                             q))
-                       (render (Session.cqa (session ~max_effort:limit ()) q)))
+                  String.equal cold session
+                  || QCheck.Test.fail_reportf
+                       "%s, limit %d: session@.%s@.cold@.%s" w.Gen.label limit
+                       session cold)
                 queries)
             [ 0; 1; 2; 3; 5; 8; 20; 100 ])
         [ Session.Enumerate; Session.Program; Session.Auto ])
@@ -804,9 +797,8 @@ let shape_differential seed =
      join queries materialize: compare exact plans whose repair product
      stays small, as the memo-free single-atom outcome (which builds no
      product there) counts it. *)
-  let effort = 20_000 in
   let free ?(jobs = 1) q =
-    Query.Cqa.outcome_of_plan ~max_effort:effort ~jobs ~store:memo_free
+    Query.Cqa.outcome_of_plan ~jobs ~store:memo_free
       ~method_:Query.Cqa.Auto ~standard:(Query.Qeval.answers d q) ~plan d ics q
   in
   match
@@ -817,10 +809,10 @@ let shape_differential seed =
       List.for_all
         (fun jobs ->
           let session =
-            Session.create ~engine:Session.Auto ~jobs ~max_effort:effort d ics
+            Session.create ~engine:Session.Auto ~jobs d ics
           in
           (match
-             ( Query.Cqa.repairs_of_plan ~max_effort:effort ~jobs ~store:memo_free
+             ( Query.Cqa.repairs_of_plan ~jobs ~store:memo_free
                  ~method_:Query.Cqa.Auto ~plan d ics,
                Session.repairs session )
            with
@@ -834,8 +826,8 @@ let shape_differential seed =
                (fun q ->
                  let free = free ~jobs q in
                  let memo =
-                   Query.Cqa.consistent_answers ~method_:Query.Cqa.Auto
-                     ~max_effort:effort ~jobs d ics q
+                   Query.Cqa.consistent_answers ~method_:Query.Cqa.Auto ~jobs
+                     d ics q
                  in
                  String.equal (render free) (render memo)
                  || fail
