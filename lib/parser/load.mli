@@ -10,17 +10,24 @@ type loaded = {
       (** [insert]/[delete] statements, in file order *)
 }
 
-val of_items : Surface.file -> (loaded, string) result
-(** Validates arities against the declared (or inferred) schema, builds the
-    constraints through {!Ic.Constr.generic} (so all form-(1) side
-    conditions are enforced) and names queries. *)
-
 val of_string : ?file:string -> string -> (loaded, string) result
-(** Parse then load.  Lexer/parser errors are rendered with
-    ["line:col:"] positions and semantic (load) errors with the
-    ["line:"] of the offending item; [file] prefixes both with the file
-    name ("file:line:col:" / "file:line:"), without it semantic errors
-    read ["line N: ..."]. *)
+(** Parse and load in one pass.  Each fact's values are interned straight
+    into its relation's {!Relational.Instance.builder}, so no
+    {!Surface.Fact} or atom is built per fact; the schema is inferred and
+    arities are checked in the same pass, and the other items are then
+    validated against the declared (or inferred) schema: constraints are
+    built through {!Ic.Constr.generic}, so all form-(1) side conditions
+    are enforced, and queries are named.
+
+    Errors: a lexical error anywhere in the input wins over a parse
+    error before it, then the first schema error in file order (an arity
+    clash or a relation declared twice), then the first error of the
+    other items in file order, then the first query mentioning an
+    unknown relation or a wrong arity.  Lexer/parser errors are rendered
+    with ["line:col:"] positions and the others with the ["line:"] of
+    the offending item; [file] prefixes both with the file name
+    ("file:line:col:" / "file:line:"), without it the others read ["line
+    N: ..."]. *)
 
 val of_file : string -> (loaded, string) result
 (** {!of_string} with [~file:path], so every load error names the file

@@ -1,18 +1,24 @@
 exception Parse_error of string * int * int
 
-type state = { mutable current : Lexer.located; next : unit -> Lexer.located }
+(* The lexer, and the values of the fact being parsed: a buffer reused
+   from fact to fact, so a fact costs no list of its values. *)
+type state = {
+  lx : Lexer.t;
+  mutable vals : Relational.Value.t array;
+  mutable nvals : int;
+}
 
-let peek st = st.current
-let advance st = st.current <- st.next ()
+let tok st = Lexer.token st.lx
+let advance st = Lexer.advance st.lx
 
 let error st msg =
-  let t = peek st in
   raise
     (Parse_error
-       (Fmt.str "%s (found '%a')" msg Lexer.pp_token t.Lexer.token, t.Lexer.line, t.Lexer.col))
+       ( Fmt.str "%s (found '%a')" msg Lexer.pp_token (tok st),
+         Lexer.line st.lx,
+         Lexer.col st.lx ))
 
-let expect st token msg =
-  if (peek st).Lexer.token = token then advance st else error st msg
+let expect st token msg = if tok st = token then advance st else error st msg
 
 let expect_dot st = expect st Lexer.DOT "expected '.'"
 
@@ -20,13 +26,13 @@ let expect_dot st = expect st Lexer.DOT "expected '.'"
 (* Common pieces *)
 
 let parse_value st =
-  match (peek st).Lexer.token with
+  match tok st with
   | Lexer.INT i ->
       advance st;
       Relational.Value.int i
   | Lexer.MINUS ->
       advance st;
-      (match (peek st).Lexer.token with
+      (match tok st with
       | Lexer.INT i ->
           advance st;
           Relational.Value.int (-i)
@@ -44,7 +50,7 @@ let parse_value st =
 
 (* a term in a constraint or query: capitalized = variable *)
 let parse_term st =
-  match (peek st).Lexer.token with
+  match tok st with
   | Lexer.UIDENT x ->
       advance st;
       Ic.Term.var x
@@ -53,7 +59,7 @@ let parse_term st =
       Ic.Term.int i
   | Lexer.MINUS ->
       advance st;
-      (match (peek st).Lexer.token with
+      (match tok st with
       | Lexer.INT i ->
           advance st;
           Ic.Term.int (-i)
@@ -71,7 +77,7 @@ let parse_term_list st =
   expect st Lexer.LPAREN "expected '('";
   let rec go acc =
     let t = parse_term st in
-    match (peek st).Lexer.token with
+    match tok st with
     | Lexer.COMMA ->
         advance st;
         go (t :: acc)
@@ -97,17 +103,17 @@ let cmp_op_of_token = function
 (* expr := term [ (+|-) INT ] *)
 let parse_expr st =
   let base = parse_term st in
-  match (peek st).Lexer.token with
+  match tok st with
   | Lexer.PLUS ->
       advance st;
-      (match (peek st).Lexer.token with
+      (match tok st with
       | Lexer.INT i ->
           advance st;
           Ic.Builtin.shift { Ic.Builtin.base; offset = 0 } i
       | _ -> error st "expected integer offset")
   | Lexer.MINUS ->
       advance st;
-      (match (peek st).Lexer.token with
+      (match tok st with
       | Lexer.INT i ->
           advance st;
           Ic.Builtin.shift { Ic.Builtin.base; offset = 0 } (-i)
@@ -115,7 +121,7 @@ let parse_expr st =
   | _ -> { Ic.Builtin.base; offset = 0 }
 
 let parse_comparison st lhs =
-  match cmp_op_of_token (peek st).Lexer.token with
+  match cmp_op_of_token (tok st) with
   | Some op ->
       advance st;
       let rhs = parse_expr st in
@@ -128,11 +134,11 @@ let parse_comparison st lhs =
 let parse_constraint_body st =
   (* conjunction of atoms *)
   let rec go acc =
-    match (peek st).Lexer.token with
+    match tok st with
     | Lexer.UIDENT name ->
         advance st;
         let a = parse_atom st name in
-        (match (peek st).Lexer.token with
+        (match tok st with
         | Lexer.COMMA ->
             advance st;
             go (a :: acc)
@@ -143,26 +149,26 @@ let parse_constraint_body st =
 
 let parse_consequent st =
   (* |-separated atoms and comparisons, or false *)
-  if (peek st).Lexer.token = Lexer.IDENT "false" then begin
+  if tok st = Lexer.IDENT "false" then begin
     advance st;
     ([], [])
   end
   else
     let rec go atoms builtins =
       let atoms, builtins =
-        match (peek st).Lexer.token with
+        match tok st with
         | Lexer.UIDENT name -> (
             advance st;
             (* relation atom or a comparison starting with a variable *)
-            match (peek st).Lexer.token with
+            match tok st with
             | Lexer.LPAREN -> (parse_atom st name :: atoms, builtins)
             | _ ->
                 let lhs = { Ic.Builtin.base = Ic.Term.var name; offset = 0 } in
                 let lhs =
-                  match (peek st).Lexer.token with
+                  match tok st with
                   | Lexer.PLUS ->
                       advance st;
-                      (match (peek st).Lexer.token with
+                      (match tok st with
                       | Lexer.INT i ->
                           advance st;
                           Ic.Builtin.shift lhs i
@@ -174,7 +180,7 @@ let parse_consequent st =
             let lhs = parse_expr st in
             (atoms, parse_comparison st lhs :: builtins)
       in
-      match (peek st).Lexer.token with
+      match tok st with
       | Lexer.PIPE ->
           advance st;
           go atoms builtins
@@ -189,7 +195,7 @@ let rec parse_formula st = parse_disj st
 
 and parse_disj st =
   let f = parse_conj st in
-  match (peek st).Lexer.token with
+  match tok st with
   | Lexer.PIPE ->
       advance st;
       Query.Qsyntax.Or (f, parse_disj st)
@@ -197,7 +203,7 @@ and parse_disj st =
 
 and parse_conj st =
   let f = parse_unary st in
-  match (peek st).Lexer.token with
+  match tok st with
   | Lexer.AMP ->
       advance st;
       Query.Qsyntax.And (f, parse_conj st)
@@ -207,7 +213,7 @@ and parse_conj st =
   | _ -> f
 
 and parse_unary st =
-  match (peek st).Lexer.token with
+  match tok st with
   | Lexer.BANG ->
       advance st;
       Query.Qsyntax.Not (parse_unary st)
@@ -217,13 +223,13 @@ and parse_unary st =
       expect st Lexer.RPAREN "expected ')'";
       f
   | Lexer.IDENT ("exists" | "forall") ->
-      let quant = match (peek st).Lexer.token with
+      let quant = match tok st with
         | Lexer.IDENT q -> q
         | _ -> assert false
       in
       advance st;
       let rec vars acc =
-        match (peek st).Lexer.token with
+        match tok st with
         | Lexer.UIDENT x ->
             advance st;
             vars (x :: acc)
@@ -245,7 +251,7 @@ and parse_unary st =
       Query.Qsyntax.IsNull t
   | Lexer.UIDENT name -> (
       advance st;
-      match (peek st).Lexer.token with
+      match tok st with
       | Lexer.LPAREN -> Query.Qsyntax.Atom (parse_atom st name)
       | _ ->
           let lhs = { Ic.Builtin.base = Ic.Term.var name; offset = 0 } in
@@ -259,15 +265,15 @@ and parse_unary st =
 (* Items *)
 
 let parse_relation st =
-  match (peek st).Lexer.token with
+  match tok st with
   | Lexer.UIDENT name ->
       advance st;
       expect st Lexer.LPAREN "expected '('";
       let rec attrs acc =
-        match (peek st).Lexer.token with
+        match tok st with
         | Lexer.IDENT a | Lexer.UIDENT a ->
             advance st;
-            (match (peek st).Lexer.token with
+            (match tok st with
             | Lexer.COMMA ->
                 advance st;
                 attrs (a :: acc)
@@ -282,38 +288,46 @@ let parse_relation st =
       Surface.Relation (name, a)
   | _ -> error st "expected relation name"
 
-(* the shared tail of facts and update statements: "(v, ..., v)." *)
-let parse_value_list st =
+(* the shared tail of facts and update statements, "(v, ..., v).", into
+   the value buffer *)
+let parse_values st =
   expect st Lexer.LPAREN "expected '('";
-  let rec values acc =
+  st.nvals <- 0;
+  let rec values () =
     let v = parse_value st in
-    match (peek st).Lexer.token with
+    if st.nvals = Array.length st.vals then begin
+      let bigger = Array.make (2 * st.nvals) Relational.Value.null in
+      Array.blit st.vals 0 bigger 0 st.nvals;
+      st.vals <- bigger
+    end;
+    st.vals.(st.nvals) <- v;
+    st.nvals <- st.nvals + 1;
+    match tok st with
     | Lexer.COMMA ->
         advance st;
-        values (v :: acc)
-    | Lexer.RPAREN ->
-        advance st;
-        List.rev (v :: acc)
+        values ()
+    | Lexer.RPAREN -> advance st
     | _ -> error st "expected ',' or ')'"
   in
-  let vs = values [] in
-  expect_dot st;
-  vs
+  values ();
+  expect_dot st
 
-let parse_fact st name = Surface.Fact (name, parse_value_list st)
+let value_list st =
+  parse_values st;
+  Array.to_list (Array.sub st.vals 0 st.nvals)
 
 let parse_update st kind =
-  match (peek st).Lexer.token with
+  match tok st with
   | Lexer.UIDENT name ->
       advance st;
-      let vs = parse_value_list st in
+      let vs = value_list st in
       if kind = `Insert then Surface.Insert (name, vs)
       else Surface.Delete (name, vs)
   | _ -> error st "expected relation name"
 
 let parse_constraint st =
   let name =
-    match (peek st).Lexer.token with
+    match tok st with
     | Lexer.IDENT n when n <> "false" ->
         advance st;
         Some n
@@ -330,11 +344,11 @@ let parse_constraint st =
   Surface.Constraint { name; ante; cons; phi }
 
 let parse_not_null st =
-  match (peek st).Lexer.token with
+  match tok st with
   | Lexer.UIDENT rel ->
       advance st;
       expect st Lexer.LBRACKET "expected '['";
-      (match (peek st).Lexer.token with
+      (match tok st with
       | Lexer.INT pos ->
           advance st;
           expect st Lexer.RBRACKET "expected ']'";
@@ -344,18 +358,18 @@ let parse_not_null st =
   | _ -> error st "expected relation name"
 
 let parse_query st =
-  match (peek st).Lexer.token with
+  match tok st with
   | Lexer.IDENT name | Lexer.UIDENT name ->
       advance st;
       let head =
-        match (peek st).Lexer.token with
+        match tok st with
         | Lexer.LPAREN ->
             advance st;
             let rec vars acc =
-              match (peek st).Lexer.token with
+              match tok st with
               | Lexer.UIDENT x ->
                   advance st;
-                  (match (peek st).Lexer.token with
+                  (match tok st with
                   | Lexer.COMMA ->
                       advance st;
                       vars (x :: acc)
@@ -377,49 +391,51 @@ let parse_query st =
       Surface.Query (name, head, body)
   | _ -> error st "expected query name"
 
-let parse_located input =
-  let next = Lexer.lexer input in
-  let st = { current = next (); next } in
-  let rec items acc =
-    let line = (peek st).Lexer.line in
-    let located item = (line, item) in
-    match (peek st).Lexer.token with
-    | Lexer.EOF -> List.rev acc
-    | Lexer.IDENT "relation" ->
-        advance st;
-        items (located (parse_relation st) :: acc)
-    | Lexer.IDENT "constraint" ->
-        advance st;
-        items (located (parse_constraint st) :: acc)
-    | Lexer.IDENT "not_null" ->
-        advance st;
-        items (located (parse_not_null st) :: acc)
-    | Lexer.IDENT "query" ->
-        advance st;
-        items (located (parse_query st) :: acc)
-    | Lexer.IDENT "insert" ->
-        advance st;
-        items (located (parse_update st `Insert) :: acc)
-    | Lexer.IDENT "delete" ->
-        advance st;
-        items (located (parse_update st `Delete) :: acc)
+let iter_items ~fact ~item input =
+  let st = { lx = Lexer.make input; vals = Array.make 8 Relational.Value.null; nvals = 0 } in
+  let rec items () =
+    let line = Lexer.line st.lx in
+    match tok st with
+    | Lexer.EOF -> ()
     | Lexer.UIDENT name ->
         advance st;
-        items (located (parse_fact st name) :: acc)
-    | _ ->
-        error st
-          "expected an item (relation, fact, constraint, not_null, query, \
-           insert, delete)"
+        parse_values st;
+        fact ~line name st.vals st.nvals;
+        items ()
+    | keyword ->
+        let parse =
+          match keyword with
+          | Lexer.IDENT "relation" -> parse_relation
+          | Lexer.IDENT "constraint" -> parse_constraint
+          | Lexer.IDENT "not_null" -> parse_not_null
+          | Lexer.IDENT "query" -> parse_query
+          | Lexer.IDENT "insert" -> fun st -> parse_update st `Insert
+          | Lexer.IDENT "delete" -> fun st -> parse_update st `Delete
+          | _ ->
+              error st
+                "expected an item (relation, fact, constraint, not_null, \
+                 query, insert, delete)"
+        in
+        advance st;
+        item line (parse st);
+        items ()
   in
   (* The input is lexed as it is parsed.  A lexical error anywhere in the
      file still takes precedence over a parse error before it: on any
      failure the rest of the input is lexed, and a lexer exception there
      is the one raised. *)
-  match items [] with
-  | parsed -> parsed
+  match items () with
+  | () -> ()
   | exception e ->
-      let rec drain () = if (next ()).Lexer.token <> Lexer.EOF then drain () in
-      drain ();
+      while tok st <> Lexer.EOF do
+        advance st
+      done;
       raise e
 
-let parse input = List.map snd (parse_located input)
+let parse input =
+  let acc = ref [] in
+  iter_items input
+    ~fact:(fun ~line:_ name vals n ->
+      acc := Surface.Fact (name, Array.to_list (Array.sub vals 0 n)) :: !acc)
+    ~item:(fun _ it -> acc := it :: !acc);
+  List.rev !acc

@@ -37,7 +37,17 @@ exception Parse_error of string * int * int
 val parse : string -> Surface.file
 (** @raise Parse_error / Lexer.Lex_error with position information. *)
 
-val parse_located : string -> (int * Surface.item) list
-(** {!parse}, with the 1-based line each item starts on — the loader
-    threads these into its semantic error messages.
-    @raise Parse_error / Lexer.Lex_error with position information. *)
+val iter_items :
+  fact:(line:int -> string -> Relational.Value.t array -> int -> unit) ->
+  item:(int -> Surface.item -> unit) ->
+  string ->
+  unit
+(** The items of the input in file order, each with the 1-based line it
+    starts on.  [fact ~line rel values n] receives a fact's relation and
+    its [n] values, in the first [n] cells of an array the parser reuses
+    for the next fact: no {!Surface.Fact} is built.  Every other item goes
+    to [item].
+    {!parse} is this with every fact made a {!Surface.Fact}.
+    @raise Parse_error / Lexer.Lex_error with position information; a
+    lexical error anywhere in the input wins over an earlier parse
+    error. *)

@@ -2,9 +2,9 @@ module Smap = Map.Make (String)
 module Iset = Set.Make (Int)
 module Vset = Set.Make (Value)
 
-(* Index tables keyed by codes (or row hashes): dense non-negative ints
-   that need no further hashing, compared without the polymorphic
-   primitives of the generic [Hashtbl]. *)
+(* Index tables keyed by codes: dense non-negative ints that need no
+   further hashing, compared without the polymorphic primitives of the
+   generic [Hashtbl]. *)
 module Itbl = Hashtbl.Make (struct
   type t = int
 
@@ -17,9 +17,11 @@ end)
 
    A relation is an immutable {e segment} — tuples interned through
    {!Symtab} and stored as per-attribute int columns, sorted by
-   [Tuple.compare] and deduplicated, with lazily built hash indexes — plus
-   a persistent overlay: a set of deleted segment row ids and a functional
-   set of extra tuples.  Bulk loads ([of_atoms]) build segments directly;
+   [Tuple.compare] and deduplicated, with lazily built per-attribute hash
+   indexes; membership is a binary search over the sorted rows — plus a
+   persistent overlay: a set of deleted segment row ids and a functional
+   set of extra tuples.  Bulk loads ([build], [of_atoms]) build segments
+   directly;
    the functional [add]/[remove] of the repair search only touch the
    overlay (and compact it into a fresh segment once it outgrows the
    segment), so the interface stays persistent while membership, attribute
@@ -37,8 +39,6 @@ type seg = {
   nrows : int;
   cols : int array array; (* [arity] columns of [nrows] codes *)
   seg_nulls : int; (* null occurrences across all rows *)
-  row_index : int list Itbl.t option Atomic.t;
-      (* row hash -> ascending row ids *)
   attr_index : int list Itbl.t option Atomic.t array;
       (* per column: code -> ascending row ids *)
   seg_codes : Iset.t option Atomic.t; (* distinct codes in the segment *)
@@ -78,7 +78,6 @@ let empty_seg =
     nrows = 0;
     cols = [||];
     seg_nulls = 0;
-    row_index = Atomic.make None;
     attr_index = [||];
     seg_codes = Atomic.make None;
     lock = Mutex.create ();
@@ -129,18 +128,6 @@ let compare_rows sa i sb k =
   if sa.arity <> sb.arity then Int.compare sa.arity sb.arity
   else compare_rows_from sa i sb k 0
 
-let row_hash seg i =
-  let h = ref 17 in
-  for j = 0 to seg.arity - 1 do
-    h := (!h * 31) + seg.cols.(j).(i)
-  done;
-  !h land max_int
-
-let codes_hash codes =
-  let h = ref 17 in
-  Array.iter (fun c -> h := (!h * 31) + c) codes;
-  !h land max_int
-
 let force_index cell seg build =
   match Atomic.get cell with
   | Some tbl -> tbl
@@ -156,16 +143,6 @@ let force_index cell seg build =
       in
       Mutex.unlock seg.lock;
       tbl
-
-let force_row_index seg =
-  force_index seg.row_index seg (fun () ->
-      let tbl = Itbl.create ((2 * seg.nrows) + 1) in
-      for i = seg.nrows - 1 downto 0 do
-        let h = row_hash seg i in
-        Itbl.replace tbl h
-          (i :: Option.value ~default:[] (Itbl.find_opt tbl h))
-      done;
-      tbl)
 
 let build_attr_index seg pos =
   force_index seg.attr_index.(pos) seg (fun () ->
@@ -191,57 +168,53 @@ let seg_codes seg =
       Array.iter (fun col -> Array.iter (fun c -> s := Iset.add c !s) col) seg.cols;
       !s)
 
-let row_equals_codes seg i codes =
-  let rec go j = j >= seg.arity || (seg.cols.(j).(i) = codes.(j) && go (j + 1)) in
-  go 0
-
-let seg_find_codes seg codes =
-  let tbl = force_row_index seg in
-  let rec search = function
-    | [] -> None
-    | i :: rest -> if row_equals_codes seg i codes then Some i else search rest
-  in
-  search (Option.value ~default:[] (Itbl.find_opt tbl (codes_hash codes)))
-
-(* Row id of the tuple in the segment, interning nothing: a tuple holding
-   a never-seen constant cannot be a segment row. *)
-let seg_find seg (t : Tuple.t) =
-  if seg.nrows = 0 || Array.length t <> seg.arity then None
+(* Row id of the tuple in the segment, or [-1]: a binary search over the
+   sorted rows, comparing values in place.  It takes no lock, builds no
+   index and allocates nothing, and a tuple holding a constant never
+   interned simply compares unequal to every row. *)
+let rec seg_search (t : Tuple.t) seg lo hi =
+  if lo >= hi then -1
   else
-    let codes = Array.make seg.arity 0 in
-    let rec encode j =
-      j >= seg.arity
-      ||
-      match Symtab.find t.(j) with
-      | Some c ->
-          codes.(j) <- c;
-          encode (j + 1)
-      | None -> false
-    in
-    if encode 0 then seg_find_codes seg codes else None
+    let mid = (lo + hi) lsr 1 in
+    let c = compare_row_from t seg mid 0 in
+    if c = 0 then mid
+    else if c < 0 then seg_search t seg lo mid
+    else seg_search t seg (mid + 1) hi
 
-let build_seg ~arity (rows : Tuple.t array) =
-  let nrows = Array.length rows in
-  let cols = Array.init arity (fun _ -> Array.make nrows 0) in
+let seg_find seg (t : Tuple.t) =
+  if Array.length t <> seg.arity then -1 else seg_search t seg 0 seg.nrows
+
+let seg_of_cols ~arity ~nrows cols =
   let nulls = ref 0 in
-  for i = 0 to nrows - 1 do
-    let t = rows.(i) in
-    for j = 0 to arity - 1 do
-      let c = Symtab.intern t.(j) in
-      if c = Symtab.null_id then incr nulls;
-      cols.(j).(i) <- c
-    done
-  done;
+  Array.iter
+    (fun col ->
+      for i = 0 to nrows - 1 do
+        if col.(i) = Symtab.null_id then incr nulls
+      done)
+    cols;
   {
     arity;
     nrows;
     cols;
     seg_nulls = !nulls;
-    row_index = Atomic.make None;
     attr_index = Array.init arity (fun _ -> Atomic.make None);
     seg_codes = Atomic.make None;
     lock = Mutex.create ();
   }
+
+(* A segment of rows already sorted and distinct, interned a row at a
+   time. *)
+let build_seg ~arity (rows : Tuple.t array) =
+  let nrows = Array.length rows in
+  let cols = Array.init arity (fun _ -> Array.make nrows 0) in
+  let codes = Array.make arity 0 in
+  for i = 0 to nrows - 1 do
+    Symtab.intern_row rows.(i) arity codes 0;
+    for j = 0 to arity - 1 do
+      cols.(j).(i) <- codes.(j)
+    done
+  done;
+  seg_of_cols ~arity ~nrows cols
 
 let mk_rel seg del ndel extra nextra =
   { seg; del; ndel; extra; nextra; xenc = Atomic.make None }
@@ -284,30 +257,14 @@ let rel_of_sorted_array (rows : Tuple.t array) =
          (List.length rest))
   end
 
-let sort_dedup (arr : Tuple.t array) =
-  Array.sort Tuple.compare arr;
-  let n = Array.length arr in
-  if n = 0 then arr
-  else begin
-    let k = ref 1 in
-    for i = 1 to n - 1 do
-      if Tuple.compare arr.(i) arr.(!k - 1) <> 0 then begin
-        arr.(!k) <- arr.(i);
-        incr k
-      end
-    done;
-    if !k = n then arr else Array.sub arr 0 !k
-  end
-
 let rel_cardinal_of r = r.seg.nrows - r.ndel + r.nextra
 let rel_is_empty r = rel_cardinal_of r = 0
 
 let rel_mem r t =
   Tuple.Set.mem t r.extra
   ||
-  match seg_find r.seg t with
-  | Some i -> not (Iset.mem i r.del)
-  | None -> false
+  let i = seg_find r.seg t in
+  i >= 0 && not (Iset.mem i r.del)
 
 (* Live tuples of a relation in [Tuple.compare] order: one merge of the
    surviving segment rows (sorted by construction) into the overlay set's
@@ -357,20 +314,20 @@ let compact_threshold seg = if seg.nrows = 0 then 4096 else max 1024 (seg.nrows 
 let rel_add r t =
   if Tuple.Set.mem t r.extra then r
   else
-    match seg_find r.seg t with
-    | Some i when Iset.mem i r.del -> with_del r (Iset.remove i r.del) (r.ndel - 1)
-    | Some _ -> r
-    | None ->
-        let r = mk_rel r.seg r.del r.ndel (Tuple.Set.add t r.extra) (r.nextra + 1) in
-        if r.nextra > compact_threshold r.seg then compact_rel r else r
+    let i = seg_find r.seg t in
+    if i >= 0 then
+      if Iset.mem i r.del then with_del r (Iset.remove i r.del) (r.ndel - 1) else r
+    else
+      let r = mk_rel r.seg r.del r.ndel (Tuple.Set.add t r.extra) (r.nextra + 1) in
+      if r.nextra > compact_threshold r.seg then compact_rel r else r
 
 let rel_remove r t =
   if Tuple.Set.mem t r.extra then
     mk_rel r.seg r.del r.ndel (Tuple.Set.remove t r.extra) (r.nextra - 1)
   else
-    match seg_find r.seg t with
-    | Some i when not (Iset.mem i r.del) -> with_del r (Iset.add i r.del) (r.ndel + 1)
-    | _ -> r
+    let i = seg_find r.seg t in
+    if i >= 0 && not (Iset.mem i r.del) then with_del r (Iset.add i r.del) (r.ndel + 1)
+    else r
 
 let add a d =
   let p = Atom.pred a and t = Atom.args a in
@@ -395,6 +352,272 @@ let mem a d =
   | None -> false
   | Some r -> rel_mem r (Atom.args a)
 
+(* ------------------------------------------------------------------ *)
+(* Bulk build from codes.
+
+   A builder collects one relation's rows as codes, interned a row at a
+   time as they arrive, in any order and with duplicates.  [build] ranks
+   the distinct codes of all its builders once by [Value.compare], sorts
+   each relation's rows by rank and drops the duplicates: rank order is
+   [Tuple.compare] order over one arity, which the segment invariant asks
+   for.  Ranks and sorts are radix passes over int arrays, so a build
+   compares no boxed values and allocates no closure per comparison, and
+   every table it makes is sized by the rows given, never by the symbol
+   table, which a server shares between all its sessions. *)
+
+type builder = {
+  bpred : string;
+  barity : int;
+  mutable bcodes : int array; (* [bcount] rows of [barity] codes, row-major *)
+  mutable bcount : int;
+}
+
+let builder pred ~arity = { bpred = pred; barity = arity; bcodes = [||]; bcount = 0 }
+
+let add_row b (vs : Value.t array) =
+  let a = b.barity in
+  let need = (b.bcount + 1) * a in
+  if need > Array.length b.bcodes then begin
+    let bigger = Array.make (max need (max 64 (2 * Array.length b.bcodes))) 0 in
+    Array.blit b.bcodes 0 bigger 0 (b.bcount * a);
+    b.bcodes <- bigger
+  end;
+  Symtab.intern_row vs a b.bcodes (b.bcount * a);
+  b.bcount <- b.bcount + 1
+
+let radix_bits = 11
+let radix_mask = (1 lsl radix_bits) - 1
+
+(* Sort [perm], indices into [keys], by their keys read as unsigned
+   numbers: a stable least-significant-digit radix sort, [radix_bits] a
+   pass, that skips the passes on which every key has the same digit.
+   Below [radix_min] elements a merge sort is cheaper than one pass's
+   count array. *)
+let radix_min = 256
+
+let radix_sort (keys : int array) (perm : int array) =
+  let n = Array.length perm in
+  if n < radix_min then
+    Array.stable_sort
+      (fun x y -> Int.compare (keys.(x) lxor min_int) (keys.(y) lxor min_int))
+      perm
+  else begin
+    let bits = ref 0 in
+    Array.iter (fun x -> bits := !bits lor keys.(x)) perm;
+    let count = Array.make (radix_mask + 2) 0 in
+    let src = ref perm and dst = ref (Array.make n 0) in
+    let shift = ref 0 in
+    while !shift < Sys.int_size && !bits lsr !shift <> 0 do
+      let s = !src and d = !dst and sh = !shift in
+      Array.fill count 0 (radix_mask + 2) 0;
+      for i = 0 to n - 1 do
+        let b = ((keys.(s.(i)) lsr sh) land radix_mask) + 1 in
+        count.(b) <- count.(b) + 1
+      done;
+      if count.(((keys.(s.(0)) lsr sh) land radix_mask) + 1) < n then begin
+        for b = 1 to radix_mask + 1 do
+          count.(b) <- count.(b) + count.(b - 1)
+        done;
+        for i = 0 to n - 1 do
+          let x = s.(i) in
+          let b = (keys.(x) lsr sh) land radix_mask in
+          d.(count.(b)) <- x;
+          count.(b) <- count.(b) + 1
+        done;
+        src := d;
+        dst := s
+      end;
+      shift := !shift + radix_bits
+    done;
+    if !src != perm then Array.blit !src 0 perm 0 n
+  end
+
+(* A string's first seven bytes, big-endian: unsigned order on the keys is
+   [String.compare] order up to ties, which [rank_in_place] breaks. *)
+let prefix_key s =
+  let k = ref 0 in
+  for j = 0 to 6 do
+    k := (!k lsl 8) lor if j < String.length s then Char.code s.[j] else 0
+  done;
+  !k
+
+(* Replace every code in [cells] by a dense id, in order of first
+   occurrence, and return the codes by id.  An array over the codes' span
+   finds each code's id where the span is at most twice the number of
+   cells (the codes of a fresh process, or of a file of new values), a
+   hash table otherwise: either way the table grows with the cells, not
+   with the symbol table. *)
+let ids_in_place (cells : int array) =
+  let n = Array.length cells in
+  let code_of_id = Array.make n 0 and m = ref 0 in
+  let fresh c =
+    code_of_id.(!m) <- c;
+    incr m;
+    !m - 1
+  in
+  let lo = Array.fold_left Int.min max_int cells and hi = Array.fold_left Int.max 0 cells in
+  if n > 0 && hi - lo < 2 * n then begin
+    let id = Array.make (hi - lo + 1) (-1) in
+    for i = 0 to n - 1 do
+      let k = cells.(i) - lo in
+      if id.(k) < 0 then id.(k) <- fresh cells.(i);
+      cells.(i) <- id.(k)
+    done
+  end
+  else begin
+    let id = Itbl.create 64 in
+    for i = 0 to n - 1 do
+      let c = cells.(i) in
+      cells.(i) <-
+        (match Itbl.find_opt id c with
+        | Some x -> x
+        | None ->
+            let x = fresh c in
+            Itbl.add id c x;
+            x)
+    done
+  end;
+  Array.sub code_of_id 0 !m
+
+(* Replace every code in [cells] by its rank among the distinct codes of
+   [cells] under [Value.compare], and return the codes by rank.  That order
+   is null, then ints, then strings: ints are ranked by their bits with the
+   sign flipped, strings by their prefix keys, then [String.compare] within
+   a run of equal keys. *)
+let rank_in_place (cells : int array) =
+  let code_of_id = ids_in_place cells in
+  let m = Array.length code_of_id in
+  let key = Array.make m 0 in
+  let null = ref (-1) and nints = ref 0 in
+  for id = 0 to m - 1 do
+    match Symtab.value code_of_id.(id) with
+    | Value.Null -> null := id
+    | Value.Int i ->
+        incr nints;
+        key.(id) <- i lxor min_int
+    | Value.Str s -> key.(id) <- prefix_key s
+  done;
+  let ints = Array.make !nints 0 and strs = Array.make (m - !nints - Bool.to_int (!null >= 0)) 0 in
+  let ki = ref 0 and ks = ref 0 in
+  for id = 0 to m - 1 do
+    match Symtab.value code_of_id.(id) with
+    | Value.Null -> ()
+    | Value.Int _ ->
+        ints.(!ki) <- id;
+        incr ki
+    | Value.Str _ ->
+        strs.(!ks) <- id;
+        incr ks
+  done;
+  radix_sort key ints;
+  radix_sort key strs;
+  let str id = Value.to_string (Symtab.value code_of_id.(id)) in
+  let by_string x y = String.compare (str x) (str y) in
+  let i = ref 0 in
+  while !i < Array.length strs do
+    let j = ref (!i + 1) in
+    while !j < Array.length strs && key.(strs.(!j)) = key.(strs.(!i)) do
+      incr j
+    done;
+    if !j - !i > 1 then begin
+      let run = Array.sub strs !i (!j - !i) in
+      Array.stable_sort by_string run;
+      Array.blit run 0 strs !i (!j - !i)
+    end;
+    i := !j
+  done;
+  let code_of_rank = Array.make m 0 and rank_of_id = key in
+  let rank = ref 0 in
+  let place id =
+    rank_of_id.(id) <- !rank;
+    code_of_rank.(!rank) <- code_of_id.(id);
+    incr rank
+  in
+  if !null >= 0 then place !null;
+  Array.iter place ints;
+  Array.iter place strs;
+  Array.iteri (fun i id -> cells.(i) <- rank_of_id.(id)) cells;
+  code_of_rank
+
+let rec same_row (cells : int array) arity p q j =
+  j >= arity
+  || (cells.(p + j) = cells.(q + j) && same_row cells arity p q (j + 1))
+
+(* The relation of [count] rows of ranks at [cells.(off)], row-major: rows
+   sorted a column at a time from the last, duplicates dropped, ranks
+   turned back into codes. *)
+let rel_of_ranked code_of_rank cells off ~arity ~count =
+  let perm = Array.init count Fun.id in
+  if arity > 0 && count > 1 then begin
+    let key = Array.make count 0 in
+    for j = arity - 1 downto 0 do
+      for i = 0 to count - 1 do
+        key.(i) <- cells.(off + (i * arity) + j)
+      done;
+      radix_sort key perm
+    done
+  end;
+  let k = ref 0 in
+  for i = 0 to count - 1 do
+    let row = perm.(i) in
+    if i = 0 || not (same_row cells arity (off + (row * arity)) (off + (perm.(!k - 1) * arity)) 0)
+    then begin
+      perm.(!k) <- row;
+      incr k
+    end
+  done;
+  let nrows = !k in
+  let code i j = code_of_rank.(cells.(off + (perm.(i) * arity) + j)) in
+  if nrows = 0 then None
+  else if nrows < seg_min then
+    Some
+      (overlay_rel
+         (Tuple.Set.of_list
+            (List.init nrows (fun i -> Array.init arity (fun j -> Symtab.value (code i j))))))
+  else begin
+    let cols = Array.init arity (fun _ -> Array.make nrows 0) in
+    for j = 0 to arity - 1 do
+      let col = cols.(j) in
+      for i = 0 to nrows - 1 do
+        col.(i) <- code i j
+      done
+    done;
+    Some (mk_rel (seg_of_cols ~arity ~nrows cols) Iset.empty 0 Tuple.Set.empty 0)
+  end
+
+let cells_of b = b.bcount * b.barity
+
+let add_built builders rels =
+  match builders with
+  | [] -> rels
+  | _ ->
+      let cells = Array.make (List.fold_left (fun n b -> n + cells_of b) 0 builders) 0 in
+      ignore
+        (List.fold_left
+           (fun off b ->
+             Array.blit b.bcodes 0 cells off (cells_of b);
+             off + cells_of b)
+           0 builders);
+      let code_of_rank = rank_in_place cells in
+      fst
+        (List.fold_left
+           (fun (rels, off) b ->
+             let rels =
+               match
+                 rel_of_ranked code_of_rank cells off ~arity:b.barity ~count:b.bcount
+               with
+               | Some r -> Smap.add b.bpred r rels
+               | None -> rels
+             in
+             (rels, off + cells_of b))
+           (rels, 0) builders)
+
+let build builders = mk (add_built builders Smap.empty)
+
+(* Relations of one arity and at least [seg_min] tuples go through a
+   builder; the rest, where a segment could only cost (the repair search
+   churns through thousands of tiny instances) or the arities are mixed,
+   are sorted as tuples. *)
 let of_atoms atoms =
   let tbl : (string, Tuple.t list ref) Hashtbl.t = Hashtbl.create 16 in
   List.iter
@@ -404,15 +627,26 @@ let of_atoms atoms =
       | Some l -> l := Atom.args a :: !l
       | None -> Hashtbl.add tbl p (ref [ Atom.args a ]))
     atoms;
-  let rels =
+  let builders, rels =
     Hashtbl.fold
-      (fun p l acc ->
-        match rel_of_sorted_array (sort_dedup (Array.of_list !l)) with
-        | Some r -> Smap.add p r acc
-        | None -> acc)
-      tbl Smap.empty
+      (fun p l (builders, rels) ->
+        match !l with
+        | t :: rest
+          when List.compare_length_with rest (seg_min - 1) >= 0
+               && List.for_all (fun u -> Tuple.arity u = Tuple.arity t) rest ->
+            let b = builder p ~arity:(Tuple.arity t) in
+            List.iter (add_row b) !l;
+            (b :: builders, rels)
+        | ts ->
+            let s = Tuple.Set.of_list ts in
+            let r =
+              if Tuple.Set.cardinal s < seg_min then overlay_rel s
+              else Option.get (rel_of_sorted_array (Array.of_list (Tuple.Set.elements s)))
+            in
+            (builders, Smap.add p r rels))
+      tbl ([], Smap.empty)
   in
-  mk rels
+  mk (add_built builders rels)
 
 let of_list l = of_atoms (List.map (fun (p, vs) -> Atom.make p vs) l)
 

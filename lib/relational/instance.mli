@@ -5,7 +5,8 @@
 
     The representation is columnar: constants are interned through
     {!Symtab} and each relation is stored as an immutable sorted segment of
-    per-attribute int columns with lazily built hash indexes, plus a
+    int columns, one per attribute, with lazily built hash indexes per
+    attribute (membership is a binary search over the sorted rows), plus a
     persistent overlay of additions and deletions so that [add]/[remove]
     stay functional and cheap.  Joins read the codes directly (see
     {!section-code}).  The observable behaviour — set semantics,
@@ -23,8 +24,33 @@ val remove : Atom.t -> t -> t
 val mem : Atom.t -> t -> bool
 
 val of_atoms : Atom.t list -> t
-(** Bulk constructor: builds columnar segments directly (one sort per
-    relation), the preferred way to load large instances. *)
+(** Bulk constructor: a relation of one arity and at least 8 tuples is
+    interned into a {!builder} and goes through {!build}; smaller
+    relations stay overlay tuple sets, and a relation of mixed arities
+    keeps its most common arity columnar and the rest in its overlay. *)
+
+(** {2 Bulk construction from codes}
+
+    What a loader streams its facts into: each row is interned into
+    {!Symtab} codes as it is added, so no tuple or atom is built per row.
+    Rows may come in any order and repeat. *)
+
+type builder
+(** One relation's rows, of one arity. *)
+
+val builder : string -> arity:int -> builder
+
+val add_row : builder -> Value.t array -> unit
+(** Intern the first [arity] values of the array (which may be longer)
+    as one row, under one acquisition of the symbol table's lock. *)
+
+val build : builder list -> t
+(** The instance of the builders' rows, one builder per relation.  The
+    distinct codes of all the rows are ranked once by {!Value.compare};
+    each relation's rows are sorted by rank, which is their
+    [Tuple.compare] order, and deduplicated.  A relation of fewer than 8
+    distinct rows stays an overlay tuple set, as in {!of_atoms}.  Time and
+    memory grow with the rows, not with the symbol table. *)
 
 val of_list : (string * Value.t list) list -> t
 val atoms : t -> Atom.t list

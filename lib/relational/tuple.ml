@@ -5,23 +5,23 @@ let of_array a = a
 let to_list = Array.to_list
 let arity = Array.length
 
-let equal a b =
-  Array.length a = Array.length b
-  &&
-  let rec go i = i >= Array.length a || (Value.equal a.(i) b.(i) && go (i + 1)) in
-  go 0
+(* Top-level recursions, not local closures: a local [go] captured [a]
+   and [b] and allocated per call, and every set of tuples sorts through
+   these. *)
+let rec equal_from (a : t) (b : t) i =
+  i >= Array.length a || (Value.equal a.(i) b.(i) && equal_from a b (i + 1))
+
+let equal a b = Array.length a = Array.length b && equal_from a b 0
+
+let rec compare_from (a : t) (b : t) i =
+  if i >= Array.length a then 0
+  else
+    let c = Value.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_from a b (i + 1)
 
 let compare a b =
   let la = Array.length a and lb = Array.length b in
-  if la <> lb then Int.compare la lb
-  else
-    let rec go i =
-      if i >= la then 0
-      else
-        let c = Value.compare a.(i) b.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
+  if la <> lb then Int.compare la lb else compare_from a b 0
 
 let hash t = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 17 t
 

@@ -35,28 +35,30 @@ let search ?budget ?universe ?nnc_positions ?explored d ics =
      constraints mentioning the predicate an action touched — a constraint's
      violations depend solely on the tuples of its own predicates *)
   let rec explore state per_ic =
-    if not (Iset.mem state !seen) then begin
-      seen := Iset.add state !seen;
-      incr count;
-      Budget.check_search_states !count;
-      (match budget with Some b -> Budget.tick_state b | None -> ());
-      match List.concat_map snd per_ic with
-      | [] -> consistent := state :: !consistent
-      | violations ->
-          (* branch on the fixes of EVERY current violation: an insertion
-             made for one constraint can be the only way another
-             constraint's violation is resolved in some repair (e.g. a UIC
-             consequent witnessing a RIC), so restricting to the first
-             violation's own actions would lose repairs *)
-          let actions =
-            Actions.dedup_actions
-              (List.concat_map
-                 (Actions.fixes ~universe ~nnc_positions state)
-                 violations)
-          in
-          List.iter
-            (fun act ->
-              let state' = Actions.apply state act in
+    (* [state] is unseen: the caller tests before it recomputes the
+       successor's violations *)
+    seen := Iset.add state !seen;
+    incr count;
+    Budget.check_search_states !count;
+    (match budget with Some b -> Budget.tick_state b | None -> ());
+    match List.concat_map snd per_ic with
+    | [] -> consistent := state :: !consistent
+    | violations ->
+        (* branch on the fixes of EVERY current violation: an insertion
+           made for one constraint can be the only way another
+           constraint's violation is resolved in some repair (e.g. a UIC
+           consequent witnessing a RIC), so restricting to the first
+           violation's own actions would lose repairs *)
+        let actions =
+          Actions.dedup_actions
+            (List.concat_map
+               (Actions.fixes ~universe ~nnc_positions state)
+               violations)
+        in
+        List.iter
+          (fun act ->
+            let state' = Actions.apply state act in
+            if not (Iset.mem state' !seen) then begin
               let touched =
                 match act with Delete a | Insert a -> Atom.pred a
               in
@@ -68,9 +70,9 @@ let search ?budget ?universe ?nnc_positions ?explored d ics =
                     else (ic, vs))
                   per_ic
               in
-              explore state' per_ic')
-            actions
-    end
+              explore state' per_ic'
+            end)
+          actions
   in
   explore d (List.map (fun ic -> (ic, Nullsat.violations d ic)) ics);
   List.rev !consistent

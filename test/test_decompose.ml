@@ -689,13 +689,15 @@ let test_allocation_guard () =
     true (large <= 1.5 *. small)
 
 (* The first plan of a fresh instance, after its first check, builds
-   once the indexes its closure joins probe and the check did not: R's
-   and S's row indexes and both of S's columns, 22.4 words per tuple at
-   20k tuples and 20.8 at 80k.  Nothing else in it grows with the table.
-   No insertion under these constraints reads Proposition 1's universe,
-   so the plan folds no active domain; with that fold the first plan
-   took 216 words per tuple at 20k tuples and 243 at 80k. *)
-let first_plan_words_per_tuple = 24.
+   once the indexes its closure joins probe and the check did not: both
+   of S's column indexes, 9.9 words per tuple at 20k tuples and 10.9 at
+   80k.  Its membership tests are binary searches and build no row
+   index (R's and S's would add 12 words per tuple).  Nothing else in it
+   grows with the table.  No insertion under these constraints reads
+   Proposition 1's universe, so the plan folds no active domain; with
+   that fold the first plan took 216 words per tuple at 20k tuples and
+   243 at 80k. *)
+let first_plan_words_per_tuple = 12.
 
 let test_first_plan () =
   List.iter

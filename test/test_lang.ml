@@ -100,34 +100,324 @@ let test_query_formulas () =
   let answers = Query.Qeval.answers d (List.assoc "q4" l.Load.queries) in
   Alcotest.(check int) "one null match" 1 (Relational.Tuple.Set.cardinal answers)
 
-let test_errors_simple () =
-  Alcotest.(check bool) "arity mismatch rejected" true
-    (Result.is_error (Load.of_string "relation P(a).\nP(1, 2)."));
-  Alcotest.(check bool) "parse error rejected" true
-    (Result.is_error (Load.of_string "constraint : ->."));
-  Alcotest.(check bool) "null in constraint rejected" true
-    (Result.is_error (Load.of_string "constraint c: P(X) -> Q(null)."));
-  Alcotest.(check bool) "unknown not_null relation" true
-    (Result.is_error (Load.of_string "not_null R[1]."));
-  Alcotest.(check bool) "not_null out of range" true
-    (Result.is_error (Load.of_string "relation R(a).\nnot_null R[4]."));
-  Alcotest.(check bool) "bad head var" true
-    (Result.is_error (Load.of_string "relation P(a).\nquery q(X): P(Y)."));
-  Alcotest.(check bool) "unknown query relation" true
-    (Result.is_error (Load.of_string "query q(X): P(X)."));
-  Alcotest.(check bool) "unterminated string" true
-    (Result.is_error (Load.of_string "P(\"abc)."));
-  (* the input is lexed as it is parsed, but a lexical error still wins
-     over a parse error earlier in the file *)
-  Alcotest.(check (result reject string)) "lexical error after a parse error"
-    (Error "3:3: lexical error: unexpected character '$'")
-    (Result.map (fun _ -> ()) (Load.of_string "P(1,.\nQ(2).\nR($).\n"));
-  Alcotest.(check (result reject string)) "integer literal past max_int"
-    (Error "2:3: lexical error: integer literal 99999999999999999999 out of range")
-    (Result.map (fun _ -> ()) (Load.of_string "P(1).\nR(99999999999999999999).\n"));
-  Alcotest.(check (result reject string)) "parse error alone"
-    (Error "1:5: parse error: expected a constant (found '.')")
-    (Result.map (fun _ -> ()) (Load.of_string "P(1,.\nQ(2).\n"))
+(* ------------------------------------------------------------------ *)
+(* The loader against its oracle.  [Load_oracle] is the loader as it was
+   before facts were streamed into code rows: a located record per token,
+   a [Surface] item and an atom per fact, and the tuple-sorting instance
+   build.  A load must agree with it on the schema, the constraints, the
+   queries, the updates and the instance (under [equal], [compare] and
+   [pp]), or fail with the same message. *)
+
+let summary (l : Load.loaded) =
+  Fmt.str "%s; ics %d; queries [%s]; updates %d"
+    (String.concat " "
+       (String.split_on_char '\n' (Lang.Emit.instance l.Load.instance)))
+    (List.length l.Load.ics)
+    (String.concat ", " (List.map fst l.Load.queries))
+    (List.length l.Load.updates)
+
+let same_load label (got : (Load.loaded, string) result)
+    (want : (Load.loaded, string) result) =
+  match (got, want) with
+  | Error g, Error w -> Alcotest.(check string) (label ^ ": error") w g
+  | Ok g, Ok w ->
+      let str pp x = Fmt.str "%a" pp x in
+      Alcotest.(check bool) (label ^ ": schema") true
+        (Relational.Schema.relations g.Load.schema
+        = Relational.Schema.relations w.Load.schema);
+      Alcotest.(check bool) (label ^ ": constraints") true
+        (List.equal Ic.Constr.equal g.Load.ics w.Load.ics);
+      Alcotest.(check (list (pair string string)))
+        (label ^ ": queries")
+        (List.map (fun (n, q) -> (n, str Q.pp q)) w.Load.queries)
+        (List.map (fun (n, q) -> (n, str Q.pp q)) g.Load.queries);
+      Alcotest.(check string) (label ^ ": updates")
+        (str Delta.pp w.Load.updates) (str Delta.pp g.Load.updates);
+      Alcotest.(check bool) (label ^ ": instance equal") true
+        (Instance.equal g.Load.instance w.Load.instance);
+      Alcotest.(check int) (label ^ ": instance compare") 0
+        (Instance.compare g.Load.instance w.Load.instance);
+      Alcotest.(check string) (label ^ ": instance pp")
+        (str Instance.pp w.Load.instance) (str Instance.pp g.Load.instance)
+  | Ok _, Error w -> Alcotest.failf "%s: loaded, the oracle failed with %s" label w
+  | Error g, Ok _ -> Alcotest.failf "%s: failed with %s, the oracle loaded" label g
+
+(* Loader inputs with the exact outcome each one must have: [Ok] with the
+   loaded file's summary, or [Error] with the message.  Every row runs
+   through the loader and its oracle. *)
+let cases : (string * string * (string, string) result) list =
+  [
+    (* the former error checks *)
+    ( "arity against a declaration",
+      "relation P(a).\nP(1, 2).",
+      Error "line 2: relation P has arity 1 but is used with 2 atoms" );
+    ( "parse error in a constraint",
+      "constraint : ->.",
+      Error "1:14: parse error: expected a relation atom in the antecedent (found '->')" );
+    ( "null in a constraint",
+      "constraint c: P(X) -> Q(null).",
+      Error "1:25: parse error: null may not appear in constraints or queries (use isnull or not_null) (found 'null')" );
+    ( "not_null on an unknown relation",
+      "not_null R[1].",
+      Error "line 1: not_null on unknown relation R" );
+    ( "not_null out of range",
+      "relation R(a).\nnot_null R[4].",
+      Error "line 2: Constr.not_null: position 4 out of range 1..1" );
+    ( "query head variable not in the body",
+      "relation P(a).\nquery q(X): P(Y).",
+      Error "line 2: Query.make: head variable X does not occur in the body" );
+    ( "query on an unknown relation",
+      "query q(X): P(X).",
+      Error "line 1: query q mentions unknown relation P" );
+    ( "unterminated string",
+      "P(\"abc).",
+      Error "1:3: lexical error: unterminated string literal" );
+    ( "lexical error after a parse error",
+      "P(1,.\nQ(2).\nR($).\n",
+      Error "3:3: lexical error: unexpected character '$'" );
+    ( "integer literal past max_int",
+      "P(1).\nR(99999999999999999999).\n",
+      Error "2:3: lexical error: integer literal 99999999999999999999 out of range" );
+    ( "parse error alone",
+      "P(1,.\nQ(2).\n",
+      Error "1:5: parse error: expected a constant (found '.')" );
+    (* bad tokens and integer literals *)
+    ( "bad token in a fact",
+      "P(1) @ .",
+      Error "1:6: lexical error: unexpected character '@'" );
+    ( "backquote in an identifier",
+      "P(a`b).",
+      Error "1:4: lexical error: unexpected character '`'" );
+    ( "max_int itself",
+      "P(4611686018427387903).",
+      Ok "P(4611686018427387903).; ics 0; queries []; updates 0" );
+    ( "one past max_int",
+      "P(4611686018427387904).",
+      Error "1:3: lexical error: integer literal 4611686018427387904 out of range" );
+    ( "minus without an integer",
+      "P(-).",
+      Error "1:4: parse error: expected integer after '-' (found ')')" );
+    ( "minus before a word",
+      "P(- a).",
+      Error "1:5: parse error: expected integer after '-' (found 'a')" );
+    ( "unterminated string at the end",
+      "P(1).\nQ(\"ab",
+      Error "2:3: lexical error: unterminated string literal" );
+    ( "empty fact",
+      "P().",
+      Error "1:3: parse error: expected a constant (found ')')" );
+    (* arity clashes *)
+    ( "fact against fact",
+      "P(1).\nP(1, 2).",
+      Error "line 2: relation P has arity 1 but is used with 2 atoms" );
+    ( "fact against a constraint atom",
+      "constraint c: P(X, Y) -> false.\nP(1).",
+      Error "line 2: relation P has arity 2 but is used with 1 atoms" );
+    ( "constraint atom against a fact",
+      "P(1).\nconstraint c: P(X, Y) -> false.",
+      Error "line 2: relation P has arity 1 but is used with 2 atoms" );
+    ( "query against facts",
+      "P(1).\nquery q(X): exists Y. P(X, Y).",
+      Error "line 2: query q uses P with arity 2, expected 1" );
+    ( "insert against facts",
+      "P(1).\ninsert P(1, 2).",
+      Error "line 2: relation P has arity 1 but is used with 2 atoms" );
+    ( "relation declared after its facts",
+      "P(1).\nrelation P(a).",
+      Error "line 2: relation P declared twice" );
+    ( "relation declared twice",
+      "relation P(a).\nrelation P(b).",
+      Error "line 2: relation P declared twice" );
+    (* precedence: lexical, then parse, then schema, then the other items *)
+    ( "schema error on a later line beats an earlier not_null error",
+      "not_null R[1].\nP(1).\nP(1, 2).",
+      Error "line 3: relation P has arity 1 but is used with 2 atoms" );
+    ( "first schema error in file order",
+      "P(1).\nP(1, 2).\nrelation P(a).",
+      Error "line 2: relation P has arity 1 but is used with 2 atoms" );
+    ( "schema error before a parse error",
+      "P(1).\nP(1, 2).\nQ(3",
+      Error "3:4: parse error: expected ',' or ')' (found '<eof>')" );
+    ( "lexical error after a schema error",
+      "P(1).\nP(1, 2).\nQ(&$).",
+      Error "3:4: lexical error: unexpected character '$'" );
+    ( "not_null error before a query error",
+      "relation P(a).\nquery q(X): Z(X).\nnot_null P[2].",
+      Error "line 3: Constr.not_null: position 2 out of range 1..1" );
+    (* truncation at every item boundary, then inside items *)
+    ( "empty input",
+      "",
+      Ok "; ics 0; queries []; updates 0" );
+    ( "truncated after the declaration",
+      "relation R(a, b).\n",
+      Ok "; ics 0; queries []; updates 0" );
+    ( "truncated after a fact",
+      "relation R(a, b).\nR(1, x).\n",
+      Ok "R(1, x).; ics 0; queries []; updates 0" );
+    ( "truncated after the constraint",
+      "relation R(a, b).\nR(1, x).\nconstraint k: R(X, Y), R(X, Z) -> Y = Z.\n",
+      Ok "R(1, x).; ics 1; queries []; updates 0" );
+    ( "truncated after not_null",
+      "relation R(a, b).\nR(1, x).\nconstraint k: R(X, Y), R(X, Z) -> Y = Z.\nnot_null R[1].\n",
+      Ok "R(1, x).; ics 2; queries []; updates 0" );
+    ( "truncated after the query",
+      "relation R(a, b).\nR(1, x).\nconstraint k: R(X, Y), R(X, Z) -> Y = Z.\nnot_null R[1].\nquery q(X): exists Y. R(X, Y).\n",
+      Ok "R(1, x).; ics 2; queries [q]; updates 0" );
+    ( "truncated after the insert",
+      "relation R(a, b).\nR(1, x).\nconstraint k: R(X, Y), R(X, Z) -> Y = Z.\nnot_null R[1].\nquery q(X): exists Y. R(X, Y).\ninsert R(2, y).\n",
+      Ok "R(1, x).; ics 2; queries [q]; updates 1" );
+    ( "whole file",
+      "relation R(a, b).\nR(1, x).\nconstraint k: R(X, Y), R(X, Z) -> Y = Z.\nnot_null R[1].\nquery q(X): exists Y. R(X, Y).\ninsert R(2, y).\ndelete R(1, x).\n",
+      Ok "R(1, x).; ics 2; queries [q]; updates 2" );
+    ( "truncated in a declaration",
+      "relation R(a,",
+      Error "1:14: parse error: expected attribute name (found '<eof>')" );
+    ( "truncated after a fact's name",
+      "R",
+      Error "1:2: parse error: expected '(' (found '<eof>')" );
+    ( "truncated after a fact's parenthesis",
+      "R(",
+      Error "1:3: parse error: expected a constant (found '<eof>')" );
+    ( "truncated after a fact's value",
+      "R(1",
+      Error "1:4: parse error: expected ',' or ')' (found '<eof>')" );
+    ( "truncated after a fact's comma",
+      "R(1, ",
+      Error "1:6: parse error: expected a constant (found '<eof>')" );
+    ( "truncated before a fact's dot",
+      "R(1, x)",
+      Error "1:8: parse error: expected '.' (found '<eof>')" );
+    ( "truncated in a constraint",
+      "constraint k: R(X, Y) -> Y",
+      Error "1:27: parse error: expected a comparison operator (found '<eof>')" );
+    ( "truncated in a query",
+      "query q(X): exists Y.",
+      Error "1:22: parse error: expected a formula (found '<eof>')" );
+    ( "truncated in an insert",
+      "insert R(2",
+      Error "1:11: parse error: expected ',' or ')' (found '<eof>')" );
+    (* odd but valid *)
+    ( "comment and newlines inside a fact",
+      "P(1, % comment\n\n 2).",
+      Ok "P(1, 2).; ics 0; queries []; updates 0" );
+    ( "minus apart from its integer",
+      "P(- 5).",
+      Ok "P(-5).; ics 0; queries []; updates 0" );
+    ( "quoted null against null",
+      "P(\"null\").\nP(null).",
+      Ok "P(null). P(\"null\").; ics 0; queries []; updates 0" );
+    ( "capitalized constants",
+      "P(Ann, bob).",
+      Ok "P(\"Ann\", bob).; ics 0; queries []; updates 0" );
+    ( "quoted comma and parenthesis",
+      "P(\"a,b\", \"c)\").",
+      Ok "P(\"a,b\", \"c)\").; ics 0; queries []; updates 0" );
+    ( "quote marks in identifiers",
+      "P(x', y'').",
+      Ok "P(x', y'').; ics 0; queries []; updates 0" );
+    ( "crlf line endings",
+      "P(1).\r\nQ(2).\r\n",
+      Ok "P(1). Q(2).; ics 0; queries []; updates 0" );
+    ( "crlf before a lexical error",
+      "P(1).\r\nQ($).\r\n",
+      Error "2:3: lexical error: unexpected character '$'" );
+    ( "newline inside a quoted string",
+      "P(\"a\nb\").\nQ($).",
+      Error "3:3: lexical error: unexpected character '$'" );
+    ( "no final newline",
+      "P(1).",
+      Ok "P(1).; ics 0; queries []; updates 0" );
+    ( "segment with duplicates",
+      "P(3). P(1). P(2). P(1). P(-4). P(null). P(b). P(a). P(\"a\"). P(10). P(3).",
+      Ok "P(null). P(-4). P(1). P(2). P(3). P(10). P(a). P(b).; ics 0; queries []; updates 0" );
+    ( "mixed kinds in a segment",
+      "R(1, x). R(1, null). R(-2, y). R(x, 1). R(\"\", 0). R(a, a). R(ab, b). R(abcdefghij, 1). R(abcdefghi, 1). R(abcdefghij, 0).",
+      Ok "R(-2, y). R(1, null). R(1, x). R(\"\", 0). R(a, a). R(ab, b). R(abcdefghi, 1). R(abcdefghij, 0). R(abcdefghij, 1). R(x, 1).; ics 0; queries []; updates 0" );
+  ]
+
+let test_cases () =
+  List.iter
+    (fun (name, input, expected) ->
+      let got = Load.of_string input in
+      Alcotest.(check (result string string)) name expected (Result.map summary got);
+      same_load name got (Load_oracle.of_string input))
+    cases
+
+(* every .cqa file under scenarios/ and test/ *)
+let test_oracle_files () =
+  let rec files dir =
+    Sys.readdir dir |> Array.to_list |> List.sort String.compare
+    |> List.concat_map (fun f ->
+           let path = Filename.concat dir f in
+           if Sys.is_directory path then files path
+           else if Filename.check_suffix f ".cqa" then [ path ]
+           else [])
+  in
+  let paths = files "../scenarios" @ files "." in
+  Alcotest.(check bool) "files found" true (List.length paths >= 25);
+  List.iter
+    (fun path ->
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      same_load path (Load.of_file path) (Load_oracle.of_string ~file:path text))
+    paths
+
+(* the generators' instances and constraints, written through Emit, with
+   every segment regime: tiny relations, mixed kinds, nulls *)
+let test_oracle_workloads () =
+  let module G = Workload.Gen in
+  let workloads =
+    [
+      G.scale_workload ~seed:3 ~tuples:6_000 ~fd_conflicts:4 ~orphans:4 ();
+      G.fk_workload ~seed:2 ~n_parent:300 ~n_child:500 ~orphan_rate:0.1 ~null_rate:0.1 ();
+      G.fd_workload ~seed:4 ~width:3 ~n:400 ~dup_rate:0.2 ();
+      G.check_workload ~seed:5 ~n:300 ~viol_rate:0.1 ~null_rate:0.1 ();
+      G.denial_workload ~seed:6 ~n:300 ~viol_rate:0.1 ();
+      G.clusters_workload ~padding:10 ~weight:4 ~k:16 ();
+      G.chain_workload ~seed:7 ~n:40 ~broken:3 ();
+    ]
+    @ List.init 30 (fun seed -> G.random_case ~seed ())
+    @ List.init 30 (fun seed -> G.route_case ~seed ())
+  in
+  (* without a schema, a file whose constraints name a relation with no
+     facts fails to load (not_null on an unknown relation), and so does
+     its oracle *)
+  let loaded =
+    List.filter
+      (fun (w : G.t) ->
+        let text = Lang.Emit.file ~ics:w.G.ics w.G.d in
+        let got = Load.of_string text in
+        same_load w.G.label got (Load_oracle.of_string text);
+        match got with
+        | Ok l ->
+            Alcotest.(check bool) (w.G.label ^ ": the generator's instance") true
+              (Instance.equal l.Load.instance w.G.d);
+            true
+        | Error _ -> false)
+      workloads
+  in
+  Alcotest.(check bool) "most workloads load" true (List.length loaded >= 60)
+
+let test_oracle_fuzz () =
+  for seed = 1 to 200 do
+    let text = Conform.Fuzz.source (Conform.Fuzz.gen ~seed ()) in
+    same_load (Printf.sprintf "fuzz seed %d" seed) (Load.of_string text)
+      (Load_oracle.of_string text)
+  done
+
+(* A load allocates in proportion to its text: at most 60 words per tuple,
+   counted exactly, on a 20k-tuple file whose values are already interned.
+   A located record per token and an atom per fact cost about 285. *)
+let test_load_words () =
+  let w = Workload.Gen.scale_workload ~seed:1 ~tuples:20_000 ~fd_conflicts:4 ~orphans:4 () in
+  let text = Lang.Emit.file ~ics:w.Workload.Gen.ics w.Workload.Gen.d in
+  ignore (load text);
+  let l, words = Alloc.allocated (fun () -> load text) in
+  let tuples = Instance.cardinal l.Load.instance in
+  Alcotest.(check int) "every tuple loaded" 20_000 tuples;
+  let per_tuple = words /. float_of_int tuples in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per tuple <= 60" per_tuple)
+    true (per_tuple <= 60.)
 
 let test_roundtrip_paper_scenarios () =
   (* the surface file reproducing Example 19 parses into the same repairs *)
@@ -251,7 +541,7 @@ let () =
           Alcotest.test_case "values" `Quick test_null_and_types;
           Alcotest.test_case "constraint shapes" `Quick test_constraint_shapes;
           Alcotest.test_case "query formulas" `Quick test_query_formulas;
-          Alcotest.test_case "errors" `Quick test_errors_simple;
+          Alcotest.test_case "errors" `Quick test_cases;
           Alcotest.test_case "example 19 round trip" `Quick test_roundtrip_paper_scenarios;
           Alcotest.test_case "comments" `Quick test_comments_and_whitespace;
           Alcotest.test_case "lexer edges" `Quick test_lexer_edges;
@@ -259,5 +549,9 @@ let () =
           Alcotest.test_case "emit roundtrip" `Quick test_emit_roundtrip;
           Alcotest.test_case "emit values" `Quick test_emit_values;
           Alcotest.test_case "emit repairs" `Quick test_emit_repair_is_consistent_file;
+          Alcotest.test_case "oracle: files" `Quick test_oracle_files;
+          Alcotest.test_case "oracle: workloads" `Quick test_oracle_workloads;
+          Alcotest.test_case "oracle: fuzz sources" `Quick test_oracle_fuzz;
+          Alcotest.test_case "load words" `Quick test_load_words;
         ] );
     ]

@@ -230,13 +230,21 @@ let test_instance_compare_order () =
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
+(* Mostly a small domain, so that tuples collide; now and then the edges
+   of the bulk build's rank sort: negative and extreme ints, and strings
+   that are empty, prefixes of each other, or share their first seven
+   bytes. *)
 let value_gen =
   QCheck.Gen.(
     frequency
       [
-        (1, return Value.null);
-        (3, map Value.int (int_range 0 5));
-        (3, map (fun c -> Value.str (String.make 1 c)) (char_range 'a' 'e'));
+        (2, return Value.null);
+        (6, map Value.int (int_range 0 5));
+        (6, map (fun c -> Value.str (String.make 1 c)) (char_range 'a' 'e'));
+        (1, map Value.int (oneofl [ min_int; -1; -4611; 1 lsl 40; max_int ]));
+        ( 1,
+          map Value.str
+            (oneofl [ ""; "a\000"; "abcdefg"; "abcdefgh"; "abcdefgz"; "abcdefghi"; "b\255" ]) );
       ])
 
 let tuple_gen arity = QCheck.Gen.(map Tuple.make (list_size (return arity) value_gen))
@@ -359,12 +367,31 @@ let same_observables probe_atoms d n =
   && Fmt.str "%a" Instance.pp d = Fmt.str "%a" Naive.pp n
   && Fmt.str "%a" Instance.pp_inline d = Fmt.str "%a" Naive.pp_inline n
 
+(* The atom with its first position replaced by a constant no instance
+   ever holds, hence never interned: lookups must miss without interning
+   it. *)
+let fresh_variant a =
+  let args = Array.copy (Atom.args a) in
+  if Array.length args > 0 then args.(0) <- vs "\001 never interned";
+  Atom.of_tuple (Atom.pred a) args
+
 let prop_naive_differential =
   QCheck.Test.make ~name:"columnar = Naive oracle (unary ops, 500 cases)"
     ~count:500 script_arb (fun ((base, extras, removes) as s) ->
       let d, n = build_pair s in
-      let probes = base @ extras @ removes in
+      let probes = base @ extras @ removes @ List.map fresh_variant base in
       same_observables probes d n
+      && (* adding and removing a tuple holding a constant never interned,
+            and removing one again *)
+      List.for_all
+        (fun a ->
+          let a = fresh_variant a in
+          same_observables (a :: probes) (Instance.add a d) (Naive.add a n)
+          && same_observables (a :: probes)
+               (Instance.remove a (Instance.add a d))
+               (Naive.remove a (Naive.add a n))
+          && same_observables probes (Instance.remove a d) (Naive.remove a n))
+        (List.filteri (fun i _ -> i < 3) base)
       && (let keep a = Atom.pred a <> "Q" in
           same_observables probes (Instance.filter keep d) (Naive.filter keep n)))
 
@@ -421,6 +448,28 @@ let prop_naive_near_equal =
           && Instance.subset x y = Naive.subset nx ny
           && Instance.subset y x = Naive.subset ny nx)
         [ (d, n, da, na); (d, n, db, nb); (da, na, db, nb) ])
+
+(* One relation of mixed arities, which a bulk build splits: the most
+   common arity columnar, the rest in the overlay. *)
+let prop_mixed_arities =
+  QCheck.Test.make ~name:"columnar = Naive oracle (mixed arities)" ~count:300
+    (QCheck.make
+       ~print:(fun l -> Fmt.str "%a" Instance.pp_inline (Instance.of_atoms l))
+       QCheck.Gen.(
+         list_size (int_range 0 30)
+           (let* arity = int_range 1 2 in
+            map (Atom.of_tuple "M") (tuple_gen arity))))
+    (fun atoms ->
+      let d = Instance.of_atoms atoms and n = Naive.of_atoms atoms in
+      let probes = atoms @ List.map fresh_variant atoms in
+      same_observables probes d n
+      && List.for_all
+           (fun a ->
+             same_observables probes (Instance.remove a d) (Naive.remove a n)
+             && same_observables probes
+                  (Instance.add (fresh_variant a) d)
+                  (Naive.add (fresh_variant a) n))
+           (List.filteri (fun i _ -> i < 4) atoms))
 
 (* check_delta seeding aside, the index probes themselves must agree with
    a filter of the full scan — order included: segment postings ascending,
@@ -504,6 +553,63 @@ let test_walk_allocation () =
     true
     (words <= (6. *. float_of_int tuples) +. slack)
 
+(* [Tuple.compare] and [Tuple.equal] allocate nothing: a set of tuples
+   sorts through them. *)
+let test_tuple_compare_allocation () =
+  let a = t [ vi 1; vs "x"; v_null ] and b = t [ vi 1; vs "x"; vi 2 ] in
+  let n = 1000 in
+  let _, words =
+    Alloc.allocated (fun () ->
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (Tuple.compare a b));
+          ignore (Sys.opaque_identity (Tuple.equal a b));
+          ignore (Sys.opaque_identity (Tuple.equal a a))
+        done)
+  in
+  Alcotest.(check (float 0.)) "words for 3000 calls" 0. words
+
+(* Membership is a binary search over the sorted segment: the first [mem]
+   on a fresh instance builds no index, so it allocates a constant (a hash
+   index over R's and S's rows would cost 72k and 117k words at this
+   size). *)
+let test_first_mem_allocation () =
+  let w = Workload.Gen.scale_workload ~tuples:20_000 () in
+  let d = Instance.of_atoms (Instance.atoms w.Workload.Gen.d) in
+  let r = List.hd (Instance.atoms (Instance.filter (fun a -> Atom.pred a = "R") d)) in
+  let s = List.hd (List.rev (Instance.atoms d)) in
+  let absent = Atom.make "S" [ vs "never interned anywhere"; vi 1 ] in
+  List.iter
+    (fun (label, a, expected) ->
+      let found, words = Alloc.allocated (fun () -> Instance.mem a d) in
+      Alcotest.(check bool) label expected found;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f words <= 16" label words)
+        true (words <= 16.))
+    [ ("first R row", r, true); ("last S row", s, true); ("absent", absent, false) ]
+
+(* A bulk build whose codes span far more values than it has cells (old
+   constants next to new ones, as in a server that has loaded other
+   files) finds its distinct codes by sorting them, not through an array
+   over the span: it agrees with the oracle all the same. *)
+let test_build_sparse_codes () =
+  let old = List.init 40 (fun i -> vs (Printf.sprintf "sparse old %d" i)) in
+  List.iter (fun v -> ignore (Relational.Symtab.intern v)) old;
+  for i = 0 to 4_999 do
+    ignore (Relational.Symtab.intern (vs (Printf.sprintf "sparse filler %d" i)))
+  done;
+  let atoms =
+    List.concat
+      (List.mapi
+         (fun i v ->
+           [
+             Atom.make "P" [ v; vs (Printf.sprintf "sparse new %d" (i mod 7)) ];
+             Atom.make "P" [ vi (-i); v ];
+           ])
+         old)
+  in
+  let d = Instance.of_atoms atoms and n = Naive.of_atoms atoms in
+  Alcotest.(check bool) "observables" true (same_observables atoms d n)
+
 let qcheck = List.map QCheck_alcotest.to_alcotest
 
 let () =
@@ -521,6 +627,8 @@ let () =
           Alcotest.test_case "basic" `Quick test_tuple_basic;
           Alcotest.test_case "compare" `Quick test_tuple_compare;
           Alcotest.test_case "project" `Quick test_tuple_project;
+          Alcotest.test_case "compare allocates nothing" `Quick
+            test_tuple_compare_allocation;
         ] );
       ( "instance",
         [
@@ -565,12 +673,15 @@ let () =
         Alcotest.test_case "compaction crossing" `Quick
           test_compaction_crossing
         :: Alcotest.test_case "relation walk allocation" `Quick test_walk_allocation
+        :: Alcotest.test_case "first mem allocation" `Quick test_first_mem_allocation
+        :: Alcotest.test_case "build over sparse codes" `Quick test_build_sparse_codes
         :: qcheck
              [
                prop_naive_differential;
                prop_naive_differential_binary;
                prop_naive_differential_rebuilt;
                prop_naive_near_equal;
+               prop_mixed_arities;
                prop_iter_matching;
              ] );
     ]
