@@ -192,7 +192,8 @@ let repairs_cmd =
               (fun i r ->
                 let path = Printf.sprintf "%s_%d.cqa" prefix (i + 1) in
                 Out_channel.with_open_text path (fun oc ->
-                    output_string oc (Lang.Emit.file ~ics r));
+                    output_string oc
+                      (Lang.Emit.file ~schema:l.Lang.Load.schema ~ics r));
                 Fmt.pr "wrote %s@." path)
               repairs);
         0

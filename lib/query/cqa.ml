@@ -77,36 +77,40 @@ let full_repairs ~plan ~minimal states =
     Repair.Order.minimal_among ~d
       (List.of_seq (Decompose.product core (Option.get states)))
 
-(* The core's answers to a single-atom query, derived from [standard], the
-   answers over D.  D is the core plus the components' slices, and a
-   single atom's answers are additive, so an answer over D is missing from
-   the core's only if every witness of it is a slice atom.  So only the
-   heads of the components' atoms matching the query atom are tested, each
-   with one join over the core seeded on it ({!Qeval.witnessed}), and the
-   unwitnessed ones are removed: the result shares [standard]'s
-   structure.  The atoms include insertion candidates outside D, whose
-   heads the test decides like any other. *)
-let core_answers ?semantics ~(plan : Decompose.plan) ~standard (q : Qsyntax.t) =
+(* The standard answers the core lacks, for a single-atom query.  D is
+   the core plus the components' slices, and a single atom's answers are
+   additive, so an answer over D is missing from the core's only if every
+   witness of it is a slice atom.  So only the heads of the components'
+   atoms matching the query atom that are standard answers are tested,
+   each once, with one join over the core seeded on it
+   ({!Qeval.witnessed}).  The atoms include insertion candidates outside
+   D, whose heads the test decides like any other. *)
+let unwitnessed ?semantics ~(plan : Decompose.plan) ~standard (q : Qsyntax.t) =
   let atom = List.hd (Qsyntax.atoms q.Qsyntax.body) in
   let pred = Ic.Patom.pred atom and terms = Ic.Patom.terms atom in
-  let witnessed = lazy (Qeval.witnessed ?semantics plan.Decompose.core q) in
-  let decide (a : Atom.t) answers =
-    if not (String.equal (Atom.pred a) pred) then answers
+  let head (a : Atom.t) heads =
+    if not (String.equal (Atom.pred a) pred) then heads
     else
       match Assign.match_tuple Assign.empty terms (Atom.args a) with
-      | None -> answers
+      | None -> heads
       | Some theta ->
-          let h =
-            Array.of_list (List.map (Assign.lookup_exn theta) q.Qsyntax.head)
-          in
-          if Tuple.Set.mem h answers && not (Lazy.force witnessed h) then
-            Tuple.Set.remove h answers
-          else answers
+          Array.of_list (List.map (Assign.lookup_exn theta) q.Qsyntax.head)
+          :: heads
   in
-  List.fold_left
-    (fun answers (c : Decompose.component) ->
-      Atom.Set.fold decide c.Decompose.atoms answers)
-    standard plan.Decompose.components
+  let heads =
+    List.fold_left
+      (fun heads (c : Decompose.component) ->
+        Atom.Set.fold head c.Decompose.atoms heads)
+      [] plan.Decompose.components
+  in
+  let candidates = Tuple.Set.inter standard (Tuple.Set.of_list heads) in
+  if Tuple.Set.is_empty candidates then candidates
+  else
+    let witnessed = Qeval.witnessed ?semantics plan.Decompose.core q in
+    Tuple.Set.of_list
+      (Tuple.Set.fold
+         (fun h acc -> if witnessed h then acc else h :: acc)
+         candidates [])
 
 let factorized_outcome ?semantics ?(jobs = 1) ?states ?exhausted ~plan
     ~minimal ~standard (q : Qsyntax.t) =
@@ -174,16 +178,22 @@ let factorized_outcome ?semantics ?(jobs = 1) ?states ?exhausted ~plan
                     Parallel.Pool.map pool eval_component
                       relevant)
             in
-            let base = core_answers ?semantics ~plan ~standard q in
+            let removed = unwitnessed ?semantics ~plan ~standard q in
+            (* the core's answers are [standard \ removed], so a result
+               is [(standard \ removed) ∪ added] = [standard \ (removed
+               \ added) ∪ (added \ standard)]: the small sets are
+               combined first, and the standard answers take one diff and
+               one union, each of which returns them unchanged, without a
+               copy, when it has nothing to remove or add *)
+            let over_core sets =
+              let added = List.fold_left Tuple.Set.union Tuple.Set.empty sets in
+              Tuple.Set.union
+                (Tuple.Set.diff standard (Tuple.Set.diff removed added))
+                (Tuple.Set.diff added standard)
+            in
             {
-              consistent =
-                List.fold_left
-                  (fun acc (i, _) -> Tuple.Set.union acc i)
-                  base per_component;
-              possible =
-                List.fold_left
-                  (fun acc (_, u) -> Tuple.Set.union acc u)
-                  base per_component;
+              consistent = over_core (List.map fst per_component);
+              possible = over_core (List.map snd per_component);
               standard;
               repair_count;
               exhausted;
@@ -615,9 +625,21 @@ let answer_set_string s =
   Bytes.set b stop '}';
   Bytes.unsafe_to_string b
 
+(* The three sets are often equal, or two of them (a consistent instance,
+   an untouched query relation): each distinct set is written once, and
+   equal ones share its string. *)
 let pp_outcome ppf o =
-  let pp_set ppf s = Format.pp_print_string ppf (answer_set_string s) in
-  Fmt.pf ppf "@[<v>consistent: %a@,possible:   %a@,standard:   %a@,repairs:    %d%a@]"
-    pp_set o.consistent pp_set o.possible pp_set o.standard o.repair_count
+  let consistent = answer_set_string o.consistent in
+  let possible =
+    if Tuple.Set.equal o.possible o.consistent then consistent
+    else answer_set_string o.possible
+  in
+  let standard =
+    if Tuple.Set.equal o.standard o.possible then possible
+    else if Tuple.Set.equal o.standard o.consistent then consistent
+    else answer_set_string o.standard
+  in
+  Fmt.pf ppf "@[<v>consistent: %s@,possible:   %s@,standard:   %s@,repairs:    %d%a@]"
+    consistent possible standard o.repair_count
     Fmt.(option (fun ppf e -> pf ppf "@,partial:    %a" Budget.pp_exhausted e))
     o.exhausted

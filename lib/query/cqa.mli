@@ -116,14 +116,18 @@ val factorized_outcome :
     evaluated over [plan.core]: [d] is the core plus the components'
     slices and answers are additive, so a standard answer is missing from
     the core's only if every witness of it is a component atom.  The heads
-    of the components' atoms matching the query atom are each tested with
-    one join over the core seeded on them ({!Qeval.witnessed}), and the
-    unwitnessed ones are removed from [standard].  Each repair is
-    evaluated alone.  The seeded join probes the index of one column the
-    query atom binds (a constant's or a head variable's) over the segment
-    the core shares with [d]: the first request on a column no join has
-    probed yet builds that index once, kept for every later request.
-    Apart from it no step grows with the core: the cost follows the
+    of the components' atoms matching the query atom that are standard
+    answers are each tested with one join over the core seeded on them
+    ({!Qeval.witnessed}), and each result is one [diff] of [standard], by
+    the unwitnessed heads the components do not give back, and one
+    [union] with what the components add beyond it; either returns
+    [standard] itself when it changes nothing, and otherwise copies it
+    once.  Each repair is evaluated alone.  The seeded join probes the
+    index of one column the query atom binds (a constant's or a head
+    variable's) over the segment the core shares with [d]: the first
+    request on a column no join has probed yet builds that index once,
+    kept for every later request.  Apart from it and the copies of
+    [standard], no step grows with the core: the cost follows the
     conflict. *)
 
 (** {1 The decomposed pipeline}
@@ -251,3 +255,7 @@ val certain :
     repair. *)
 
 val pp_outcome : outcome Fmt.t
+(** Four lines, [consistent:], [possible:], [standard:] and [repairs:],
+    and a fifth, [partial:], for an exhausted run.  Each distinct answer
+    set is written once: equal sets share one string, tested by physical
+    equality, then length, then the elements. *)

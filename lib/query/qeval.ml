@@ -212,8 +212,11 @@ let compile_body semantics d ~bound (q : Qsyntax.t) =
   in
   (j, kept)
 
-(* Each kept match decodes its head values into a tuple; one sort makes
-   the tuples the answer set. *)
+(* Each kept match decodes its head values into a tuple, appended to an
+   array that doubles when full.  The array becomes the answer set
+   ({!Relational.Tuple.Set.of_array}), sorted only when the join's order
+   is not [Tuple.compare] order: a scan of one atom walks its relation in
+   that order, so a head on its leading columns comes out sorted. *)
 let answers_join semantics d (q : Qsyntax.t) =
   let module J = Assign.Join in
   let j, kept = compile_body semantics d ~bound:[] q in
@@ -230,10 +233,20 @@ let answers_join semantics d (q : Qsyntax.t) =
     | () -> Relational.Tuple.Set.empty
     | exception Found -> Relational.Tuple.Set.singleton [||]
   else begin
-    let acc = ref [] in
+    let buf = ref (Array.make 64 [||]) and n = ref 0 in
     J.iter j Assign.empty (fun () ->
-        if kept () then acc := Array.init (Array.length head) decode :: !acc);
-    Relational.Tuple.Set.of_list !acc
+        if kept () then begin
+          let t = Array.init (Array.length head) decode in
+          if !n = Array.length !buf then begin
+            let grown = Array.make (2 * !n) [||] in
+            Array.blit !buf 0 grown 0 !n;
+            buf := grown
+          end;
+          !buf.(!n) <- t;
+          incr n
+        end);
+    Relational.Tuple.Set.of_array
+      (if !n = Array.length !buf then !buf else Array.sub !buf 0 !n)
   end
 
 (* The membership test of the answers: one join seeded with the head

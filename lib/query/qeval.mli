@@ -56,7 +56,14 @@ val answers :
     consistent answers over millions of tuples feasible; the
     active-domain enumeration remains for the general fragment and is the
     property-tested reference; it compiles the body once, and each of its
-    atoms once, however many assignments it tries. *)
+    atoms once, however many assignments it tries.
+
+    The join's head tuples fill an array that becomes the answer set
+    ({!Relational.Tuple.Set.of_array}): it is sorted only when the join
+    did not produce it in [Tuple.compare] order.  A scan of one atom
+    walks its relation in that order, so a head on the leading columns
+    of a single-atom body ([q(X): exists Y. S(X, Y)]) costs one pass and
+    no sort. *)
 
 val witnessed :
   ?semantics:semantics ->

@@ -26,4 +26,3 @@ module Ord = struct
 end
 
 module Set = Set.Make (Ord)
-module Map = Map.Make (Ord)

@@ -16,4 +16,3 @@ val pp : t Fmt.t
 val to_string : t -> string
 
 module Set : Set.S with type elt = t
-module Map : Map.S with type key = t

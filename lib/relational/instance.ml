@@ -2,6 +2,11 @@ module Smap = Map.Make (String)
 module Iset = Set.Make (Int)
 module Vset = Set.Make (Value)
 
+(* An overlay's tuples: the repair search adds and removes them one at a
+   time, persistently, which a balanced tree does in O(log n); answer
+   sets ([Tuple.Set]) are built in bulk instead. *)
+module Tset = Set.Make (Tuple)
+
 (* Index tables keyed by codes: dense non-negative ints that need no
    further hashing, compared without the polymorphic primitives of the
    generic [Hashtbl]. *)
@@ -53,7 +58,7 @@ type rel = {
   seg : seg;
   del : Iset.t;
   ndel : int;
-  extra : Tuple.Set.t;
+  extra : Tset.t;
   nextra : int;
   xenc : overlay option Atomic.t;
       (* [extra] encoded; shared by every relation built on the same
@@ -222,7 +227,7 @@ let mk_rel seg del ndel extra nextra =
 (* Same overlay, new deletions: the encoded overlay carries over. *)
 let with_del r del ndel = { r with del; ndel }
 
-let overlay_rel ts = mk_rel empty_seg Iset.empty 0 ts (Tuple.Set.cardinal ts)
+let overlay_rel ts = mk_rel empty_seg Iset.empty 0 ts (Tset.cardinal ts)
 
 (* Build a relation from sorted, deduplicated tuples.  Mixed arities (legal
    under set semantics, if exotic) keep the most common arity columnar and
@@ -231,7 +236,7 @@ let overlay_rel ts = mk_rel empty_seg Iset.empty 0 ts (Tuple.Set.cardinal ts)
 let rel_of_sorted_array (rows : Tuple.t array) =
   let n = Array.length rows in
   if n = 0 then None
-  else if n < seg_min then Some (overlay_rel (Tuple.Set.of_list (Array.to_list rows)))
+  else if n < seg_min then Some (overlay_rel (Tset.of_list (Array.to_list rows)))
   else begin
     let counts = Hashtbl.create 4 in
     Array.iter
@@ -253,7 +258,7 @@ let rel_of_sorted_array (rows : Tuple.t array) =
           List.filter (fun t -> Array.length t <> arity) (Array.to_list rows) )
     in
     Some
-      (mk_rel (build_seg ~arity seg_rows) Iset.empty 0 (Tuple.Set.of_list rest)
+      (mk_rel (build_seg ~arity seg_rows) Iset.empty 0 (Tset.of_list rest)
          (List.length rest))
   end
 
@@ -261,7 +266,7 @@ let rel_cardinal_of r = r.seg.nrows - r.ndel + r.nextra
 let rel_is_empty r = rel_cardinal_of r = 0
 
 let rel_mem r t =
-  Tuple.Set.mem t r.extra
+  Tset.mem t r.extra
   ||
   let i = seg_find r.seg t in
   i >= 0 && not (Iset.mem i r.del)
@@ -274,7 +279,7 @@ let rel_mem r t =
 let rel_iter f r =
   let seg = r.seg in
   let i = ref 0 in
-  Tuple.Set.iter
+  Tset.iter
     (fun x ->
       while !i < seg.nrows && compare_tuple_row x seg !i > 0 do
         if not (Iset.mem !i r.del) then f (seg_row seg !i);
@@ -312,18 +317,18 @@ let compact_rel r = Option.get (rel_of_sorted_array (rel_live_array r))
 let compact_threshold seg = if seg.nrows = 0 then 4096 else max 1024 (seg.nrows / 4)
 
 let rel_add r t =
-  if Tuple.Set.mem t r.extra then r
+  if Tset.mem t r.extra then r
   else
     let i = seg_find r.seg t in
     if i >= 0 then
       if Iset.mem i r.del then with_del r (Iset.remove i r.del) (r.ndel - 1) else r
     else
-      let r = mk_rel r.seg r.del r.ndel (Tuple.Set.add t r.extra) (r.nextra + 1) in
+      let r = mk_rel r.seg r.del r.ndel (Tset.add t r.extra) (r.nextra + 1) in
       if r.nextra > compact_threshold r.seg then compact_rel r else r
 
 let rel_remove r t =
-  if Tuple.Set.mem t r.extra then
-    mk_rel r.seg r.del r.ndel (Tuple.Set.remove t r.extra) (r.nextra - 1)
+  if Tset.mem t r.extra then
+    mk_rel r.seg r.del r.ndel (Tset.remove t r.extra) (r.nextra - 1)
   else
     let i = seg_find r.seg t in
     if i >= 0 && not (Iset.mem i r.del) then with_del r (Iset.add i r.del) (r.ndel + 1)
@@ -332,7 +337,7 @@ let rel_remove r t =
 let add a d =
   let p = Atom.pred a and t = Atom.args a in
   match Smap.find_opt p d.rels with
-  | None -> mk (Smap.add p (overlay_rel (Tuple.Set.singleton t)) d.rels)
+  | None -> mk (Smap.add p (overlay_rel (Tset.singleton t)) d.rels)
   | Some r ->
       let r' = rel_add r t in
       if r' == r then d else mk (Smap.add p r' d.rels)
@@ -572,7 +577,7 @@ let rel_of_ranked code_of_rank cells off ~arity ~count =
   else if nrows < seg_min then
     Some
       (overlay_rel
-         (Tuple.Set.of_list
+         (Tset.of_list
             (List.init nrows (fun i -> Array.init arity (fun j -> Symtab.value (code i j))))))
   else begin
     let cols = Array.init arity (fun _ -> Array.make nrows 0) in
@@ -582,7 +587,7 @@ let rel_of_ranked code_of_rank cells off ~arity ~count =
         col.(i) <- code i j
       done
     done;
-    Some (mk_rel (seg_of_cols ~arity ~nrows cols) Iset.empty 0 Tuple.Set.empty 0)
+    Some (mk_rel (seg_of_cols ~arity ~nrows cols) Iset.empty 0 Tset.empty 0)
   end
 
 let cells_of b = b.bcount * b.barity
@@ -638,10 +643,10 @@ let of_atoms atoms =
             List.iter (add_row b) !l;
             (b :: builders, rels)
         | ts ->
-            let s = Tuple.Set.of_list ts in
+            let s = Tset.of_list ts in
             let r =
-              if Tuple.Set.cardinal s < seg_min then overlay_rel s
-              else Option.get (rel_of_sorted_array (Array.of_list (Tuple.Set.elements s)))
+              if Tset.cardinal s < seg_min then overlay_rel s
+              else Option.get (rel_of_sorted_array (Array.of_list (Tset.elements s)))
             in
             (builders, Smap.add p r rels))
       tbl ([], Smap.empty)
@@ -675,12 +680,12 @@ let filter f d =
 let cardinal d = Smap.fold (fun _ r n -> n + rel_cardinal_of r) d.rels 0
 let preds d = Smap.fold (fun p _ acc -> p :: acc) d.rels [] |> List.rev
 
+(* The walk is in [Tuple.compare] order and distinct: [of_array] checks
+   it in one pass and sorts nothing. *)
 let tuples d p =
   match Smap.find_opt p d.rels with
   | None -> Tuple.Set.empty
-  | Some r ->
-      if r.seg.nrows = 0 then r.extra
-      else rel_fold Tuple.Set.add r Tuple.Set.empty
+  | Some r -> Tuple.Set.of_array (rel_live_array r)
 
 (* ------------------------------------------------------------------ *)
 (* Set operations.  Relations sharing a segment physically — the common
@@ -713,10 +718,10 @@ let rel_union ra rb =
   if ra == rb then Some ra
   else if ra.seg == rb.seg then
     let del = Iset.inter ra.del rb.del in
-    let extra = Tuple.Set.union ra.extra rb.extra in
-    Some (mk_rel ra.seg del (Iset.cardinal del) extra (Tuple.Set.cardinal extra))
+    let extra = Tset.union ra.extra rb.extra in
+    Some (mk_rel ra.seg del (Iset.cardinal del) extra (Tset.cardinal extra))
   else if ra.seg.nrows = 0 && rb.seg.nrows = 0 then
-    Some (overlay_rel (Tuple.Set.union ra.extra rb.extra))
+    Some (overlay_rel (Tset.union ra.extra rb.extra))
   else
     let big, small =
       if rel_cardinal_of ra >= rel_cardinal_of rb then (ra, rb) else (rb, ra)
@@ -733,12 +738,12 @@ let rel_diff ra rb =
   if ra == rb then None
   else if ra.seg == rb.seg then
     let rows = rel_decode_rows ra (Iset.diff rb.del ra.del) in
-    let extra = Tuple.Set.diff ra.extra rb.extra in
-    let merged = merge_sorted rows (Tuple.Set.elements extra) in
+    let extra = Tset.diff ra.extra rb.extra in
+    let merged = merge_sorted rows (Tset.elements extra) in
     rel_generic_of_tuples merged
   else if ra.seg.nrows = 0 && rb.seg.nrows = 0 then
-    let s = Tuple.Set.diff ra.extra rb.extra in
-    if Tuple.Set.is_empty s then None else Some (overlay_rel s)
+    let s = Tset.diff ra.extra rb.extra in
+    if Tset.is_empty s then None else Some (overlay_rel s)
   else
     let kept = rel_fold (fun t acc -> if rel_mem rb t then acc else t :: acc) ra [] in
     rel_generic_of_tuples (List.rev kept)
@@ -747,12 +752,12 @@ let rel_inter ra rb =
   if ra == rb then Some ra
   else if ra.seg == rb.seg then
     let del = Iset.union ra.del rb.del in
-    let extra = Tuple.Set.inter ra.extra rb.extra in
-    let r = mk_rel ra.seg del (Iset.cardinal del) extra (Tuple.Set.cardinal extra) in
+    let extra = Tset.inter ra.extra rb.extra in
+    let r = mk_rel ra.seg del (Iset.cardinal del) extra (Tset.cardinal extra) in
     if rel_is_empty r then None else Some r
   else if ra.seg.nrows = 0 && rb.seg.nrows = 0 then
-    let s = Tuple.Set.inter ra.extra rb.extra in
-    if Tuple.Set.is_empty s then None else Some (overlay_rel s)
+    let s = Tset.inter ra.extra rb.extra in
+    if Tset.is_empty s then None else Some (overlay_rel s)
   else
     let small, other =
       if rel_cardinal_of ra <= rel_cardinal_of rb then (ra, rb) else (rb, ra)
@@ -812,9 +817,9 @@ exception Stop
 let rel_subset ra rb =
   if ra == rb then true
   else if ra.seg == rb.seg then
-    Iset.subset rb.del ra.del && Tuple.Set.subset ra.extra rb.extra
+    Iset.subset rb.del ra.del && Tset.subset ra.extra rb.extra
   else if ra.seg.nrows = 0 && rb.seg.nrows = 0 then
-    Tuple.Set.subset ra.extra rb.extra
+    Tset.subset ra.extra rb.extra
   else if rel_cardinal_of ra > rel_cardinal_of rb then false
   else
     match rel_iter (fun t -> if not (rel_mem rb t) then raise_notrace Stop) ra with
@@ -868,7 +873,7 @@ let rec merge_compare ra i xs rb k ys =
         (if b_row then k + 1 else k)
         (if b_row then ys else List.tl ys)
 
-(* [compare] replicates the oracle's order — [Smap.compare Tuple.Set.compare]
+(* [compare] replicates the oracle's order — [Smap.compare] of tuple sets
    over the never-empty per-predicate map — exactly: lexicographic over the
    (predicate, tuple-sequence) stream, an exhausted side ordering first.
    Sorted repair lists, search-state dedup and the goldens all depend on
@@ -876,13 +881,13 @@ let rec merge_compare ra i xs rb k ys =
 let rel_compare ra rb =
   if ra == rb then 0
   else if ra.seg.nrows = 0 && rb.seg.nrows = 0 then
-    Tuple.Set.compare ra.extra rb.extra
+    Tset.compare ra.extra rb.extra
   else if
-    ra.seg == rb.seg && Iset.equal ra.del rb.del && Tuple.Set.equal ra.extra rb.extra
+    ra.seg == rb.seg && Iset.equal ra.del rb.del && Tset.equal ra.extra rb.extra
   then 0
   else
-    merge_compare ra 0 (Tuple.Set.elements ra.extra) rb 0
-      (Tuple.Set.elements rb.extra)
+    merge_compare ra 0 (Tset.elements ra.extra) rb 0
+      (Tset.elements rb.extra)
 
 let compare a b =
   if a == b then 0
@@ -937,7 +942,7 @@ let active_domain d =
                   (fun c acc -> Vset.add (Symtab.value c) acc)
                   (rel_codes_exact r) acc
             in
-            Tuple.Set.fold
+            Tset.fold
               (fun t acc ->
                 Array.fold_left (fun acc v -> Vset.add v acc) acc t)
               r.extra acc)
@@ -973,7 +978,7 @@ let null_count d =
                   r.del 0
             in
             let extra_nulls =
-              Tuple.Set.fold
+              Tset.fold
                 (fun t acc ->
                   Array.fold_left
                     (fun acc v -> if Value.is_null v then acc + 1 else acc)
@@ -1010,7 +1015,7 @@ let iter_matching d p ~pos v f =
              List.iter
                (fun i -> if not (Iset.mem i r.del) then f (seg_row seg i))
                (Option.value ~default:[] (Itbl.find_opt idx code)));
-      Tuple.Set.iter
+      Tset.iter
         (fun t -> if Array.length t > pos && Value.equal t.(pos) v then f t)
         r.extra
 
@@ -1031,7 +1036,7 @@ let overlay_codes r =
     match Atomic.get r.xenc with
     | Some o -> o
     | None ->
-        let xtuples = Array.of_seq (Tuple.Set.to_seq r.extra) in
+        let xtuples = Array.of_seq (Tset.to_seq r.extra) in
         let o = { xtuples; xcodes = Array.map Symtab.intern_all xtuples } in
         if Atomic.compare_and_set r.xenc None (Some o) then o
         else Option.value ~default:o (Atomic.get r.xenc)

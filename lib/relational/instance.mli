@@ -61,8 +61,9 @@ val preds : t -> string list
 (** Predicates with at least one tuple, sorted. *)
 
 val tuples : t -> string -> Tuple.Set.t
-(** Tuples of one relation (empty set if none).  On columnar relations this
-    materializes a set — iteration-heavy callers should prefer
+(** Tuples of one relation (empty set if none), in O(n): the relation's
+    walk is already sorted and distinct, so the set is that walk's array.
+    It decodes every row, so iteration-heavy callers should prefer
     {!iter_rel}/{!iter_matching} or the code-level {!rows}. *)
 
 val fold : (Atom.t -> 'a -> 'a) -> t -> 'a -> 'a

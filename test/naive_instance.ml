@@ -7,36 +7,37 @@
 open Relational
 module Smap = Map.Make (String)
 module Vset = Set.Make (Value)
+module Tset = Set.Make (Tuple)
 
-type t = Tuple.Set.t Smap.t
+type t = Tset.t Smap.t
 
 let empty = Smap.empty
-let is_empty d = Smap.for_all (fun _ ts -> Tuple.Set.is_empty ts) d
+let is_empty d = Smap.for_all (fun _ ts -> Tset.is_empty ts) d
 
 let add a d =
   let p = Atom.pred a and t = Atom.args a in
-  let prev = Option.value ~default:Tuple.Set.empty (Smap.find_opt p d) in
-  Smap.add p (Tuple.Set.add t prev) d
+  let prev = Option.value ~default:Tset.empty (Smap.find_opt p d) in
+  Smap.add p (Tset.add t prev) d
 
 let remove a d =
   let p = Atom.pred a and t = Atom.args a in
   match Smap.find_opt p d with
   | None -> d
   | Some ts ->
-      let ts = Tuple.Set.remove t ts in
-      if Tuple.Set.is_empty ts then Smap.remove p d else Smap.add p ts d
+      let ts = Tset.remove t ts in
+      if Tset.is_empty ts then Smap.remove p d else Smap.add p ts d
 
 let mem a d =
   match Smap.find_opt (Atom.pred a) d with
   | None -> false
-  | Some ts -> Tuple.Set.mem (Atom.args a) ts
+  | Some ts -> Tset.mem (Atom.args a) ts
 
 let of_atoms atoms = List.fold_left (fun d a -> add a d) empty atoms
 
 let fold f d acc =
   Smap.fold
     (fun p ts acc ->
-      Tuple.Set.fold (fun t acc -> f (Atom.of_tuple p t) acc) ts acc)
+      Tset.fold (fun t acc -> f (Atom.of_tuple p t) acc) ts acc)
     d acc
 
 let atoms d = List.rev (fold (fun a acc -> a :: acc) d [])
@@ -45,35 +46,36 @@ let atom_set d = fold Atom.Set.add d Atom.Set.empty
 let filter f d =
   Smap.filter_map
     (fun p ts ->
-      let ts = Tuple.Set.filter (fun t -> f (Atom.of_tuple p t)) ts in
-      if Tuple.Set.is_empty ts then None else Some ts)
+      let ts = Tset.filter (fun t -> f (Atom.of_tuple p t)) ts in
+      if Tset.is_empty ts then None else Some ts)
     d
 
-let cardinal d = Smap.fold (fun _ ts n -> n + Tuple.Set.cardinal ts) d 0
+let cardinal d = Smap.fold (fun _ ts n -> n + Tset.cardinal ts) d 0
 
 let preds d =
   Smap.fold
-    (fun p ts acc -> if Tuple.Set.is_empty ts then acc else p :: acc)
+    (fun p ts acc -> if Tset.is_empty ts then acc else p :: acc)
     d []
   |> List.rev
 
-let tuples d p = Option.value ~default:Tuple.Set.empty (Smap.find_opt p d)
+let tuple_set d p = Option.value ~default:Tset.empty (Smap.find_opt p d)
+let tuples d p = Tuple.Set.of_list (Tset.elements (tuple_set d p))
 
 let merge_with op a b =
   Smap.merge
     (fun _ x y ->
-      let x = Option.value ~default:Tuple.Set.empty x in
-      let y = Option.value ~default:Tuple.Set.empty y in
+      let x = Option.value ~default:Tset.empty x in
+      let y = Option.value ~default:Tset.empty y in
       let r = op x y in
-      if Tuple.Set.is_empty r then None else Some r)
+      if Tset.is_empty r then None else Some r)
     a b
 
-let union = merge_with Tuple.Set.union
-let diff = merge_with Tuple.Set.diff
-let inter = merge_with Tuple.Set.inter
+let union = merge_with Tset.union
+let diff = merge_with Tset.diff
+let inter = merge_with Tset.inter
 let symdiff a b = union (diff a b) (diff b a)
-let subset a b = Smap.for_all (fun p ts -> Tuple.Set.subset ts (tuples b p)) a
-let compare a b = Smap.compare Tuple.Set.compare a b
+let subset a b = Smap.for_all (fun p ts -> Tset.subset ts (tuple_set b p)) a
+let compare a b = Smap.compare Tset.compare a b
 let equal a b = compare a b = 0
 
 let active_domain d =

@@ -589,6 +589,28 @@ let test_nullaware_join_allocation () =
     true
     (aware <= 2. *. constant)
 
+(* The answers of a single-atom query with its head on the scanned
+   relation's leading column come out of the join in [Tuple.compare]
+   order: they fill an array that is checked in one pass and never
+   sorted.  On 20k tuples (12k answers of S) that is the decoded tuple,
+   the array's doublings and one trimmed copy: at most 10 words per
+   answer (53 when the answers were sorted into a tree).  One run
+   uncounted first, as the request after a load would be. *)
+let test_answers_allocation () =
+  let w = Workload.Gen.scale_workload ~tuples:20_000 () in
+  let d = w.Workload.Gen.d in
+  let q =
+    Q.make ~head:[ "x" ] (Q.Exists ([ "y" ], Q.Atom (atom "S" [ v "x"; v "y" ])))
+  in
+  ignore (Qeval.answers d q);
+  let answers, words = Alloc.allocated (fun () -> Qeval.answers d q) in
+  let n = Tuple.Set.cardinal answers in
+  Alcotest.(check bool) "answers" true (n > 10_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words for %d answers <= 10 per answer" words n)
+    true
+    (words <= 10. *. float_of_int n)
+
 let prop_consistent_subset_possible =
   QCheck.Test.make ~name:"consistent ⊆ possible ⊆ union with standard" ~count:60
     (QCheck.make ~print:(Fmt.str "%a" Instance.pp_inline) inst_gen)
@@ -671,10 +693,26 @@ let outcome_gen =
            map (fun n -> Budget.Deadline n) small_nat;
          ])
   in
+  (* often a set equal to one drawn before, the same array or a copy:
+     the renderer writes each distinct set once *)
+  let again earlier =
+    frequency
+      [
+        (2, set);
+        (1, oneofl earlier);
+        (1, map (fun s -> Tuple.Set.of_list (Tuple.Set.elements s)) (oneofl earlier));
+      ]
+  in
+  let sets =
+    let* consistent = set in
+    let* possible = again [ consistent ] in
+    let* standard = again [ consistent; possible ] in
+    return (consistent, possible, standard)
+  in
   map
     (fun ((consistent, possible, standard), (repair_count, exhausted)) ->
       { Cqa.consistent; possible; standard; repair_count; exhausted })
-    (pair (triple set set set) (pair small_nat exhausted))
+    (pair sets (pair small_nat exhausted))
 
 let render ~margin ~nest pp o =
   let buf = Buffer.create 256 in
@@ -696,6 +734,53 @@ let prop_render_matches_tokens =
             (render ~margin ~nest Cqa.pp_outcome o)
             (render ~margin ~nest token_pp_outcome o))
         [ (78, 0); (20, 0); (78, 1); (60, 1); (40, 1); (20, 1); (8, 1); (78, 2); (20, 2) ])
+
+(* Edge inputs of an answer set, each with the text [Cqa.pp_outcome]
+   writes for it: the tuples are given in any order, with duplicates, and
+   made a set by [Tuple.Set.of_list].  Each row is rendered as all three
+   sets of an outcome and as its consistent set alone. *)
+let set_cases : (string * Tuple.t list * string) list =
+  [
+    ("empty", [], "{}");
+    ("a boolean yes", [ [||] ], "{()}");
+    ("a boolean yes twice", [ [||]; [||] ], "{()}");
+    ("duplicates kept once", [ [| vi 2 |]; [| vi 1 |]; [| vi 2 |]; [| vi 1 |] ], "{(1), (2)}");
+    ("already in order", [ [| vi 1 |]; [| vi 2 |]; [| vi 3 |] ], "{(1), (2), (3)}");
+    ("in reverse order", [ [| vi 3 |]; [| vi 2 |]; [| vi 1 |] ], "{(1), (2), (3)}");
+    ("null, then ints, then strings", [ [| vs "a" |]; [| vi 7 |]; [| vn |] ], "{(null), (7), (a)}");
+    ("null apart from the string null", [ [| vs "null" |]; [| vn |]; [| vs "null" |] ],
+     "{(null), (null)}");
+    ( "the int range's ends",
+      [ [| vi max_int |]; [| vi 0 |]; [| vi min_int |]; [| vi (-1) |] ],
+      "{(-4611686018427387904), (-1), (0), (4611686018427387903)}" );
+    ("ints by value, not by digits", [ [| vi 10 |]; [| vi 9 |]; [| vi (-10) |] ],
+     "{(-10), (9), (10)}");
+    ("strings by bytes", [ [| vs "b" |]; [| vs "B" |]; [| vs "" |]; [| vs "ab" |] ],
+     "{(), (B), (ab), (b)}");
+    ("shorter tuples first", [ [| vi 1; vi 2 |]; [| vi 5 |]; [||]; [| vi 0; vn; vs "z" |] ],
+     "{(), (5), (1, 2), (0, null, z)}");
+    ("a column after a tie", [ [| vi 1; vs "b" |]; [| vi 1; vn |]; [| vi 0; vs "z" |] ],
+     "{(0, z), (1, null), (1, b)}");
+    ("separators inside strings", [ [| vs "x, y" |]; [| vs "(p)" |]; [| vs "{q}" |] ],
+     "{((p)), (x, y), ({q})}");
+  ]
+
+let test_set_cases () =
+  List.iter
+    (fun (name, tuples, expected) ->
+      let s = Tuple.Set.of_list tuples in
+      let outcome consistent possible standard =
+        Fmt.str "%a" Cqa.pp_outcome
+          { Cqa.consistent; possible; standard; repair_count = 1; exhausted = None }
+      in
+      Alcotest.(check string) name
+        (Printf.sprintf "consistent: %s\npossible:   %s\nstandard:   %s\nrepairs:    1"
+           expected expected expected)
+        (outcome s s s);
+      Alcotest.(check string) (name ^ ", alone")
+        (Printf.sprintf "consistent: %s\npossible:   {}\nstandard:   {}\nrepairs:    1" expected)
+        (outcome s Tuple.Set.empty Tuple.Set.empty))
+    set_cases
 
 (* A server renders replies on several domains at once: four domains
    rendering one large outcome (20k answers) concurrently must each write
@@ -748,6 +833,8 @@ let () =
           Alcotest.test_case "forall" `Quick test_forall;
           Alcotest.test_case "NullAware takes the join" `Quick
             test_nullaware_join_allocation;
+          Alcotest.test_case "answers in join order allocation" `Quick
+            test_answers_allocation;
         ] );
       ( "safety",
         [
@@ -787,5 +874,9 @@ let () =
             prop_consistent_on_consistent_db;
             prop_render_matches_tokens;
           ] );
-      ("render", [ Alcotest.test_case "concurrent domains" `Quick test_render_concurrent ]);
+      ( "render",
+        [
+          Alcotest.test_case "concurrent domains" `Quick test_render_concurrent;
+          Alcotest.test_case "edge sets" `Quick test_set_cases;
+        ] );
     ]

@@ -299,6 +299,66 @@ let prop_hash_discriminates_constructors =
       Value.equal a b || Value.hash a <> Value.hash b)
 
 (* ------------------------------------------------------------------ *)
+(* Answer sets vs the standard library's tree of tuples.
+
+   [Tuple.Set] is a sorted array built in bulk and combined by merges;
+   the tree it replaced is its oracle, operation by operation.  Lists come
+   in random order with duplicates, arities 0 to 3 mixed, [null] next to
+   the string "null", ints at [min_int] and [max_int]; their lengths range
+   from a few to a few hundred, so that the merges' searches cross short
+   and long sides of either size. *)
+
+module Oracle = Set.Make (Tuple)
+
+let set_value_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, return Value.null);
+        (2, return (vs "null"));
+        (4, map vi (int_range (-3) 3));
+        (2, map vi (oneofl [ min_int; min_int + 1; max_int - 1; max_int ]));
+        (3, map vs (oneofl [ ""; "a"; "ab"; "b"; "A"; "x, y" ]));
+      ])
+
+let set_list_gen =
+  QCheck.Gen.(
+    let* len = frequency [ (3, int_range 0 6); (3, int_range 0 40); (1, int_range 100 400) ] in
+    list_size (return len) (map Tuple.make (list_size (int_range 0 3) set_value_gen)))
+
+let set_list_print l = Fmt.str "[%a]" Fmt.(list ~sep:(any "; ") Tuple.pp) l
+
+let same_elements s o =
+  List.equal Tuple.equal (Tuple.Set.elements s) (Oracle.elements o)
+
+let prop_set_oracle =
+  QCheck.Test.make ~name:"Tuple.Set = stdlib tree (1000 pairs)" ~count:1000
+    (QCheck.make ~print:QCheck.Print.(pair set_list_print set_list_print)
+       QCheck.Gen.(pair set_list_gen set_list_gen))
+    (fun (la, lb) ->
+      let a = Tuple.Set.of_list la and b = Tuple.Set.of_array (Array.of_list lb) in
+      let oa = Oracle.of_list la and ob = Oracle.of_list lb in
+      same_elements a oa && same_elements b ob
+      && Tuple.Set.cardinal a = Oracle.cardinal oa
+      && Tuple.Set.is_empty a = Oracle.is_empty oa
+      && same_elements (Tuple.Set.union a b) (Oracle.union oa ob)
+      && same_elements (Tuple.Set.inter a b) (Oracle.inter oa ob)
+      && same_elements (Tuple.Set.diff a b) (Oracle.diff oa ob)
+      && same_elements (Tuple.Set.diff b a) (Oracle.diff ob oa)
+      && Tuple.Set.subset a b = Oracle.subset oa ob
+      && Tuple.Set.subset (Tuple.Set.inter a b) a
+      && Tuple.Set.equal a b = Oracle.equal oa ob
+      && List.for_all (fun t -> Tuple.Set.mem t b = Oracle.mem t ob) (la @ lb)
+      && Tuple.Set.exists Tuple.has_null a = Oracle.exists Tuple.has_null oa
+      && List.equal Tuple.equal
+           (Tuple.Set.fold List.cons a [])
+           (Oracle.fold List.cons oa [])
+      (* a combination that changes nothing returns its input *)
+      && Tuple.Set.union a (Tuple.Set.inter a b) == a
+      && Tuple.Set.inter a (Tuple.Set.union a b) == a
+      && Tuple.Set.diff a (Tuple.Set.diff b a) == a)
+
+(* ------------------------------------------------------------------ *)
 (* Columnar storage vs the functional-set oracle (Naive_instance).
 
    The columnar representation (interned segments + deletion/extra
@@ -553,6 +613,25 @@ let test_walk_allocation () =
     true
     (words <= (6. *. float_of_int tuples) +. slack)
 
+(* Building an answer set from a walk already in order sorts nothing:
+   [Instance.tuples] of a 20k-row relation, with an overlay of added and
+   deleted rows, is the relation's walk (3 words per decoded row) and one
+   array over it, and agrees with the oracle. *)
+let test_tuples_allocation () =
+  let base = List.init 20_000 (fun i -> Atom.make "P" [ vi ((i * 7919) mod 20_000); vs "p" ]) in
+  let extras = List.init 50 (fun i -> Atom.make "P" [ vi (-i - 1); v_null ]) in
+  let removes = List.filteri (fun i _ -> i mod 500 = 0) base in
+  let d, n = build_pair (base, extras, removes) in
+  let rows = Instance.rel_cardinal d "P" in
+  let set, words = Alloc.allocated (fun () -> Instance.tuples d "P") in
+  Alcotest.(check bool) "the oracle's tuples" true
+    (List.equal Tuple.equal (Tuple.Set.elements set)
+       (Naive.Tset.elements (Naive.tuple_set n "P")));
+  Alcotest.(check bool)
+    (Printf.sprintf "tuples of %d rows: %.0f words <= 4 per row + 64" rows words)
+    true
+    (words <= (4. *. float_of_int rows) +. 64.)
+
 (* [Tuple.compare] and [Tuple.equal] allocate nothing: a set of tuples
    sorts through them. *)
 let test_tuple_compare_allocation () =
@@ -669,6 +748,9 @@ let () =
             prop_hash_equal_coherent;
             prop_hash_discriminates_constructors;
           ] );
+      ( "tuple set",
+        Alcotest.test_case "tuples of a relation" `Quick test_tuples_allocation
+        :: qcheck [ prop_set_oracle ] );
       ( "columnar vs naive",
         Alcotest.test_case "compaction crossing" `Quick
           test_compaction_crossing
