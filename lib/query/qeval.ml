@@ -160,7 +160,7 @@ let answers_enum ?semantics d (q : Qsyntax.t) =
    database atom, {!Qsafe.factorizable}): instead of enumerating the
    active domain to the power of the free variables — O(|adom|^k),
    infeasible beyond toy instances — enumerate the antecedent-style join
-   of the body's atoms through the instance's hash indexes and filter with
+   of the body's atoms through the instance's column postings and filter with
    the built-ins / [IsNull]s.  Equivalent to {!answers_enum} on this
    fragment: every satisfying domain assignment must match all atoms (the
    body conjoins them), so it is produced by the join, and join bindings

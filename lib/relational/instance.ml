@@ -22,8 +22,8 @@ end)
 
    A relation is an immutable {e segment} — tuples interned through
    {!Symtab} and stored as per-attribute int columns, sorted by
-   [Tuple.compare] and deduplicated, with lazily built per-attribute hash
-   indexes; membership is a binary search over the sorted rows — plus a
+   [Tuple.compare] and deduplicated, with lazily built per-attribute
+   postings; membership is a binary search over the sorted rows — plus a
    persistent overlay: a set of deleted segment row ids and a functional
    set of extra tuples.  Bulk loads ([build], [of_atoms]) build segments
    directly;
@@ -39,13 +39,28 @@ end)
    - [ndel]/[nextra] mirror the overlay cardinals;
    - the per-predicate map never holds an empty relation. *)
 
+(* The postings of one column: the segment's row ids grouped by code,
+   ascending within a group, in one int array.  A code's group is found
+   through an array over the column's code span where that span is at
+   most twice the rows ([lo >= 0]), else through an open-addressed table
+   ([lo = -1]); both are int arrays, so a probe boxes nothing and a
+   built index holds no pointer for the collector to scan. *)
+type postings = {
+  ids : int array;
+  lo : int; (* dense: the column's least code; sparse: [-1] *)
+  dir : int array;
+      (* dense: the group of code [c] is [ids.(dir.(c - lo)) ..
+         ids.(dir.(c - lo + 1) - 1)]; sparse: slots of two cells, a code
+         ([-1] when the slot is empty) and its group as
+         [start lsl group_bits lor length] *)
+}
+
 type seg = {
   arity : int;
   nrows : int;
   cols : int array array; (* [arity] columns of [nrows] codes *)
   seg_nulls : int; (* null occurrences across all rows *)
-  attr_index : int list Itbl.t option Atomic.t array;
-      (* per column: code -> ascending row ids *)
+  attr_index : postings option Atomic.t array; (* per column, built on first probe *)
   seg_codes : Iset.t option Atomic.t; (* distinct codes in the segment *)
   lock : Mutex.t; (* serializes lazy index construction across domains *)
 }
@@ -148,24 +163,6 @@ let force_index cell seg build =
       in
       Mutex.unlock seg.lock;
       tbl
-
-let build_attr_index seg pos =
-  force_index seg.attr_index.(pos) seg (fun () ->
-      let tbl = Itbl.create ((2 * seg.nrows) + 1) in
-      let col = seg.cols.(pos) in
-      for i = seg.nrows - 1 downto 0 do
-        let c = col.(i) in
-        Itbl.replace tbl c
-          (i :: Option.value ~default:[] (Itbl.find_opt tbl c))
-      done;
-      tbl)
-
-(* A built index is read without allocating the closure that would build
-   it: joins probe once per match. *)
-let force_attr_index seg pos =
-  match Atomic.get seg.attr_index.(pos) with
-  | Some tbl -> tbl
-  | None -> build_attr_index seg pos
 
 let seg_codes seg =
   force_index seg.seg_codes seg (fun () ->
@@ -992,6 +989,138 @@ let null_count d =
       n
 
 (* ------------------------------------------------------------------ *)
+(* Postings, built on a column's first probe.
+
+   Dense: one counting pass over the column's codes, the group ends as
+   prefix sums, and a backward pass that fills each group from its end,
+   so ids ascend within a group; [ids] and [dir] together take at most
+   [3 * nrows + 2] words.  Sparse: the row ids sorted by code with the
+   stable radix sort of the bulk build, and a table of two slots per
+   distinct code, probed linearly from the code's hash scaled to the
+   capacity; the table takes four words per distinct code. *)
+
+let group_bits = 31
+let group_mask = (1 lsl group_bits) - 1
+
+(* The code's home slot among [cap]: the high 31 bits of a multiplicative
+   hash, scaled to [0, cap) by one multiplication and a shift, which stays
+   below [max_int] for any capacity under [2^31]. *)
+let home code cap = ((((code * 0x278DDE6E5FD29F05) lsr 32) land 0x7FFF_FFFF) * cap) lsr 31
+
+let dense_postings col nrows lo hi =
+  let span = hi - lo + 1 in
+  let dir = Array.make (span + 1) 0 in
+  for i = 0 to nrows - 1 do
+    let k = col.(i) - lo in
+    dir.(k) <- dir.(k) + 1
+  done;
+  for k = 1 to span - 1 do
+    dir.(k) <- dir.(k) + dir.(k - 1)
+  done;
+  dir.(span) <- nrows;
+  let ids = Array.make nrows 0 in
+  for i = nrows - 1 downto 0 do
+    let k = col.(i) - lo in
+    let e = dir.(k) - 1 in
+    dir.(k) <- e;
+    ids.(e) <- i
+  done;
+  { ids; lo; dir }
+
+let sparse_postings col nrows =
+  let ids = Array.init nrows Fun.id in
+  radix_sort col ids;
+  let distinct = ref 0 in
+  for k = 0 to nrows - 1 do
+    if k = 0 || col.(ids.(k)) <> col.(ids.(k - 1)) then incr distinct
+  done;
+  let cap = 2 * !distinct in
+  let dir = Array.make (2 * cap) (-1) in
+  let k = ref 0 in
+  while !k < nrows do
+    let c = col.(ids.(!k)) in
+    let stop = ref (!k + 1) in
+    while !stop < nrows && col.(ids.(!stop)) = c do
+      incr stop
+    done;
+    let s = ref (home c cap) in
+    while dir.(2 * !s) >= 0 do
+      s := if !s + 1 = cap then 0 else !s + 1
+    done;
+    dir.(2 * !s) <- c;
+    dir.((2 * !s) + 1) <- (!k lsl group_bits) lor (!stop - !k);
+    k := !stop
+  done;
+  { ids; lo = -1; dir }
+
+let build_postings seg pos =
+  force_index seg.attr_index.(pos) seg (fun () ->
+      let col = seg.cols.(pos) in
+      let lo = Array.fold_left Int.min max_int col and hi = Array.fold_left Int.max 0 col in
+      if hi - lo < 2 * seg.nrows then dense_postings col seg.nrows lo hi
+      else sparse_postings col seg.nrows)
+
+(* Built postings are read without allocating the closure that would
+   build them: joins probe once per match. *)
+let force_postings seg pos =
+  match Atomic.get seg.attr_index.(pos) with
+  | Some p -> p
+  | None -> build_postings seg pos
+
+let rec find_slot dir code cap s =
+  let key = dir.(2 * s) in
+  if key = code then dir.((2 * s) + 1)
+  else if key < 0 then 0
+  else find_slot dir code cap (if s + 1 = cap then 0 else s + 1)
+
+(* The group of a code in the column's postings, as
+   [start lsl group_bits lor length]: of length 0 when no row holds it, a
+   negative code (a constant never interned) included. *)
+let find_group seg pos code =
+  if seg.nrows = 0 || pos >= seg.arity || code < 0 then 0
+  else
+    let p = force_postings seg pos in
+    if p.lo >= 0 then begin
+      let k = code - p.lo in
+      if k < 0 || k >= Array.length p.dir - 1 then 0
+      else
+        let start = p.dir.(k) in
+        (start lsl group_bits) lor (p.dir.(k + 1) - start)
+    end
+    else
+      let cap = Array.length p.dir / 2 in
+      find_slot p.dir code cap (home code cap)
+
+(* [f] on the live row ids of a group, ascending. *)
+let iter_group seg pos del g f =
+  if g land group_mask > 0 then begin
+    let ids = (force_postings seg pos).ids in
+    let start = g lsr group_bits in
+    let stop = start + (g land group_mask) in
+    if Iset.is_empty del then
+      for k = start to stop - 1 do
+        f ids.(k)
+      done
+    else
+      for k = start to stop - 1 do
+        let i = ids.(k) in
+        if not (Iset.mem i del) then f i
+      done
+  end
+
+let rec exists_ids ids del p k stop =
+  k < stop
+  &&
+  let i = ids.(k) in
+  ((not (Iset.mem i del)) && p i) || exists_ids ids del p (k + 1) stop
+
+let exists_group seg pos del g p =
+  g land group_mask > 0
+  &&
+  let start = g lsr group_bits in
+  exists_ids (force_postings seg pos).ids del p start (start + (g land group_mask))
+
+(* ------------------------------------------------------------------ *)
 (* Index probes: the opt-in fast paths [Semantics.Assign] and the checkers
    build their joins on.  Positions are 0-based.  Enumeration order is
    surviving segment rows (ascending) then overlay tuples (ascending). *)
@@ -1011,10 +1140,7 @@ let iter_matching d p ~pos v f =
          match Symtab.find v with
          | None -> ()
          | Some code ->
-             let idx = force_attr_index seg pos in
-             List.iter
-               (fun i -> if not (Iset.mem i r.del) then f (seg_row seg i))
-               (Option.value ~default:[] (Itbl.find_opt idx code)));
+             iter_group seg pos r.del (find_group seg pos code) (fun i -> f (seg_row seg i)));
       Tset.iter
         (fun t -> if Array.length t > pos && Value.equal t.(pos) v then f t)
         r.extra
@@ -1048,6 +1174,9 @@ let rows d p =
       { vseg = r.seg; vdel = r.del; vsize = rel_cardinal_of r; vx = overlay_codes r }
 
 let rows_cardinal v = v.vsize
+let columns v = v.vseg.cols
+let segment_rows v = v.vseg.nrows
+let is_plain v = Iset.is_empty v.vdel && Array.length v.vx.xcodes = 0
 
 let row_arity v h =
   if h < v.vseg.nrows then v.vseg.arity else Array.length v.vx.xcodes.(h - v.vseg.nrows)
@@ -1086,30 +1215,12 @@ let rec exists_over_from v p k =
 
 let exists_rows v p = exists_seg_from v p 0 || exists_over_from v p 0
 
-let postings v pos code =
-  let seg = v.vseg in
-  if seg.nrows = 0 || pos >= seg.arity || code < 0 then []
-  else
-    match Itbl.find (force_attr_index seg pos) code with
-    | ids -> ids
-    | exception Not_found -> []
-
-let rec iter_live del f = function
-  | [] -> ()
-  | i :: rest ->
-      if not (Iset.mem i del) then f i;
-      iter_live del f rest
-
-let rec exists_live del p = function
-  | [] -> false
-  | i :: rest -> ((not (Iset.mem i del)) && p i) || exists_live del p rest
-
 let overlay_has v k pos code =
   let c = v.vx.xcodes.(k) in
   Array.length c > pos && c.(pos) = code
 
 let iter_rows_with_code v ~pos code f =
-  iter_live v.vdel f (postings v pos code);
+  iter_group v.vseg pos v.vdel (find_group v.vseg pos code) f;
   for k = 0 to Array.length v.vx.xcodes - 1 do
     if overlay_has v k pos code then f (v.vseg.nrows + k)
   done
@@ -1120,7 +1231,24 @@ let rec exists_over_code v pos code p k =
      || exists_over_code v pos code p (k + 1))
 
 let exists_rows_with_code v ~pos code p =
-  exists_live v.vdel p (postings v pos code) || exists_over_code v pos code p 0
+  exists_group v.vseg pos v.vdel (find_group v.vseg pos code) p
+  || exists_over_code v pos code p 0
+
+let rec exists_over_arity v pos arity code k =
+  k < Array.length v.vx.xcodes
+  && (let c = v.vx.xcodes.(k) in
+      (Array.length c = arity && c.(pos) = code)
+     || exists_over_arity v pos arity code (k + 1))
+
+(* Decided by the postings alone: every segment row has the segment's
+   arity, so a group with a live row answers for the segment. *)
+let has_code v ~pos ~arity code =
+  (v.vseg.arity = arity
+  &&
+  let g = find_group v.vseg pos code in
+  g land group_mask > 0
+  && (Iset.is_empty v.vdel || exists_group v.vseg pos v.vdel g (fun _ -> true)))
+  || (pos < arity && exists_over_arity v pos arity code 0)
 
 (* ------------------------------------------------------------------ *)
 

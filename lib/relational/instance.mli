@@ -5,10 +5,11 @@
 
     The representation is columnar: constants are interned through
     {!Symtab} and each relation is stored as an immutable sorted segment of
-    int columns, one per attribute, with lazily built hash indexes per
-    attribute (membership is a binary search over the sorted rows), plus a
-    persistent overlay of additions and deletions so that [add]/[remove]
-    stay functional and cheap.  Joins read the codes directly (see
+    int columns, one per attribute, with lazily built postings per
+    attribute (the row ids grouped by code in one int array; membership is
+    a binary search over the sorted rows), plus a persistent overlay of
+    additions and deletions so that [add]/[remove] stay functional and
+    cheap.  Joins read the codes directly (see
     {!section-code}).  The observable behaviour — set semantics,
     iteration order, the [compare]/[equal] total order, [pp] output — is
     byte-identical to the historical tuple-set representation, which the
@@ -100,8 +101,8 @@ val null_count : t -> int
     Value-level access to one relation, for callers outside the joins (the
     NNC check reads the null posting this way).  Positions are 0-based.
     {!iter_rel} yields tuples in [Tuple.compare] order; {!iter_matching}
-    yields surviving segment rows (ascending, via the lazily built
-    per-attribute hash index) followed by overlay tuples (ascending).
+    yields surviving segment rows (ascending, via the column's lazily
+    built postings) followed by overlay tuples (ascending).
     Joins read relations through the code-level access below. *)
 
 val rel_cardinal : t -> string -> int
@@ -112,8 +113,11 @@ val iter_rel : t -> string -> (Tuple.t -> unit) -> unit
 val iter_matching : t -> string -> pos:int -> Value.t -> (Tuple.t -> unit) -> unit
 (** [iter_matching d p ~pos v f] applies [f] to every tuple of relation [p]
     whose 0-based position [pos] holds exactly [v] (nulls match only
-    [Value.null]), probing the per-attribute hash index instead of
-    scanning. *)
+    [Value.null]), probing the column's postings instead of scanning.
+    The first probe of a column builds its postings: the segment's row
+    ids grouped by code in one int array, a group found through an array
+    over the column's code span when that span is at most twice the rows,
+    else through an open-addressed table of ints. *)
 
 (** {2:code Code-level access}
 
@@ -143,6 +147,20 @@ val row_arity : rows -> int -> int
 val row_code : rows -> int -> int -> int
 (** [row_code v h j] is the code at 0-based position [j] of row [h]. *)
 
+val segment_rows : rows -> int
+(** The handles below this are segment rows, live or deleted; the others
+    are overlay tuples. *)
+
+val columns : rows -> int array array
+(** The segment's columns: [(columns v).(j).(h)] is [row_code v h j] for
+    a segment row [h], and every segment row has arity
+    [Array.length (columns v)].  A join reads them in place, with no call
+    per code.  The arrays are the instance's own: never write them. *)
+
+val is_plain : rows -> bool
+(** No deletion and no overlay: the live rows are exactly the handles
+    [0 .. segment_rows v - 1], in [iter_rows] order. *)
+
 val row_tuple : rows -> int -> Tuple.t
 (** Decode a row (overlay tuples are returned as stored). *)
 
@@ -150,12 +168,18 @@ val iter_rows : rows -> (int -> unit) -> unit
 val exists_rows : rows -> (int -> bool) -> bool
 
 val iter_rows_with_code : rows -> pos:int -> int -> (int -> unit) -> unit
-(** Rows whose position [pos] holds the code, through the per-attribute
-    index: surviving segment rows ascending, then overlay tuples
+(** Rows whose position [pos] holds the code, through the column's
+    postings: surviving segment rows ascending, then overlay tuples
     ascending.  A negative code (a constant never interned) matches
     nothing. *)
 
 val exists_rows_with_code : rows -> pos:int -> int -> (int -> bool) -> bool
+
+val has_code : rows -> pos:int -> arity:int -> int -> bool
+(** Is there a live row of arity [arity] whose position [pos] holds the
+    code?  Decided from the postings and the overlay's codes, with no row
+    matched: an existence test whose other positions are all distinct
+    free variables. *)
 
 val pp : t Fmt.t
 (** One atom per line, sorted — stable output for tests and goldens. *)

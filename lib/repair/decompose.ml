@@ -87,10 +87,7 @@ let uf_merge_all uf = function
    The planner keeps antecedent and consequent joins in two caches: the
    callback of an antecedent join runs consequent joins, never a join of
    its own cache, which a compiled join would not survive. *)
-type joins = {
-  mutable over : Instance.t;
-  cache : (int * int * string list, Assign.Join.t * int array) Hashtbl.t;
-}
+type 'a joins = { mutable over : Instance.t; cache : (int * int * string list, 'a) Hashtbl.t }
 
 let joins d = { over = d; cache = Hashtbl.create 16 }
 
@@ -114,9 +111,9 @@ let cons_witnesses joins d_ext i g theta =
   List.concat
     (List.mapi
        (fun k c ->
-         let j, _ =
+         let j =
            compiled joins d_ext (i, k, []) (fun () ->
-               (J.compile d_ext ~bound:(Ic.Constr.universal_vars g) [ c ], [||]))
+               J.compile d_ext ~bound:(Ic.Constr.universal_vars g) [ c ])
          in
          let acc = ref [] in
          J.iter j theta (fun () -> acc := Ic.Patom.ground (J.lookup j) c :: !acc);
@@ -125,25 +122,23 @@ let cons_witnesses joins d_ext i g theta =
 
 (* Potential violations of the [i]th constraint [g] whose antecedent match
    extends one of the [seeds] (partial assignments), in join order.  The
-   null escape reads codes, [phi] decodes its own variables, and the
-   binding and witness are built for the pvs only. *)
+   null escape reads codes, [phi] is compiled with the join
+   ({!Assign.Join.builtins}), and the binding and witness are built for
+   the pvs only. *)
 let iter_seeded_pvs joins d_ext i g seeds ~f =
   let module J = Assign.Join in
   List.iter
     (fun seed ->
       let bound = List.map fst (Assign.bindings seed) in
-      let j, relevant =
+      let j, relevant, phi =
         compiled joins d_ext (i, -1, bound) (fun () ->
             let j = J.compile d_ext ~bound g.Ic.Constr.ante in
-            (j, J.slots_of j (Ic.Relevant.relevant_universal_vars g)))
+            ( j,
+              J.slots_of j (Ic.Relevant.relevant_universal_vars g),
+              J.builtins j g.Ic.Constr.phi ))
       in
-      let phi = g.Ic.Constr.phi in
       J.iter j seed (fun () ->
-          if
-            not
-              (J.any_null j relevant
-              || (phi <> [] && List.exists (Ic.Builtin.eval (J.lookup j)) phi))
-          then f (J.assignment j) (J.witness j)))
+          if not (J.any_null j relevant || phi ()) then f (J.assignment j) (J.witness j)))
     seeds
 
 (* The bindings under which the ground atom [a] matches one of [patoms]. *)

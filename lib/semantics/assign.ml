@@ -64,11 +64,18 @@ let match_tuple a terms tuple =
    variables are bound before a step depends only on the atoms matched so
    far, never on the values, so the whole order is known before the first
    row is read.  A step with a bound position
-   probes the per-attribute index on the first such position; otherwise it
+   probes the column's postings on the first such position; otherwise it
    scans.  Probes and scans enumerate rows in the order of
    {!Instance.iter_matching} and {!Instance.iter_rel}, so the matches come
    out in the order a Value-level join over those functions produces
-   (test/join_oracle.ml). *)
+   (test/join_oracle.ml).
+
+   A step reads a segment row's codes straight from the segment's
+   columns ({!Instance.columns}) and scans a segment with no deletion and
+   no overlay as a plain loop: this library is compiled without
+   cross-module inlining under dune's default (dev) profile, where
+   [-opaque] makes every [Instance.row_code] a real call, one per column
+   per row.  Only overlay tuples are read through {!Instance}. *)
 
 type assign = t
 
@@ -81,6 +88,24 @@ type op =
   | Same of int  (** the row holds the slot's code here *)
   | Bind of int  (** the row's code here binds the slot *)
 
+(* One relation view as a step reads it: segment rows from the columns,
+   overlay tuples (handles from [nseg] on) through [Instance]. *)
+type src = { view : Instance.rows; cols : int array array; nseg : int }
+
+let src_of view =
+  { view; cols = Instance.columns view; nseg = Instance.segment_rows view }
+
+let rec apply_cols cols h ops slots j n =
+  j >= n
+  ||
+  let c = cols.(j).(h) in
+  match ops.(j) with
+  | Code k -> c = k && apply_cols cols h ops slots (j + 1) n
+  | Same s -> c = slots.(s) && apply_cols cols h ops slots (j + 1) n
+  | Bind s ->
+      slots.(s) <- c;
+      apply_cols cols h ops slots (j + 1) n
+
 let rec apply view h ops slots j n =
   j >= n
   ||
@@ -92,9 +117,10 @@ let rec apply view h ops slots j n =
       slots.(s) <- c;
       apply view h ops slots (j + 1) n
 
-let row_matches view ops slots h =
+let row_matches src ops slots h =
   let n = Array.length ops in
-  Instance.row_arity view h = n && apply view h ops slots 0 n
+  if h < src.nseg then Array.length src.cols = n && apply_cols src.cols h ops slots 0 n
+  else Instance.row_arity src.view h = n && apply src.view h ops slots 0 n
 
 (* The ops of one atom given the variables bound before it ([slot_of]
    answers [-1] for the others, [fresh] allocates a slot), and the first
@@ -127,8 +153,14 @@ let compile_atom ~slot_of ~fresh atom =
   in
   (Array.of_list ops, !probe)
 
-let scan_or_probe view ops probe slots visit =
-  if probe < 0 then fun () -> Instance.iter_rows view visit
+let scan_or_probe src ops probe slots visit =
+  let view = src.view in
+  if probe < 0 then
+    if Instance.is_plain view then fun () ->
+      for h = 0 to src.nseg - 1 do
+        visit h
+      done
+    else fun () -> Instance.iter_rows view visit
   else
     match ops.(probe) with
     | Code c -> fun () -> Instance.iter_rows_with_code view ~pos:probe c visit
@@ -251,9 +283,9 @@ module Join = struct
     let rec chain first = function
       | [] -> fun () -> j.on_match ()
       | (i, ops, probe) :: rest ->
-          let next = chain false rest and view = views.(i) in
+          let next = chain false rest and src = src_of views.(i) in
           let visit h =
-            if row_matches view ops j.slots h then begin
+            if row_matches src ops j.slots h then begin
               j.handles.(i) <- h;
               next ()
             end
@@ -264,7 +296,7 @@ module Join = struct
               visit h
             else visit
           in
-          scan_or_probe view ops probe j.slots visit
+          scan_or_probe src ops probe j.slots visit
     in
     j.run <- chain true steps;
     j
@@ -341,23 +373,32 @@ module Join = struct
       end
     in
     let ops, probe = compile_atom ~slot_of ~fresh atom in
-    let copies =
-      List.rev !imports |> List.mapi (fun l (_, outer) -> (l, outer))
-      |> List.filter (fun (_, outer) -> outer >= 0) |> Array.of_list
-    in
+    let imported = Array.of_list (List.rev_map snd !imports) in
     let local = Array.make !count 0 in
-    let test h = row_matches view ops local h in
+    let src = src_of view in
+    let test h = row_matches src ops local h in
     let import () =
-      for k = 0 to Array.length copies - 1 do
-        let l, outer = copies.(k) in
-        local.(l) <- j.slots.(outer)
+      for l = 0 to Array.length imported - 1 do
+        let outer = imported.(l) in
+        if outer >= 0 then local.(l) <- j.slots.(outer)
       done
     in
+    let arity = Array.length ops in
+    (* every position but the probed one binds a variable of its own: a
+       live row of the atom's arity in the probed group is a match *)
+    let binds =
+      Array.fold_left (fun k op -> match op with Bind _ -> k + 1 | Code _ | Same _ -> k) 0 ops
+    in
+    let decided = probe >= 0 && binds = arity - 1 in
     if probe < 0 then fun () ->
       import ();
       Instance.exists_rows view test
     else
       match ops.(probe) with
+      | Code c when decided -> fun () -> Instance.has_code view ~pos:probe ~arity c
+      | Same s when decided ->
+          let outer = imported.(s) in
+          fun () -> Instance.has_code view ~pos:probe ~arity j.slots.(outer)
       | Code c -> fun () ->
           import ();
           Instance.exists_rows_with_code view ~pos:probe c test
@@ -365,6 +406,46 @@ module Join = struct
           import ();
           Instance.exists_rows_with_code view ~pos:probe local.(s) test
       | Bind _ -> assert false
+
+  (* [=] and [≠] with no offset whose sides are slots or constants compare
+     codes: equal values share one code.  A side whose code is [-1] (a
+     constant or a seed value never interned) is decoded, since two such
+     values may or may not be equal. *)
+  type side = Slot of int | Const of int * Value.t
+
+  let side_code j = function Slot s -> j.slots.(s) | Const (c, _) -> c
+  let side_value j = function Slot s -> value j s | Const (_, v) -> v
+
+  let same j a b =
+    let x = side_code j a and y = side_code j b in
+    if x >= 0 && y >= 0 then x = y else Value.equal (side_value j a) (side_value j b)
+
+  let builtin j (b : Ic.Builtin.t) =
+    let decoded () =
+      let lookup = lookup j in
+      fun () -> Ic.Builtin.eval lookup b
+    in
+    let side (e : Ic.Builtin.expr) =
+      if e.offset <> 0 then None
+      else
+        match e.base with
+        | Ic.Term.Const v -> Some (Const (code_of v, v))
+        | Ic.Term.Var x ->
+            let s = slot j x in
+            if s >= 0 then Some (Slot s) else None
+    in
+    match b with
+    | Ic.Builtin.Cmp (((Eq | Neq) as op), l, r) -> (
+        match (side l, side r) with
+        | Some l, Some r ->
+            if op = Eq then fun () -> same j l r else fun () -> not (same j l r)
+        | _ -> decoded ())
+    | Ic.Builtin.Cmp _ | Ic.Builtin.False -> decoded ()
+
+  let builtins j phi =
+    let tests = Array.of_list (List.map (builtin j) phi) in
+    let rec holds k = k < Array.length tests && (tests.(k) () || holds (k + 1)) in
+    fun () -> holds 0
 end
 
 let vars_of a = List.map fst (bindings a)

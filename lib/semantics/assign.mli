@@ -81,7 +81,7 @@ type assign = t
     constant's code, an already bound slot — or binding a slot.  The step
     order is greedy: the not-yet-matched atom with the most bound
     positions first, ties to the smaller relation, then to the earlier
-    atom.  A step probes the per-attribute index on its first bound
+    atom.  A step probes the column's postings on its first bound
     position and scans otherwise.  Since which variables are bound before
     a step does not depend on the values, the order is fixed before the
     first row is read.  Probes yield live segment rows then overlay
@@ -138,5 +138,17 @@ module Join : sig
       under [j]'s current match: [j]'s variables are compared by code,
       the atom's other variables are consistent wildcards, and the first
       position holding a constant or a variable of [j] is probed through
-      the index.  Compile it before iterating [j]. *)
+      the column's postings.  When every other position is a distinct
+      variable of the atom's own, as in a single-column foreign key, the
+      postings decide the test with no row matched
+      ({!Relational.Instance.has_code}).  Compile it before iterating
+      [j]. *)
+
+  val builtins : t -> Ic.Builtin.t list -> unit -> bool
+  (** [builtins j phi] compiles a test of whether one of the built-ins
+      [phi] holds under [j]'s current match ({!Ic.Builtin.eval}).  An [=]
+      or [≠] without offsets whose sides are slots of [j] or constants
+      compares codes; a constant never interned has code [-1], and a side
+      of code [-1] is decoded.  Order comparisons, offsets and variables
+      without a slot decode.  Compile it before iterating [j]. *)
 end

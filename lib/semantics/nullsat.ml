@@ -27,27 +27,22 @@ let consequent_holds d g =
    universal variable is bound to null (the IsNull disjuncts of formula (4))
    or the consequent holds.  The antecedent runs as one compiled join from
    [seed] (empty for a full check); the null escape reads codes, each
-   consequent atom is a compiled probe reading the join's slots, and only
-   [phi]'s variables are decoded.  A violation's binding and witness atoms
-   are built when it is reported, never for a satisfied match.  The join is
-   consumed as it is produced, so callers that only want the first witness
-   (consistency checks, admission checks) abort after one match instead of
-   materializing every violation. *)
+   consequent atom is a compiled probe reading the join's slots, [phi]'s
+   equalities compare codes and only its other built-ins decode.  A
+   violation's binding and witness atoms are built when it is reported,
+   never for a satisfied match.  The join is consumed as it is produced,
+   so callers that only want the first witness (consistency checks,
+   admission checks) abort after one match instead of materializing every
+   violation. *)
 let iter_violations ?(seed = Assign.empty) d g ic ~f =
   let module J = Assign.Join in
   let bound = List.map fst (Assign.bindings seed) in
   let j = J.compile d ~bound g.Ic.Constr.ante in
   let relevant = J.slots_of j (Ic.Relevant.relevant_universal_vars g) in
   let probes = List.map (J.probe j d) g.Ic.Constr.cons in
-  let lookup = J.lookup j in
-  let phi_true b = Ic.Builtin.eval lookup b in
-  let phi = g.Ic.Constr.phi in
+  let phi = J.builtins j g.Ic.Constr.phi in
   J.iter j seed (fun () ->
-      if
-        not
-          (J.any_null j relevant
-          || List.exists (fun p -> p ()) probes
-          || List.exists phi_true phi)
+      if not (J.any_null j relevant || List.exists (fun p -> p ()) probes || phi ())
       then f { ic; theta = J.assignment j; matched = J.witness j })
 
 let generic_violations d g ic =

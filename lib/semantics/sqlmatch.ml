@@ -45,26 +45,37 @@ type mode = Simple | Partial | Full
 
 let child_values fk t = List.map (fun i -> t.(i - 1)) fk.child_cols
 
+(* Is there a parent row agreeing with the child's values (a null child
+   value agrees with anything unless [match_null])?  One probe of the
+   parent's postings on a value every such row holds: the first one under
+   [match_null], since nulls match only nulls, the first non-null one
+   otherwise.  The other values are compared on the rows of that group.
+   A child of nulls only, without [match_null], agrees with any parent
+   row. *)
 let parent_matches d fk ~match_null vals =
-  let parents = Relational.Instance.tuples d fk.parent in
-  Relational.Tuple.Set.exists
-    (fun pt ->
-      List.for_all2
-        (fun j v ->
-          if Value.is_null v && not match_null then true
-          else Value.equal pt.(j - 1) v)
-        fk.parent_cols vals)
-    parents
+  let pairs = List.combine (List.map (fun j -> j - 1) fk.parent_cols) vals in
+  let agrees pt (j, v) =
+    (Value.is_null v && not match_null) || (j < Array.length pt && Value.equal pt.(j) v)
+  in
+  match List.find_opt (fun (_, v) -> match_null || not (Value.is_null v)) pairs with
+  | None -> Relational.Instance.rel_cardinal d fk.parent > 0
+  | Some (pos, v) -> (
+      let exception Found in
+      match
+        Relational.Instance.iter_matching d fk.parent ~pos v (fun pt ->
+            if List.for_all (agrees pt) pairs then raise_notrace Found)
+      with
+      | () -> false
+      | exception Found -> true)
 
 let tuple_ok mode d fk t =
   let vals = child_values fk t in
-  let any_null = List.exists Value.is_null vals in
-  let all_null_match = parent_matches d fk ~match_null:true vals in
-  let all_null = List.for_all Value.is_null vals in
   match mode with
-  | Simple -> any_null || all_null_match
-  | Partial -> all_null || parent_matches d fk ~match_null:false vals
-  | Full -> (not any_null) && all_null_match
+  | Simple -> List.exists Value.is_null vals || parent_matches d fk ~match_null:true vals
+  | Partial ->
+      List.for_all Value.is_null vals || parent_matches d fk ~match_null:false vals
+  | Full ->
+      (not (List.exists Value.is_null vals)) && parent_matches d fk ~match_null:true vals
 
 let violations mode d fk =
   Relational.Tuple.Set.fold

@@ -11,8 +11,7 @@ module Instance = Relational.Instance
 module Value = Relational.Value
 
 (* first position of the atom whose term is ground under theta, with its
-   value, if any — the position the relation's per-attribute hash index is
-   probed on *)
+   value, if any — the position whose column's postings are probed *)
 let bound_position theta atom =
   let rec go i = function
     | [] -> None

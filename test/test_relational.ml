@@ -373,7 +373,7 @@ let prop_set_oracle =
 
 module Naive = Naive_instance
 
-let script_gen =
+let script_gen_of atom_gen =
   QCheck.Gen.(
     let* base = list_size (int_range 0 40) atom_gen in
     let* extras = list_size (int_range 0 10) atom_gen in
@@ -382,6 +382,8 @@ let script_gen =
       List.filteri (fun i _ -> List.nth mask i) base
     in
     return (base, extras, removes))
+
+let script_gen = script_gen_of atom_gen
 
 let script_print (base, extras, removes) =
   Fmt.str "base=%a extras=%a removes=%a"
@@ -531,15 +533,42 @@ let prop_mixed_arities =
                   (Naive.add (fresh_variant a) n))
            (List.filteri (fun i _ -> i < 4) atoms))
 
+(* Values interned far apart: each is followed by fillers no instance
+   holds, so a column holding two of them spans far more codes than it
+   has rows and its postings take the sparse path. *)
+let far_values =
+  List.init 6 (fun i ->
+      let v = vs (Printf.sprintf "far %d" i) in
+      ignore (Relational.Symtab.intern v);
+      for k = 0 to 199 do
+        ignore (Relational.Symtab.intern (vs (Printf.sprintf "far %d filler %d" i k)))
+      done;
+      v)
+
+let probe_value_gen = QCheck.Gen.(frequency [ (3, value_gen); (1, oneofl far_values) ])
+
+let probe_atom_gen =
+  QCheck.Gen.(
+    let* name, arity = oneofl [ ("P", 2); ("Q", 1); ("R", 3) ] in
+    map (Atom.make name) (list_size (return arity) probe_value_gen))
+
 (* check_delta seeding aside, the index probes themselves must agree with
    a filter of the full scan — order included: segment postings ascending,
-   then the extra overlay. *)
+   then the extra overlay.  A relation with no added tuples (a segment
+   with deletions, or a small relation that is all overlay) yields the
+   filtered scan exactly, in order; with added tuples, the same rows.
+   Values come from the small domain and from [far_values], so that
+   columns take the dense path and the sparse one. *)
 let prop_iter_matching =
   QCheck.Test.make ~name:"iter_matching = filtered scan" ~count:300
-    (QCheck.pair script_arb (QCheck.make value_gen)) (fun (s, v) ->
+    (QCheck.pair
+       (QCheck.make ~print:script_print (script_gen_of probe_atom_gen))
+       (QCheck.make probe_value_gen))
+    (fun (((_, extras, _) as s), v) ->
       let d, _ = build_pair s in
       List.for_all
         (fun (p, arity) ->
+          let no_overlay = not (List.exists (fun a -> Atom.pred a = p) extras) in
           List.for_all
             (fun pos ->
               let probed = ref [] in
@@ -554,13 +583,51 @@ let prop_iter_matching =
               let coded = ref [] in
               Instance.iter_rows_with_code view ~pos code (fun h ->
                   coded := Instance.row_tuple view h :: !coded);
-              List.sort Tuple.compare !probed
-              = List.sort Tuple.compare !scanned
+              (if no_overlay then List.equal Tuple.equal !probed !scanned
+               else List.sort Tuple.compare !probed = List.sort Tuple.compare !scanned)
               && List.equal Tuple.equal !coded !probed
               && Instance.exists_rows_with_code view ~pos code (fun _ -> true)
-                 = (!scanned <> []))
+                 = (!scanned <> [])
+              && Instance.has_code view ~pos ~arity code = (!scanned <> [])
+              && not (Instance.has_code view ~pos ~arity:(arity + 1) code))
             (List.init arity (fun i -> i)))
         [ ("P", 2); ("Q", 1); ("R", 3) ])
+
+(* The first probe of a column builds its postings: the row ids in one
+   int array and a directory over the codes, with no box per row or per
+   code.  On a fresh 20k-row column that is at most 6 words per row where
+   the codes are dense (an array over their span) and at most 8 where they
+   are sparse (a sort and an open-addressed table); a list per code in a
+   hash table took 9 to 10 words per row on columns of distinct codes. *)
+let test_index_words () =
+  let n = 20_000 in
+  let fresh i = vs (Printf.sprintf "index words %d" i) in
+  let dense = List.init n (fun i -> Atom.make "P" [ fresh i; vi (i mod 7) ]) in
+  let sparse =
+    List.init n (fun i ->
+        let v = fresh (n + i) in
+        ignore (Relational.Symtab.intern v);
+        ignore (Relational.Symtab.intern (fresh (2 * n + (2 * i))));
+        ignore (Relational.Symtab.intern (fresh (2 * n + (2 * i) + 1)));
+        Atom.make "Q" [ v; vi i ])
+  in
+  let w = Workload.Gen.scale_workload ~tuples:n () in
+  let d = Instance.of_atoms (dense @ sparse @ Instance.atoms w.Workload.Gen.d) in
+  List.iter
+    (fun (label, p, pos, v, bound) ->
+      let rows = float_of_int (Instance.rel_cardinal d p) in
+      let hits = ref 0 in
+      let (), words = Alloc.allocated (fun () -> Instance.iter_matching d p ~pos v (fun _ -> incr hits)) in
+      Alcotest.(check bool) (label ^ ": found") true (!hits > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f words over %.0f rows <= %.0f per row" label words rows bound)
+        true
+        (words <= bound *. rows))
+    [
+      ("dense codes", "P", 0, fresh 17, 6.);
+      ("sparse codes", "Q", 0, fresh (n + 17), 8.);
+      ("R's owner column", "R", 1, vs "o3", 6.);
+    ]
 
 (* Deterministic compaction crossing: a segment-backed relation pushed
    through > threshold incremental additions (forcing at least one
@@ -757,6 +824,7 @@ let () =
         :: Alcotest.test_case "relation walk allocation" `Quick test_walk_allocation
         :: Alcotest.test_case "first mem allocation" `Quick test_first_mem_allocation
         :: Alcotest.test_case "build over sparse codes" `Quick test_build_sparse_codes
+        :: Alcotest.test_case "index words per row" `Quick test_index_words
         :: qcheck
              [
                prop_naive_differential;

@@ -522,7 +522,14 @@ let prop_join_matches_oracle =
 
 (* Nullsat.check on the compiled join against the oracle's check, over the
    constraint menus of the route/random generators plus constraints with
-   constants, self-joins and existentials. *)
+   constants, self-joins and existentials; built-ins the join compares as
+   codes (an FD's equality over nullable columns, [=] and [≠] against a
+   constant no instance holds) next to ones it must decode (an offset, an
+   order comparison, whose code order is interning order), and
+   foreign-key-shaped consequents that the postings decide, over a
+   relation [M] of mixed arities, one of which is its segment's. *)
+let never_held = vs "\001 held by no instance"
+
 let check_case_gen =
   let open QCheck.Gen in
   let value =
@@ -534,7 +541,8 @@ let check_case_gen =
       ]
   in
   let fact p n = map (Relational.Atom.make p) (list_size (return n) value) in
-  let any_fact = oneof [ fact "P" 1; fact "Q" 1; fact "R" 2; fact "S" 1 ] in
+  let m_fact = oneof [ fact "M" 1; fact "M" 2; fact "M" 2; fact "M" 3 ] in
+  let any_fact = oneof [ fact "P" 1; fact "Q" 1; fact "R" 2; fact "S" 1; m_fact ] in
   let bulk =
     map List.concat
       (flatten_l
@@ -543,8 +551,11 @@ let check_case_gen =
            list_size (int_range 0 6) (fact "Q" 1);
            list_size (int_range 0 40) (fact "R" 2);
            list_size (int_range 0 10) (fact "S" 1);
+           list_size (int_range 0 24) (oneof [ m_fact; fact "M" 3 ]);
          ])
   in
+  let r_xy = atom "R" [ v "x"; v "y" ] in
+  let cmp op l r = Builtin.cmp op l r in
   let extra =
     [
       Constr.generic ~name:"r_const" ~ante:[ atom "R" [ v "x"; Term.const (vs "a") ] ]
@@ -559,9 +570,24 @@ let check_case_gen =
         ();
       Constr.generic ~name:"r_cmp" ~ante:[ atom "R" [ v "x"; v "y" ]; atom "S" [ v "y" ] ]
         ~phi:[ Builtin.neq (Term.var "x") (Term.var "y") ] ();
+      Constr.generic ~name:"r_fd" ~ante:[ r_xy; atom "R" [ v "x"; v "z" ] ]
+        ~phi:[ Builtin.eq (Term.var "y") (Term.var "z") ] ();
+      Constr.generic ~name:"r_eq_absent" ~ante:[ r_xy ]
+        ~phi:[ Builtin.eq (Term.var "y") (Term.const never_held) ] ();
+      Constr.generic ~name:"r_neq_absent" ~ante:[ r_xy; atom "S" [ v "y" ] ]
+        ~phi:[ Builtin.neq (Term.const never_held) (Term.var "x") ] ();
+      Constr.generic ~name:"r_offset" ~ante:[ r_xy ]
+        ~phi:[ cmp Builtin.Eq (Builtin.evar "x") (Builtin.shift (Builtin.evar "y") 1) ] ();
+      Constr.generic ~name:"r_order" ~ante:[ r_xy ]
+        ~phi:[ cmp Builtin.Lt (Builtin.evar "x") (Builtin.evar "y") ] ();
+      Constr.generic ~name:"fk_m2" ~ante:[ r_xy ] ~cons:[ atom "M" [ v "y"; v "w" ] ] ();
+      Constr.generic ~name:"fk_m3" ~ante:[ atom "S" [ v "x" ] ]
+        ~cons:[ atom "M" [ v "w"; v "x"; v "u" ] ] ();
+      Constr.generic ~name:"fk_m1" ~ante:[ atom "S" [ v "x" ] ] ~cons:[ atom "M" [ v "x" ] ] ();
     ]
   in
-  triple (edited_instance_gen ~bulk ~fresh:any_fact) (int_range 1 100_000) (int_range 0 31)
+  triple (edited_instance_gen ~bulk ~fresh:any_fact) (int_range 1 100_000)
+    (int_range 0 ((1 lsl List.length extra) - 1))
   >|= fun (d, seed, mask) ->
   let menu =
     if seed mod 2 = 0 then (Workload.Gen.route_case ~seed ()).Workload.Gen.ics
@@ -584,6 +610,60 @@ let prop_check_matches_oracle =
          Fmt.str "%a@.%a" Instance.pp_inline d Fmt.(list ~sep:cut Constr.pp) ics)
        check_case_gen)
     (fun (d, ics) -> same_violations (Nullsat.check d ics) (Join_oracle.check d ics))
+
+(* ------------------------------------------------------------------ *)
+(* SQL match semantics against their first definition
+   (test/sqlmatch_oracle.ml), which compares each child with every parent
+   tuple: single and composite foreign keys, children and parents with
+   nulls, each mode. *)
+
+let sqlmatch_case_gen =
+  let open QCheck.Gen in
+  let value =
+    frequency [ (2, return vn); (4, map vi (int_range 0 4)); (1, return (vs "a")) ]
+  in
+  let rows p n = list_size (int_range 0 30) (map (Relational.Atom.make p) (list_size (return n) value)) in
+  let fk =
+    oneofl
+      [
+        { Sqlmatch.child = "C"; child_cols = [ 2 ]; parent = "Par"; parent_cols = [ 1 ] };
+        { Sqlmatch.child = "C"; child_cols = [ 1; 3 ]; parent = "Par"; parent_cols = [ 2; 1 ] };
+        { Sqlmatch.child = "C"; child_cols = [ 3; 2; 1 ]; parent = "Par"; parent_cols = [ 1; 2; 3 ] };
+      ]
+  in
+  map2
+    (fun (children, parents) fk -> (Instance.of_atoms (children @ parents), fk))
+    (pair (rows "C" 3) (rows "Par" 3)) fk
+
+let prop_sqlmatch_oracle =
+  QCheck.Test.make ~name:"Sqlmatch = all-pairs oracle" ~count:500
+    (QCheck.make
+       ~print:(fun (d, (fk : Sqlmatch.fk)) ->
+         Fmt.str "%a / C%a -> Par%a" Instance.pp_inline d
+           Fmt.(Dump.list int) fk.child_cols Fmt.(Dump.list int) fk.parent_cols)
+       sqlmatch_case_gen)
+    (fun (d, fk) ->
+      List.for_all
+        (fun mode ->
+          List.equal Relational.Tuple.equal (Sqlmatch.violations mode d fk)
+            (Sqlmatch_oracle.violations mode d fk))
+        [ Sqlmatch.Simple; Sqlmatch.Partial; Sqlmatch.Full ])
+
+(* The semantics comparison grows with the tables: each SQL-match child
+   tuple probes the parent's postings once, where it compared every
+   parent tuple, so four times the tuples cost at most five times the
+   words. *)
+let test_compare_semantics_words () =
+  let words tuples =
+    let w = Workload.Gen.scale_workload ~tuples () in
+    let d = Instance.of_atoms (Instance.atoms w.Workload.Gen.d) in
+    snd (Alloc.allocated (fun () -> Report.compare_semantics d w.Workload.Gen.ics))
+  in
+  let small = words 1_000 and large = words 4_000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "4k tuples: %.0f words <= 5 x %.0f at 1k" large small)
+    true
+    (large <= 5. *. small)
 
 (* ------------------------------------------------------------------ *)
 (* Report *)
@@ -716,7 +796,8 @@ let () =
         [
           Alcotest.test_case "fk_of_ric" `Quick test_fk_of_ric_shapes;
           Alcotest.test_case "all-null partial" `Quick test_sqlmatch_all_null_partial;
-        ] );
+        ]
+        @ qcheck [ prop_sqlmatch_oracle ] );
       ( "admission",
         [
           Alcotest.test_case "example 5 updates" `Quick test_admission_example5;
@@ -727,6 +808,7 @@ let () =
         [
           Alcotest.test_case "comparison" `Quick test_report;
           Alcotest.test_case "n/a entries" `Quick test_report_na;
+          Alcotest.test_case "semantics comparison words" `Quick test_compare_semantics_words;
         ] );
       ( "properties",
         qcheck
