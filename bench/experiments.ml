@@ -160,7 +160,7 @@ let e4 () =
     | Ok pg ->
         let stats = Asp.Solver.new_stats () in
         ignore
-          (Asp.Solver.stable_models_naive ~stats
+          (Sweep.stable_models ~stats
              (Asp.Grounder.ground pg.Core.Proggen.program));
         stats
   in
@@ -818,7 +818,7 @@ let lock_measurements () =
       let g = lock_program ~k ~m in
       let sc = Asp.Solver.new_stats () and sd = Asp.Solver.new_stats () in
       let models_c = Asp.Solver.stable_models ~stats:sc g in
-      let models_d = Asp.Solver.stable_models_naive ~stats:sd g in
+      let models_d = Sweep.stable_models ~stats:sd g in
       ( Printf.sprintf "E21.lock.k%dm%d" k m,
         k, m, Asp.Ground.atom_count g,
         List.length models_c,

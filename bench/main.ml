@@ -133,11 +133,11 @@ let solver_telemetry () =
     row "E4.solve.shifted" "cdcl"
       (fun ~stats g -> Asp.Solver.stable_models ~stats g) shifted19;
     row "E4.solve.shifted" "naive"
-      (fun ~stats g -> Asp.Solver.stable_models_naive ~stats g) shifted19;
+      (fun ~stats g -> Sweep.stable_models ~stats g) shifted19;
     row "E4.solve.disjunctive" "cdcl"
       (fun ~stats g -> Asp.Solver.stable_models ~stats g) ground19;
     row "E4.solve.disjunctive" "naive"
-      (fun ~stats g -> Asp.Solver.stable_models_naive ~stats g) ground19;
+      (fun ~stats g -> Sweep.stable_models ~stats g) ground19;
   ]
 
 (* CDCL telemetry (E21): the learning search vs the chronological

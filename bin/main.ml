@@ -12,6 +12,17 @@ let load_or_die file =
       Fmt.epr "error: %s@." msg;
       exit 2
 
+(* Write [text] to [path] and say so; a path that cannot be written is
+   reported on stderr, and the caller exits 1. *)
+let write_file path text =
+  match Out_channel.with_open_text path (fun oc -> output_string oc text) with
+  | () ->
+      Fmt.pr "wrote %s@." path;
+      true
+  | exception Sys_error msg ->
+      Fmt.epr "error: %s@." msg;
+      false
+
 let file_arg =
   Arg.(
     required
@@ -186,17 +197,19 @@ let repairs_cmd =
         print_repairs d repairs;
         report_budget ~want_stats budget;
         (match save with
-        | None -> ()
+        | None -> 0
         | Some prefix ->
-            List.iteri
-              (fun i r ->
-                let path = Printf.sprintf "%s_%d.cqa" prefix (i + 1) in
-                Out_channel.with_open_text path (fun oc ->
-                    output_string oc
-                      (Lang.Emit.file ~schema:l.Lang.Load.schema ~ics r));
-                Fmt.pr "wrote %s@." path)
-              repairs);
-        0
+            (* stop at the first repair that cannot be written *)
+            let rec save_from i = function
+              | [] -> 0
+              | r :: rest ->
+                  let path = Printf.sprintf "%s_%d.cqa" prefix i in
+                  if write_file path
+                       (Lang.Emit.file ~schema:l.Lang.Load.schema ~ics r)
+                  then save_from (i + 1) rest
+                  else 1
+            in
+            save_from 1 repairs)
   in
   let engine_flag =
     Arg.(
@@ -570,11 +583,10 @@ let export_cmd =
           | `Clingo -> Core.Proggen.to_clingo pg
         in
         (match output with
-        | None -> print_string text
-        | Some path ->
-            Out_channel.with_open_text path (fun oc -> output_string oc text);
-            Fmt.pr "wrote %s@." path);
-        0
+        | None ->
+            print_string text;
+            0
+        | Some path -> if write_file path text then 0 else 1)
   in
   let dialect_flag =
     Arg.(
@@ -649,7 +661,11 @@ let solve_cmd =
                 Fmt.pr "%d stable model(s)@." (List.length models);
                 report ();
                 if models = [] then 1 else 0
-            | `Atoms atoms ->
+            | `Atoms None ->
+                Fmt.pr "0 stable model(s)@.";
+                report ();
+                1
+            | `Atoms (Some atoms) ->
                 pp_atoms (List.map (Asp.Ground.atom_of solvable) atoms);
                 report ();
                 0))
@@ -833,9 +849,7 @@ let fuzz_cmd =
           let min_sc, steps = Conform.Fuzz.minimize oracle sc in
           Fmt.pr "minimized: size %d -> %d in %d step(s)@."
             (Conform.Fuzz.size sc) (Conform.Fuzz.size min_sc) steps;
-          Out_channel.with_open_text out (fun oc ->
-              output_string oc (Conform.Fuzz.source min_sc));
-          Fmt.pr "wrote %s@." out
+          ignore (write_file out (Conform.Fuzz.source min_sc))
         end;
         1
   in

@@ -15,10 +15,11 @@ module Ic = Ic
 (** Constraints of form (1), relevant attributes, dependency graphs. *)
 
 module Semantics = Semantics
-(** IC satisfaction: [|=_N] and the baseline semantics; admission checks. *)
+(** IC satisfaction: [|=_N] and the baseline semantics; incremental
+    checking of updates. *)
 
 module Repair = Repair
-(** The [<=_D] order, repair enumeration, checking, [Rep_d]. *)
+(** The [<=_D] order, repair enumeration, [Rep_d]. *)
 
 module Asp = Asp
 (** The answer-set-programming substrate: grounder, solver, HCF, export. *)

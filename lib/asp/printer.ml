@@ -50,9 +50,3 @@ let rule_to_string dialect (r : Syntax.rule) =
 
 let program_to_string dialect p =
   String.concat "\n" (List.map (rule_to_string dialect) p) ^ "\n"
-
-let to_file dialect path p =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (program_to_string dialect p))

@@ -7,8 +7,3 @@ type dialect = Dlv | Clingo
 
 val rule_to_string : dialect -> Syntax.rule -> string
 val program_to_string : dialect -> Syntax.program -> string
-val to_file : dialect -> string -> Syntax.program -> unit
-
-val escape_const : Syntax.const -> string
-(** ASP constant spelling: lowercased/quoted symbols, verbatim numbers.
-    Symbols that are not valid bare ASP constants are single-quoted. *)

@@ -284,10 +284,11 @@ let is_stable_in ~n rules ?stats m =
        is the remaining question *)
     not (exists_smaller_model ?stats ~n red in_m m)
 
-let is_stable_model g m = is_stable_in ~n:(Ground.atom_count g) (Ground.rules g) m
+let is_stable_model ?stats g m =
+  is_stable_in ~n:(Ground.atom_count g) (Ground.rules g) ?stats m
 
-(* [~limit:0] (or less) asks for no model.  Both searches compare the model
-   count with the limit only after recording a model, so they answer it
+(* [~limit:0] (or less) asks for no model.  The search compares the model
+   count with the limit only after recording a model, so it answers it
    here, without searching. *)
 let no_model_wanted = function Some l -> l <= 0 | None -> false
 
@@ -312,7 +313,8 @@ let no_model_wanted = function Some l -> l <= 0 | None -> false
    sound for stable models though not classical consequences, so the
    learned nogoods may prune classical models that could never be stable —
    every candidate still passes [is_stable_in], and the differential suite
-   pins the model sets to the sweep-based reference below.
+   pins the model sets to the sweep-based reference search of the tests
+   (test/oracle/sweep.ml).
 
    Enumeration is blocking-clause-free: a total assignment that survives
    propagation is a candidate; its full complement clause is analyzed like
@@ -321,7 +323,7 @@ let no_model_wanted = function Some l -> l <= 0 | None -> false
    the search.  Restarts are safe because those resolvents persist.
 
    Decisions made after every original clause is already satisfied merely
-   complete the assignment with false (the reference search completes such
+   complete the assignment with false (the sweep search completes such
    candidates for free), so they are not counted against the per-search
    cap or the budget. *)
 
@@ -677,207 +679,30 @@ let stable_models ?budget ?limit ?(support_propagation = true) ?stats g =
   | Empty_clause -> ());
   List.sort (List.compare Int.compare) !models
 
-(* ------------------------------------------------------------------ *)
-(* Sweep-based reference solver.
-
-   A chronological DPLL with no learning and no occurrence index, kept as
-   the single differential-testing oracle of the search above (test_cdcl
-   and test_asp assert model-set equality against it) and as the
-   chronological baseline of the E4 and E21 bench tables.  It branches on
-   the first unassigned atom of the first unsatisfied rule and tries false
-   before true.  Unit propagation re-scans the whole rule array to
-   fixpoint after every assignment; support propagation re-filters every
-   true atom's supporter list.  [rules_touched] counts those per-rule
-   visits. *)
-
-let stable_models_naive ?budget ?limit ?(support_propagation = true) ?stats g
-    =
-  let stats = match stats with Some s -> s | None -> new_stats () in
-  let rules = Ground.rules g in
-  let n = Ground.atom_count g in
-  let value = Array.make n unk in
-  (* supporting rules per atom: a stable model cannot hold an atom whose
-     every head-rule has a classically false body *)
-  let supporters = Array.make n [] in
-  Array.iter
-    (fun (r : Ground.grule) ->
-      Array.iter (fun h -> supporters.(h) <- r :: supporters.(h)) r.Ground.ghead)
-    rules;
-  (* atoms in no head are false in every stable model *)
-  for i = 0 to n - 1 do
-    if supporters.(i) = [] then value.(i) <- fls
-  done;
-  let trail = ref [] in
-  let assign i v =
-    value.(i) <- v;
-    trail := i :: !trail;
-    stats.propagations <- stats.propagations + 1
-  in
-  let undo_to mark =
-    let rec go () =
-      if !trail != mark then
-        match !trail with
-        | [] -> ()
-        | i :: rest ->
-            value.(i) <- unk;
-            trail := rest;
-            go ()
-    in
-    go ()
-  in
-  let exception Conflict in
-  let exception Done in
-  let models = ref [] in
-  let count = ref 0 in
-  let rule_satisfied (r : Ground.grule) =
-    Array.exists (fun h -> value.(h) = tru) r.Ground.ghead
-    || Array.exists (fun p -> value.(p) = fls) r.Ground.gpos
-    || Array.exists (fun x -> value.(x) = tru) r.Ground.gneg
-  in
-  let propagate_once () =
-    let progress = ref false in
-    Array.iter
-      (fun (r : Ground.grule) ->
-        stats.rules_touched <- stats.rules_touched + 1;
-        if not (rule_satisfied r) then begin
-          let unassigned = ref [] in
-          let note kind i = unassigned := (kind, i) :: !unassigned in
-          Array.iter (fun h -> if value.(h) = unk then note `T h) r.Ground.ghead;
-          Array.iter (fun p -> if value.(p) = unk then note `F p) r.Ground.gpos;
-          Array.iter (fun x -> if value.(x) = unk then note `T x) r.Ground.gneg;
-          match !unassigned with
-          | [] -> raise Conflict
-          | [ (`T, i) ] ->
-              assign i tru;
-              progress := true
-          | [ (`F, i) ] ->
-              assign i fls;
-              progress := true
-          | _ -> ()
-        end)
-      rules;
-    !progress
-  in
-  (* support propagation: for every true atom, some rule with it in the
-     head must keep a body that can still become classically true; when a
-     single such rule remains, its body is forced.  (Sound for stable
-     models: if every supporter of a true atom had a false body, removing
-     the atom would still model the reduct, contradicting minimality.) *)
-  let body_false (r : Ground.grule) =
-    Array.exists (fun p -> value.(p) = fls) r.Ground.gpos
-    || Array.exists (fun x -> value.(x) = tru) r.Ground.gneg
-  in
-  let support_once () =
-    let progress = ref false in
-    for i = 0 to n - 1 do
-      if value.(i) = tru then begin
-        stats.rules_touched <- stats.rules_touched + List.length supporters.(i);
-        match List.filter (fun r -> not (body_false r)) supporters.(i) with
-        | [] -> raise Conflict
-        | [ r ] ->
-            Array.iter
-              (fun p ->
-                if value.(p) = unk then begin
-                  assign p tru;
-                  progress := true
-                end)
-              r.Ground.gpos;
-            Array.iter
-              (fun x ->
-                if value.(x) = unk then begin
-                  assign x fls;
-                  progress := true
-                end)
-              r.Ground.gneg
-        | _ -> ()
-      end
-    done;
-    !progress
-  in
-  let propagate () =
-    let continue_ = ref true in
-    while !continue_ do
-      let a = propagate_once () in
-      let b = support_propagation && support_once () in
-      continue_ := a || b
-    done
-  in
-  let pick_branch () =
-    let cand = ref None in
-    (try
-       Array.iter
-         (fun (r : Ground.grule) ->
-           if (not (rule_satisfied r)) && !cand = None then begin
-             Array.iter
-               (fun h -> if !cand = None && value.(h) = unk then cand := Some h)
-               r.Ground.ghead;
-             Array.iter
-               (fun p -> if !cand = None && value.(p) = unk then cand := Some p)
-               r.Ground.gpos;
-             Array.iter
-               (fun x -> if !cand = None && value.(x) = unk then cand := Some x)
-               r.Ground.gneg;
-             if !cand <> None then raise Exit
-           end)
-         rules
-     with Exit -> ());
-    !cand
-  in
-  let record_candidate () =
-    stats.candidates <- stats.candidates + 1;
-    let m = ref [] in
-    for i = n - 1 downto 0 do
-      if value.(i) = tru then m := i :: !m
-    done;
-    let m = !m in
-    if is_stable_in ~n rules ~stats m then begin
-      models := m :: !models;
-      incr count;
-      match limit with Some l when !count >= l -> raise Done | _ -> ()
-    end
-  in
-  let rec search () =
-    let mark = !trail in
-    (try
-       propagate ();
-       match pick_branch () with
-       | None -> record_candidate ()
-       | Some i ->
-           stats.decisions <- stats.decisions + 1;
-           Budget.check_search_decisions stats.decisions;
-           (match budget with Some b -> Budget.tick_decision b | None -> ());
-           let mark2 = !trail in
-           assign i fls;
-           search ();
-           undo_to mark2;
-           assign i tru;
-           search ();
-           undo_to mark2
-     with Conflict -> ());
-    undo_to mark
-  in
-  (try if not (no_model_wanted limit) then search () with Done -> ());
-  (* deterministic order: sort models *)
-  List.sort (List.compare Int.compare) !models
-
 let stable_models_atoms ?budget ?limit ?stats g =
   stable_models ?budget ?limit ?stats g
   |> List.map (fun m -> Ground.model_atoms g m)
 
 (* Cautious/brave consequences over the already-sorted model list, by set
-   intersection/union instead of the quadratic List.mem filters. *)
+   intersection/union instead of the quadratic List.mem filters; [None]
+   when there is no stable model. *)
 
 let cautious ?budget ?stats g =
   match stable_models ?budget ?stats g with
-  | [] -> []
+  | [] -> None
   | m :: rest ->
-      Iset.elements
-        (List.fold_left
-           (fun acc model -> Iset.inter acc (Iset.of_list model))
-           (Iset.of_list m) rest)
+      Some
+        (Iset.elements
+           (List.fold_left
+              (fun acc model -> Iset.inter acc (Iset.of_list model))
+              (Iset.of_list m) rest))
 
 let brave ?budget ?stats g =
-  Iset.elements
-    (List.fold_left
-       (fun acc model -> Iset.union acc (Iset.of_list model))
-       Iset.empty (stable_models ?budget ?stats g))
+  match stable_models ?budget ?stats g with
+  | [] -> None
+  | models ->
+      Some
+        (Iset.elements
+           (List.fold_left
+              (fun acc model -> Iset.union acc (Iset.of_list model))
+              Iset.empty models))

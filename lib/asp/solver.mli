@@ -5,13 +5,14 @@
     over the classical clause view of the rules — two-watched-literal
     propagation ({!Watch}), first-UIP learned nogoods with
     non-chronological backjumping ({!Learn}), VSIDS branching and Luby
-    restarts.  {!stable_models_naive} is the sweep-based reference
-    search, a chronological DPLL that the tests compare it against.
+    restarts.  The tests and the bench compare it against a sweep-based
+    reference search, a chronological DPLL that lives with the other
+    oracles under [test/oracle/].
 
-    Both enumerate every total model of the program, completing each
-    all-rules-satisfied partial assignment with false (sound: an unassigned
-    atom set to true in a stable model would be unsupported).  Every
-    candidate model [M] is then verified stable:
+    The search enumerates every total model of the program, completing
+    each all-rules-satisfied partial assignment with false (sound: an
+    unassigned atom set to true in a stable model would be unsupported).
+    Every candidate model [M] is then verified stable:
 
     - for a {e normal} candidate program (every head a singleton) the
       Gelfond-Lifschitz reduct [P^M] is definite and [M] is stable iff it
@@ -42,11 +43,11 @@ type stats = {
   mutable minimality_checks : int;  (** disjunctive minimality sub-searches *)
   mutable queue_pushes : int;
       (** support-check worklist insertions; always 0 for the sweep-based
-          {!stable_models_naive} *)
+          reference search of the tests *)
   mutable rules_touched : int;
       (** rules examined by support propagation: supporter-list scans for
-          {!stable_models}, one per rule per sweep (plus supporter-list
-          lengths) for {!stable_models_naive} *)
+          {!stable_models}; the reference search counts one per rule per
+          sweep, plus supporter-list lengths *)
   mutable conflicts : int;
       (** falsified clauses hit by the search (0 for the reference) *)
   mutable learned : int;  (** nogoods added by conflict analysis *)
@@ -78,24 +79,16 @@ val stable_models :
     than {!Budget.search_decisions} decisions; public engine APIs catch it
     and return [Error] — see {!Budget}. *)
 
-val stable_models_naive :
-  ?budget:Budget.ctl -> ?limit:int ->
-  ?support_propagation:bool -> ?stats:stats -> Ground.t -> int list list
-(** The sweep-based reference search: chronological DPLL with a full
-    rule-array re-scan per propagation pass and supporter-list
-    re-filtering per true atom.  Same arguments, same result as
-    {!stable_models} — kept as the differential oracle of the tests and
-    the chronological baseline of the E4 and E21 bench tables.  Not used
-    on any production path. *)
-
 val stable_models_atoms :
   ?budget:Budget.ctl -> ?limit:int -> ?stats:stats -> Ground.t ->
   Ground.gatom list list
 (** {!stable_models} with atoms resolved, each model sorted. *)
 
-val is_stable_model : Ground.t -> int list -> bool
-(** Is the given set of atom ids a stable model?  (Used by tests and by the
-    answer-set validation of the external-solver driver.) *)
+val is_stable_model : ?stats:stats -> Ground.t -> int list -> bool
+(** Is the given set of atom ids a stable model?  A disjunctive
+    minimality sub-search counts in [stats.minimality_checks].  (Used by
+    the tests and by the reference search of the tests, which verifies
+    its candidates with it.) *)
 
 val new_stats : unit -> stats
 val pp_stats : stats Fmt.t
@@ -103,14 +96,15 @@ val pp_stats : stats Fmt.t
 val pp_search_stats : stats Fmt.t
 (** The CDCL counters:
     [conflicts=… learned=… restarts=… backjump_len=… phase_saved=…]
-    (all zero after a {!stable_models_naive} run). *)
+    (all zero after a run of the reference search of the tests). *)
 
-val cautious : ?budget:Budget.ctl -> ?stats:stats -> Ground.t -> int list
-(** Atoms true in every stable model, ascending (empty if there is no
-    stable model — by convention of cautious reasoning over an inconsistent
-    program every atom is a consequence, but the repair setting guarantees
-    models whenever [IC] is non-conflicting, so we return the intersection
-    of an empty family as the empty list and let callers decide). *)
+val cautious :
+  ?budget:Budget.ctl -> ?stats:stats -> Ground.t -> int list option
+(** Atoms true in every stable model, ascending; [None] if there is no
+    stable model (by convention of cautious reasoning over an inconsistent
+    program every atom is a consequence, so the caller decides what that
+    means). *)
 
-val brave : ?budget:Budget.ctl -> ?stats:stats -> Ground.t -> int list
-(** Atoms true in at least one stable model, ascending. *)
+val brave : ?budget:Budget.ctl -> ?stats:stats -> Ground.t -> int list option
+(** Atoms true in at least one stable model, ascending; [None] if there is
+    no stable model. *)

@@ -31,9 +31,8 @@ let consequent_holds d g =
    equalities compare codes and only its other built-ins decode.  A
    violation's binding and witness atoms are built when it is reported,
    never for a satisfied match.  The join is consumed as it is produced,
-   so callers that only want the first witness (consistency checks,
-   admission checks) abort after one match instead of materializing every
-   violation. *)
+   so callers that only want the first witness (consistency checks)
+   abort after one match instead of materializing every violation. *)
 let iter_violations ?(seed = Assign.empty) d g ic ~f =
   let module J = Assign.Join in
   let bound = List.map fst (Assign.bindings seed) in
@@ -69,32 +68,19 @@ let violations d ic =
   | Ic.Constr.NotNull n -> nnc_violations (n.pred, n.arity, n.pos) ic d
 
 (* Early-exit path: stop at the first witness instead of materializing the
-   full violation list.  [first_violation_of] returns the same violation
-   [violations] would list first. *)
-let first_violation_of d ic =
-  match ic with
-  | Ic.Constr.Generic g ->
-      let exception Witness of violation in
-      (try
-         iter_violations d g ic ~f:(fun v -> raise (Witness v));
-         None
-       with Witness v -> Some v)
-  | Ic.Constr.NotNull n ->
-      let pred, pos = (n.pred, n.pos) in
-      let exception Witness of Relational.Tuple.t in
-      (try
-         Instance.iter_matching d pred ~pos:(pos - 1) Value.null (fun t ->
-             raise (Witness t));
-         None
-       with Witness t ->
-         Some
-           {
-             ic;
-             theta = Assign.empty;
-             matched = [ Relational.Atom.of_tuple pred t ];
-           })
+   full violation list. *)
+let has_violation d ic =
+  let exception Witness in
+  match
+    match ic with
+    | Ic.Constr.Generic g -> iter_violations d g ic ~f:(fun _ -> raise Witness)
+    | Ic.Constr.NotNull n ->
+        Instance.iter_matching d n.pred ~pos:(n.pos - 1) Value.null (fun _ ->
+            raise Witness)
+  with
+  | () -> false
+  | exception Witness -> true
 
-let has_violation d ic = Option.is_some (first_violation_of d ic)
 let satisfies d ic = not (has_violation d ic)
 
 let check d ics = List.concat_map (violations d) ics
@@ -343,30 +329,3 @@ let check_delta ~before ~inserted ~deleted d ics =
   in
   let result = canonical_violations (List.concat_map per_ic ics) in
   (result, { reused = !reused; fast = !fast; rescanned = !rescanned })
-
-let first_violation d ics =
-  List.fold_left
-    (fun acc ic ->
-      match acc with Some _ -> acc | None -> first_violation_of d ic)
-    None ics
-
-let can_insert d ics atom =
-  let d' = Instance.add atom d in
-  (* only the new tuple can be the source of fresh violations, but it can
-     also invalidate nothing — a full recheck is avoided by restricting to
-     constraints mentioning the predicate *)
-  let relevant_ics =
-    List.filter (fun ic -> List.mem (Relational.Atom.pred atom) (Ic.Constr.preds ic)) ics
-  in
-  match first_violation d' relevant_ics with
-  | None -> Ok ()
-  | Some v -> Error v
-
-let can_delete d ics atom =
-  let d' = Instance.remove atom d in
-  let relevant_ics =
-    List.filter (fun ic -> List.mem (Relational.Atom.pred atom) (Ic.Constr.preds ic)) ics
-  in
-  match first_violation d' relevant_ics with
-  | None -> Ok ()
-  | Some v -> Error v

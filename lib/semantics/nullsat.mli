@@ -31,8 +31,8 @@ val satisfies_literal : Relational.Instance.t -> Ic.Constr.t -> bool
 val has_violation : Relational.Instance.t -> Ic.Constr.t -> bool
 (** [not (satisfies d ic)], stopping at the first witness: the antecedent
     join is aborted as soon as one violating match is found instead of
-    materializing every violation.  {!satisfies}, {!consistent} and the
-    admission checks all go through this path. *)
+    materializing every violation.  {!satisfies} and {!consistent} go
+    through this path. *)
 
 val violations : Relational.Instance.t -> Ic.Constr.t -> violation list
 (** Empty iff {!satisfies}. *)
@@ -48,6 +48,35 @@ val compare_violation : violation -> violation -> int
 val canonical_violations : violation list -> violation list
 (** Sorted by {!compare_violation}, deduplicated — the canonical form the
     incremental maintainer ({!check_delta}) works with. *)
+
+val consequent_holds :
+  Relational.Instance.t -> Ic.Constr.generic -> Assign.t -> bool
+(** Does the consequent of the (generic) constraint hold under a total
+    antecedent assignment — some consequent atom has a matching tuple
+    (existential variables as consistent wildcards) or some [phi] disjunct
+    evaluates to true?  The consequent atoms are compiled on partial
+    application ([let holds = consequent_holds d g in ...]), once for
+    every assignment tested, and the partial application is used from
+    one domain at a time.  Exposed for the repair engine. *)
+
+(** {2 Update checking}
+
+    Commercial DBMSs enforce ICs on updates: an insertion is rejected when
+    it would create a violation (Example 5: inserting
+    [Course(CS41, 18, null)] is rejected because professor 18 has no [Exp]
+    tuple; Example 6: [Emp(32, null, 50)] fails the salary check).
+    {!check_delta} is that check for a batch of updates, as the session
+    engine runs it: it keeps the violations of the constraints the batch
+    leaves alone and recomputes only those of the constraints that mention
+    an updated relation, through {!violations_involving} probes or joins
+    seeded on the updated tuples. *)
+
+val violations_involving :
+  Relational.Instance.t -> Ic.Constr.t list -> Relational.Atom.t -> violation list
+(** Violations of the instance whose antecedent match mentions the given
+    atom (for NNCs: the offending atom itself), computed by seeding each
+    antecedent join with the atom's bindings — index probes bounded by the
+    atom's neighbourhood, never a full enumeration.  Canonically ordered. *)
 
 type delta_stats = {
   reused : int;     (** constraints whose relations the delta left untouched *)
@@ -80,44 +109,3 @@ val check_delta :
     each delta atom's bindings rather than re-evaluated from scratch.  The
     result equals [canonical_violations (check d ics)] (property-tested),
     in canonical order. *)
-
-val consequent_holds :
-  Relational.Instance.t -> Ic.Constr.generic -> Assign.t -> bool
-(** Does the consequent of the (generic) constraint hold under a total
-    antecedent assignment — some consequent atom has a matching tuple
-    (existential variables as consistent wildcards) or some [phi] disjunct
-    evaluates to true?  The consequent atoms are compiled on partial
-    application ([let holds = consequent_holds d g in ...]), once for
-    every assignment tested, and the partial application is used from
-    one domain at a time.  Exposed for the repair engine. *)
-
-(** {2 Admission checking}
-
-    Commercial DBMSs enforce ICs on updates: an insertion is rejected when
-    it would create a violation (Example 5: inserting
-    [Course(CS41, 18, null)] is rejected because professor 18 has no [Exp]
-    tuple; Example 6: [Emp(32, null, 50)] fails the salary check).  These
-    helpers check a single update against [|=_N] without rescanning the
-    whole database: only violations {e involving the updated tuple} are
-    examined. *)
-
-val violations_involving :
-  Relational.Instance.t -> Ic.Constr.t list -> Relational.Atom.t -> violation list
-(** Violations of the instance whose antecedent match mentions the given
-    atom (for NNCs: the offending atom itself), computed by seeding each
-    antecedent join with the atom's bindings — index probes bounded by the
-    atom's neighbourhood, never a full enumeration.  Canonically ordered. *)
-
-val can_insert :
-  Relational.Instance.t -> Ic.Constr.t list -> Relational.Atom.t ->
-  (unit, violation) result
-(** Would [D ∪ {a}] stay consistent?  [Error] carries a violation the
-    insertion would create.  (An insertion can only add violations: the
-    antecedent matches of [D] survive and the new tuple may both trigger
-    antecedents and, for constraints it witnesses, silence none.) *)
-
-val can_delete :
-  Relational.Instance.t -> Ic.Constr.t list -> Relational.Atom.t ->
-  (unit, violation) result
-(** Would [D \ {a}] stay consistent?  Deletions can orphan tuples that the
-    deleted atom was witnessing (referential constraints). *)

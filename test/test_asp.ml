@@ -1,7 +1,7 @@
 (* Tests for the ASP substrate: grounder, stable-model solver (checked
    against a brute-force implementation of the Gelfond-Lifschitz semantics),
    head-cycle-freeness and the shift transformation (Section 6), and the
-   external-solver output parsers. *)
+   DLV/clingo printer and parser. *)
 
 module S = Asp.Syntax
 module Ground = Asp.Ground
@@ -10,7 +10,6 @@ module Solver = Asp.Solver
 module Hcf = Asp.Hcf
 module Shift = Asp.Shift
 module Printer = Asp.Printer
-module Ext = Asp.Extsolver
 
 let a0 name = S.atom name []
 let models_of p = Solver.stable_models_atoms (Grounder.ground p)
@@ -358,7 +357,7 @@ let prop_solver_counters =
       let s_cdcl = Solver.new_stats () in
       let s_naive = Solver.new_stats () in
       let m_cdcl = Solver.stable_models ~stats:s_cdcl g in
-      let m_naive = Solver.stable_models_naive ~stats:s_naive g in
+      let m_naive = Sweep.stable_models ~stats:s_naive g in
       let nonneg (s : Solver.stats) =
         s.Solver.decisions >= 0 && s.Solver.propagations >= 0
         && s.Solver.candidates >= 0 && s.Solver.minimality_checks >= 0
@@ -438,7 +437,7 @@ let test_num_sym_ordering () =
   Alcotest.(check bool) "sym order" true (S.eval_builtin S.Lt (S.Sym "a") (S.Sym "b"))
 
 (* ------------------------------------------------------------------ *)
-(* Printer and external-solver parsing *)
+(* Printer and parser *)
 
 let test_printer () =
   let r =
@@ -456,28 +455,6 @@ let test_printer () =
   Alcotest.(check string) "fact" "a." (Printer.rule_to_string Printer.Dlv (S.fact (a0 "a")));
   Alcotest.(check string) "constraint" ":- a."
     (Printer.rule_to_string Printer.Dlv (S.constraint_ ~body_pos:[ a0 "a" ] ()))
-
-let test_parse_atom () =
-  Alcotest.(check bool) "nullary" true
-    (Ext.parse_atom "a" = Some { Ground.gpred = "a"; gargs = [] });
-  Alcotest.(check bool) "args" true
-    (Ext.parse_atom "p(1,x)"
-    = Some { Ground.gpred = "p"; gargs = [ S.Num 1; S.Sym "x" ] });
-  Alcotest.(check bool) "quoted" true
-    (Ext.parse_atom "p(\"a,b\")" = Some { Ground.gpred = "p"; gargs = [ S.Sym "a,b" ] });
-  Alcotest.(check bool) "malformed" true (Ext.parse_atom "p(" = None)
-
-let test_parse_dlv () =
-  let out = "{a, p(1)}\n{b}\n" in
-  let ms = Ext.parse_dlv_output out in
-  Alcotest.(check int) "two models" 2 (List.length ms);
-  Alcotest.(check int) "first has 2 atoms" 2 (List.length (List.hd ms))
-
-let test_parse_clingo () =
-  let out = "clingo version 5\nSolving...\nAnswer: 1\na p(1)\nAnswer: 2\nb\nSATISFIABLE\n" in
-  let ms = Ext.parse_clingo_output out in
-  Alcotest.(check int) "two models" 2 (List.length ms);
-  Alcotest.(check int) "second has 1 atom" 1 (List.length (List.nth ms 1))
 
 let test_aspparse_basic () =
   let p = Asp.Aspparse.parse
@@ -544,61 +521,15 @@ let test_cautious_brave () =
   in
   let g = Grounder.ground p in
   let name i = Fmt.str "%a" Ground.pp_gatom (Ground.atom_of g i) in
-  Alcotest.(check (list string)) "cautious" [ "c" ]
-    (List.map name (Solver.cautious g));
-  Alcotest.(check (list string)) "brave" [ "a"; "b"; "c" ]
-    (List.sort compare (List.map name (Solver.brave g)))
-
-(* End-to-end external-solver path: a fake dlv binary on PATH that answers
-   with canned answer sets. *)
-let test_ext_solve_fake_dlv () =
-  let dir = Filename.temp_file "fakedlv" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let script = Filename.concat dir "dlv" in
-  Out_channel.with_open_text script (fun oc ->
-      output_string oc "#!/bin/sh
-printf '{a, p(1)}\n{b}\n'
-");
-  Unix.chmod script 0o755;
-  let old_path = try Sys.getenv "PATH" with Not_found -> "" in
-  Unix.putenv "PATH" (dir ^ ":" ^ old_path);
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "PATH" old_path)
-    (fun () ->
-      (match Ext.detect () with
-      | Ext.Dlv p ->
-          Alcotest.(check bool) "fake dlv detected" true
-            (String.length p > 0)
-      | _ -> Alcotest.fail "expected dlv backend");
-      let models = Ext.solve ~backend:(Ext.Dlv script) [ S.fact (a0 "ignored") ] in
-      Alcotest.(check int) "two canned models" 2 (List.length models);
-      Alcotest.(check bool) "first model has p(1)" true
-        (List.exists
-           (fun m ->
-             List.exists
-               (fun (g : Ground.gatom) ->
-                 g.Ground.gpred = "p" && g.Ground.gargs = [ S.Num 1 ])
-               m)
-           models))
-
-(* A failing external binary falls back to the internal solver. *)
-let test_ext_solve_broken_dlv () =
-  let dir = Filename.temp_file "brokendlv" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let script = Filename.concat dir "dlv" in
-  Out_channel.with_open_text script (fun oc -> output_string oc "#!/bin/sh
-exit 3
-");
-  Unix.chmod script 0o755;
-  let models = Ext.solve ~backend:(Ext.Dlv script) [ S.rule [ a0 "a"; a0 "b" ] ] in
-  Alcotest.(check int) "fallback produced both models" 2 (List.length models)
-
-let test_ext_solve_fallback () =
-  (* no dlv/clingo in the container: Internal backend must kick in *)
-  let ms = Ext.solve ~backend:Ext.Internal [ S.rule [ a0 "a"; a0 "b" ] ] in
-  Alcotest.(check int) "two answer sets" 2 (List.length ms)
+  let names = Option.map (fun ids -> List.sort compare (List.map name ids)) in
+  Alcotest.(check (option (list string))) "cautious" (Some [ "c" ])
+    (names (Solver.cautious g));
+  Alcotest.(check (option (list string))) "brave" (Some [ "a"; "b"; "c" ])
+    (names (Solver.brave g));
+  (* a :- not a. has no stable model: neither mode answers *)
+  let none = Grounder.ground [ S.rule [ a0 "a" ] ~body_neg:[ a0 "a" ] ] in
+  Alcotest.(check bool) "no model: cautious" true (Solver.cautious none = None);
+  Alcotest.(check bool) "no model: brave" true (Solver.brave none = None)
 
 (* ------------------------------------------------------------------ *)
 
@@ -661,12 +592,6 @@ let () =
       ( "printer-external",
         [
           Alcotest.test_case "printer" `Quick test_printer;
-          Alcotest.test_case "parse atom" `Quick test_parse_atom;
-          Alcotest.test_case "parse dlv" `Quick test_parse_dlv;
-          Alcotest.test_case "parse clingo" `Quick test_parse_clingo;
-          Alcotest.test_case "fallback solve" `Quick test_ext_solve_fallback;
-          Alcotest.test_case "fake dlv end-to-end" `Quick test_ext_solve_fake_dlv;
-          Alcotest.test_case "broken dlv falls back" `Quick test_ext_solve_broken_dlv;
           Alcotest.test_case "aspparse basic" `Quick test_aspparse_basic;
           Alcotest.test_case "aspparse dialects" `Quick test_aspparse_dialects;
           Alcotest.test_case "var dedup order" `Quick test_var_dedup_order;

@@ -56,7 +56,7 @@ let prop_matches_reference =
       let g = build_ground gp in
       let s_cdcl = Solver.new_stats () in
       let m_cdcl = Solver.stable_models ~stats:s_cdcl g in
-      m_cdcl = Solver.stable_models_naive g
+      m_cdcl = Sweep.stable_models g
       && List.for_all (Solver.is_stable_model g) m_cdcl
       (* every model reached the candidate check; every conflict except a
          final level-0 one (which ends the search unanalyzed) produced a
@@ -72,15 +72,14 @@ let prop_cautious_brave_agree =
     ~name:"cdcl cautious/brave = reference intersection/union" ~count:300 arb
     (fun gp ->
       let g = build_ground gp in
-      let models = List.map Iset.of_list (Solver.stable_models_naive g) in
-      let inter =
-        match models with
-        | [] -> []
-        | m :: rest -> Iset.elements (List.fold_left Iset.inter m rest)
-      in
-      Solver.cautious g = inter
-      && Solver.brave g
-         = Iset.elements (List.fold_left Iset.union Iset.empty models))
+      (* no answer in either mode exactly when there is no stable model *)
+      match List.map Iset.of_list (Sweep.stable_models g) with
+      | [] -> Solver.cautious g = None && Solver.brave g = None
+      | m :: rest as models ->
+          Solver.cautious g
+          = Some (Iset.elements (List.fold_left Iset.inter m rest))
+          && Solver.brave g
+             = Some (Iset.elements (List.fold_left Iset.union Iset.empty models)))
 
 let prop_support_ablation =
   QCheck.Test.make
@@ -124,7 +123,7 @@ let test_repair_programs () =
     List.iter
       (fun (file, g) ->
         Alcotest.(check (list (list int)))
-          (file ^ ": cdcl = reference") (Solver.stable_models_naive g)
+          (file ^ ": cdcl = reference") (Sweep.stable_models g)
           (Solver.stable_models g))
       programs
   in
@@ -175,7 +174,7 @@ let test_limit () =
   Alcotest.(check int) "limit 0" 0
     (List.length (Solver.stable_models ~limit:0 ~stats g));
   Alcotest.(check int) "limit 0: reference" 0
-    (List.length (Solver.stable_models_naive ~limit:0 ~stats g));
+    (List.length (Sweep.stable_models ~limit:0 ~stats g));
   Alcotest.(check string) "limit 0: nothing searched"
     (Fmt.str "%a" Solver.pp_stats (Solver.new_stats ()))
     (Fmt.str "%a" Solver.pp_stats stats)
@@ -271,7 +270,7 @@ let test_example20_conflicting_nnc () =
       let g = solvable pg in
       Alcotest.(check (list (list int)))
         "cdcl = reference on Example 20's program"
-        (Solver.stable_models_naive g) (Solver.stable_models g)
+        (Sweep.stable_models g) (Solver.stable_models g)
 
 let () =
   Alcotest.run "cdcl"

@@ -624,26 +624,63 @@ let test_phi_offset_rejected () =
     (Result.is_error (Proggen.repair_program Instance.empty [ ic ]))
 
 (* ------------------------------------------------------------------ *)
-(* DLV export round-trip through the external-solver machinery *)
+(* The round trip the CLI offers: `cqanull export` prints Pi(D, IC) for
+   DLV or clingo, and `cqanull solve` (or the external solver) reads it
+   back.  Over every .cqa file under scenarios/ and test/cli/ that loads
+   and has a repair program, in both dialects and both variants, the
+   re-parsed text has the in-memory program's stable models, and the
+   repairs read off them as [Engine.run_exn] reads them are the engine's.
+   keys14.cqa is left out: its 16,384 models take seconds a solve. *)
 
-let test_dlv_roundtrip () =
-  match Proggen.repair_program ex15_d [ ex15_ric ] with
-  | Error msg -> Alcotest.failf "generation failed: %s" msg
-  | Ok pg ->
-      (* the exported text parses back atom-wise: simulate a DLV answer line
-         by printing a model of the internal solver *)
-      let g = Asp.Grounder.ground pg.Proggen.program in
-      let models = Asp.Solver.stable_models_atoms g in
-      Alcotest.(check int) "two stable models" 2 (List.length models);
-      let line m =
-        "{"
-        ^ String.concat ", " (List.map (Fmt.str "%a" Asp.Ground.pp_gatom) m)
-        ^ "}"
-      in
-      let reparsed = Asp.Extsolver.parse_dlv_output (String.concat "\n" (List.map line models)) in
-      Alcotest.(check int) "reparsed" 2 (List.length reparsed);
-      let dbs = Core.Extract.databases_of_models pg.Proggen.names reparsed in
-      check_repair_set "round-tripped repairs" (Enumerate.repairs ex15_d [ ex15_ric ]) dbs
+let test_export_roundtrip () =
+  let rec files dir =
+    Sys.readdir dir |> Array.to_list |> List.sort String.compare
+    |> List.concat_map (fun f ->
+           let path = Filename.concat dir f in
+           if Sys.is_directory path then files path
+           else if Filename.check_suffix f ".cqa" && f <> "keys14.cqa" then [ path ]
+           else [])
+  in
+  (* ground, shift when head-cycle-free, solve: what `cqanull solve` runs *)
+  let models program =
+    let solvable, _ = Asp.Shift.if_hcf (Asp.Grounder.ground program) in
+    Asp.Solver.stable_models_atoms solvable
+  in
+  let printed ms =
+    List.sort compare
+      (List.map
+         (fun m -> List.sort compare (List.map (Fmt.str "%a" Asp.Ground.pp_gatom) m))
+         ms)
+  in
+  let runs = ref 0 in
+  let check_variant path d ics (variant, vname) =
+    match Proggen.repair_program ~variant d ics with
+    | Error _ -> ()
+    | Ok pg ->
+        let expected = printed (models pg.Proggen.program) in
+        let repairs = engine_repairs ~variant d ics in
+        List.iter
+          (fun (dialect, to_text) ->
+            incr runs;
+            let name = Fmt.str "%s (%s, %s)" path dialect vname in
+            let reparsed = models (Asp.Aspparse.parse (to_text pg)) in
+            Alcotest.(check (list (list string)))
+              (name ^ ": stable models") expected (printed reparsed);
+            check_repair_set (name ^ ": repairs") repairs
+              (Repair.Order.minimal_among ~d
+                 (Core.Extract.databases_of_models pg.Proggen.names reparsed)))
+          [ ("dlv", Proggen.to_dlv); ("clingo", Proggen.to_clingo) ]
+  in
+  List.iter
+    (fun path ->
+      match Lang.Load.of_file path with
+      | Error _ -> ()
+      | Ok l ->
+          let d = Lang.Load.final_instance l and ics = l.Lang.Load.ics in
+          List.iter (check_variant path d ics)
+            [ (Proggen.Literal, "literal"); (Proggen.Refined, "refined") ])
+    (files "../scenarios" @ files "cli");
+  Alcotest.(check bool) "export runs" true (!runs >= 96)
 
 (* ------------------------------------------------------------------ *)
 (* Theorem 4 as a property over random instances *)
@@ -844,7 +881,7 @@ let () =
           Alcotest.test_case "general existential rejected" `Quick
             test_general_existential_rejected;
           Alcotest.test_case "phi offset rejected" `Quick test_phi_offset_rejected;
-          Alcotest.test_case "dlv round-trip" `Quick test_dlv_roundtrip;
+          Alcotest.test_case "export/solve round-trip" `Quick test_export_roundtrip;
         ] );
       ( "decompose",
         [

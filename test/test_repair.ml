@@ -10,7 +10,7 @@ module Builtin = Ic.Builtin
 module Constr = Ic.Constr
 module Order = Repair.Order
 module Enumerate = Repair.Enumerate
-module Check = Repair.Check
+module Check = Repair_check
 module Repd = Repair.Repd
 
 let v = Term.var
