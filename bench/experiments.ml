@@ -698,18 +698,18 @@ let e18 () =
         let auto, t_auto =
           Table.time (fun () ->
               Query.Cqa.consistent_answers ~method_:Query.Cqa.Auto ~budget
-                ~decompose:true w.Gen.d w.Gen.ics key_query)
+                w.Gen.d w.Gen.ics key_query)
         in
         Budget.finish budget;
         let enum, t_enum =
           Table.time (fun () ->
               Query.Cqa.consistent_answers ~method_:Query.Cqa.ModelTheoretic
-                ~decompose:true w.Gen.d w.Gen.ics key_query)
+                w.Gen.d w.Gen.ics key_query)
         in
         let _, t_prog =
           Table.time (fun () ->
               Query.Cqa.consistent_answers ~method_:Query.Cqa.LogicProgram
-                ~decompose:true w.Gen.d w.Gen.ics key_query)
+                w.Gen.d w.Gen.ics key_query)
         in
         let agree =
           match (auto, enum) with

@@ -209,25 +209,26 @@ let budget_telemetry () =
     Query.Qsyntax.make ~head:[ "x" ]
       (Query.Qsyntax.Atom (Ic.Patom.make "S" [ Ic.Term.var "x" ]))
   in
-  let row name method_ decompose =
+  let d = w.Workload.Gen.d and ics = w.Workload.Gen.ics in
+  (* [decompose] says whether [cqa] solves per conflict component *)
+  let row name decompose cqa =
     let stats = Budget.new_stats () in
     let budget = Budget.start ~stats Budget.unlimited in
-    let outcome =
-      match
-        Query.Cqa.consistent_answers ~method_ ~budget ~decompose
-          w.Workload.Gen.d w.Workload.Gen.ics query
-      with
-      | Ok _ -> "ok"
-      | Error _ -> "error"
-    in
+    let outcome = match cqa budget with Ok _ -> "ok" | Error _ -> "error" in
     Budget.finish budget;
     (name, decompose, outcome, stats)
   in
+  let cqa method_ budget =
+    Query.Cqa.consistent_answers ~method_ ~budget d ics query
+  in
   [
-    row "E16.budget.mt.decomposed" Query.Cqa.ModelTheoretic true;
-    row "E16.budget.lp.decomposed" Query.Cqa.LogicProgram true;
-    row "E16.budget.lp.monolithic" Query.Cqa.LogicProgram false;
-    row "E16.budget.cautious" Query.Cqa.CautiousProgram false;
+    row "E16.budget.mt.decomposed" true (cqa Query.Cqa.ModelTheoretic);
+    row "E16.budget.lp.decomposed" true (cqa Query.Cqa.LogicProgram);
+    (* the program search over the whole instance *)
+    row "E16.budget.lp.monolithic" false (fun budget ->
+        Cqa_oracle.monolithic ~method_:Query.Cqa.LogicProgram ~budget d ics
+          query);
+    row "E16.budget.cautious" false (cqa Query.Cqa.CautiousProgram);
   ]
 
 (* Parallel telemetry (E16): the weighted cluster workload repaired with
@@ -313,8 +314,8 @@ let session_telemetry () =
     in
     let c_out =
       timed cold_ms (fun () ->
-          Query.Cqa.consistent_answers ~method_:Query.Cqa.LogicProgram
-            ~decompose:true !d w.Workload.Gen.ics query)
+          Query.Cqa.consistent_answers ~method_:Query.Cqa.LogicProgram !d
+            w.Workload.Gen.ics query)
     in
     (match (s_reps, c_reps) with
     | Ok a, Ok b ->
@@ -419,8 +420,8 @@ let routing_telemetry () =
     let run method_ budget =
       let t0 = Unix.gettimeofday () in
       let out =
-        Query.Cqa.consistent_answers ~method_ ?budget ~decompose:true
-          w.Workload.Gen.d w.Workload.Gen.ics key_query
+        Query.Cqa.consistent_answers ~method_ ?budget w.Workload.Gen.d
+          w.Workload.Gen.ics key_query
       in
       (out, (Unix.gettimeofday () -. t0) *. 1000.)
     in

@@ -66,42 +66,15 @@ let check_cmd =
 let engine_conv =
   Arg.enum [ ("program", `Program); ("enumerate", `Enumerate) ]
 
-(* Shared budget plumbing for the repairs/cqa subcommands: one budget per
-   invocation (the whole run counts against the deadline), stats printed on
-   demand. *)
-let start_budget ~timeout_ms ~want_stats ~jobs =
-  if timeout_ms = None && not want_stats then None
-  else
-    let stats = Budget.new_stats () in
-    (* per-worker counter slots, installed before any pool spawns; the
-       engines' pool-init hooks claim slots 1..jobs *)
-    if want_stats && jobs > 1 then Budget.set_workers stats jobs;
-    Some (Budget.start ~stats (Budget.make ?timeout_ms ()))
-
-let report_budget ~want_stats budget =
-  match budget with
-  | None -> ()
-  | Some b ->
-      Budget.finish b;
-      if want_stats then begin
-        let stats = Budget.stats b in
-        Fmt.pr "stats: %a@." Budget.pp_stats stats;
-        if Budget.routed_total stats > 0 then
-          Fmt.pr "routed: %a@." Budget.pp_routed stats;
-        if Budget.search_total stats > 0 then
-          Fmt.pr "cdcl: %a@." Budget.pp_search stats;
-        Fmt.pr "%a" Budget.pp_degradations stats;
-        Fmt.pr "%a" Budget.pp_workers stats
-      end
-
 let timeout_flag =
   Arg.(
     value
     & opt (some int) None
     & info [ "timeout" ] ~docv:"MS"
         ~doc:"Wall-clock deadline for the whole run, in milliseconds; \
-              exceeding it reports an error (or a partial outcome when \
-              decomposing) instead of running forever.")
+              exceeding it reports an error (or, for a CQA query, a partial \
+              outcome over the conflict components already solved) instead \
+              of running forever.")
 
 let stats_flag =
   Arg.(
@@ -110,21 +83,13 @@ let stats_flag =
         ~doc:"Print the run's budget counters (solver decisions, search \
               states, components solved, elapsed wall-clock).")
 
-let decompose_flag =
-  Arg.(
-    value & flag
-    & info [ "decompose" ]
-        ~doc:"Solve independently per conflict component and recombine \
-              (not available with --engine cautious).")
-
 let jobs_flag =
   Arg.(
     value
     & opt int 1
     & info [ "jobs"; "j" ] ~docv:"N"
         ~doc:"Solve conflict components on N worker domains: 'cqa' under \
-              --method auto (the default), or with --decompose and \
-              --method program or enumerate; 'repairs' with --decompose; \
+              every method but cautious, 'repairs' under either engine, \
               'session' on every request that solves components.  1 (the \
               default) is fully sequential; 0 autodetects the machine's \
               recommended domain count.  The merge is deterministic, so the \
@@ -139,17 +104,8 @@ let method_conv =
       ("cautious", `Cautious);
     ]
 
-let print_repairs d repairs =
-  List.iteri
-    (fun i r ->
-      Fmt.pr "repair %d: %a@." (i + 1) Relational.Instance.pp_inline r;
-      Fmt.pr "  delta: %a@." Relational.Instance.pp_inline
-        (Relational.Instance.symdiff d r))
-    repairs;
-  Fmt.pr "%d repair(s)@." (List.length repairs)
-
 let repairs_cmd =
-  let run file engine repd save decompose jobs timeout_ms want_stats =
+  let run file engine repd save jobs timeout_ms want_stats =
     let jobs = Parallel.Config.resolve jobs in
     let l = load_or_die file in
     let d = Lang.Load.final_instance l and ics = l.Lang.Load.ics in
@@ -160,42 +116,31 @@ let repairs_cmd =
           "warning: NOT NULL-constraint '%s' conflicts with the existential \
            attribute of '%s' (Example 20 situation); consider --repd@."
           (Ic.Constr.label nnc) (Ic.Constr.label ic));
-    let budget = start_budget ~timeout_ms ~want_stats ~jobs in
-    (* decomposed repairs come from the one decomposed pipeline, whole
-       ones from the engines' monolithic oracles *)
-    let enumerate () =
-      if decompose then
-        Query.Cqa.repairs ?budget ~jobs ~method_:Query.Cqa.ModelTheoretic d ics
-      else Budget.guard (fun () -> Ok (Repair.Enumerate.repairs ?budget d ics))
-    in
-    let program () =
-      if decompose then
-        Query.Cqa.repairs ?budget ~jobs ~method_:Query.Cqa.LogicProgram d ics
-      else Core.Engine.repairs ?budget d ics
-    in
+    let budget = Budget.start_request ?timeout_ms ~want_stats ~jobs () in
+    let repairs method_ = Query.Cqa.repairs ?budget ~jobs ~method_ d ics in
     let result =
       if repd then
         Budget.guard (fun () -> Ok (Repair.Repd.repairs_d ?budget d ics))
       else
         match engine with
-        | `Enumerate -> enumerate ()
+        | `Enumerate -> repairs Query.Cqa.ModelTheoretic
         | `Program -> (
-            match program () with
+            match repairs Query.Cqa.LogicProgram with
             | Ok _ as ok -> ok
             | Error msg when timeout_ms = None ->
                 Fmt.epr "repair program not applicable (%s); falling back to \
                          enumeration@." msg;
-                enumerate ()
+                repairs Query.Cqa.ModelTheoretic
             | Error _ as e -> e)
     in
     match result with
     | Error msg ->
-        report_budget ~want_stats budget;
+        Budget.report ~want_stats Fmt.stdout budget;
         Fmt.epr "error: %s@." msg;
         1
     | Ok repairs ->
-        print_repairs d repairs;
-        report_budget ~want_stats budget;
+        Query.Cqa.pp_repairs d Fmt.stdout repairs;
+        Budget.report ~want_stats Fmt.stdout budget;
         (match save with
         | None -> 0
         | Some prefix ->
@@ -216,8 +161,9 @@ let repairs_cmd =
       value
       & opt engine_conv `Program
       & info [ "engine" ] ~docv:"ENGINE"
-          ~doc:"Repair engine: 'program' (stable models of Pi(D,IC), Section 5) \
-                or 'enumerate' (model-theoretic, Section 4).")
+          ~doc:"Repair engine run on each conflict component: 'program' \
+                (stable models of Pi(D,IC), Section 5) or 'enumerate' \
+                (model-theoretic, Section 4).")
   in
   let repd_flag =
     Arg.(value & flag & info [ "repd" ] ~doc:"Compute the deletion-preferring class Rep_d.")
@@ -232,15 +178,15 @@ let repairs_cmd =
   Cmd.v
     (Cmd.info "repairs" ~doc:"Enumerate the repairs of the database.")
     Term.(
-      const (fun f e r s dc j t st -> Stdlib.exit (run f e r s dc j t st))
-      $ file_arg $ engine_flag $ repd_flag $ save_flag $ decompose_flag
-      $ jobs_flag $ timeout_flag $ stats_flag)
+      const (fun f e r s j t st -> Stdlib.exit (run f e r s j t st))
+      $ file_arg $ engine_flag $ repd_flag $ save_flag $ jobs_flag
+      $ timeout_flag $ stats_flag)
 
 (* ------------------------------------------------------------------ *)
 (* cqa *)
 
 let cqa_cmd =
-  let run file query_name engine decompose jobs timeout_ms want_stats =
+  let run file query_name engine jobs timeout_ms want_stats =
     let jobs = Parallel.Config.resolve jobs in
     let l = load_or_die file in
     let d = Lang.Load.final_instance l and ics = l.Lang.Load.ics in
@@ -265,7 +211,7 @@ let cqa_cmd =
       | `Enumerate -> Query.Cqa.ModelTheoretic
       | `Cautious -> Query.Cqa.CautiousProgram
     in
-    let budget = start_budget ~timeout_ms ~want_stats ~jobs in
+    let budget = Budget.start_request ?timeout_ms ~want_stats ~jobs () in
     let failed =
       List.fold_left
         (fun failed (name, q) ->
@@ -274,7 +220,7 @@ let cqa_cmd =
           | Ok () -> ()
           | Error msg -> Fmt.pr "  note: %s@." msg);
           match
-            Query.Cqa.consistent_answers ~method_ ?budget ~decompose ~jobs d ics q
+            Query.Cqa.consistent_answers ~method_ ?budget ~jobs d ics q
           with
           | Error msg ->
               Fmt.pr "  error: %s@." msg;
@@ -284,7 +230,7 @@ let cqa_cmd =
               failed)
         false queries
     in
-    report_budget ~want_stats budget;
+    Budget.report ~want_stats Fmt.stdout budget;
     if failed then 1 else 0
   in
   let query_flag =
@@ -301,8 +247,9 @@ let cqa_cmd =
                 cheapest sound engine: the repair-less direct computation \
                 where the constraints allow it, the shifted repair program \
                 where it is head-cycle-free, and enumeration last; \
-                'program' and 'enumerate' materialize every repair with the \
-                stable-model and model-theoretic engines respectively; \
+                'program' and 'enumerate' materialize the repairs of every \
+                component with the stable-model and model-theoretic engines \
+                respectively; \
                 'cautious' reasons over the repair program without \
                 materializing any (RIC-acyclic constraints only).")
   in
@@ -315,9 +262,9 @@ let cqa_cmd =
                   deadline); the other queries are still answered"
          :: Cmd.Exit.defaults))
     Term.(
-      const (fun f q e dc j t st -> Stdlib.exit (run f q e dc j t st))
-      $ file_arg $ query_flag $ engine_flag $ decompose_flag $ jobs_flag
-      $ timeout_flag $ stats_flag)
+      const (fun f q e j t st -> Stdlib.exit (run f q e j t st))
+      $ file_arg $ query_flag $ engine_flag $ jobs_flag $ timeout_flag
+      $ stats_flag)
 
 (* ------------------------------------------------------------------ *)
 (* session: a line-protocol serving loop over the incremental engine *)
@@ -682,7 +629,8 @@ let solve_cmd =
     Arg.(
       value
       & opt (some positive_int) None
-      & info [ "n"; "limit" ] ~docv:"N" ~doc:"Stop after N models (N >= 1).")
+      & info [ "n"; "limit" ] ~docv:"N"
+          ~doc:"Stop after N models (N >= 1); not with --cautious or --brave.")
   in
   let mode_flag =
     Arg.(
@@ -704,8 +652,18 @@ let solve_cmd =
     (Cmd.info "solve"
        ~doc:"Run the internal stable-model solver on a DLV/clingo-syntax program.")
     Term.(
-      const (fun f l m st -> Stdlib.exit (run f l m st))
-      $ file_arg $ limit_flag $ mode_flag $ solve_stats_flag)
+      ret
+        (const (fun f l m st ->
+             match (l, m) with
+             | Some _, (`Cautious | `Brave) ->
+                 (* the consequences range over every model: a limit
+                    would be silently ignored *)
+                 `Error
+                   ( true,
+                     "a model limit (-n) cannot be combined with --cautious \
+                      or --brave" )
+             | _ -> Stdlib.exit (run f l m st))
+        $ file_arg $ limit_flag $ mode_flag $ solve_stats_flag))
 
 (* ------------------------------------------------------------------ *)
 (* conform: the scenario corpus and expected-verdict suite *)

@@ -238,3 +238,28 @@ let note_route t tier = Atomic.incr t.sink.routed.(tier_index tier)
    mutable list needs no synchronization. *)
 let note_degraded t ~stage msg =
   t.sink.degradations <- (stage, msg) :: t.sink.degradations
+
+(* One budget per CLI run or protocol request. *)
+let start_request ?timeout_ms ~want_stats ~jobs () =
+  if timeout_ms = None && not want_stats then None
+  else
+    let stats = new_stats () in
+    (* per-worker counter slots, installed before any pool spawns; the
+       engines' pool-init hooks claim slots 1..jobs *)
+    if want_stats && jobs > 1 then set_workers stats jobs;
+    Some (start ~stats (make ?timeout_ms ()))
+
+(* The [routed:] and [cdcl:] lines print only when a component was routed
+   or a CDCL search ran. *)
+let report ~want_stats ppf = function
+  | None -> ()
+  | Some t ->
+      finish t;
+      if want_stats then begin
+        let s = t.sink in
+        Fmt.pf ppf "stats: %a@." pp_stats s;
+        if routed_total s > 0 then Fmt.pf ppf "routed: %a@." pp_routed s;
+        if search_total s > 0 then Fmt.pf ppf "cdcl: %a@." pp_search s;
+        pp_degradations ppf s;
+        pp_workers ppf s
+      end

@@ -143,34 +143,18 @@ val set_worker_slot : int -> unit
     Called from {!Parallel.Pool}'s [init] hook by the decomposed
     engines. *)
 
-val pp_stats : stats Fmt.t
-(** The global line: [decisions=… states=… components_solved=…
-    elapsed_ms=…]. *)
-
 val routed : stats -> tier -> int
 (** Components dispatched to [tier] by the routing layer and kept in the
     outcome. *)
 
-val routed_total : stats -> int
-(** Components dispatched across all tiers ([0] outside [Auto]). *)
-
-val degradations : stats -> (string * string) list
-(** Routed-degradation notes [(stage, message)] in emission order —
-    every place an engine silently substituted a cheaper-but-sound
-    strategy for the requested one. *)
-
 val pp_routed : stats Fmt.t
-(** The routing line: [direct=… shifted=… disjunctive=… enumerate=…].
-    Printed by the CLI only when {!routed_total} is non-zero, so the
-    historical [--stats] output is unchanged outside [Auto]. *)
+(** The routing line: [direct=… shifted=… disjunctive=… enumerate=…]. *)
 
 val pp_degradations : stats Fmt.t
-(** One ["degraded[stage]: message"] line per note (nothing when no
-    degradation occurred). *)
-
-val pp_workers : stats Fmt.t
-(** One ["  worker i: …"] line per pool slot (nothing when
-    {!set_workers} was never called). *)
+(** One ["degraded[stage]: message"] line per routed-degradation note, in
+    emission order — every place an engine substituted a
+    cheaper-but-sound strategy for the requested one (nothing when none
+    did). *)
 
 type ctl
 (** A started budget: limits, the absolute deadline and the stats sink. *)
@@ -230,15 +214,6 @@ val note_phase_saved : ctl -> unit
 (** Count one VSIDS decision that re-used a saved true polarity (phase
     saving).  Never raises. *)
 
-val search_total : stats -> int
-(** Sum of the five CDCL counters — non-zero iff a CDCL search ran. *)
-
-val pp_search : stats Fmt.t
-(** The CDCL line:
-    [conflicts=… learned=… restarts=… backjump_len=… phase_saved=…].
-    Printed by the CLI only when {!search_total} is non-zero, so [--stats]
-    output is unchanged for runs that never solve a repair program. *)
-
 val remaining_ms : ctl -> int option
 (** Milliseconds until the deadline, never negative; [None] without one.
     Lets a serving loop report how much of a per-request deadline a
@@ -278,3 +253,24 @@ val note_degraded : ctl -> stage:string -> string -> unit
 
 val finish : ctl -> unit
 (** Record the elapsed wall-clock into the stats.  Idempotent. *)
+
+(** {1 The budget of one request}
+
+    The one-shot subcommands and the session line protocol start and
+    report a request's budget alike. *)
+
+val start_request :
+  ?timeout_ms:int -> want_stats:bool -> jobs:int -> unit -> ctl option
+(** A started budget with the deadline [timeout_ms] and no count limit, or
+    [None] when there is neither a deadline nor stats to print.  With
+    [want_stats] and [jobs > 1] it carries [jobs] per-worker slots
+    ({!set_workers}). *)
+
+val report : want_stats:bool -> Format.formatter -> ctl option -> unit
+(** {!finish} the budget, then, with [want_stats], print the [--stats]
+    lines, each ended by a flush: [stats: decisions=… states=…
+    components_solved=… elapsed_ms=…]; [routed:] and {!pp_routed} when a
+    component was routed; [cdcl: conflicts=… learned=… restarts=…
+    backjump_len=… phase_saved=…] when a CDCL search ran;
+    {!pp_degradations}; and one ["  worker i: …"] line per pool slot of
+    {!set_workers}. *)

@@ -3,11 +3,12 @@ module Instance = Relational.Instance
 (* The engine tiers every case is answered through.  Each tier reaches the
    same outcome by a genuinely different code path:
 
-   - [Auto] is the routed decomposed engine (direct / shifted /
-     disjunctive / enumerate per conflict component);
-   - [Program] and [Enumerate] are the monolithic materializing engines
-     (stable models of Pi(D, IC) under CDCL, and the model-theoretic
-     state search);
+   - [Auto] is the routed pipeline (direct / shifted / disjunctive /
+     enumerate per conflict component);
+   - [Program] and [Enumerate] run the same pipeline with one strategy
+     forced on every component (stable models of its Pi(D, IC) under
+     CDCL, and the model-theoretic state search); test_conform holds
+     every case to the searches over the whole instance;
    - [SessionTier] replays the scenario's update stream through the
      incremental session engine;
    - [ServeTier] replays it through the serving line protocol

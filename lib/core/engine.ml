@@ -29,7 +29,7 @@ let run_exn ?budget ?(shift = true) d ics (pg : Proggen.t) =
      delete-advice on the RIC side firing the UIC rule and vice versa),
      producing stable models whose databases are consistent but not
      <=_D-minimal; filtering recovers Rep(D, IC). *)
-  let repairs = Repair.Order.minimal_among ~d extracted in
+  let repairs = Repair.Order.minimal_among ?budget ~d extracted in
   {
     repairs;
     stable_model_count = List.length models;

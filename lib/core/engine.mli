@@ -2,7 +2,7 @@
     shift it when head-cycle-free, enumerate its stable models and read the
     repairs off them (Theorem 4).
 
-    [run] and [repairs] solve the whole instance: the Definition 9 oracle,
+    [run] and [repairs] solve the whole instance, Definition 9 as stated,
     which Theorem 4 makes interchangeable with {!Repair.Enumerate.repairs}.
     {!solve_component} is the logic-program solver of {!Query.Cqa}'s
     decomposed pipeline, which plans, merges and recombines.

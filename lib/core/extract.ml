@@ -14,10 +14,4 @@ let database_of_model names model =
     Instance.empty model
 
 let databases_of_models names models =
-  let dbs = List.map (database_of_model names) models in
-  let uniq =
-    List.fold_left
-      (fun acc db -> if List.exists (Instance.equal db) acc then acc else db :: acc)
-      [] dbs
-  in
-  List.sort Instance.compare uniq
+  List.sort_uniq Instance.compare (List.map (database_of_model names) models)

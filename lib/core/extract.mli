@@ -7,6 +7,6 @@ val database_of_model :
 
 val databases_of_models :
   Annot.Names.t -> Asp.Ground.gatom list list -> Relational.Instance.t list
-(** Distinct databases of the models, in deterministic order.  Two stable
+(** Distinct databases of the models, sorted by [Instance.compare].  Two stable
     models may induce the same database (e.g. through forced but immaterial
     [ta] annotations); duplicates are removed. *)

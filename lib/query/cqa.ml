@@ -27,9 +27,8 @@ type store = {
 }
 
 let cannot_decompose =
-  "the cautious-program method cannot decompose: it materializes no \
-   per-component repairs to recombine; use the model-theoretic or \
-   logic-program engine with ~decompose, or drop ~decompose"
+  "the cautious-program method cannot decompose, as it materializes no \
+   per-component repairs to recombine"
 
 let outcome_of_answer_sets ?exhausted standard repair_count answer_sets =
   let consistent =
@@ -378,9 +377,9 @@ let whole_repairs ?budget ?store d ics =
 
 (* Every component through the memo and the prefix-rule merge.  Without
    a [store], an exact [Auto] plan solves through a request-local one,
-   keyed by shape only; the other methods solve every component, as the
-   reference oracles of that path.  The kept results' tiers are counted
-   here, once, so a memoized solve counts exactly like a fresh one. *)
+   keyed by shape only; the other methods solve every component.  The kept
+   results' tiers are counted here, once, so a memoized solve counts
+   exactly like a fresh one. *)
 let solve_plan ?budget ?jobs ?store method_ (plan : Decompose.plan) =
   (match (budget, method_, plan.Decompose.product_exact) with
   | Some b, Auto, false ->
@@ -453,6 +452,9 @@ let outcome_of_plan ?semantics ?budget ?(jobs = 1) ?store ~method_ ~standard
                    ~minimal:(List.map (fun e -> e.minimal) results)
                    ~standard q))
 
+(* The recombined repairs are listed in [Instance.compare] order, the
+   order [Repair.Order.minimal_among] gives the whole-instance engines, so
+   a listing depends on neither the method nor the plan. *)
 let repairs_of_plan ?budget ?(jobs = 1) ?store ~method_ ~plan d ics =
   match plan.Decompose.components with
   | [] -> Ok [ d ]
@@ -467,56 +469,54 @@ let repairs_of_plan ?budget ?(jobs = 1) ?store ~method_ ~plan d ics =
               Error (Budget.message e)
           | None ->
               Ok
-                (full_repairs ~plan
-                   ~minimal:(List.map (fun e -> e.minimal) results)
-                   (states_of plan results)))
+                (List.sort Instance.compare
+                   (full_repairs ~plan
+                      ~minimal:(List.map (fun e -> e.minimal) results)
+                      (states_of plan results))))
 
 let repairs ?budget ?jobs ~method_ d ics =
   match Decompose.plan ?budget d ics with
   | exception Budget.Exhausted e -> Error (Budget.message e)
   | plan -> repairs_of_plan ?budget ?jobs ~method_ ~plan d ics
 
+(* [decompose] is ignored: every materializing method runs the pipeline. *)
 let consistent_answers ?(method_ = LogicProgram) ?semantics ?budget
-    ?(decompose = false) ?jobs d ics q =
-  let standard () = Qeval.answers ?semantics d q in
+    ?decompose:_ ?jobs d ics q =
   match method_ with
-  | CautiousProgram when decompose -> Error cannot_decompose
   | CautiousProgram ->
       Result.map
         (fun (o : Progcqa.outcome) ->
           {
             consistent = o.Progcqa.consistent;
             possible = o.Progcqa.possible;
-            standard = standard ();
+            standard = Qeval.answers ?semantics d q;
             repair_count = o.Progcqa.stable_models;
             exhausted = None;
           })
         (Progcqa.consistent_answers ?budget d ics q)
-  | ModelTheoretic when not decompose ->
-      Result.map
-        (fun reps -> outcome_of_repairs ?semantics ~standard:(standard ()) q reps)
-        (Budget.guard (fun () -> Ok (Repair.Enumerate.repairs ?budget d ics)))
-  | LogicProgram when not decompose ->
-      Result.map
-        (fun reps -> outcome_of_repairs ?semantics ~standard:(standard ()) q reps)
-        (Core.Engine.repairs ?budget d ics)
   | ModelTheoretic | LogicProgram | Auto -> (
-      (* routing always decomposes (per-component verdicts): ~decompose is
-         implied for Auto *)
-      let standard = standard () in
+      let standard = Qeval.answers ?semantics d q in
       match Decompose.plan ?budget d ics with
       | exception Budget.Exhausted e -> Error (Budget.message e)
       | plan ->
           outcome_of_plan ?semantics ?budget ?jobs ~method_ ~standard ~plan d
             ics q)
 
-let certain ?method_ ?semantics ?budget ?decompose ?jobs d ics q =
+let certain ?method_ ?semantics ?budget ?jobs d ics q =
   if not (Qsyntax.is_boolean q) then Error "certain: query has head variables"
   else
     Result.map
       (fun o -> Tuple.Set.mem (Tuple.make []) o.consistent)
-      (consistent_answers ?method_ ?semantics ?budget ?decompose ?jobs d ics
+      (consistent_answers ?method_ ?semantics ?budget ?jobs d ics
          { q with Qsyntax.head = [] })
+
+let pp_repairs d ppf repairs =
+  List.iteri
+    (fun i r ->
+      Fmt.pf ppf "repair %d: %a@." (i + 1) Instance.pp_inline r;
+      Fmt.pf ppf "  delta: %a@." Instance.pp_inline (Instance.symdiff d r))
+    repairs;
+  Fmt.pf ppf "%d repair(s)@." (List.length repairs)
 
 (* An answer set in the syntax of [Tuple.pp] lists, "{(a, b), (c, null)}",
    written to the formatter as one string: the set holds no break hint and

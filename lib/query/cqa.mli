@@ -5,9 +5,10 @@
     [yes] iff it holds in every repair.  Repairs can come from the
     model-theoretic enumerator of Section 4 ({!Repair.Enumerate}) or from
     the stable models of the repair program of Section 5 ({!Core.Engine}) —
-    Theorem 4 makes them interchangeable, which is property-tested — and
-    decomposed, per conflict component, both come through this module
-    ({!repairs}), with the engine as a parameter.
+    Theorem 4 makes them interchangeable, which is property-tested.  Every
+    method that materializes repairs solves each conflict component of
+    {!Repair.Decompose} on its own, through the one pipeline of this module,
+    with the engine as a parameter.
 
     CQA for first-order queries under this semantics is decidable
     (Theorem 2) and Pi^p_2-complete (Theorem 3); both engines are
@@ -31,9 +32,8 @@ type method_ =
           ({!Route.Direct}) for deletion-only null-free components, the
           repair program (run shifted when statically HCF — Theorem 5 /
           Corollary 1) where Definition 9 applies, and model-theoretic
-          enumeration as last resort.  Always decomposes ([~decompose] is
-          implied); answers are identical to the other materializing
-          methods.  The tiers of the components the outcome keeps land in
+          enumeration as last resort.  Answers are identical to the other
+          materializing methods.  The tiers of the components the outcome keeps land in
           the budget's {!Budget.stats} ([routed]), degradations (e.g. an
           inexact component product forcing whole-plan enumeration) in
           its [degradations] notes. *)
@@ -45,8 +45,8 @@ type outcome = {
   repair_count : int;
       (** number of repairs, or of stable models for [CautiousProgram] *)
   exhausted : Budget.exhausted option;
-      (** [Some _] only on a decomposed run whose budget tripped after at
-          least one component was solved: the answer sets recombine the
+      (** [Some _] only on a materializing run whose budget tripped after
+          at least one component was solved: the answer sets recombine the
           true repairs of the solved components with the {e unrepaired}
           base slice of the remaining ones — a partial outcome, preserved
           rather than discarded.  [None] everywhere else; exhaustion before
@@ -67,30 +67,29 @@ val consistent_answers :
     wall-clock deadline are enforced across grounding, solving and state
     search, and its [stats] record the per-stage counters.  Exhaustion,
     of it or of a search's per-search cap, never escapes as an exception:
-    it is an [Error], or on decomposed runs a partial outcome (see
+    it is an [Error], or on a materializing method a partial outcome (see
     [exhausted]).
 
-    [decompose] (default [false]) repairs each conflict component of
-    {!Repair.Decompose} independently and factorizes the answer
-    computation: for positive existential conjunctive queries whose
-    variables all occur in database atoms, single-atom bodies take
-    per-component intersections/unions (answers are additive over
-    components) and join bodies recombine only the components mentioning a
-    query predicate; other queries are evaluated over the recombined repair
-    list, which still profits from the per-component search.
-    [repair_count] is the product of per-component counts.  The result is
-    the same outcome as the monolithic computation.  [CautiousProgram]
-    materializes no per-component repairs, so [~decompose:true] with it is
-    a (clearly worded) [Error], not a silent fallback.
+    [Auto], [ModelTheoretic] and [LogicProgram] are {!outcome_of_plan} over
+    a fresh plan: each conflict component of {!Repair.Decompose} is repaired
+    on its own and the answer computation factorizes.  For positive
+    existential conjunctive queries whose variables all occur in database
+    atoms, single-atom bodies take per-component intersections/unions
+    (answers are additive over components) and join bodies recombine only
+    the components mentioning a query predicate; other queries are
+    evaluated over the recombined repair list, which still profits from the
+    per-component search.  [repair_count] is the product of per-component
+    counts.  The outcome is the one a search over the whole instance gives.
+    [Auto] solves each shape of component once.  [CautiousProgram] is
+    {!Progcqa} over the whole instance.
+
+    [decompose] is ignored; perfbench's stage oracle still passes it.
 
     [jobs] (default [1]) solves the conflict components — and, on the
     factorized single-atom path, evaluates their answer sets — on that
-    many {!Parallel.Pool} worker domains.  Only decomposed runs
-    ([Auto], or [~decompose:true]) parallelize; the merge is
-    deterministic, so the outcome is identical across [jobs] settings
-    (see {!Repair.Decompose.solve} for the contract under exhaustion).
-    Decomposed runs are {!outcome_of_plan} over a fresh plan; [Auto]
-    solves each shape of component once there. *)
+    many {!Parallel.Pool} worker domains.  The merge is deterministic, so
+    the outcome is identical across [jobs] settings (see
+    {!Repair.Decompose.solve} for the contract under exhaustion). *)
 
 val factorized_outcome :
   ?semantics:Qeval.semantics ->
@@ -132,16 +131,15 @@ val factorized_outcome :
 
 (** {1 The decomposed pipeline}
 
-    [consistent_answers] (for [Auto], or a materializing method with
-    [~decompose:true]) and the session engine ({!Session}) both answer
-    through {!outcome_of_plan}, and {!repairs} and the session's repairs
-    go through {!repairs_of_plan}: one solver per component, whose strategy
-    follows from the method and the plan, merged by
-    {!Repair.Decompose.solve}'s prefix rule.  This is the only place
-    decomposed repairs are computed; the engines' own [repairs] solve the
-    whole instance, as the oracles of this pipeline.  A session passes its
-    cache as the [store] of the solve step; that is the only difference
-    between a session request and a cold one. *)
+    [consistent_answers] (for every method but [CautiousProgram]) and the
+    session engine ({!Session}) both answer through {!outcome_of_plan},
+    and {!repairs} and the session's repairs go through {!repairs_of_plan}:
+    one solver per component, whose strategy follows from the method and
+    the plan, merged by {!Repair.Decompose.solve}'s prefix rule.  This is
+    the only place repairs are computed for a request; the engines' own
+    [repairs] solve the whole instance, as Definitions 7 and 9 state them.
+    A session passes its cache as the [store] of the solve step; that is
+    the only difference between a session request and a cold one. *)
 
 type solved = {
   minimal : Relational.Instance.t list;
@@ -205,7 +203,7 @@ val outcome_of_plan :
     passes its cache).  Without one, an exact [Auto] plan solves through a
     request-local store keyed by shape only, so each shape of component is
     solved once per request and nothing outlives the call; the other
-    methods solve every component, as the reference oracles of that path.
+    methods solve every component.
     [budget] counts each kept component once ([components_solved]) and,
     for [Auto], its tier ([routed]), whether solved or carried over.
     [CautiousProgram] materializes no repairs: each of its components
@@ -222,8 +220,9 @@ val repairs_of_plan :
   (Relational.Instance.t list, string) result
 (** [Rep(D, IC)] over [plan], by the steps of {!outcome_of_plan}, the
     component repairs recombined by cross product over the core (or, on an
-    inexact plan, the consistent states filtered globally).  The full set
-    cannot degrade: any budget trip is an [Error]. *)
+    inexact plan, the consistent states filtered globally), sorted by
+    [Instance.compare].  The full set cannot degrade: any budget trip is an
+    [Error]. *)
 
 val repairs :
   ?budget:Budget.ctl ->
@@ -232,20 +231,19 @@ val repairs :
   Relational.Instance.t ->
   Ic.Constr.t list ->
   (Relational.Instance.t list, string) result
-(** Decomposed [Rep(D, IC)]: plans [D] and runs {!repairs_of_plan}, as
+(** [Rep(D, IC)]: plans [D] and runs {!repairs_of_plan}, as
     [consistent_answers] does for answers; a budget trip while planning is
-    an [Error] too.  [ModelTheoretic] and [LogicProgram] give the repair
-    sets of their monolithic oracles ({!Repair.Enumerate.repairs},
-    {!Core.Engine.repairs}), in the order of the product over the
-    components, and [jobs] changes nothing in them.  On an inexact plan
-    [LogicProgram] runs the monolithic program, with a [decompose]
-    degradation note in the budget's stats. *)
+    an [Error] too.  [ModelTheoretic] and [LogicProgram] give the lists of
+    the whole-instance engines ({!Repair.Enumerate.repairs},
+    {!Core.Engine.repairs}), in their order, and [jobs] changes nothing in
+    them.  On an inexact plan [LogicProgram] runs the program over the
+    whole instance, with a [decompose] degradation note in the budget's
+    stats. *)
 
 val certain :
   ?method_:method_ ->
   ?semantics:Qeval.semantics ->
   ?budget:Budget.ctl ->
-  ?decompose:bool ->
   ?jobs:int ->
   Relational.Instance.t ->
   Ic.Constr.t list ->
@@ -259,3 +257,8 @@ val pp_outcome : outcome Fmt.t
     and a fifth, [partial:], for an exhausted run.  Each distinct answer
     set is written once: equal sets share one string, tested by physical
     equality, then length, then the elements. *)
+
+val pp_repairs : Relational.Instance.t -> Relational.Instance.t list Fmt.t
+(** [pp_repairs d] lists repairs of [d] as the [repairs] command and
+    request print them: each with its symmetric difference with [d], then
+    their number. *)

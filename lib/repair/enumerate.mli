@@ -18,8 +18,8 @@
     The search space is finite (states are sets of atoms over the universe
     of Proposition 1) so the procedure terminates even for RIC-cyclic
     constraint sets (Example 18).  Worst-case exponential, as CQA is
-    Pi^p_2-complete (Theorem 3).  [repairs] is the monolithic search, the
-    Definition 7 oracle.  The decomposed pipeline of {!Query.Cqa} fights
+    Pi^p_2-complete (Theorem 3).  [repairs] is the search over the whole
+    instance, Definition 7 as stated.  The pipeline of {!Query.Cqa} fights
     the exponent with {!solve_component}: it splits the search along the
     conflict components of {!Decompose} and recombines the per-component
     repairs by cross product, so k independent conflict clusters cost the
@@ -85,4 +85,4 @@ val solve_component :
     consistent states and the number of states explored, or the budget
     trip ({!Budget.search_states} applies to this one search).  It counts no
     component: {!Decompose.solve} does, for the results it keeps.  The
-    model-theoretic solver of {!Query.Cqa}'s decomposed pipeline. *)
+    model-theoretic solver of {!Query.Cqa}'s pipeline. *)

@@ -32,16 +32,19 @@ let delta_set d d' = Instance.atom_set (delta d d')
 let leq ~d d' d'' = leq_deltas (delta_set d d') (delta_set d d'')
 let lt ~d d' d'' = leq ~d d' d'' && not (leq ~d d'' d')
 
-let minimal_among ~d candidates =
+let minimal_among ?budget ~d candidates =
   (* Dedup through the ordered comparator instead of pairwise [equal] scans:
      [Instance.compare] is a cheap map comparison, and sorting keeps the
      result deterministic for callers that print repair lists.  Each
      candidate's delta is computed once, not once per pair it takes part
-     in. *)
+     in.  Thousands of candidates take seconds (the filter is quadratic),
+     so both passes poll the deadline once per candidate. *)
+  let poll () = Option.iter Budget.check_deadline budget in
   let uniq = List.sort_uniq Instance.compare candidates in
-  let deltas = List.map (fun c -> (c, delta_set d c)) uniq in
+  let deltas = List.map (fun c -> poll (); (c, delta_set d c)) uniq in
   let lt_deltas x y = leq_deltas x y && not (leq_deltas y x) in
   List.filter_map
     (fun (c, dc) ->
+      poll ();
       if List.exists (fun (_, dy) -> lt_deltas dy dc) deltas then None else Some c)
     deltas

@@ -27,12 +27,21 @@ val lt : d:Relational.Instance.t -> Relational.Instance.t -> Relational.Instance
 (** Strict: [leq d' d''] and not [leq d'' d']. *)
 
 val minimal_among :
-  d:Relational.Instance.t -> Relational.Instance.t list -> Relational.Instance.t list
+  ?budget:Budget.ctl ->
+  d:Relational.Instance.t ->
+  Relational.Instance.t list ->
+  Relational.Instance.t list
 (** The [<=_D]-minimal elements of a finite set of instances (duplicates
-    removed first).  Minimality is component-local when the candidates'
-    symmetric differences split over disjoint atom sets with no
-    cross-covering ({!matches_non_null_positions}), which is what lets
-    {!Decompose} filter per component instead of over the cross product. *)
+    removed first), sorted by [Instance.compare].  Minimality is
+    component-local when the candidates' symmetric differences split over
+    disjoint atom sets with no cross-covering
+    ({!matches_non_null_positions}), which is what lets {!Decompose} filter
+    per component instead of over the cross product.
+
+    The filter compares every pair of candidates; with a [budget], its two
+    passes (each candidate's delta, then the comparisons) check the
+    deadline once per candidate.
+    @raise Budget.Exhausted when the deadline has passed. *)
 
 val matches_non_null_positions : Relational.Atom.t -> Relational.Atom.t -> bool
 (** Does the second atom agree with the first on every non-null position of

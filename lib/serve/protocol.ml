@@ -73,39 +73,15 @@ let attach ?violations t ~base ~ics env =
    per request, stats printed on demand. *)
 
 let start_budget t =
-  if t.cfg.timeout_ms = None && not t.cfg.want_stats then None
-  else
-    let stats = Budget.new_stats () in
-    if t.cfg.want_stats && t.cfg.jobs > 1 then
-      Budget.set_workers stats t.cfg.jobs;
-    Some (Budget.start ~stats (Budget.make ?timeout_ms:t.cfg.timeout_ms ()))
+  Budget.start_request ?timeout_ms:t.cfg.timeout_ms ~want_stats:t.cfg.want_stats
+    ~jobs:t.cfg.jobs ()
 
 let report_budget t ppf budget =
-  match budget with
-  | None -> ()
-  | Some b ->
-      Budget.finish b;
-      if t.cfg.want_stats then begin
-        let stats = Budget.stats b in
-        Fmt.pf ppf "stats: %a@." Budget.pp_stats stats;
-        if Budget.routed_total stats > 0 then
-          Fmt.pf ppf "routed: %a@." Budget.pp_routed stats;
-        Fmt.pf ppf "%a" Budget.pp_degradations stats;
-        Fmt.pf ppf "%a" Budget.pp_workers stats
-      end
+  Budget.report ~want_stats:t.cfg.want_stats ppf budget
 
 (* ------------------------------------------------------------------ *)
-(* Request handlers.  The reply text of every path below is the PR 5 REPL's,
-   verbatim (pinned by test/cli/session.t). *)
-
-let print_repairs ppf d repairs =
-  List.iteri
-    (fun i r ->
-      Fmt.pf ppf "repair %d: %a@." (i + 1) Relational.Instance.pp_inline r;
-      Fmt.pf ppf "  delta: %a@." Relational.Instance.pp_inline
-        (Relational.Instance.symdiff d r))
-    repairs;
-  Fmt.pf ppf "%d repair(s)@." (List.length repairs)
+(* Request handlers.  A reply is written as the one-shot subcommands write
+   theirs (pinned by test/cli/session.t). *)
 
 let loaded_line ppf path s (l : Lang.Load.loaded) =
   Fmt.pf ppf
@@ -182,7 +158,7 @@ let do_repairs t ppf =
       let budget = start_budget t in
       (match Budget.guard (fun () -> Session.repairs ?budget s) with
       | Error msg -> Fmt.pf ppf "error: %s@." msg
-      | Ok reps -> print_repairs ppf (Session.instance s) reps);
+      | Ok reps -> Query.Cqa.pp_repairs (Session.instance s) ppf reps);
       report_budget t ppf budget)
 
 let do_cqa t ppf rest =

@@ -29,8 +29,8 @@
 
     {b Correctness contract}: after any delta sequence, [repairs] and
     [cqa] return byte-identical results to a cold one-shot run
-    ({!Query.Cqa.repairs} / [Query.Cqa.consistent_answers ~decompose:true]
-    with the session's engine, and no store) on the final instance,
+    ({!Query.Cqa.repairs} / {!Query.Cqa.consistent_answers} with the
+    session's engine, and no store) on the final instance,
     and under a budget a fresh session's request is byte-identical to the
     cold run under the same limits, partial outcomes and [Error] messages
     included.  This holds by construction — the plan is either provably
@@ -171,8 +171,7 @@ val cqa :
 (** Consistent answers on the current instance:
     {!Query.Cqa.outcome_of_plan} over the session's plan, with the cache
     as the solve step — so identical to
-    [Query.Cqa.consistent_answers ~decompose:true ~method_] with the
-    session's engine, including the partial outcome on budget exhaustion,
+    [Query.Cqa.consistent_answers ~method_] with the session's engine, including the partial outcome on budget exhaustion,
     every fallback (consistent instance, inexact product with the program
     engine) and the [budget]'s counters and degradation notes. *)
 

@@ -1,3 +1,40 @@
+(* Reference CQA for the decomposed pipeline of Query.Cqa. *)
+
+module Tuple = Relational.Tuple
+module Decompose = Repair.Decompose
+module Qeval = Query.Qeval
+module Qsyntax = Query.Qsyntax
+module Cqa = Query.Cqa
+
+(* Definition 8 over the whole instance: every repair of D materialized by
+   one search, the search of Definition 7 ([ModelTheoretic]) or the stable
+   models of the program of Definition 9 ([LogicProgram]), and the query
+   evaluated in each.  No plan, no component, no factorization: the
+   pipeline must give the same outcome. *)
+let monolithic ?semantics ?budget ~method_ d ics q =
+  let repairs =
+    match (method_ : Cqa.method_) with
+    | Cqa.ModelTheoretic ->
+        Budget.guard (fun () -> Ok (Repair.Enumerate.repairs ?budget d ics))
+    | Cqa.LogicProgram -> Core.Engine.repairs ?budget d ics
+    | Cqa.CautiousProgram | Cqa.Auto ->
+        invalid_arg "Cqa_oracle.monolithic: a materializing method"
+  in
+  Result.map
+    (fun repairs ->
+      let sets = List.map (fun r -> Qeval.answers ?semantics r q) repairs in
+      {
+        Cqa.consistent =
+          (match sets with
+          | [] -> Tuple.Set.empty
+          | s :: rest -> List.fold_left Tuple.Set.inter s rest);
+        possible = List.fold_left Tuple.Set.union Tuple.Set.empty sets;
+        standard = Qeval.answers ?semantics d q;
+        repair_count = List.length repairs;
+        exhausted = None;
+      })
+    repairs
+
 (* The factorized answer algebra of a single-atom query with the core's
    answers evaluated: [Qeval.answers ?semantics plan.core q] is the base,
    and every component mentioning the query's predicate adds the
@@ -5,12 +42,6 @@
    answers.  [Query.Cqa.factorized_outcome] derives the base from the
    standard answers instead; the differential in test_decompose.ml holds
    it to this formula on exact plans. *)
-
-module Tuple = Relational.Tuple
-module Decompose = Repair.Decompose
-module Qeval = Query.Qeval
-module Qsyntax = Query.Qsyntax
-module Cqa = Query.Cqa
 
 let single_atom_outcome ?semantics ?exhausted ~(plan : Decompose.plan) ~minimal
     ~standard (q : Qsyntax.t) =

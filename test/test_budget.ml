@@ -78,13 +78,11 @@ let test_messages () =
 let clusters = Gen.clusters_workload ~k:2 ()
 let q_s = Qsyntax.make ~head:[ "x" ] (Qsyntax.Atom (atom "S" [ v "x" ]))
 
+let materializing =
+  [ ("model-theoretic", Cqa.ModelTheoretic); ("logic-program", Cqa.LogicProgram) ]
+
 let methods =
-  [
-    ("model-theoretic", Cqa.ModelTheoretic);
-    ("logic-program", Cqa.LogicProgram);
-    ("cautious", Cqa.CautiousProgram);
-    ("auto", Cqa.Auto);
-  ]
+  materializing @ [ ("cautious", Cqa.CautiousProgram); ("auto", Cqa.Auto) ]
 
 let observe name f =
   match f () with
@@ -134,9 +132,8 @@ let cases : (string * (Budget.ctl -> (unit, string) result)) list =
     [
       per "Cqa.consistent_answers" methods (fun method_ budget ->
           drop (Cqa.consistent_answers ~method_ ~budget d ics q_s));
-      per "Cqa.consistent_answers ~decompose" methods (fun method_ budget ->
-          drop
-            (Cqa.consistent_answers ~method_ ~budget ~decompose:true d ics q_s));
+      per "Cqa_oracle.monolithic" materializing (fun method_ budget ->
+          drop (Cqa_oracle.monolithic ~method_ ~budget d ics q_s));
       per "Cqa.repairs" methods (fun method_ budget ->
           drop (Cqa.repairs ~budget ~method_ d ics));
       [
@@ -188,16 +185,18 @@ let test_progcqa_budget_error () =
   | exception e ->
       Alcotest.failf "exception escaped: %s" (Printexc.to_string e)
 
+(* The pipeline solves components, which cautious reasoning does not
+   materialize: its repairs are a clearly worded error, not a silent
+   fallback. *)
 let test_cautious_decompose_rejected () =
   match
-    Cqa.consistent_answers ~method_:Cqa.CautiousProgram ~decompose:true
-      clusters.Gen.d clusters.Gen.ics q_s
+    Cqa.repairs ~method_:Cqa.CautiousProgram clusters.Gen.d clusters.Gen.ics
   with
   | Error msg ->
       let prefix = "the cautious-program method cannot decompose" in
       Alcotest.(check string) "names the cause" prefix
         (String.sub msg 0 (String.length prefix))
-  | Ok _ -> Alcotest.fail "cautious + decompose must be an error"
+  | Ok _ -> Alcotest.fail "cautious repairs must be an error"
 
 (* ------------------------------------------------------------------ *)
 (* Graceful degradation: a budget sized to finish exactly one component
@@ -213,8 +212,8 @@ let test_partial_outcome () =
   let stats = Budget.new_stats () in
   let budget = Budget.start ~stats (Budget.make ~max_states:first_cost ()) in
   match
-    Cqa.consistent_answers ~method_:Cqa.ModelTheoretic ~budget ~decompose:true
-      clusters.Gen.d clusters.Gen.ics q_s
+    Cqa.consistent_answers ~method_:Cqa.ModelTheoretic ~budget clusters.Gen.d
+      clusters.Gen.ics q_s
   with
   | Ok o ->
       (match o.Cqa.exhausted with
@@ -318,7 +317,7 @@ let test_isomorphic_complete_auto () =
 
 (* ------------------------------------------------------------------ *)
 (* qcheck: over random workloads, an exhausted budget never escapes as an
-   exception from any method, with or without decomposition. *)
+   exception from any method, nor from the whole-instance searches. *)
 
 let qcheck_no_escape =
   QCheck.Test.make
@@ -330,31 +329,36 @@ let qcheck_no_escape =
       let q =
         Qsyntax.make ~head:[ "x" ] (Qsyntax.Atom (atom "P" [ v "x" ]))
       in
+      let runs =
+        List.map
+          (fun (name, method_) ->
+            ( name,
+              fun budget ->
+                Result.map ignore
+                  (Cqa.consistent_answers ~method_ ~budget w.Gen.d w.Gen.ics q)
+            ))
+          methods
+        @ List.map
+            (fun (name, method_) ->
+              ( "whole-instance " ^ name,
+                fun budget ->
+                  Result.map ignore
+                    (Cqa_oracle.monolithic ~method_ ~budget w.Gen.d w.Gen.ics q)
+              ))
+            materializing
+      in
       List.for_all
-        (fun (_, method_) ->
-          List.for_all
-            (fun decompose ->
-              let budget =
-                Budget.start
-                  (Budget.make ~max_decisions:tiny ~max_states:tiny ())
-              in
-              match
-                Cqa.consistent_answers ~method_ ~budget ~decompose w.Gen.d
-                  w.Gen.ics q
-              with
-              | Ok _ | Error _ -> true
-              | exception e ->
-                  QCheck.Test.fail_reportf
-                    "%s (%s, decompose=%b, budget=%d): exception escaped: %s"
-                    w.Gen.label
-                    (match method_ with
-                    | Cqa.ModelTheoretic -> "mt"
-                    | Cqa.LogicProgram -> "lp"
-                    | Cqa.CautiousProgram -> "cautious"
-                    | Cqa.Auto -> "auto")
-                    decompose tiny (Printexc.to_string e))
-            [ false; true ])
-        methods)
+        (fun (name, run) ->
+          let budget =
+            Budget.start (Budget.make ~max_decisions:tiny ~max_states:tiny ())
+          in
+          match run budget with
+          | Ok () | Error _ -> true
+          | exception e ->
+              QCheck.Test.fail_reportf
+                "%s (%s, budget=%d): exception escaped: %s" w.Gen.label name
+                tiny (Printexc.to_string e))
+        runs)
 
 let () =
   Alcotest.run "budget"

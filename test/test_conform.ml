@@ -43,6 +43,47 @@ let test_corpus_families () =
       Alcotest.(check bool) (family ^ " has cases") true (cases <> []))
     Corpus.families
 
+(* Every case's [Auto] outcome, rendered, against the searches over the
+   whole instance ({!Cqa_oracle.monolithic}): the model-theoretic one on
+   every case, the repair program's where the runner keeps its tier and
+   the program applies (no built-in offsets, existentials of form (3)). *)
+let test_whole_instance_oracle () =
+  let programs = ref 0 in
+  List.iter
+    (fun (c : Case.t) ->
+      match Lang.Load.of_string ~file:(c.Case.name ^ ".cqa") c.Case.source with
+      | Error msg -> Alcotest.failf "%s: load: %s" c.Case.name msg
+      | Ok l ->
+          let q = List.assoc c.Case.query l.Lang.Load.queries in
+          let d = Lang.Load.final_instance l and ics = l.Lang.Load.ics in
+          let semantics = c.Case.semantics in
+          let pipeline method_ =
+            Result.map Case.render_outcome
+              (Query.Cqa.consistent_answers ~method_ ~semantics d ics q)
+          in
+          let oracle method_ =
+            Result.map Case.render_outcome
+              (Cqa_oracle.monolithic ~method_ ~semantics d ics q)
+          in
+          let auto = pipeline Query.Cqa.Auto in
+          let check label expected =
+            Alcotest.(check (result string string))
+              (Printf.sprintf "%s: auto = %s" c.Case.name label)
+              expected auto
+          in
+          check "whole-instance enumeration" (oracle Query.Cqa.ModelTheoretic);
+          if List.mem Runner.Program (Runner.tiers_for ~ics c) then
+            match oracle Query.Cqa.LogicProgram with
+            | Ok _ as program ->
+                incr programs;
+                check "whole-instance program" program
+            | Error _ -> ())
+    (Suite.all @ Corpus.all);
+  (* 30 of the 37 cases at the time of writing *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d cases held to the program, at least 30" !programs)
+    true (!programs >= 30)
+
 let test_fuzz_deterministic () =
   let s1 = Fuzz.gen ~seed:11 () and s2 = Fuzz.gen ~seed:11 () in
   Alcotest.(check bool) "same seed, same scenario" true (s1 = s2);
@@ -140,6 +181,11 @@ let () =
           Alcotest.test_case "generated families pass all tiers" `Quick
             test_corpus_passes;
           Alcotest.test_case "family shape" `Quick test_corpus_families;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "auto = whole-instance searches" `Quick
+            test_whole_instance_oracle;
         ] );
       ( "fuzz",
         Alcotest.test_case "deterministic" `Quick test_fuzz_deterministic

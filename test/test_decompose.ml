@@ -255,9 +255,8 @@ let q_negated =
 let check_same_outcome name d ics q =
   let tset = Alcotest.testable (Fmt.any "tuple-set") Tuple.Set.equal in
   match
-    ( Query.Cqa.consistent_answers ~method_:Query.Cqa.ModelTheoretic d ics q,
-      Query.Cqa.consistent_answers ~method_:Query.Cqa.ModelTheoretic
-        ~decompose:true d ics q )
+    ( Cqa_oracle.monolithic ~method_:Query.Cqa.ModelTheoretic d ics q,
+      Query.Cqa.consistent_answers ~method_:Query.Cqa.ModelTheoretic d ics q )
   with
   | Ok mono, Ok dec ->
       Alcotest.check tset (name ^ ": consistent") mono.Query.Cqa.consistent
@@ -314,10 +313,10 @@ let diff_cqa_test =
       List.for_all
         (fun q ->
           match
-            ( Query.Cqa.consistent_answers ~method_:Query.Cqa.ModelTheoretic
-                w.Gen.d w.Gen.ics q,
+            ( Cqa_oracle.monolithic ~method_:Query.Cqa.ModelTheoretic w.Gen.d
+                w.Gen.ics q,
               Query.Cqa.consistent_answers ~method_:Query.Cqa.ModelTheoretic
-                ~decompose:true w.Gen.d w.Gen.ics q )
+                w.Gen.d w.Gen.ics q )
           with
           | Ok _, Ok dec when dec.Query.Cqa.exhausted <> None ->
               (* the decomposed run degraded gracefully under the budget:

@@ -114,8 +114,7 @@ let prop_cqa_jobs_differential =
       List.for_all
         (fun method_ ->
           let run jobs =
-            Cqa.consistent_answers ~method_ ~decompose:true ~jobs g.Gen.d
-              g.Gen.ics q_s
+            Cqa.consistent_answers ~method_ ~jobs g.Gen.d g.Gen.ics q_s
           in
           match (run 1, run 4) with
           | Ok a, Ok b -> outcome_equal a b
@@ -235,8 +234,8 @@ let prop_no_escape_parallel =
             Budget.start (Budget.make ~max_states:limit ~max_decisions:limit ())
           in
           match
-            Cqa.consistent_answers ~method_ ~budget ~decompose:true ~jobs:4
-              g.Gen.d g.Gen.ics q_s
+            Cqa.consistent_answers ~method_ ~budget ~jobs:4 g.Gen.d g.Gen.ics
+              q_s
           with
           | Ok _ | Error _ -> true
           | exception e ->

@@ -263,13 +263,29 @@ let test_cqa_courses () =
     (set_of [ [ vi 21; vs "C15" ]; [ vi 34; vs "C18" ] ])
     o.Cqa.standard
 
+(* both materializing methods against both whole-instance searches *)
 let test_cqa_methods_agree () =
   List.iter
     (fun q ->
-      let a = run_cqa ~method_:Cqa.ModelTheoretic q in
-      let b = run_cqa ~method_:Cqa.LogicProgram q in
-      Alcotest.check tuple_set "methods agree (consistent)" a.Cqa.consistent b.Cqa.consistent;
-      Alcotest.check tuple_set "methods agree (possible)" a.Cqa.possible b.Cqa.possible)
+      List.iter
+        (fun oracle_method ->
+          let a =
+            match
+              Cqa_oracle.monolithic ~method_:oracle_method
+                ex15.Workload.Paperdb.d ex15.Workload.Paperdb.ics q
+            with
+            | Ok o -> o
+            | Error msg -> Alcotest.failf "oracle error: %s" msg
+          in
+          List.iter
+            (fun method_ ->
+              let b = run_cqa ~method_ q in
+              Alcotest.check tuple_set "methods agree (consistent)"
+                a.Cqa.consistent b.Cqa.consistent;
+              Alcotest.check tuple_set "methods agree (possible)" a.Cqa.possible
+                b.Cqa.possible)
+            [ Cqa.ModelTheoretic; Cqa.LogicProgram ])
+        [ Cqa.ModelTheoretic; Cqa.LogicProgram ])
     [ student_query; course_query ]
 
 let test_certain_boolean () =
@@ -420,15 +436,25 @@ let test_cqa_budget () =
     Instance.of_list (List.init 8 (fun i -> ("Course", [ vi i; vs "c" ])))
   in
   let q = Q.make ~head:[ "i"; "c" ] (Q.Atom (atom "Course" [ v "i"; v "c" ])) in
+  let states () = Budget.start (Budget.make ~max_states:3 ()) in
+  (* the whole-instance search has nothing to return... *)
   (match
-     Cqa.consistent_answers ~method_:Cqa.ModelTheoretic
-       ~budget:(Budget.start (Budget.make ~max_states:3 ()))
-       d ex15.Workload.Paperdb.ics q
+     Cqa_oracle.monolithic ~method_:Cqa.ModelTheoretic ~budget:(states ()) d
+       ex15.Workload.Paperdb.ics q
    with
   | Error msg ->
       Alcotest.(check bool) "budget message" true
         (String.length msg > 0)
   | Ok _ -> Alcotest.fail "expected budget error");
+  (* ...while the pipeline keeps the components it solved *)
+  (match
+     Cqa.consistent_answers ~method_:Cqa.ModelTheoretic ~budget:(states ()) d
+       ex15.Workload.Paperdb.ics q
+   with
+  | Ok o ->
+      Alcotest.(check bool) "partial outcome" true
+        (o.Cqa.exhausted = Some (Budget.States 3))
+  | Error msg -> Alcotest.failf "expected a partial outcome, got %s" msg);
   match
     Cqa.consistent_answers ~method_:Cqa.LogicProgram
       ~budget:(Budget.start (Budget.make ~max_decisions:2 ()))
@@ -619,21 +645,28 @@ let prop_consistent_subset_possible =
       | Error _ -> true
       | Ok o -> Tuple.Set.subset o.Cqa.consistent o.Cqa.possible)
 
+(* the whole-instance search is the reference of both materializing
+   methods and of cautious reasoning *)
 let prop_methods_agree =
   QCheck.Test.make ~name:"CQA agrees across all three engines" ~count:40
     (QCheck.make ~print:(Fmt.str "%a" Instance.pp_inline) inst_gen)
     (fun d ->
       match
-        ( Cqa.consistent_answers ~method_:Cqa.ModelTheoretic d scenario pquery,
-          Cqa.consistent_answers ~method_:Cqa.LogicProgram d scenario pquery,
-          Cqa.consistent_answers ~method_:Cqa.CautiousProgram d scenario pquery )
+        ( Cqa_oracle.monolithic ~method_:Cqa.ModelTheoretic d scenario pquery,
+          Cqa_oracle.monolithic ~method_:Cqa.LogicProgram d scenario pquery
+          :: List.map
+               (fun method_ -> Cqa.consistent_answers ~method_ d scenario pquery)
+               [ Cqa.ModelTheoretic; Cqa.LogicProgram; Cqa.CautiousProgram ] )
       with
-      | Ok a, Ok b, Ok c ->
-          Tuple.Set.equal a.Cqa.consistent b.Cqa.consistent
-          && Tuple.Set.equal a.Cqa.possible b.Cqa.possible
-          && Tuple.Set.equal a.Cqa.consistent c.Cqa.consistent
-          && Tuple.Set.equal a.Cqa.possible c.Cqa.possible
-      | _ -> false)
+      | Ok a, others ->
+          List.for_all
+            (function
+              | Ok b ->
+                  Tuple.Set.equal a.Cqa.consistent b.Cqa.consistent
+                  && Tuple.Set.equal a.Cqa.possible b.Cqa.possible
+              | Error _ -> false)
+            others
+      | Error _, _ -> false)
 
 let prop_consistent_on_consistent_db =
   QCheck.Test.make ~name:"consistent db: CQA = standard answers" ~count:60

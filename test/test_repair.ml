@@ -440,6 +440,24 @@ let test_minimal_among_dedup () =
   Alcotest.(check int) "duplicates removed" 1
     (List.length (Order.minimal_among ~d [ x; x; x ]))
 
+(* The quadratic filter polls the deadline: a passed one stops it, while
+   a budget with time left changes nothing. *)
+let test_minimal_among_deadline () =
+  let d = Instance.of_list [ ("P", [ vs "a" ]) ] in
+  let candidates =
+    List.init 3 (fun i -> Instance.of_list [ ("P", [ vs "a" ]); ("Q", [ vi i ]) ])
+  in
+  let passed = Budget.start (Budget.make ~timeout_ms:0 ()) in
+  Unix.sleepf 0.002;
+  (match Order.minimal_among ~budget:passed ~d candidates with
+  | _ -> Alcotest.fail "finished past its deadline"
+  | exception Budget.Exhausted (Budget.Deadline 0) -> ()
+  | exception Budget.Exhausted e ->
+      Alcotest.failf "wrong marker: %a" Budget.pp_exhausted e);
+  let ample = Budget.start (Budget.make ~timeout_ms:60_000 ()) in
+  Alcotest.(check int) "ample deadline" 3
+    (List.length (Order.minimal_among ~budget:ample ~d candidates))
+
 (* ------------------------------------------------------------------ *)
 (* Properties *)
 
@@ -607,6 +625,8 @@ let () =
             test_search_skips_seen_successors;
           Alcotest.test_case "fixes" `Quick test_fixes_exposed;
           Alcotest.test_case "minimal_among dedup" `Quick test_minimal_among_dedup;
+          Alcotest.test_case "minimal_among deadline" `Quick
+            test_minimal_among_deadline;
         ] );
       ( "bruteforce",
         [

@@ -312,7 +312,7 @@ let qcheck_auto_differential =
           match
             ( Query.Cqa.consistent_answers ~method_:Query.Cqa.Auto case.Gen.d
                 case.Gen.ics q,
-              Query.Cqa.consistent_answers ~method_:Query.Cqa.ModelTheoretic
+              Cqa_oracle.monolithic ~method_:Query.Cqa.ModelTheoretic
                 case.Gen.d case.Gen.ics q )
           with
           | Ok auto, Ok oracle ->

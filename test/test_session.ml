@@ -345,8 +345,8 @@ let run_differential engine ~check_cqa seed =
            (fun q ->
              match
                ( Session.cqa session q,
-                 Query.Cqa.consistent_answers ~method_:(method_of engine)
-                   ~decompose:true !d w.Gen.ics q )
+                 Query.Cqa.consistent_answers ~method_:(method_of engine) !d
+                   w.Gen.ics q )
              with
              | Ok so, Ok co ->
                  if not (same_outcome so co) then (
@@ -436,7 +436,7 @@ let budgeted_differential seed =
                   in
                   let cold =
                     render
-                      (Query.Cqa.consistent_answers ~method_ ~decompose:true
+                      (Query.Cqa.consistent_answers ~method_
                          ~budget:(budget ()) w.Gen.d w.Gen.ics q)
                   and session =
                     render
@@ -578,8 +578,8 @@ let test_cache_types () =
       ignore (Session.cqa s q_fg);
       Session.apply s ops;
       let cold =
-        Query.Cqa.consistent_answers ~method_:(method_of engine) ~decompose:true
-          d' [ fd_f ] q_fg
+        Query.Cqa.consistent_answers ~method_:(method_of engine) d' [ fd_f ]
+          q_fg
       in
       Alcotest.(check string)
         (name ^ ": session = cold") (render cold)
